@@ -26,6 +26,7 @@ from .learner import Ensemble, ensemble_score, ensemble_vote
 _NEWTON_MAX_ITER = 100
 _NEWTON_STEP_TOL = 1e-10
 _RIDGE = 1e-12
+_EXP_MAX = float(np.log(np.finfo(float).max))  # largest argument with a finite exp
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,11 @@ class ReliabilityBins:
 
     def __len__(self) -> int:
         return len(self.count)
+
+
+def _sigmoid(f):
+    """``1 / (1 + exp(f))``; arguments past the float range are capped so exp cannot overflow."""
+    return 1.0 / (1.0 + np.exp(np.minimum(f, _EXP_MAX)))
 
 
 def _nll(a, b, s, t):
@@ -72,8 +78,7 @@ def fit_platt(scores, labels) -> PlattParams:
     iterations = 0
     converged = False
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        f = a * s + b
-        p = 1.0 / (1.0 + np.exp(f))
+        p = _sigmoid(a * s + b)
         # dNLL/df = t - p per example
         g = t - p
         grad = np.array([np.sum(g * s), np.sum(g)])
@@ -136,7 +141,7 @@ def fit_platt_crossval(features, labels, train_fn, k_folds: int = 3) -> PlattPar
 def calibrated_probability(params: PlattParams, score):
     """Map a score through the fitted sigmoid; strictly inside (0, 1)."""
     s = np.asarray(score, dtype=float)
-    p = 1.0 / (1.0 + np.exp(params.a * s + params.b))
+    p = _sigmoid(params.a * s + params.b)
     p = np.clip(p, 1e-15, 1.0 - 1e-15)
     return float(p) if np.isscalar(score) or s.ndim == 0 else p
 

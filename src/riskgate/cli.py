@@ -113,11 +113,18 @@ def _grid_from_args(args):
     return load_grid(args.network) if getattr(args, "network", None) else six_bus()
 
 
+def _int_list(text, flag):
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ConfigError(f"{flag} needs comma-separated integers, got {text!r}") from None
+
+
 def _cmd_generate(args) -> int:
-    splits = tuple(int(v) for v in args.splits.split(","))
+    splits = tuple(_int_list(args.splits, "--splits"))
     if len(splits) != 3:
         raise ConfigError("--splits needs exactly three comma-separated sizes")
-    contingencies = [int(v) for v in args.contingencies.split(",") if v]
+    contingencies = _int_list(args.contingencies, "--contingencies")
     db = build_database(_grid_from_args(args), n=args.n, contingencies=contingencies,
                         seed=args.seed, splits=splits)
     save_database(db, args.out)

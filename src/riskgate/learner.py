@@ -65,19 +65,30 @@ class Stump:
 
 
 class _StumpFitter:
-    """Caches per-feature sort order so boosting rounds reuse it."""
+    """Searches every feature's split at once over a cached sort order.
+
+    Built once per training matrix, so boosting rounds only redo the
+    weighted prefix sums: per feature (one row each) it keeps the stable
+    sort order, the mask of sorted positions that are not a cut (equal
+    to the next value) and the cut midpoints, all ``(F, n-1)``.  Each
+    row's prefix sum is sequential, so every impurity equals the one a
+    feature-by-feature search computes.  Ties break lexicographically:
+    the first feature wins unless a later one beats it by more than
+    ``_TIE_TOL``, and within a feature the first cut within ``_TIE_TOL``
+    of its minimum wins.
+    """
 
     def __init__(self, x: np.ndarray):
-        self.x = x
-        self.order = np.argsort(x, axis=0, kind="stable")
-        sorted_vals = np.take_along_axis(x, self.order, axis=0)
-        self.cuts = []
-        self.midpoints = []
-        for f in range(x.shape[1]):
-            sv = sorted_vals[:, f]
-            idx = np.nonzero(sv[:-1] != sv[1:])[0]
-            self.cuts.append(idx)
-            self.midpoints.append((sv[idx] + sv[idx + 1]) / 2.0)
+        order = np.argsort(x.T, axis=1, kind="stable")
+        sv = np.take_along_axis(x.T, order, axis=1)
+        self.order = order[:, :-1].copy()  # the last position is never a cut
+        self.not_cut = sv[:, :-1] == sv[:, 1:]
+        self.has_cut = np.flatnonzero(~self.not_cut.all(axis=1)).tolist()
+        self.midpoints = (sv[:, :-1] + sv[:, 1:]) / 2.0
+        # Work arrays reused by every fit: fresh temporaries of this size
+        # cost more in page faults than the arithmetic on them.
+        self.work = np.empty((6,) + self.midpoints.shape)
+        self.mask = np.empty(self.midpoints.shape, dtype=bool)
 
     def fit(self, y: np.ndarray, w: np.ndarray) -> Stump:
         w0 = np.where(y == 0, w, 0.0)
@@ -91,35 +102,49 @@ class _StumpFitter:
             p1 = 1.0 - LEAF_EPS if label1 else LEAF_EPS
             leaf = Leaf(1.0 - p1, p1)
             return Stump(feature=None, threshold=0.0, left=leaf, right=leaf)
-
-        best = None  # (impurity, feature, cut position, stats)
-        for f in range(self.x.shape[1]):
-            idx = self.cuts[f]
-            if len(idx) == 0:
-                continue
-            c0 = np.cumsum(w0[self.order[:, f]])[idx]
-            c1 = np.cumsum(w1[self.order[:, f]])[idx]
-            wl = c0 + c1
-            wr = total - wl
-            r0 = t0 - c0
-            r1 = t1 - c1
-            left_term = np.divide(c0 * c0 + c1 * c1, wl, out=np.zeros_like(wl), where=wl > 0)
-            right_term = np.divide(r0 * r0 + r1 * r1, wr, out=np.zeros_like(wr), where=wr > 0)
-            impurity = (total - left_term - right_term) / total
-            j = int(np.flatnonzero(impurity <= impurity.min() + _TIE_TOL)[0])
-            if best is None or impurity[j] < best[0] - _TIE_TOL:
-                best = (float(impurity[j]), f, j, (c0[j], c1[j], r0[j], r1[j]))
-
-        if best is None:
+        if not self.has_cut:
             raise DegenerateData("all feature vectors are identical with both classes present")
-        _, f, j, (l0, l1, r0, r1) = best
+
+        c0, c1, side, left, right, tmp = self.work
+        # mode="clip" skips the bounds check that would buffer ``out``
+        np.cumsum(np.take(w0, self.order, out=c0, mode="clip"), axis=1, out=c0)
+        np.cumsum(np.take(w1, self.order, out=c1, mode="clip"), axis=1, out=c1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.add(c0, c1, out=side)
+            _gini_term(c0, c1, side, left, tmp, self.mask)
+            np.subtract(total, side, out=side)
+            _gini_term(np.subtract(t0, c0, out=right), np.subtract(t1, c1, out=tmp),
+                       side, right, tmp, self.mask)
+        impurity = np.subtract(total, left, out=left)
+        impurity -= right
+        impurity /= total
+        np.copyto(impurity, np.inf, where=self.not_cut)
+        near_min = np.less_equal(impurity, impurity.min(axis=1, keepdims=True) + _TIE_TOL, out=self.mask)
+        cut = near_min.argmax(axis=1)
+        best = impurity[np.arange(len(cut)), cut].tolist()
+
+        f = self.has_cut[0]
+        for g in self.has_cut[1:]:
+            if best[g] < best[f] - _TIE_TOL:
+                f = g
+        j = cut[f]
+        l0, l1 = c0[f, j], c1[f, j]
 
         def leaf(n0, n1):
             tot = n0 + n1
             p1 = np.clip(n1 / tot if tot > 0 else 0.5, LEAF_EPS, 1.0 - LEAF_EPS)
             return Leaf(1.0 - p1, float(p1))
 
-        return Stump(feature=f, threshold=float(self.midpoints[f][j]), left=leaf(l0, l1), right=leaf(r0, r1))
+        return Stump(feature=f, threshold=float(self.midpoints[f, j]),
+                     left=leaf(l0, l1), right=leaf(t0 - l0, t1 - l1))
+
+
+def _gini_term(n0, n1, side, out, tmp, mask):
+    """``out = (n0*n0 + n1*n1) / side``, or 0 where ``side <= 0``; ``tmp`` may alias ``n1``."""
+    np.multiply(n0, n0, out=out)
+    out += np.multiply(n1, n1, out=tmp)
+    out /= side
+    np.copyto(out, 0.0, where=np.less_equal(side, 0.0, out=mask))
 
 
 def train_stump(features, labels, weights=None) -> Stump:
@@ -268,7 +293,9 @@ def ensemble_score(ensemble: Ensemble, features):
             vote = np.zeros(len(x))
             for alpha, stump in zip(ensemble.weights, ensemble.stumps):
                 vote += alpha * stump.predict(x)
-            score = vote / total
+            # the vote sums sequentially and the total pairwise, which can
+            # put a unanimous secure vote one ulp above 1
+            score = np.minimum(vote / total, 1.0)
     else:
         score = 1.0 / (1.0 + np.exp(-2.0 * ensemble_margin(ensemble, x)))
     return float(score[0]) if single else score

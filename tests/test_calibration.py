@@ -1,5 +1,7 @@
 """Calibration tests: sigmoid fit against a grid-search oracle, Brier score."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,12 @@ def test_calibrated_ensemble_probability():
     assert model.probability(np.zeros(23)) == pytest.approx(calibrated_probability(model.params, s))
     bare = CalibratedEnsemble(ensemble=ens, contingency=6, params=None)
     assert bare.probability(np.zeros(23)) == s
+
+
+def test_extreme_scores_do_not_overflow():
+    params = PlattParams(a=-1.0, b=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = calibrated_probability(params, np.array([-1e6, -800.0, 0.0, 800.0, 1e6]))
+        assert calibrated_probability(params, -1e6) == 1e-15
+    assert np.array_equal(p, [1e-15, 1e-15, 0.5, 1.0 - 1e-15, 1.0 - 1e-15])

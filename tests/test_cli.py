@@ -88,6 +88,15 @@ def test_exit_code_config_error(tmp_path):
                  "--out", str(tmp_path / "m.json")]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--splits", "5,2,x"), ("--splits", "5,2"),
+                                         ("--contingencies", "5,six")])
+def test_generate_bad_integer_list_is_config_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--out", str(out), "--n", "7", flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_data_error(dataset, tmp_path):
     # contingency 5 exists but asking for an unlabeled one is a config error;
     # a single-class training split is a data error (exit 3)

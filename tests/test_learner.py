@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riskgate.errors import DegenerateData, MalformedFile, SingleClassData, VersionMismatch
 from riskgate.learner import (
+    _TIE_TOL,
     LEAF_EPS,
     Ensemble,
+    Leaf,
+    Stump,
+    _StumpFitter,
     ensemble_margin,
     ensemble_score,
     ensemble_vote,
@@ -81,6 +88,125 @@ def test_stump_matches_exhaustive_search():
                     best = g
         got = weighted_gini(x[:, stump.feature] <= stump.threshold)
         assert got == pytest.approx(best, abs=1e-9)
+
+
+def reference_stump(x, y, w):
+    """Column-by-column stump search, the reference for ``_StumpFitter``."""
+    order = np.argsort(x, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(x, order, axis=0)
+    cuts = []
+    midpoints = []
+    for f in range(x.shape[1]):
+        sv = sorted_vals[:, f]
+        idx = np.nonzero(sv[:-1] != sv[1:])[0]
+        cuts.append(idx)
+        midpoints.append((sv[idx] + sv[idx + 1]) / 2.0)
+
+    w0 = np.where(y == 0, w, 0.0)
+    w1 = np.where(y == 1, w, 0.0)
+    t0, t1 = w0.sum(), w1.sum()
+    total = t0 + t1
+    if total <= 0:
+        raise ValueError("example weights must not all be zero")
+    if t0 == 0.0 or t1 == 0.0:
+        label1 = t1 > 0.0
+        p1 = 1.0 - LEAF_EPS if label1 else LEAF_EPS
+        leaf = Leaf(1.0 - p1, p1)
+        return Stump(feature=None, threshold=0.0, left=leaf, right=leaf)
+
+    best = None  # (impurity, feature, cut position, stats)
+    for f in range(x.shape[1]):
+        idx = cuts[f]
+        if len(idx) == 0:
+            continue
+        c0 = np.cumsum(w0[order[:, f]])[idx]
+        c1 = np.cumsum(w1[order[:, f]])[idx]
+        wl = c0 + c1
+        wr = total - wl
+        r0 = t0 - c0
+        r1 = t1 - c1
+        left_term = np.divide(c0 * c0 + c1 * c1, wl, out=np.zeros_like(wl), where=wl > 0)
+        right_term = np.divide(r0 * r0 + r1 * r1, wr, out=np.zeros_like(wr), where=wr > 0)
+        impurity = (total - left_term - right_term) / total
+        j = int(np.flatnonzero(impurity <= impurity.min() + _TIE_TOL)[0])
+        if best is None or impurity[j] < best[0] - _TIE_TOL:
+            best = (float(impurity[j]), f, j, (c0[j], c1[j], r0[j], r1[j]))
+
+    if best is None:
+        raise DegenerateData("all feature vectors are identical with both classes present")
+    _, f, j, (l0, l1, r0, r1) = best
+
+    def leaf(n0, n1):
+        tot = n0 + n1
+        p1 = np.clip(n1 / tot if tot > 0 else 0.5, LEAF_EPS, 1.0 - LEAF_EPS)
+        return Leaf(1.0 - p1, float(p1))
+
+    return Stump(feature=f, threshold=float(midpoints[f][j]), left=leaf(l0, l1), right=leaf(r0, r1))
+
+
+@st.composite
+def stump_problems(draw):
+    """Small matrices with many repeated values, so ties and constant columns occur."""
+    n = draw(st.integers(1, 12))
+    f = draw(st.integers(1, 4))
+    values = st.one_of(st.integers(-2, 2).map(float), st.sampled_from([0.1, 0.25, 1.5, -0.7]))
+    x = draw(arrays(float, (n, f), elements=values))
+    y = draw(arrays(int, n, elements=st.integers(0, 1)))
+    w = draw(arrays(float, n, elements=st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 1.0, 2.0])))
+    return x, y, w
+
+
+@settings(max_examples=400, deadline=None)
+@given(stump_problems())
+def test_stump_fitter_matches_reference(problem):
+    x, y, w = problem
+    try:
+        expected = reference_stump(x, y, w)
+    except (ValueError, DegenerateData) as exc:
+        with pytest.raises(type(exc)):
+            _StumpFitter(x).fit(y, w)
+        return
+    got = _StumpFitter(x).fit(y, w)
+    assert got.feature == expected.feature
+    assert got.threshold == expected.threshold
+    assert got.left == expected.left
+    assert got.right == expected.right
+    assert got == expected
+
+
+def test_stump_fitter_edge_cases_match_reference():
+    x = np.full((4, 3), 2.0)
+    y = np.array([0, 1, 1, 0])
+    w = np.ones(4)
+    with pytest.raises(DegenerateData):
+        reference_stump(x, y, w)
+    with pytest.raises(DegenerateData):
+        _StumpFitter(x).fit(y, w)
+    # all weight on one class, with and without the other class present
+    x = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+    for y, w, label in (([1, 1, 1], [0.2, 0.5, 0.3], 1), ([0, 0, 0], [0.2, 0.5, 0.3], 0),
+                        ([0, 1, 1], [0.0, 0.5, 0.3], 1), ([0, 1, 0], [0.2, 0.0, 0.3], 0)):
+        y, w = np.array(y), np.array(w)
+        got = _StumpFitter(x).fit(y, w)
+        assert got == reference_stump(x, y, w)
+        assert got.feature is None and got.left.label == label
+
+
+def test_boosted_stumps_match_reference():
+    # every round of a boosting run, with its reweighted examples, picks
+    # the reference's stump; one fitter and its work arrays serve all rounds
+    rng = np.random.default_rng(31)
+    x = np.round(rng.normal(size=(150, 6)), 1)
+    x[:, 4] = 1.0
+    y = (x[:, 0] + x[:, 2] + 0.5 * rng.normal(size=150) > 0).astype(int)
+    fitter = _StumpFitter(x)
+    w = np.full(150, 1.0 / 150)
+    for _ in range(30):
+        stump = fitter.fit(y, w)
+        assert stump == reference_stump(x, y, w)
+        miss = stump.predict(x) != y
+        w = w * np.exp(0.7 * miss)
+        w = w / w.sum()
 
 
 def test_stump_permutation_invariant():
@@ -183,6 +309,16 @@ def test_unanimous_votes():
     assert ensemble_score(ens0, x) == 0.0
     ens1 = Ensemble("samme", [constant_stump(0.9)] * 2, [1.0, 2.0])
     assert ensemble_score(ens1, x) == pytest.approx(1.0)
+
+
+def test_unanimous_secure_vote_scores_at_most_one():
+    # summed pairwise, these weights come to one ulp less than summed in order
+    weights = [1.2, 0.4, 1.9, 2.8, 1.4, 2.9, 1.5, 1.3, 1.9, 3.0]
+    ens = Ensemble("samme", [constant_stump(0.9)] * len(weights), weights)
+    score = ensemble_score(ens, np.zeros((3, 23)))
+    assert np.all(score == 1.0)
+    assert ensemble_score(ens, np.zeros(23)) == 1.0
+    assert np.all(ensemble_vote(ens, np.zeros((3, 23))) == 1)
 
 
 def test_half_log_odds_margin():

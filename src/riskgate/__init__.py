@@ -46,12 +46,10 @@ from .calibration import (  # noqa: F401
 )
 from .risk_engine import (  # noqa: F401
     ContingencyParams,
-    Scenario,
+    ScenarioTable,
     TriageReport,
-    adjusted_priors,
     cost_ratio,
     decision_threshold,
-    ml_severity,
     perturb_params,
     prediction_risks,
     rank_scenarios,

@@ -106,38 +106,6 @@ def fit_platt(scores, labels) -> PlattParams:
     return PlattParams(a=float(a), b=float(b), nll=value, iterations=iterations)
 
 
-def fit_platt_pooled(fold_scores, fold_labels) -> PlattParams:
-    """Fit one sigmoid on out-of-fold scores pooled across folds."""
-    return fit_platt(np.concatenate([np.asarray(s, float) for s in fold_scores]),
-                     np.concatenate([np.asarray(y, int) for y in fold_labels]))
-
-
-def fit_platt_crossval(features, labels, train_fn, k_folds: int = 3) -> PlattParams:
-    """Cross-validated alternative to the held-out calibration split.
-
-    ``train_fn(features, labels)`` must return a model accepted by
-    ``score_fn``-style usage, i.e. an object whose ``__call__`` maps a
-    feature matrix to scores.  The training data is cut into ``k_folds``
-    class-stratified folds; each fold is scored by a model trained on
-    the others and the pooled out-of-fold scores feed one sigmoid fit.
-    """
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    if k_folds < 2:
-        raise ValueError("k_folds must be >= 2")
-    fold_of = np.empty(len(y), dtype=int)
-    for cls in (0, 1):
-        idx = np.flatnonzero(y == cls)
-        fold_of[idx] = np.arange(len(idx)) % k_folds
-    scores, targets = [], []
-    for fold in range(k_folds):
-        held = fold_of == fold
-        score_fn = train_fn(x[~held], y[~held])
-        scores.append(np.asarray(score_fn(x[held]), dtype=float))
-        targets.append(y[held])
-    return fit_platt_pooled(scores, targets)
-
-
 def calibrated_probability(params: PlattParams, score):
     """Map a score through the fitted sigmoid; strictly inside (0, 1)."""
     s = np.asarray(score, dtype=float)

@@ -23,6 +23,7 @@ from .experiments import EXPERIMENT_NAMES, RUNNERS, ExperimentConfig
 from .grid import assess_security, load_grid, six_bus
 from .learner import ensemble_score, ensemble_vote, load_model, save_model, train_adaboost
 from .risk_engine import (
+    PROBABILITY_SUM_TOL,
     load_contingency_params,
     rank_scenarios,
     residual_risk_estimate,
@@ -90,7 +91,6 @@ def _add_experiment(sub):
     p.add_argument("--config", help="ExperimentConfig JSON")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory")
-    p.add_argument("--budget", type=int, help="unused by sweeping runners; accepted for symmetry")
     p.add_argument("--bins", type=int)
     p.add_argument("--rounds", type=int)
     p.add_argument("--mode", choices=("samme", "samme.r"))
@@ -164,16 +164,30 @@ def _cmd_calibrate(args) -> int:
 
 
 def _load_condition_probs(path, n):
+    """Read ``id,probability`` lines covering test conditions ``0 .. n-1``."""
     probs = np.full(n, np.nan)
+    lineno = 0
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip() or line.startswith("id"):
             continue
         parts = line.split(",")
         if len(parts) != 2:
             raise ConfigError(f"{path}:{lineno}: expected 'id,probability'")
-        probs[int(parts[0])] = float(parts[1])
+        try:
+            cid, p = int(parts[0]), float(parts[1])
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: expected an integer id and a number, got {line!r}") from None
+        if not 0 <= cid < n:
+            raise ConfigError(f"{path}:{lineno}: condition id {cid} outside 0..{n - 1}")
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"{path}:{lineno}: probability {parts[1].strip()} outside [0, 1]")
+        if not np.isnan(probs[cid]):
+            raise ConfigError(f"{path}:{lineno}: condition id {cid} listed twice")
+        probs[cid] = p
     if np.any(np.isnan(probs)):
-        raise ConfigError("condition probability file misses some test conditions")
+        raise ConfigError(f"{path}: condition probability file misses some test conditions")
+    if abs(probs.sum() - 1.0) > PROBABILITY_SUM_TOL:
+        raise ConfigError(f"{path}:{lineno}: condition probabilities sum to {probs.sum():.17g}, not 1")
     return probs
 
 

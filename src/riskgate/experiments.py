@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .calibration import CalibratedEnsemble, brier_score, fit_platt, reliability_csv
 from .errors import SingleClassCalibration, SingleClassData
-from .grid import GridModel, six_bus
+from .grid import six_bus
 from .learner import (
     Ensemble,
     ensemble_score,
@@ -132,12 +132,12 @@ def budget_sweep(n_scenarios: int, stride_threshold: int = 3000, stride: int = 1
 _POOL_CACHE: dict[tuple, LabeledDatabase] = {}
 
 
-def generation_pool(config: ExperimentConfig, grid: GridModel | None = None) -> LabeledDatabase:
-    """Labeled pool shared by all runners for a given (seed, n, splits)."""
+def generation_pool(config: ExperimentConfig) -> LabeledDatabase:
+    """Labeled pool of the packaged network shared by all runners for a given (seed, n, splits)."""
     key = (config.seed, config.n, config.splits)
     if key not in _POOL_CACHE:
         _POOL_CACHE[key] = build_database(
-            grid or six_bus(), n=config.n, contingencies=ALL_LINES,
+            six_bus(), n=config.n, contingencies=ALL_LINES,
             seed=config.seed, splits=config.splits,
         )
     return _POOL_CACHE[key]
@@ -357,28 +357,56 @@ def run_threshold_study(config: ExperimentConfig, out_dir=None, contingency: int
     return out
 
 
-# -- study 4: single-contingency triage -----------------------------------------
+# -- budget-sweep curves shared by studies 4-6 -----------------------------------
 
-def _proposed_order(db, test_idx, models, params_by_c):
-    """Risk-ranked scenario arrays (contingency, prediction, truth)."""
+def _fit_models(db, config, contingencies) -> dict[int, CalibratedEnsemble]:
+    """One calibrated model per contingency, trained on repetition 0."""
+    train_idx, calib_idx, _ = _resplit(db, config, 0)
+    return {c: fit_contingency_model(db, train_idx, calib_idx, c, config) for c in contingencies}
+
+
+def _budget_curves(db, config, models, true_params, rankings):
+    """Residual-error curves over the joint test scenarios of ``true_params``.
+
+    ``models`` (from ``_fit_models``) covers every contingency of
+    ``true_params``.  Each entry of ``rankings`` (name -> parameters used
+    for ranking and thresholding) gives a risk-ranked curve;
+    ``"standard"`` is the standard classifier, predicted-secure scenarios
+    first in random order within each group.  Residual risk is always
+    measured with ``true_params``.
+    """
+    _, _, test_idx = _resplit(db, config, 0)
+    contingencies = sorted(true_params)
+    n_test = len(test_idx)
     x = db.features_matrix()[test_idx]
-    ids = list(range(len(test_idx)))
-    ranked = rank_scenarios(x, ids, uniform_condition_probabilities(len(ids)), models, params_by_c)
-    truth_by_c = {c: db.label_vector(c)[test_idx] for c in params_by_c}
-    cont = np.array([s.contingency for s in ranked])
-    pred = np.array([s.predicted_label for s in ranked])
-    truth = np.array([truth_by_c[s.contingency][s.condition] for s in ranked])
-    return ranked, cont, pred, truth
+    truth = np.stack([db.label_vector(c)[test_idx] for c in contingencies])  # contingency-major
+    budgets = budget_sweep(truth.size)
+
+    curves = {}
+    for name, ranking_params in rankings.items():
+        ranked = rank_scenarios(x, range(n_test), uniform_condition_probabilities(n_test), models, ranking_params)
+        ranked_truth = truth[np.searchsorted(contingencies, ranked.contingency), ranked.condition]
+        curves[name] = residual_error_curves(ranked.contingency, ranked.predicted_label, ranked_truth,
+                                             true_params, n_test, budgets)
+    votes = np.concatenate([ensemble_vote(models[c].ensemble, x) for c in contingencies])
+    order = secure_first_order(votes, config.seed)
+    curves["standard"] = residual_error_curves(np.repeat(contingencies, n_test)[order], votes[order],
+                                               truth.ravel()[order], true_params, n_test, budgets)
+    return curves
 
 
-def _flat_scenarios(db, test_idx, contingencies):
-    """Scenario arrays in canonical (contingency-major) order."""
-    cont, cond = [], []
-    for c in sorted(contingencies):
-        cont.extend([c] * len(test_idx))
-        cond.extend(range(len(test_idx)))
-    return np.array(cont), np.array(cond)
+def _write_curve(path: Path, curve, name: str) -> dict:
+    """Write a curve as budget CSV; return its zero-budget summary extras."""
+    bud, missed, false, risk = curve
+    rows = [(int(s), int(m), int(f), f"{r:.17g}") for s, m, f, r in zip(bud, missed, false, risk)]
+    _write_csv(path, "budget,missed_alarms,false_alarms,residual_risk", rows)
+    errors = missed + false
+    zero = np.flatnonzero(errors == 0)
+    return {f"{name}_errors_at_zero": int(errors[0]),
+            f"{name}_first_zero_budget": int(bud[zero[0]]) if len(zero) else None}
 
+
+# -- study 4: single-contingency triage -----------------------------------------
 
 def run_triage_study(config: ExperimentConfig, out_dir=None) -> Path:
     """Budgeted verification curves for the three assessment strategies."""
@@ -387,98 +415,43 @@ def run_triage_study(config: ExperimentConfig, out_dir=None) -> Path:
     db = generation_pool(config)
     c = TRIAGE_CONTINGENCY
     params_by_c = {c: TRIAGE_PARAMS}
-    train_idx, calib_idx, test_idx = _resplit(db, config, 0)
+    curves = _budget_curves(db, config, _fit_models(db, config, [c]), params_by_c, {"proposed": params_by_c})
+
+    train_idx, _, test_idx = _resplit(db, config, 0)
     y = db.label_vector(c)
-    truth_test = y[test_idx]
     n_test = len(test_idx)
-    budgets = budget_sweep(n_test)
-
-    model = fit_contingency_model(db, train_idx, calib_idx, c, config)
-    _, cont_rank, pred_rank, truth_rank = _proposed_order(db, test_idx, {c: model}, params_by_c)
-    curves = {}
-    curves["proposed"] = residual_error_curves(cont_rank, pred_rank, truth_rank, params_by_c, n_test, budgets)
-
-    votes = ensemble_vote(model.ensemble, db.features_matrix()[test_idx])
-    order = secure_first_order(votes, config.seed)
-    curves["standard"] = residual_error_curves(
-        np.full(n_test, c)[order], votes[order], truth_test[order], params_by_c, n_test, budgets)
-
     majority = int(np.mean(y[train_idx]) >= 0.5)
-    naive = np.full(n_test, majority)
     order = random_assessment_order(n_test, config.seed)
-    curves["no_ml"] = residual_error_curves(
-        np.full(n_test, c)[order], naive[order], truth_test[order], params_by_c, n_test, budgets)
+    curves["no_ml"] = residual_error_curves(np.full(n_test, c), np.full(n_test, majority), y[test_idx][order],
+                                            params_by_c, n_test, budget_sweep(n_test))
 
     extras = {"contingency": c, "n_test": n_test}
-    for name, (bud, missed, false, risk) in curves.items():
-        rows = [(int(s), int(m), int(f), f"{r:.17g}") for s, m, f, r in zip(bud, missed, false, risk)]
-        _write_csv(out / f"triage_{name}.csv", "budget,missed_alarms,false_alarms,residual_risk", rows)
-        errors = missed + false
-        zero = np.flatnonzero(errors == 0)
-        extras[f"{name}_errors_at_zero"] = int(errors[0])
-        extras[f"{name}_first_zero_budget"] = int(bud[zero[0]]) if len(zero) else None
+    for name, curve in curves.items():
+        extras.update(_write_curve(out / f"triage_{name}.csv", curve, name))
     _write_manifest(config, "triage", out, extras)
     return out
 
 
 # -- study 5: several contingencies ---------------------------------------------
 
-def _multi_curves(db, config, contingencies, params_by_c, out, prefix, perturbed=None):
-    """Proposed + standard-classifier curves over a joint scenario set.
-
-    ``perturbed`` optionally maps contingency to the parameter set used
-    for ranking/thresholding, while ``params_by_c`` always carries the
-    true parameters used for risk evaluation.
-    """
-    train_idx, calib_idx, test_idx = _resplit(db, config, 0)
-    n_test = len(test_idx)
-    models = {c: fit_contingency_model(db, train_idx, calib_idx, c, config) for c in contingencies}
-    n_scenarios = n_test * len(contingencies)
-    budgets = budget_sweep(n_scenarios)
-
-    ranking_params = perturbed or params_by_c
-    _, cont_rank, pred_rank, truth_rank = _proposed_order(db, test_idx, models, ranking_params)
-    proposed = residual_error_curves(cont_rank, pred_rank, truth_rank, params_by_c, n_test, budgets)
-
-    cont_flat, cond_flat = _flat_scenarios(db, test_idx, contingencies)
-    x_test = db.features_matrix()[test_idx]
-    votes = np.concatenate([ensemble_vote(models[c].ensemble, x_test) for c in sorted(contingencies)])
-    truth_flat = np.concatenate([db.label_vector(c)[test_idx] for c in sorted(contingencies)])
-    order = secure_first_order(votes, config.seed)
-    standard = residual_error_curves(
-        cont_flat[order], votes[order], truth_flat[order], params_by_c, n_test, budgets)
-
-    results = {}
-    for name, (bud, missed, false, risk) in (("proposed", proposed), ("standard", standard)):
-        rows = [(int(s), int(m), int(f), f"{r:.17g}") for s, m, f, r in zip(bud, missed, false, risk)]
-        _write_csv(out / f"{prefix}_{name}.csv", "budget,missed_alarms,false_alarms,residual_risk", rows)
-        results[name] = (bud, missed, false, risk)
-    return results
-
-
 def run_multi_contingency_study(config: ExperimentConfig, out_dir=None) -> Path:
     """Joint triage across two contingencies and across all eleven lines."""
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     db = generation_pool(config)
-
-    pair = _multi_curves(db, config, sorted(PAIR_PARAMS), PAIR_PARAMS, out, "multi2")
     drawn = draw_contingency_params(ALL_LINES, config.seed)
-    full = _multi_curves(db, config, ALL_LINES, drawn, out, "multi11")
-
     extras = {
         "pair_contingencies": sorted(PAIR_PARAMS),
         "drawn_params": {
             str(c): {"p_c": p.probability, "cost_ratio": p.ratio} for c, p in sorted(drawn.items())
         },
     }
-    for prefix, results in (("multi2", pair), ("multi11", full)):
-        bud, missed, false, risk = results["proposed"]
-        errors = missed + false
-        zero = np.flatnonzero(errors == 0)
-        extras[f"{prefix}_errors_at_zero"] = int(errors[0])
-        extras[f"{prefix}_first_zero_budget"] = int(bud[zero[0]]) if len(zero) else None
-        extras[f"{prefix}_risk_at_zero"] = float(risk[0])
+    models = _fit_models(db, config, ALL_LINES)  # the pair's models are two of these
+    for prefix, params_by_c in (("multi2", PAIR_PARAMS), ("multi11", drawn)):
+        curves = _budget_curves(db, config, models, params_by_c, {"proposed": params_by_c})
+        _write_curve(out / f"{prefix}_standard.csv", curves["standard"], prefix)
+        extras.update(_write_curve(out / f"{prefix}_proposed.csv", curves["proposed"], prefix))
+        extras[f"{prefix}_risk_at_zero"] = float(curves["proposed"][3][0])
     _write_manifest(config, "multi", out, extras)
     return out
 
@@ -491,17 +464,8 @@ def run_sensitivity_study(config: ExperimentConfig, out_dir=None) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     db = generation_pool(config)
     true_params = draw_contingency_params(ALL_LINES, config.seed)
-    train_idx, calib_idx, test_idx = _resplit(db, config, 0)
-    n_test = len(test_idx)
-    models = {c: fit_contingency_model(db, train_idx, calib_idx, c, config) for c in ALL_LINES}
-    budgets = budget_sweep(n_test * len(ALL_LINES))
-
-    def proposed_curve(ranking_params):
-        _, cont, pred, truth = _proposed_order(db, test_idx, models, ranking_params)
-        return residual_error_curves(cont, pred, truth, true_params, n_test, budgets)
-
     alpha = config.alpha
-    curve_specs = {
+    rankings = {
         "unperturbed": true_params,
         "cost_up": {c: perturb_params(p, alpha, "costs") for c, p in true_params.items()},
         "cost_down": {c: perturb_params(p, 1.0 / alpha, "costs") for c, p in true_params.items()},
@@ -513,20 +477,10 @@ def run_sensitivity_study(config: ExperimentConfig, out_dir=None) -> Path:
     target_curve = {"costs": "cost_up", "probabilities": "prob_up", "both": "superposed"}[config.alpha_target]
     rows = []
     extras = {"alpha": alpha, "target_curve": target_curve}
-    for name, ranking_params in curve_specs.items():
-        bud, _, _, risk = proposed_curve(ranking_params)
+    curves = _budget_curves(db, config, _fit_models(db, config, ALL_LINES), true_params, rankings)
+    for name, (bud, _, _, risk) in curves.items():
         rows += [(name, int(s), f"{r:.17g}") for s, r in zip(bud, risk)]
         extras[f"{name}_risk_at_zero"] = float(risk[0])
-
-    cont_flat, _ = _flat_scenarios(db, test_idx, ALL_LINES)
-    x_test = db.features_matrix()[test_idx]
-    votes = np.concatenate([ensemble_vote(models[c].ensemble, x_test) for c in sorted(ALL_LINES)])
-    truth_flat = np.concatenate([db.label_vector(c)[test_idx] for c in sorted(ALL_LINES)])
-    order = secure_first_order(votes, config.seed)
-    bud, _, _, risk = residual_error_curves(
-        cont_flat[order], votes[order], truth_flat[order], true_params, n_test, budgets)
-    rows += [("standard", int(s), f"{r:.17g}") for s, r in zip(bud, risk)]
-    extras["standard_risk_at_zero"] = float(risk[0])
 
     _write_csv(out / "sensitivity.csv", "curve,budget,residual_risk", rows)
     _write_manifest(config, "sensitivity", out, extras)

@@ -242,7 +242,8 @@ def _generator_bounds(grid: GridModel, base_dispatch, shift) -> tuple[np.ndarray
     return lo, hi
 
 
-def _gen_incidence(grid: GridModel) -> np.ndarray:
+def generator_incidence(grid: GridModel) -> np.ndarray:
+    """Bus-by-generator 0/1 matrix: column j marks the bus of generator j."""
     inc = np.zeros((grid.n_buses, len(grid.generators)))
     pos = _bus_positions(grid)
     for j, g in enumerate(grid.generators):
@@ -253,7 +254,7 @@ def _gen_incidence(grid: GridModel) -> np.ndarray:
 def _dispatch_lp(grid, loads, cost, lo, hi, outaged_line):
     """Shared LP: find dispatch meeting balance, bounds and flow limits."""
     ptdf = _ptdf(grid, outaged_line)
-    inc = _gen_incidence(grid)
+    inc = generator_incidence(grid)
     sens = ptdf @ inc  # line flow per unit of generator output
     base_flow = ptdf @ (-loads)  # flows due to loads alone
     limits = grid.line_limits
@@ -321,7 +322,7 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int, correcti
     if not _connected(grid, contingency):
         return 0
 
-    inc = _gen_incidence(grid)
+    inc = generator_incidence(grid)
     inj = inc @ dispatch - loads
     flows = _ptdf(grid, contingency) @ inj
     if np.all(np.abs(flows) <= grid.line_limits + 1e-9):

@@ -22,9 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDatabase, MissingModel, NonPositiveCost
+from .errors import MissingModel, NonPositiveCost
 
 _PROB_CEIL = 1.0 - 1e-9
+PROBABILITY_SUM_TOL = 1e-9  # condition probabilities must sum to 1 within this
 
 
 def cost_ratio(miss_cost: float, false_alarm_cost: float) -> float:
@@ -58,18 +59,6 @@ class ContingencyParams:
         return cost_ratio(self.miss_cost, self.false_alarm_cost)
 
 
-def adjusted_priors(ratio: float, n_insecure: int, n_secure: int) -> tuple[float, float]:
-    """Class distribution after folding the cost skew into the counts."""
-    if n_insecure < 0 or n_secure < 0 or n_insecure + n_secure == 0:
-        raise EmptyDatabase("class counts must be nonnegative and not both zero")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("cost ratio must be strictly inside (0, 1)")
-    mass0 = ratio * n_insecure
-    mass1 = (1.0 - ratio) * n_secure
-    pi0 = mass0 / (mass0 + mass1)
-    return pi0, 1.0 - pi0
-
-
 def decision_threshold(params: ContingencyParams) -> float:
     """Probability cutoff above which predicting secure minimises risk."""
     num = params.miss_cost * params.probability
@@ -100,11 +89,6 @@ def risk_optimal_predict(probability_estimate, params: ContingencyParams):
         return 0, risk_insecure
     label = (risk_secure < risk_insecure).astype(int)
     return label, np.where(label == 1, risk_secure, risk_insecure)
-
-
-def ml_severity(probability_estimate, miss_cost: float):
-    """Predicted severity: miss cost weighted by the insecure probability."""
-    return miss_cost * (1.0 - np.asarray(probability_estimate, dtype=float))
 
 
 def residual_risk_estimate(missed_alarms: int, false_alarms: int, ratio: float,
@@ -142,14 +126,19 @@ def perturb_params(params: ContingencyParams, alpha: float, target: str) -> Cont
 # -- scenarios and triage ------------------------------------------------------
 
 @dataclass(frozen=True)
-class Scenario:
-    condition: int
-    contingency: int
-    condition_probability: float  # p of this operating condition occurring
-    scenario_probability: float  # condition probability times contingency probability
-    probability_estimate: float  # calibrated secure-class probability
-    predicted_label: int
-    risk: float  # condition probability times residual prediction risk
+class ScenarioTable:
+    """Scenarios as aligned columns, one row per (condition, contingency) pair."""
+
+    condition: np.ndarray
+    contingency: np.ndarray
+    condition_probability: np.ndarray  # p of this operating condition occurring
+    scenario_probability: np.ndarray  # condition probability times contingency probability
+    probability_estimate: np.ndarray  # calibrated secure-class probability
+    predicted_label: np.ndarray
+    risk: np.ndarray  # condition probability times residual prediction risk
+
+    def __len__(self) -> int:
+        return len(self.risk)
 
 
 def rank_scenarios(features, condition_ids, condition_probabilities, models, params_by_contingency):
@@ -157,44 +146,47 @@ def rank_scenarios(features, condition_ids, condition_probabilities, models, par
 
     ``models`` maps contingency id to a CalibratedEnsemble (anything with
     a ``probability(features)`` method works); ``params_by_contingency``
-    maps contingency id to ContingencyParams.  Ties break on ascending
-    (contingency, condition) so the ordering is fully deterministic.
+    maps contingency id to ContingencyParams.  Returns a ScenarioTable in
+    descending-risk order; ties break on ascending (contingency,
+    condition) so the ordering is fully deterministic.
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
-    ids = list(condition_ids)
+    ids = np.asarray(list(condition_ids))
     p_cond = np.asarray(condition_probabilities, dtype=float)
     if len(ids) != len(x) or len(p_cond) != len(x):
         raise ValueError("features, ids and probabilities must align")
-    if abs(p_cond.sum() - 1.0) > 1e-9:
+    if abs(p_cond.sum() - 1.0) > PROBABILITY_SUM_TOL:
         raise ValueError("condition probabilities must sum to 1")
 
-    scenarios = []
-    for c in sorted(params_by_contingency):
+    contingencies = sorted(params_by_contingency)
+    n, m = len(ids), len(contingencies) * len(ids)
+    p1, residual, c_prob = np.empty(m), np.empty(m), np.empty(m)
+    labels = np.empty(m, dtype=int)
+    for k, c in enumerate(contingencies):  # contingency-major rows
         if c not in models:
             raise MissingModel(c)
         params = params_by_contingency[c]
-        p1 = np.asarray(models[c].probability(x), dtype=float)
-        labels, residual = risk_optimal_predict(p1, params)
-        risk = p_cond * residual
-        for k, cid in enumerate(ids):
-            scenarios.append(
-                Scenario(
-                    condition=cid,
-                    contingency=c,
-                    condition_probability=float(p_cond[k]),
-                    scenario_probability=float(p_cond[k] * params.probability),
-                    probability_estimate=float(p1[k]),
-                    predicted_label=int(labels[k]),
-                    risk=float(risk[k]),
-                )
-            )
-    scenarios.sort(key=lambda s: (-s.risk, s.contingency, s.condition))
-    return scenarios
+        rows = slice(k * n, (k + 1) * n)
+        p1[rows] = models[c].probability(x)
+        labels[rows], residual[rows] = risk_optimal_predict(p1[rows], params)
+        c_prob[rows] = params.probability
+    p_rows = np.tile(p_cond, len(contingencies))
+    table = ScenarioTable(
+        condition=np.tile(ids, len(contingencies)),
+        contingency=np.repeat(np.asarray(contingencies, dtype=int), n),
+        condition_probability=p_rows,
+        scenario_probability=p_rows * c_prob,
+        probability_estimate=p1,
+        predicted_label=labels,
+        risk=p_rows * residual,
+    )
+    order = np.lexsort((table.condition, table.contingency, -table.risk))
+    return ScenarioTable(**{name: col[order] for name, col in vars(table).items()})
 
 
 @dataclass
 class TriageReport:
-    scenarios: list[Scenario]  # descending-risk order
+    scenarios: ScenarioTable  # descending-risk order
     budget: int
     n_high: int
     assessed_fraction: float  # share of scenarios sent to the oracle
@@ -207,16 +199,8 @@ class TriageReport:
     false_alarms: dict[int, int] = field(default_factory=dict)
     residual_risk: dict[int, float] = field(default_factory=dict)
 
-    @property
-    def high(self) -> list[Scenario]:
-        return self.scenarios[: self.n_high]
 
-    @property
-    def low(self) -> list[Scenario]:
-        return self.scenarios[self.n_high:]
-
-
-def triage(ranked, budget: int, oracle, params_by_contingency, true_labels=None,
+def triage(ranked: ScenarioTable, budget: int, oracle, params_by_contingency, true_labels=None,
            n_conditions: int | None = None) -> TriageReport:
     """Assess the top-``budget`` scenarios with the oracle, keep the rest on ML.
 
@@ -229,28 +213,30 @@ def triage(ranked, budget: int, oracle, params_by_contingency, true_labels=None,
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    ranked = list(ranked)
     n_high = min(budget, len(ranked))
+    high, low = slice(None, n_high), slice(n_high, None)
     oracle_labels: list[int | None] = []
     failures = []
     conventional = 0.0
-    for rank, scn in enumerate(ranked[:n_high]):
+    for rank, (cond, cont, p_scn) in enumerate(zip(ranked.condition[high].tolist(),
+                                                   ranked.contingency[high].tolist(),
+                                                   ranked.scenario_probability[high].tolist())):
         try:
-            label = int(oracle(scn.condition, scn.contingency))
+            label = int(oracle(cond, cont))
         except Exception:
             oracle_labels.append(None)
             failures.append(rank)
             continue
         oracle_labels.append(label)
         if label == 0:  # binary severity: miss cost when insecure, else zero
-            conventional += scn.scenario_probability * params_by_contingency[scn.contingency].miss_cost
+            conventional += p_scn * params_by_contingency[cont].miss_cost
 
-    ml = float(sum(s.risk for s in ranked[n_high:]))
+    ml = float(sum(ranked.risk[low].tolist()))
     report = TriageReport(
         scenarios=ranked,
         budget=budget,
         n_high=n_high,
-        assessed_fraction=n_high / len(ranked) if ranked else 0.0,
+        assessed_fraction=n_high / len(ranked) if len(ranked) else 0.0,
         oracle_labels=oracle_labels,
         conventional_risk=conventional,
         ml_risk=ml,
@@ -262,14 +248,15 @@ def triage(ranked, budget: int, oracle, params_by_contingency, true_labels=None,
         contingencies = sorted(params_by_contingency)
         missed = {c: 0 for c in contingencies}
         false = {c: 0 for c in contingencies}
-        for scn in ranked[n_high:]:
-            truth = int(true_labels(scn.condition, scn.contingency))
-            if truth == 0 and scn.predicted_label == 1:
-                missed[scn.contingency] += 1
-            elif truth == 1 and scn.predicted_label == 0:
-                false[scn.contingency] += 1
+        for cond, cont, pred in zip(ranked.condition[low].tolist(), ranked.contingency[low].tolist(),
+                                    ranked.predicted_label[low].tolist()):
+            truth = int(true_labels(cond, cont))
+            if truth == 0 and pred == 1:
+                missed[cont] += 1
+            elif truth == 1 and pred == 0:
+                false[cont] += 1
         if n_conditions is None:
-            n_conditions = len({s.condition for s in ranked})
+            n_conditions = len(np.unique(ranked.condition))
         report.missed_alarms = missed
         report.false_alarms = false
         report.residual_risk = {
@@ -281,17 +268,15 @@ def triage(ranked, budget: int, oracle, params_by_contingency, true_labels=None,
 
 
 def triage_csv(report: TriageReport, path) -> None:
+    table = report.scenarios
+    oracle = ["" if v is None else str(v) for v in report.oracle_labels] + [""] * (len(table) - report.n_high)
     lines = ["rank,scenario,condition,contingency,p_hat,label_pred,risk,in_high_set,oracle_label"]
-    for rank, scn in enumerate(report.scenarios):
-        in_high = rank < report.n_high
-        oracle_label = ""
-        if in_high:
-            val = report.oracle_labels[rank]
-            oracle_label = "" if val is None else str(val)
+    for rank, (cond, cont, p_hat, label, risk, oracle_label) in enumerate(zip(
+            table.condition.tolist(), table.contingency.tolist(), table.probability_estimate.tolist(),
+            table.predicted_label.tolist(), table.risk.tolist(), oracle)):
         lines.append(
-            f"{rank},{scn.condition}:{scn.contingency},{scn.condition},{scn.contingency},"
-            f"{scn.probability_estimate:.17g},{scn.predicted_label},{scn.risk:.17g},"
-            f"{int(in_high)},{oracle_label}"
+            f"{rank},{cond}:{cont},{cond},{cont},{p_hat:.17g},{label},{risk:.17g},"
+            f"{int(rank < report.n_high)},{oracle_label}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -381,16 +366,6 @@ def load_contingency_params(path) -> dict[int, ContingencyParams]:
     if not out:
         raise MalformedFile("contingency file lists no contingencies")
     return out
-
-
-def save_contingency_params(params: dict[int, ContingencyParams], path) -> None:
-    import json
-
-    doc = [
-        {"line_id": p.contingency, "p_c": p.probability, "c_f1": p.miss_cost, "c_f0": p.false_alarm_cost}
-        for _, p in sorted(params.items())
-    ]
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def uniform_condition_probabilities(n: int) -> np.ndarray:

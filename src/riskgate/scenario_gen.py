@@ -171,9 +171,7 @@ def build_database(
         raise ValueError(f"splits {splits} must sum to n={n}")
     chol = _copula_cholesky(correlation, len(load_buses))
     load_pos = [grid.bus_position(b) for b in load_buses]
-    inc = np.zeros((grid.n_buses, len(grid.generators)))
-    for j, g in enumerate(grid.generators):
-        inc[grid.bus_position(g.bus), j] = 1.0
+    inc = grid_mod.generator_incidence(grid)
 
     conditions: list[OperatingCondition] = []
     labels = {c: np.zeros(n, dtype=int) for c in contingencies}

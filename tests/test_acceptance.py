@@ -323,15 +323,13 @@ def test_criterion_9_invariant_suite(pool, config):
         x[test_idx], list(range(n_test)), uniform_condition_probabilities(n_test), {3: model3}, params
     )
     truth3 = db.label_vector(3)[test_idx]
-    cont = np.array([s.contingency for s in ranked])
-    pred = np.array([s.predicted_label for s in ranked])
-    true = np.array([truth3[s.condition] for s in ranked])
-    _, _, _, z_curve = residual_error_curves(cont, pred, true, params, n_test)
+    _, _, _, z_curve = residual_error_curves(ranked.contingency, ranked.predicted_label,
+                                             truth3[ranked.condition], params, n_test)
     checks["residual_risk_monotone_in_budget"] = bool(np.all(np.diff(z_curve) <= 1e-18))
 
     oracle = lambda i, c: int(truth3[i])
-    ml_total = sum(s.risk for s in ranked)
-    sa_total = sum(s.scenario_probability * params[3].miss_cost for s in ranked if truth3[s.condition] == 0)
+    ml_total = sum(ranked.risk.tolist())
+    sa_total = sum((ranked.scenario_probability * params[3].miss_cost)[truth3[ranked.condition] == 0].tolist())
     r0 = triage(ranked, 0, oracle, params)
     rn = triage(ranked, len(ranked), oracle, params)
     checks["risk_total_at_zero_budget_is_ml_risk"] = bool(np.isclose(r0.total_risk, ml_total, rtol=1e-12))

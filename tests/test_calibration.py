@@ -12,7 +12,6 @@ from riskgate.calibration import (
     brier_score,
     calibrated_probability,
     fit_platt,
-    fit_platt_pooled,
     reliability_csv,
 )
 from riskgate.errors import InsufficientData, SingleClassCalibration
@@ -102,39 +101,9 @@ def test_fit_beats_constant_predictor_and_initialization():
     assert params.nll == pytest.approx(nll_at(params.a, params.b), rel=1e-12)
 
 
-def test_crossval_calibration_option():
-    from riskgate.calibration import fit_platt_crossval
-    from riskgate.learner import ensemble_score, train_adaboost
-
-    rng = np.random.default_rng(44)
-    x = rng.normal(size=(300, 4))
-    y = (x[:, 1] + 0.4 * rng.normal(size=300) > 0).astype(int)
-
-    def train_fn(xt, yt):
-        ens = train_adaboost(xt, yt, rounds=5, mode="samme", k_folds=2)
-        return lambda pts: ensemble_score(ens, pts)
-
-    params = fit_platt_crossval(x, y, train_fn, k_folds=3)
-    assert params.a < 0
-    assert np.isfinite(params.nll)
-    again = fit_platt_crossval(x, y, train_fn, k_folds=3)
-    assert again.a == params.a and again.b == params.b
-
-
 def test_single_class_calibration_rejected():
     with pytest.raises(SingleClassCalibration):
         fit_platt([0.1, 0.9], [1, 1])
-
-
-def test_pooled_fit_matches_concatenation():
-    rng = np.random.default_rng(6)
-    s1, s2 = rng.uniform(0, 1, 80), rng.uniform(0, 1, 70)
-    y1 = (s1 > 0.4).astype(int)
-    y2 = (s2 > 0.6).astype(int)
-    pooled = fit_platt_pooled([s1, s2], [y1, y2])
-    direct = fit_platt(np.concatenate([s1, s2]), np.concatenate([y1, y2]))
-    assert pooled.a == pytest.approx(direct.a)
-    assert pooled.b == pytest.approx(direct.b)
 
 
 # -- probability map -----------------------------------------------------

@@ -44,27 +44,63 @@ def test_train_calibrate_evaluate(dataset, tmp_path):
     assert report["residual_risk"] >= 0.0
 
 
-def test_triage_command(dataset, tmp_path):
+@pytest.fixture(scope="module")
+def triage_inputs(dataset, tmp_path_factory):
+    """Calibrated models for lines 5 and 6 and their contingencies.json."""
+    tmp = tmp_path_factory.mktemp("triage")
     models = []
     for c in (5, 6):
-        model = tmp_path / f"model{c}.json"
+        model = tmp / f"model{c}.json"
         assert main(["train", "--data", str(dataset), "--contingency", str(c),
                      "--rounds", "8", "--mode", "samme", "--out", str(model)]) == 0
         assert main(["calibrate", "--data", str(dataset), "--model", str(model)]) == 0
         models.append(str(model))
-    contingencies = tmp_path / "contingencies.json"
+    contingencies = tmp / "contingencies.json"
     contingencies.write_text(json.dumps([
         {"line_id": 5, "p_c": 0.0003, "cost_ratio": 500.0 / 501.0},
         {"line_id": 6, "p_c": 0.0001, "cost_ratio": 1000.0 / 1001.0},
     ]))
+    return ["triage", "--data", str(dataset), "--models", ",".join(models),
+            "--contingencies-file", str(contingencies), "--budget", "12"]
+
+
+def test_triage_command(triage_inputs, tmp_path):
     out = tmp_path / "triage.csv"
-    assert main(["triage", "--data", str(dataset), "--models", ",".join(models),
-                 "--contingencies-file", str(contingencies), "--budget", "12",
-                 "--out", str(out)]) == 0
+    assert main(triage_inputs + ["--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("rank,scenario,condition,contingency")
     assert len(lines) == 1 + 2 * 45  # two contingencies x test conditions
     assert sum(1 for ln in lines[1:] if ln.split(",")[7] == "1") == 12
+
+
+def test_triage_condition_probs_file(triage_inputs, tmp_path):
+    probs = tmp_path / "probs.csv"
+    weights = [2.0 if i % 3 == 0 else 1.0 for i in range(45)]
+    probs.write_text("id,probability\n" + "".join(
+        f"{i},{w / sum(weights)!r}\n" for i, w in reversed(list(enumerate(weights)))))
+    out = tmp_path / "triage.csv"
+    assert main(triage_inputs + ["--out", str(out), "--condition-probs", str(probs)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 45
+
+
+@pytest.mark.parametrize("bad_line, probability, line", [
+    ("0,abc", 1.0 / 45, 2),  # non-numeric probability
+    ("x,0.5", 1.0 / 45, 2),  # non-numeric id
+    ("99,0.5", 1.0 / 45, 2),  # id past the 45 test conditions
+    ("-1,0.5", 1.0 / 45, 2),  # negative id, not the last condition
+    ("3,-0.1", 1.0 / 45, 2),  # negative probability
+    ("44,0.5", 1.0 / 45, 47),  # id 44 listed again on the last line
+    (None, 0.05, 46),  # 45 x 0.05 does not sum to 1
+])
+def test_triage_bad_condition_probs_is_config_error(triage_inputs, tmp_path, capsys,
+                                                    bad_line, probability, line):
+    probs = tmp_path / "probs.csv"
+    rows = ["id,probability"] + ([bad_line] if bad_line else [])
+    probs.write_text("\n".join(rows + [f"{i},{probability!r}" for i in range(45)]) + "\n")
+    out = tmp_path / "triage.csv"
+    assert main(triage_inputs + ["--out", str(out), "--condition-probs", str(probs)]) == 2
+    assert f"{probs}:{line}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_command(tmp_path):

@@ -5,6 +5,7 @@ statistical claims live in the acceptance suite.
 """
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -193,3 +194,76 @@ def test_emitted_dataset_reparses(tmp_path):
     out = run_triage_study(small_config(tmp_path))
     rows = read_csv(out / "triage_proposed.csv")
     assert set(rows[0]) == {"budget", "missed_alarms", "false_alarms", "residual_risk"}
+
+
+# -- golden outputs ------------------------------------------------------------
+
+# sha256 of every CSV the six runners write under SMALL, in both boosting
+# modes.  Refactors of the runners must keep these bytes; a deliberate
+# change of an experiment's output updates its digest here and says why.
+GOLDEN_SHA256 = {
+    "samme/imbalance/imbalance.csv":
+        "f53ac7779ee5f72c96064bbdd18f8354bb0784623e859018272ff46fee5c9a83",
+    "samme/calibration/brier.csv":
+        "a83f4ae9a06003b9ea9795b97dd1c49c76ec22269993f7614f57bd6bcd7d2295",
+    "samme/calibration/reliability_calibrated.csv":
+        "a0fb78b3d473563b66113be694c6270bf6f95d043fc3f8ea0b74f338a4610b9d",
+    "samme/calibration/reliability_uncalibrated.csv":
+        "2a163c61e7bb1d91adaeea03da0d9f13f19db2a4847bf83f0481ca01a2324f1e",
+    "samme/threshold/threshold_risk.csv":
+        "0500cc70e6ae8d79d68d96bb0918f275319e75270e006bffbdb6e1e7ecb3df67",
+    "samme/triage/triage_no_ml.csv":
+        "9256a915d1cd72c769c3506c4dce1464e8930871517f389fe031172434ed22bc",
+    "samme/triage/triage_proposed.csv":
+        "27092837b0e86383771975fb12a0231212208102744368b1bcd79dec81e7080d",
+    "samme/triage/triage_standard.csv":
+        "f475393f538d8bd0b5f53cf7167ee6e6c55abcdd04bbce99141f4196d1db99eb",
+    "samme/multi/multi11_proposed.csv":
+        "ac7ef95910e34afc6994be7e3a0c8b1c92a4916bb317b5149c2341aed8c71c30",
+    "samme/multi/multi11_standard.csv":
+        "c4b305e9ff2d0c5c281096ca8809780f3b75c248a426454cde8a225690193e51",
+    "samme/multi/multi2_proposed.csv":
+        "58d300c49f22e4a9b6e8c95650950c92f6bc84510806a056650c5bf73e17d041",
+    "samme/multi/multi2_standard.csv":
+        "d965860ec6e1c4f05c1eaffa0b265a07dab572dcefa6cf14ed47acae95d81ce6",
+    "samme/sensitivity/sensitivity.csv":
+        "da9fd84145e713ff7f799c8fc2295d2ccfff0cad3463b9ee3a2fceccc40403ad",
+    "samme.r/imbalance/imbalance.csv":
+        "f53ac7779ee5f72c96064bbdd18f8354bb0784623e859018272ff46fee5c9a83",
+    "samme.r/calibration/brier.csv":
+        "a83f4ae9a06003b9ea9795b97dd1c49c76ec22269993f7614f57bd6bcd7d2295",
+    "samme.r/calibration/reliability_calibrated.csv":
+        "a0fb78b3d473563b66113be694c6270bf6f95d043fc3f8ea0b74f338a4610b9d",
+    "samme.r/calibration/reliability_uncalibrated.csv":
+        "2a163c61e7bb1d91adaeea03da0d9f13f19db2a4847bf83f0481ca01a2324f1e",
+    "samme.r/threshold/threshold_risk.csv":
+        "e389d19e9394797bdc64b2b47556eaf20c3dc1df975318bc1286c020cd3472ed",
+    "samme.r/triage/triage_no_ml.csv":
+        "9256a915d1cd72c769c3506c4dce1464e8930871517f389fe031172434ed22bc",
+    "samme.r/triage/triage_proposed.csv":
+        "531fccac6fa2506bded42f3933b7b12489fda78b5e742b27dd0954e6a45d95c9",
+    "samme.r/triage/triage_standard.csv":
+        "b2bbad5e81c5d42a030990626b6e47de0ef1a3a551ac2873aa1e3b67fcd2dfe9",
+    "samme.r/multi/multi11_proposed.csv":
+        "7ed0b008626fd0749fdc7aa04ca8b30df2ee9a131bf64514209b85078debbff1",
+    "samme.r/multi/multi11_standard.csv":
+        "2742ddbc52787284f7515dbc5052550add3bf229c0f0b96a79ef34d193b339f6",
+    "samme.r/multi/multi2_proposed.csv":
+        "63a8048ed1664e984b6754f794bc4c4ba913adf8d5a5fcd7a2805955f0a595b4",
+    "samme.r/multi/multi2_standard.csv":
+        "4262c41854c6a35cc0af1439caf227b68fe2e5ea43ee2f875c97a4e1fbce974e",
+    "samme.r/sensitivity/sensitivity.csv":
+        "fc55eaf1935d3f0ff123c1eb81b85bde962fd8e23fce7ded70f0b7dbd4b395d3",
+}
+
+
+@pytest.mark.parametrize("mode", ["samme", "samme.r"])
+def test_runner_outputs_match_golden_digests(tmp_path, mode):
+    from riskgate.experiments import RUNNERS
+
+    digests = {}
+    for name, run in RUNNERS.items():
+        out = run(small_config(tmp_path / name, mode=mode))
+        for path in sorted(out.glob("*.csv")):
+            digests[f"{mode}/{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == {k: v for k, v in GOLDEN_SHA256.items() if k.startswith(f"{mode}/")}

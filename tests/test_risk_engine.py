@@ -1,17 +1,16 @@
 """Risk engine tests: formulas, ranking determinism, triage invariants."""
 
+import json
+
 import numpy as np
 import pytest
 
-from riskgate.errors import EmptyDatabase, MalformedFile, MissingModel, NonPositiveCost
+from riskgate.errors import MalformedFile, MissingModel, NonPositiveCost
 from riskgate.risk_engine import (
     ContingencyParams,
-    Scenario,
-    adjusted_priors,
     cost_ratio,
     decision_threshold,
     load_contingency_params,
-    ml_severity,
     perturb_params,
     prediction_risks,
     rank_scenarios,
@@ -19,7 +18,6 @@ from riskgate.risk_engine import (
     residual_error_curves,
     residual_risk_estimate,
     risk_optimal_predict,
-    save_contingency_params,
     secure_first_order,
     triage,
     triage_csv,
@@ -39,14 +37,6 @@ def test_cost_ratio_values():
     assert cost_ratio(3.0, 1.0) == pytest.approx(0.75)
     with pytest.raises(NonPositiveCost):
         cost_ratio(0.0, 1.0)
-
-
-def test_adjusted_priors():
-    assert adjusted_priors(0.5, 30, 70) == pytest.approx((0.3, 0.7))
-    assert adjusted_priors(0.75, 50, 50) == pytest.approx((0.75, 0.25))
-    assert adjusted_priors(0.6, 0, 10) == pytest.approx((0.0, 1.0))
-    with pytest.raises(EmptyDatabase):
-        adjusted_priors(0.5, 0, 0)
 
 
 def test_decision_threshold_values():
@@ -112,12 +102,6 @@ def test_threshold_risk_equivalence_grid():
         assert np.array_equal(labels == 1, grid > z)
 
 
-def test_ml_severity():
-    assert ml_severity(1.0, 10000.0) == pytest.approx(0.0)
-    assert ml_severity(0.0, 10000.0) == pytest.approx(10000.0)
-    assert ml_severity(0.75, 10000.0) == pytest.approx(2500.0)
-
-
 def test_residual_risk_estimate_values():
     assert residual_risk_estimate(0, 0, 0.9, 0.1, 100) == 0.0
     z = residual_risk_estimate(1, 0, 10000.0 / 10001.0, 0.0002, 1500)
@@ -157,10 +141,9 @@ def test_rank_single_scenario():
     models = {3: FakeModel([0.9])}
     ranked = rank_scenarios(np.zeros((1, 23)), [0], [1.0], models, params)
     assert len(ranked) == 1
-    scn = ranked[0]
     rs, ri = prediction_risks(0.9, params[3])
-    assert scn.risk == pytest.approx(min(rs, ri))
-    assert scn.scenario_probability == pytest.approx(1.0 * params[3].probability)
+    assert ranked.risk[0] == pytest.approx(min(rs, ri))
+    assert ranked.scenario_probability[0] == pytest.approx(1.0 * params[3].probability)
 
 
 def test_rank_sorting_and_ties():
@@ -168,13 +151,40 @@ def test_rank_sorting_and_ties():
     # residual risk of insecure prediction = p1 (cost 2 * 0.5 * p1)
     models = {1: FakeModel([0.3, 0.1, 0.2])}
     ranked = rank_scenarios(np.zeros((3, 23)), [0, 1, 2], uniform_condition_probabilities(3), models, params)
-    assert [s.condition for s in ranked] == [0, 2, 1]
+    assert ranked.condition.tolist() == [0, 2, 1]
     # exact ties break on (contingency, condition) ascending
     models = {1: FakeModel([0.2, 0.2, 0.2]), 2: FakeModel([0.2, 0.2, 0.2])}
     params = {1: ContingencyParams(1, 0.5, 2.0, 2.0), 2: ContingencyParams(2, 0.5, 2.0, 2.0)}
     ranked = rank_scenarios(np.zeros((3, 23)), [0, 1, 2], uniform_condition_probabilities(3), models, params)
-    assert [(s.contingency, s.condition) for s in ranked] == [
+    assert list(zip(ranked.contingency.tolist(), ranked.condition.tolist())) == [
         (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+
+
+def test_rank_columns_match_per_scenario_sort():
+    # reference: one row per pair, sorted by (-risk, contingency, condition)
+    rng = np.random.default_rng(31)
+    n = 40
+    ids = (rng.permutation(n) * 3).tolist()  # ids are not row positions
+    p_cond = rng.choice([1.0, 2.0], n)
+    p_cond /= p_cond.sum()
+    params = {c: ContingencyParams.from_cost_ratio(c, p, r)
+              for c, p, r in [(7, 0.01, 0.9), (2, 0.01, 0.9), (5, 0.002, 0.99)]}
+    models = {c: FakeModel(rng.choice([0.1, 0.5, 0.95], n)) for c in params}  # many exact ties
+    ranked = rank_scenarios(np.zeros((n, 23)), ids, p_cond, models, params)
+
+    rows = []
+    for c in sorted(params):
+        p1 = models[c].probs
+        labels, residual = risk_optimal_predict(p1, params[c])
+        for k in range(n):
+            rows.append((ids[k], c, float(p_cond[k]), float(p_cond[k] * params[c].probability),
+                         float(p1[k]), int(labels[k]), float(p_cond[k] * residual[k])))
+    rows.sort(key=lambda r: (-r[6], r[1], r[0]))
+    columns = (ranked.condition, ranked.contingency, ranked.condition_probability,
+               ranked.scenario_probability, ranked.probability_estimate, ranked.predicted_label, ranked.risk)
+    assert len(ranked) == len(rows) == 3 * n
+    for j, column in enumerate(columns):
+        assert column.tolist() == [r[j] for r in rows]
 
 
 def test_missing_model_raises():
@@ -206,7 +216,7 @@ def test_zero_budget_everything_on_ml():
     assert report.n_high == 0
     assert report.assessed_fraction == 0.0
     assert report.conventional_risk == 0.0
-    assert report.ml_risk == pytest.approx(sum(s.risk for s in ranked))
+    assert report.ml_risk == pytest.approx(sum(ranked.risk.tolist()))
     assert report.total_risk == pytest.approx(report.ml_risk)
 
 
@@ -219,7 +229,8 @@ def test_full_budget_everything_verified():
     assert report.missed_alarms == {1: 0} and report.false_alarms == {1: 0}
     assert report.residual_risk == {1: 0.0}
     expected = sum(
-        s.scenario_probability * params[1].miss_cost for s in ranked if truth(s.condition, 1) == 0
+        p * params[1].miss_cost
+        for p, i in zip(ranked.scenario_probability.tolist(), ranked.condition.tolist()) if truth(i, 1) == 0
     )
     assert report.conventional_risk == pytest.approx(expected)
 
@@ -229,15 +240,16 @@ def test_top_one_split():
     report = triage(ranked, 1, oracle=lambda i, c: 1, params_by_contingency=params)
     assert report.n_high == 1
     assert report.assessed_fraction == pytest.approx(1.0 / 3.0)
-    assert report.high[0].risk == max(s.risk for s in ranked)
-    assert max(s.risk for s in report.low) <= report.high[0].risk
+    high_risk = report.scenarios.risk[: report.n_high]
+    assert high_risk[0] == ranked.risk.max()
+    assert report.scenarios.risk[report.n_high:].max() <= high_risk[0]
 
 
 def test_oracle_failure_flagged_not_fatal():
     ranked, params = make_ranked(n=4)
 
     def oracle(i, c):
-        if i == ranked[1].condition:
+        if i == ranked.condition[1]:
             raise RuntimeError("solver exploded")
         return 1
 
@@ -252,8 +264,9 @@ def test_endpoint_identities():
     # conventional-assessment total, both computed independently here.
     ranked, params = make_ranked(n=8, probability=0.05, ratio=0.9)
     truth = lambda i, c: 0 if i in (2, 5) else 1
-    ml_total = sum(s.risk for s in ranked)
-    sa_total = sum(s.scenario_probability * params[1].miss_cost for s in ranked if truth(s.condition, 1) == 0)
+    ml_total = sum(ranked.risk.tolist())
+    sa_total = sum(p * params[1].miss_cost
+                   for p, i in zip(ranked.scenario_probability.tolist(), ranked.condition.tolist()) if truth(i, 1) == 0)
     r0 = triage(ranked, 0, oracle=truth, params_by_contingency=params)
     rn = triage(ranked, len(ranked), oracle=truth, params_by_contingency=params)
     assert r0.total_risk == pytest.approx(ml_total)
@@ -263,7 +276,7 @@ def test_endpoint_identities():
 def test_residual_risk_non_increasing_in_budget():
     ranked, params = make_ranked(n=12, probability=0.02, ratio=0.95)
     rng = np.random.default_rng(9)
-    labels = {s.condition: int(rng.uniform() > 0.4) for s in ranked}
+    labels = {i: int(rng.uniform() > 0.4) for i in ranked.condition.tolist()}
     truth = lambda i, c: labels[i]
     prev = None
     for budget in range(len(ranked) + 1):
@@ -280,7 +293,7 @@ def test_triage_deterministic():
     a = triage(ranked, 4, truth, params, true_labels=truth)
     b = triage(ranked, 4, truth, params, true_labels=truth)
     assert a.total_risk == b.total_risk
-    assert [s.condition for s in a.scenarios] == [s.condition for s in b.scenarios]
+    assert np.array_equal(a.scenarios.condition, b.scenarios.condition)
 
 
 def test_triage_csv_schema(tmp_path):
@@ -333,7 +346,10 @@ def test_contingency_file_roundtrip(tmp_path):
         5: ContingencyParams(5, 0.0003, 500.0, 1.0),
     }
     path = tmp_path / "contingencies.json"
-    save_contingency_params(params, path)
+    path.write_text(json.dumps([
+        {"line_id": p.contingency, "p_c": p.probability, "c_f1": p.miss_cost, "c_f0": p.false_alarm_cost}
+        for p in params.values()
+    ]))
     loaded = load_contingency_params(path)
     assert loaded == params
 

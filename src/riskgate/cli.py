@@ -32,7 +32,7 @@ from .risk_engine import (
     triage_csv,
     uniform_condition_probabilities,
 )
-from .scenario_gen import LOAD_BUSES, build_database, load_database, save_database
+from .scenario_gen import CORRECTIVE_RANGE_MW, build_database, bus_loads, load_database, save_database
 
 
 def _add_generate(sub):
@@ -205,19 +205,16 @@ def _cmd_triage(args) -> int:
     if missing:
         raise ConfigError(f"no model supplied for contingencies {missing}")
 
-    test_idx = db.split_indices("test")
-    features = db.features_matrix("test")
-    n = len(test_idx)
+    test = [db.conditions[i] for i in db.split_indices("test")]
+    n = len(test)
     p_cond = (_load_condition_probs(args.condition_probs, n)
               if args.condition_probs else uniform_condition_probabilities(n))
-    ranked = rank_scenarios(features, list(range(n)), p_cond, models, params)
+    ranked = rank_scenarios(db.features_matrix("test"), list(range(n)), p_cond, models, params)
+    loads = bus_loads(grid, [cond.loads for cond in test])
 
     def oracle(condition, contingency):
-        cond = db.conditions[test_idx[condition]]
-        loads = np.zeros(grid.n_buses)
-        for k, bus in enumerate(LOAD_BUSES):
-            loads[grid.bus_position(bus)] = cond.loads[k]
-        return assess_security(grid, loads, cond.generation, contingency)
+        return assess_security(grid, loads[condition], test[condition].generation, contingency,
+                               CORRECTIVE_RANGE_MW)
 
     report = triage(ranked, args.budget, oracle, params)
     triage_csv(report, args.out)

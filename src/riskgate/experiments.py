@@ -191,12 +191,13 @@ def draw_contingency_params(contingencies, seed: int) -> dict[int, ContingencyPa
 
 def _write_manifest(config: ExperimentConfig, experiment: str, out_dir: Path, extras: dict) -> None:
     doc = config.to_dict()
+    study = {k: v for k, v in doc.items() if k != "out_dir"}  # the output directory is not part of the study
     payload = {
         "experiment": experiment,
         "version": __version__,
         "seed": config.seed,
         "config": doc,
-        "config_hash": hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
+        "config_hash": hashlib.sha256(json.dumps(study, sort_keys=True).encode()).hexdigest(),
         "extras": extras,
     }
     (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

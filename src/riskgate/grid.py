@@ -4,8 +4,9 @@ This module provides both halves of the data pipeline's physics: the
 economic dispatch that creates pre-fault operating conditions, and the
 exact post-contingency feasibility check that labels them secure or
 insecure.  Everything is deterministic and pure; ``GridModel`` is
-immutable (and hashable), so derived matrices are memoised at module
-level and models can be shared freely across workers.
+immutable (and hashable), derives every network array it needs once, at
+construction, and exposes them read-only, so models can be shared
+freely across workers.
 
 Conventions
 -----------
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -59,9 +59,32 @@ class Generator:
     cost: float  # $/MWh
 
 
+def _read_only(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Topology:
+    """Arrays of the network with one line out (or none); none if islanded."""
+
+    islanded: bool
+    live: np.ndarray | None = None  # positions of the lines in service
+    b_inv: np.ndarray | None = None  # inverse of the slack-reduced susceptance matrix (p.u.)
+    ptdf: np.ndarray | None = None  # line x bus; flows_mw = ptdf @ balanced injections_mw
+    a_ub: np.ndarray | None = None  # redispatch LP flow rows [sens; -sens], sens = ptdf @ incidence
+
+
 @dataclass(frozen=True)
 class GridModel:
-    """Immutable network description: buses, lines, generators."""
+    """Immutable network description: buses, lines, generators.
+
+    Construction derives, read-only and outside the dataclass fields (so
+    ``==``, ``hash`` and the JSON form see only the network): the
+    bus-by-generator 0/1 ``incidence``, the ``p_min``, ``p_max``, ``cost``
+    and ``line_limits`` vectors, and one `Topology` per outage.
+    """
 
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
@@ -87,8 +110,58 @@ class GridModel:
                 raise ValueError(f"generator {g.id}: p_min > p_max")
             if g.bus not in known:
                 raise ValueError(f"generator {g.id}: unknown bus")
-        if not _connected(self, None):
+
+        pos = {b.id: i for i, b in enumerate(self.buses)}
+        incidence = np.zeros((len(self.buses), len(self.generators)))
+        for j, g in enumerate(self.generators):
+            incidence[pos[g.bus], j] = 1.0
+        object.__setattr__(self, "_bus_pos", pos)
+        for name, values, dtype in (
+            ("_keep", [i for i in range(len(self.buses)) if i != self.slack_index], int),
+            ("_from", [pos[ln.from_bus] for ln in self.lines], int),
+            ("_to", [pos[ln.to_bus] for ln in self.lines], int),
+            ("_x", [ln.reactance for ln in self.lines], float),
+            ("incidence", incidence, float),
+            ("p_min", [g.p_min for g in self.generators], float),
+            ("p_max", [g.p_max for g in self.generators], float),
+            ("cost", [g.cost for g in self.generators], float),
+            ("line_limits", [ln.limit for ln in self.lines], float),
+        ):
+            object.__setattr__(self, name, _read_only(np.array(values, dtype=dtype)))
+        topologies = {out: self._derive_topology(out) for out in [None] + [ln.id for ln in self.lines]}
+        if topologies[None].islanded:
             raise ValueError("network graph is not connected")
+        object.__setattr__(self, "_topologies", topologies)
+
+    def _derive_topology(self, outaged_line: int | None) -> Topology:
+        live = [k for k, ln in enumerate(self.lines) if ln.id != outaged_line]
+        n, ends = self.n_buses, list(zip(self._from.tolist(), self._to.tolist()))
+        component = list(range(n))
+        for k in live:  # merge the components the line joins
+            old, new = component[ends[k][1]], component[ends[k][0]]
+            component = [new if c == old else c for c in component]
+        if len(set(component)) > 1:
+            return Topology(islanded=True)
+
+        b_full = np.zeros((n, n))
+        for k in live:
+            i, j = ends[k]
+            y = 1.0 / self.lines[k].reactance
+            b_full[i, i] += y
+            b_full[j, j] += y
+            b_full[i, j] -= y
+            b_full[j, i] -= y
+        try:
+            b_inv = np.linalg.inv(b_full[np.ix_(self._keep, self._keep)])
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"reduced susceptance matrix is singular (outage {outaged_line})") from exc
+        theta = np.zeros((n, n))
+        theta[np.ix_(self._keep, self._keep)] = b_inv
+        ptdf = np.zeros((len(self.lines), n))
+        live = np.array(live, dtype=int)
+        ptdf[live] = (theta[self._from[live]] - theta[self._to[live]]) / self._x[live, None]
+        sens = ptdf @ self.incidence  # line flow per unit of generator output
+        return Topology(False, *map(_read_only, (live, b_inv, ptdf, np.vstack([sens, -sens]))))
 
     @property
     def n_buses(self) -> int:
@@ -99,17 +172,14 @@ class GridModel:
         return next(i for i, b in enumerate(self.buses) if b.slack)
 
     def bus_position(self, bus_id: int) -> int:
-        return _bus_positions(self)[bus_id]
+        return self._bus_pos[bus_id]
 
-    def line_by_id(self, line_id: int) -> Line:
-        for ln in self.lines:
-            if ln.id == line_id:
-                return ln
-        raise ValueError(f"unknown line id {line_id}")
-
-    @property
-    def line_limits(self) -> np.ndarray:
-        return np.array([ln.limit for ln in self.lines])
+    def topology(self, outaged_line: int | None = None) -> Topology:
+        """Derived arrays with line ``outaged_line`` out (None: intact network)."""
+        try:
+            return self._topologies[outaged_line]
+        except KeyError:
+            raise ValueError(f"unknown line id {outaged_line}") from None
 
 
 @dataclass(frozen=True)
@@ -129,73 +199,6 @@ class DispatchSolution:
     feasible: bool
 
 
-@lru_cache(maxsize=None)
-def _bus_positions(grid: GridModel) -> dict[int, int]:
-    return {b.id: i for i, b in enumerate(grid.buses)}
-
-
-def _connected(grid: GridModel, outaged_line: int | None) -> bool:
-    adj: dict[int, list[int]] = {b.id: [] for b in grid.buses}
-    for ln in grid.lines:
-        if outaged_line is not None and ln.id == outaged_line:
-            continue
-        adj[ln.from_bus].append(ln.to_bus)
-        adj[ln.to_bus].append(ln.from_bus)
-    start = grid.buses[0].id
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(grid.buses)
-
-
-@lru_cache(maxsize=None)
-def _reduced_susceptance_inverse(grid: GridModel, outaged_line: int | None) -> np.ndarray:
-    """Inverse of the slack-reduced susceptance matrix (per unit)."""
-    n = grid.n_buses
-    pos = _bus_positions(grid)
-    b_full = np.zeros((n, n))
-    for ln in grid.lines:
-        if outaged_line is not None and ln.id == outaged_line:
-            continue
-        i, j = pos[ln.from_bus], pos[ln.to_bus]
-        y = 1.0 / ln.reactance
-        b_full[i, i] += y
-        b_full[j, j] += y
-        b_full[i, j] -= y
-        b_full[j, i] -= y
-    keep = [i for i in range(n) if i != grid.slack_index]
-    reduced = b_full[np.ix_(keep, keep)]
-    try:
-        return np.linalg.inv(reduced)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("reduced susceptance matrix is singular") from exc
-
-
-@lru_cache(maxsize=None)
-def _ptdf(grid: GridModel, outaged_line: int | None) -> np.ndarray:
-    """Line-flow sensitivities to bus injections (unit-free).
-
-    Row per line (outaged row all zero), column per bus.  Valid for
-    balanced injections: flows_mw = ptdf @ injections_mw.
-    """
-    n = grid.n_buses
-    pos = _bus_positions(grid)
-    keep = [i for i in range(n) if i != grid.slack_index]
-    theta = np.zeros((n, n))
-    theta[np.ix_(keep, keep)] = _reduced_susceptance_inverse(grid, outaged_line)
-    ptdf = np.zeros((len(grid.lines), n))
-    for k, ln in enumerate(grid.lines):
-        if outaged_line is not None and ln.id == outaged_line:
-            continue
-        i, j = pos[ln.from_bus], pos[ln.to_bus]
-        ptdf[k] = (theta[i] - theta[j]) / ln.reactance
-    return ptdf
-
-
 def solve_dc_power_flow(grid: GridModel, injection, outaged_line: int | None = None) -> FlowSolution:
     """Solve the DC power flow for per-bus net injections (MW).
 
@@ -203,72 +206,47 @@ def solve_dc_power_flow(grid: GridModel, injection, outaged_line: int | None = N
     ------
     IslandedNetwork
         If the outage disconnects the network.
-    SingularSystem
-        If the reduced susceptance matrix cannot be inverted.
     ValueError
         If the injection vector is the wrong length or does not balance
-        to zero within ``BALANCE_TOL``.
+        to zero within ``BALANCE_TOL``, or the line id is unknown.
     """
     inj = np.asarray(injection, dtype=float)
     if inj.shape != (grid.n_buses,):
         raise ValueError(f"injection must have length {grid.n_buses}")
     if abs(inj.sum()) > BALANCE_TOL:
         raise ValueError(f"injections do not balance (residual {inj.sum():.3e} MW)")
-    if outaged_line is not None:
-        grid.line_by_id(outaged_line)
-        if not _connected(grid, outaged_line):
-            raise IslandedNetwork(f"outage of line {outaged_line} islands the network")
+    top = grid.topology(outaged_line)
+    if top.islanded:
+        raise IslandedNetwork(f"outage of line {outaged_line} islands the network")
 
-    keep = [i for i in range(grid.n_buses) if i != grid.slack_index]
+    keep = grid._keep
     angles = np.zeros(grid.n_buses)
-    angles[keep] = _reduced_susceptance_inverse(grid, outaged_line) @ (inj[keep] / grid.base_mva)
-    pos = _bus_positions(grid)
+    angles[keep] = top.b_inv @ (inj[keep] / grid.base_mva)
+    live = top.live
     flows = np.zeros(len(grid.lines))
-    for k, ln in enumerate(grid.lines):
-        if outaged_line is not None and ln.id == outaged_line:
-            continue
-        flows[k] = grid.base_mva * (angles[pos[ln.from_bus]] - angles[pos[ln.to_bus]]) / ln.reactance
+    flows[live] = grid.base_mva * (angles[grid._from[live]] - angles[grid._to[live]]) / grid._x[live]
     return FlowSolution(angles=angles, flows=flows)
 
 
-def _generator_bounds(grid: GridModel, base_dispatch, shift) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.array([g.p_min for g in grid.generators])
-    hi = np.array([g.p_max for g in grid.generators])
-    if base_dispatch is not None:
-        base = np.asarray(base_dispatch, dtype=float)
-        shift = np.broadcast_to(np.asarray(shift, dtype=float), base.shape)
-        lo = np.maximum(lo, base - shift)
-        hi = np.minimum(hi, base + shift)
-    return lo, hi
-
-
-def generator_incidence(grid: GridModel) -> np.ndarray:
-    """Bus-by-generator 0/1 matrix: column j marks the bus of generator j."""
-    inc = np.zeros((grid.n_buses, len(grid.generators)))
-    pos = _bus_positions(grid)
-    for j, g in enumerate(grid.generators):
-        inc[pos[g.bus], j] = 1.0
-    return inc
-
-
-def _dispatch_lp(grid, loads, cost, lo, hi, outaged_line):
+def _dispatch_lp(grid, top, loads, cost, lo, hi):
     """Shared LP: find dispatch meeting balance, bounds and flow limits."""
-    ptdf = _ptdf(grid, outaged_line)
-    inc = generator_incidence(grid)
-    sens = ptdf @ inc  # line flow per unit of generator output
-    base_flow = ptdf @ (-loads)  # flows due to loads alone
+    base_flow = top.ptdf @ (-loads)  # flows due to loads alone
     limits = grid.line_limits
-    a_ub = np.vstack([sens, -sens])
-    b_ub = np.concatenate([limits - base_flow, limits + base_flow])
     return solve_lp(
         cost,
         a_eq=np.ones((1, len(grid.generators))),
         b_eq=[float(loads.sum())],
-        a_ub=a_ub,
-        b_ub=b_ub,
+        a_ub=top.a_ub,
+        b_ub=np.concatenate([limits - base_flow, limits + base_flow]),
         lower=lo,
         upper=hi,
     )
+
+
+def _redispatch_bounds(grid: GridModel, base_dispatch, shift) -> tuple[np.ndarray, np.ndarray]:
+    base = np.asarray(base_dispatch, dtype=float)
+    shift = np.broadcast_to(np.asarray(shift, dtype=float), base.shape)
+    return np.maximum(grid.p_min, base - shift), np.minimum(grid.p_max, base + shift)
 
 
 def solve_dcopf(grid: GridModel, loads, redispatch_bounds=None) -> DispatchSolution:
@@ -291,13 +269,12 @@ def solve_dcopf(grid: GridModel, loads, redispatch_bounds=None) -> DispatchSolut
     if np.any(loads < 0):
         raise ValueError("loads must be nonnegative")
     if redispatch_bounds is not None:
-        lo, hi = _generator_bounds(grid, *redispatch_bounds)
+        lo, hi = _redispatch_bounds(grid, *redispatch_bounds)
         if np.any(lo > hi):
             raise ValueError("redispatch bounds do not intersect generator limits")
     else:
-        lo, hi = _generator_bounds(grid, None, None)
-    cost = np.array([g.cost for g in grid.generators])
-    res = _dispatch_lp(grid, loads, cost, lo, hi, None)
+        lo, hi = grid.p_min, grid.p_max
+    res = _dispatch_lp(grid, grid.topology(None), loads, grid.cost, lo, hi)
     if not res.optimal:
         return DispatchSolution(outputs=None, cost=None, feasible=False)
     return DispatchSolution(outputs=res.x, cost=res.objective, feasible=True)
@@ -318,20 +295,18 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int, correcti
         raise ValueError("corrective_range must be >= 0")
     if abs(dispatch.sum() - loads.sum()) > BALANCE_TOL:
         raise ValueError("pre-fault condition is not balanced")
-    grid.line_by_id(contingency)
-    if not _connected(grid, contingency):
+    top = grid.topology(contingency)
+    if top.islanded:
         return 0
 
-    inc = generator_incidence(grid)
-    inj = inc @ dispatch - loads
-    flows = _ptdf(grid, contingency) @ inj
+    flows = top.ptdf @ (grid.incidence @ dispatch - loads)
     if np.all(np.abs(flows) <= grid.line_limits + 1e-9):
         return 1  # secure with zero corrective action
 
-    lo, hi = _generator_bounds(grid, dispatch, corrective_range)
+    lo, hi = _redispatch_bounds(grid, dispatch, corrective_range)
     if np.any(lo > hi):
         return 0
-    res = _dispatch_lp(grid, loads, np.zeros(len(grid.generators)), lo, hi, contingency)
+    res = _dispatch_lp(grid, top, loads, np.zeros(len(grid.generators)), lo, hi)
     return 1 if res.optimal else 0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import grid as grid_mod
-from .errors import GenerationStalled, InvalidCorrelation, MalformedFile
+from .errors import ConfigError, GenerationStalled, InvalidCorrelation, MalformedFile
 
 SPLIT_NAMES = ("train", "calib", "test")
 
@@ -142,15 +142,27 @@ def sample_loads(n: int, seed: int, correlation: float = LOAD_CORRELATION, dim: 
     return out
 
 
+def bus_loads(grid: grid_mod.GridModel, loads) -> np.ndarray:
+    """Per-bus loads (MW, zero off ``LOAD_BUSES``) from load triples, ``(3,)`` or ``(m, 3)``.
+
+    Raises ConfigError naming the load buses the network lacks.
+    """
+    missing = [str(b) for b in LOAD_BUSES if b not in {bus.id for bus in grid.buses}]
+    if missing:
+        raise ConfigError(f"network has no bus {', '.join(missing)}; loads go on buses "
+                          f"{', '.join(map(str, LOAD_BUSES))}")
+    loads = np.asarray(loads, dtype=float)
+    out = np.zeros(loads.shape[:-1] + (grid.n_buses,))
+    out[..., [grid.bus_position(b) for b in LOAD_BUSES]] = loads
+    return out
+
+
 def build_database(
     grid: grid_mod.GridModel,
     n: int,
     contingencies,
     seed: int,
     splits: tuple[int, int, int],
-    correlation: float = LOAD_CORRELATION,
-    load_buses=LOAD_BUSES,
-    corrective_range: float = CORRECTIVE_RANGE_MW,
 ) -> LabeledDatabase:
     """Sample, dispatch and label ``n`` operating conditions.
 
@@ -166,12 +178,10 @@ def build_database(
     """
     contingencies = list(contingencies)
     for c in contingencies:
-        grid.line_by_id(c)
+        grid.topology(c)
     if sum(splits) != n:
         raise ValueError(f"splits {splits} must sum to n={n}")
-    chol = _copula_cholesky(correlation, len(load_buses))
-    load_pos = [grid.bus_position(b) for b in load_buses]
-    inc = grid_mod.generator_incidence(grid)
+    chol = _copula_cholesky(LOAD_CORRELATION, len(LOAD_BUSES))
 
     conditions: list[OperatingCondition] = []
     labels = {c: np.zeros(n, dtype=int) for c in contingencies}
@@ -180,10 +190,9 @@ def build_database(
     for i in range(n):
         for attempt in range(1000):
             attempts += 1
-            triple = _draw_load_triple(np.random.default_rng([seed, i, attempt]), chol, len(load_buses))
-            bus_loads = np.zeros(grid.n_buses)
-            bus_loads[load_pos] = triple
-            dispatch = grid_mod.solve_dcopf(grid, bus_loads)
+            triple = _draw_load_triple(np.random.default_rng([seed, i, attempt]), chol, len(LOAD_BUSES))
+            loads = bus_loads(grid, triple)
+            dispatch = grid_mod.solve_dcopf(grid, loads)
             if dispatch.feasible:
                 break
             rejects += 1
@@ -194,7 +203,7 @@ def build_database(
         else:
             raise GenerationStalled(f"condition {i}: no feasible dispatch in 1000 attempts")
 
-        injections = inc @ dispatch.outputs - bus_loads
+        injections = grid.incidence @ dispatch.outputs - loads
         flow = grid_mod.solve_dc_power_flow(grid, injections)
         conditions.append(
             OperatingCondition(
@@ -206,7 +215,7 @@ def build_database(
             )
         )
         for c in contingencies:
-            labels[c][i] = grid_mod.assess_security(grid, bus_loads, dispatch.outputs, c, corrective_range)
+            labels[c][i] = grid_mod.assess_security(grid, loads, dispatch.outputs, c, CORRECTIVE_RANGE_MW)
 
     tags = [SPLIT_NAMES[0]] * splits[0] + [SPLIT_NAMES[1]] * splits[1] + [SPLIT_NAMES[2]] * splits[2]
     return LabeledDatabase(conditions=conditions, labels=labels, splits=tags, seed=seed)

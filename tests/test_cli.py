@@ -5,6 +5,7 @@ import json
 import pytest
 
 from riskgate.cli import main
+from riskgate.grid import Bus, Generator, GridModel, Line, save_grid
 from riskgate.scenario_gen import load_database
 
 
@@ -64,13 +65,17 @@ def triage_inputs(dataset, tmp_path_factory):
             "--contingencies-file", str(contingencies), "--budget", "12"]
 
 
-def test_triage_command(triage_inputs, tmp_path):
+def test_triage_command(triage_inputs, dataset, tmp_path):
     out = tmp_path / "triage.csv"
     assert main(triage_inputs + ["--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("rank,scenario,condition,contingency")
     assert len(lines) == 1 + 2 * 45  # two contingencies x test conditions
-    assert sum(1 for ln in lines[1:] if ln.split(",")[7] == "1") == 12
+    verified = [row for row in (ln.split(",") for ln in lines[1:]) if row[7] == "1"]
+    assert len(verified) == 12
+    db = load_database(dataset)
+    for row in verified:  # the oracle reproduces the label the dataset was generated with
+        assert int(row[8]) == db.label_vector(int(row[3]), "test")[int(row[2])]
 
 
 def test_triage_condition_probs_file(triage_inputs, tmp_path):
@@ -100,6 +105,24 @@ def test_triage_bad_condition_probs_is_config_error(triage_inputs, tmp_path, cap
     out = tmp_path / "triage.csv"
     assert main(triage_inputs + ["--out", str(out), "--condition-probs", str(probs)]) == 2
     assert f"{probs}:{line}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_network_without_load_buses_is_config_error(triage_inputs, tmp_path, capsys):
+    network = tmp_path / "network.json"
+    save_grid(GridModel(
+        buses=(Bus(1, True), Bus(2), Bus(3)),
+        lines=(Line(1, 1, 2, 0.1, 200.0), Line(2, 2, 3, 0.1, 200.0), Line(3, 1, 3, 0.1, 200.0)),
+        generators=(Generator(1, 1, 0.0, 300.0, 1.0),),
+    ), network)
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--out", str(data), "--n", "7", "--splits", "5,1,1",
+                 "--contingencies", "1,2", "--network", str(network)]) == 2
+    assert "network has no bus 4, 5, 6" in capsys.readouterr().err
+    assert not data.exists()
+    out = tmp_path / "triage.csv"
+    assert main(triage_inputs + ["--out", str(out), "--network", str(network)]) == 2
+    assert "network has no bus 4, 5, 6" in capsys.readouterr().err
     assert not out.exists()
 
 

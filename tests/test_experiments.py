@@ -15,6 +15,7 @@ import pytest
 from riskgate.experiments import (
     ALL_LINES,
     ExperimentConfig,
+    _write_manifest,
     budget_sweep,
     draw_contingency_params,
     generation_pool,
@@ -99,6 +100,18 @@ def test_imbalance_study_deterministic(tmp_path):
     out_a = run_imbalance_study(small_config(tmp_path / "a"))
     out_b = run_imbalance_study(small_config(tmp_path / "b"))
     assert (out_a / "imbalance.csv").read_bytes() == (out_b / "imbalance.csv").read_bytes()
+
+
+def test_config_hash_ignores_out_dir_but_not_seed(tmp_path):
+    def config_hash(cfg):
+        out = Path(cfg.out_dir)
+        out.mkdir()
+        _write_manifest(cfg, "imbalance", out, {})
+        return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+    same = config_hash(small_config(tmp_path / "a")), config_hash(small_config(tmp_path / "b"))
+    assert same[0] == same[1]
+    assert config_hash(small_config(tmp_path / "c", seed=SMALL["seed"] + 1)) != same[0]
 
 
 def test_calibration_study_outputs(tmp_path):

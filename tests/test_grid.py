@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskgate.errors import IslandedNetwork, MalformedFile
 from riskgate.grid import (
@@ -76,6 +78,178 @@ def test_bad_line_parameters_rejected(reactance, limit):
             lines=(Line(1, 1, 2, reactance, limit),),
             generators=(),
         )
+
+
+def test_unknown_outage_rejected():
+    with pytest.raises(ValueError):
+        six_bus().topology(99)
+    with pytest.raises(ValueError):
+        solve_dc_power_flow(six_bus(), np.zeros(6), outaged_line=99)
+
+
+def test_derived_arrays_do_not_change_identity():
+    a, b = six_bus(), six_bus()
+    assert a == b and hash(a) == hash(b)
+    assert [f.name for f in dataclasses.fields(GridModel)] == ["buses", "lines", "generators", "base_mva"]
+    assert dataclasses.replace(a, base_mva=50.0) != a
+
+
+def test_derived_arrays_reject_writes():
+    g = six_bus()
+    arrays = [g.incidence, g.p_min, g.p_max, g.cost, g.line_limits]
+    for outage in [None] + [ln.id for ln in g.lines]:
+        top = g.topology(outage)
+        arrays += [top.live, top.b_inv, top.ptdf, top.a_ub]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    assert g.line_limits.tolist() == [ln.limit for ln in g.lines]
+
+
+# -- derived arrays against the per-line construction they replace -----------
+#
+# The functions below are the former per-call construction, kept verbatim
+# (less their module-level memoisation) as the reference for the arrays
+# that `GridModel` now derives once.
+
+def _bus_positions(grid):
+    return {b.id: i for i, b in enumerate(grid.buses)}
+
+
+def _connected(grid, outaged_line):
+    adj = {b.id: [] for b in grid.buses}
+    for ln in grid.lines:
+        if outaged_line is not None and ln.id == outaged_line:
+            continue
+        adj[ln.from_bus].append(ln.to_bus)
+        adj[ln.to_bus].append(ln.from_bus)
+    start = grid.buses[0].id
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(grid.buses)
+
+
+def _reduced_susceptance_inverse(grid, outaged_line):
+    n = grid.n_buses
+    pos = _bus_positions(grid)
+    b_full = np.zeros((n, n))
+    for ln in grid.lines:
+        if outaged_line is not None and ln.id == outaged_line:
+            continue
+        i, j = pos[ln.from_bus], pos[ln.to_bus]
+        y = 1.0 / ln.reactance
+        b_full[i, i] += y
+        b_full[j, j] += y
+        b_full[i, j] -= y
+        b_full[j, i] -= y
+    keep = [i for i in range(n) if i != grid.slack_index]
+    reduced = b_full[np.ix_(keep, keep)]
+    return np.linalg.inv(reduced)
+
+
+def _ptdf(grid, outaged_line):
+    n = grid.n_buses
+    pos = _bus_positions(grid)
+    keep = [i for i in range(n) if i != grid.slack_index]
+    theta = np.zeros((n, n))
+    theta[np.ix_(keep, keep)] = _reduced_susceptance_inverse(grid, outaged_line)
+    ptdf = np.zeros((len(grid.lines), n))
+    for k, ln in enumerate(grid.lines):
+        if outaged_line is not None and ln.id == outaged_line:
+            continue
+        i, j = pos[ln.from_bus], pos[ln.to_bus]
+        ptdf[k] = (theta[i] - theta[j]) / ln.reactance
+    return ptdf
+
+
+def _generator_incidence(grid):
+    inc = np.zeros((grid.n_buses, len(grid.generators)))
+    pos = _bus_positions(grid)
+    for j, g in enumerate(grid.generators):
+        inc[pos[g.bus], j] = 1.0
+    return inc
+
+
+def _power_flow(grid, inj, outaged_line):
+    keep = [i for i in range(grid.n_buses) if i != grid.slack_index]
+    angles = np.zeros(grid.n_buses)
+    angles[keep] = _reduced_susceptance_inverse(grid, outaged_line) @ (inj[keep] / grid.base_mva)
+    pos = _bus_positions(grid)
+    flows = np.zeros(len(grid.lines))
+    for k, ln in enumerate(grid.lines):
+        if outaged_line is not None and ln.id == outaged_line:
+            continue
+        flows[k] = grid.base_mva * (angles[pos[ln.from_bus]] - angles[pos[ln.to_bus]]) / ln.reactance
+    return angles, flows
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def check_against_reference(grid, inj):
+    """Every outage's derived arrays and power flow equal the reference bit for bit."""
+    inc = _generator_incidence(grid)
+    assert same_bits(grid.incidence, inc)
+    for outage in [None] + [ln.id for ln in grid.lines]:
+        top = grid.topology(outage)
+        assert top.islanded == (not _connected(grid, outage))
+        if top.islanded:
+            with pytest.raises(IslandedNetwork):
+                solve_dc_power_flow(grid, inj, outaged_line=outage)
+            continue
+        ptdf = _ptdf(grid, outage)
+        assert same_bits(top.b_inv, _reduced_susceptance_inverse(grid, outage))
+        assert same_bits(top.ptdf, ptdf)
+        assert same_bits(top.a_ub, np.vstack([ptdf @ inc, -(ptdf @ inc)]))
+        sol = solve_dc_power_flow(grid, inj, outaged_line=outage)
+        angles, flows = _power_flow(grid, inj, outage)
+        assert same_bits(sol.angles, angles)
+        assert same_bits(sol.flows, flows)
+
+
+@st.composite
+def connected_grids(draw):
+    """Random connected grid: a random spanning tree plus extra (parallel) lines."""
+    n = draw(st.integers(1, 7))
+    ids = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True))
+    slack = draw(st.integers(0, n - 1))
+    edges = []
+    for k in range(1, n):
+        edge = (ids[draw(st.integers(0, k - 1))], ids[k])  # tree edges island when out
+        edges.append(edge if draw(st.booleans()) else edge[::-1])
+    if n > 1:
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda e: e[0] != e[1])
+        edges += draw(st.lists(pairs, max_size=5))
+    edges = draw(st.permutations(edges))
+    line_ids = draw(st.lists(st.integers(1, 99), min_size=len(edges), max_size=len(edges), unique=True))
+    reactance = st.floats(0.005, 3.0, allow_nan=False, allow_infinity=False)
+    gen_buses = draw(st.lists(st.sampled_from(ids), max_size=3))
+    grid = GridModel(
+        buses=tuple(Bus(b, k == slack) for k, b in enumerate(ids)),
+        lines=tuple(Line(i, f, t, draw(reactance), 100.0) for i, (f, t) in zip(line_ids, edges)),
+        generators=tuple(Generator(j + 1, b, 0.0, 100.0, 1.0) for j, b in enumerate(gen_buses)),
+        base_mva=draw(st.sampled_from([100.0, 50.0, 1.0])),
+    )
+    inj = np.array(draw(st.lists(st.floats(-200.0, 200.0), min_size=n, max_size=n)))
+    inj[slack] -= inj.sum()
+    return grid, inj
+
+
+def test_six_bus_arrays_match_reference():
+    inj = np.array([30.0, 10.0, 20.0, -15.0, -25.0, -20.0])
+    check_against_reference(six_bus(), inj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_grids())
+def test_derived_arrays_match_reference(case):
+    check_against_reference(*case)
 
 
 # -- DC power flow ------------------------------------------------------------

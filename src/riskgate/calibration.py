@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientData, SingleClassCalibration
-from .learner import Ensemble, ensemble_score, ensemble_vote
+from .learner import Ensemble, ensemble_score
 
 _NEWTON_MAX_ITER = 100
 _NEWTON_STEP_TOL = 1e-10
@@ -157,9 +157,6 @@ class CalibratedEnsemble:
 
     def score(self, features):
         return ensemble_score(self.ensemble, features)
-
-    def vote(self, features):
-        return ensemble_vote(self.ensemble, features)
 
     def probability(self, features):
         """Calibrated secure-class probability (raw score if unfitted)."""

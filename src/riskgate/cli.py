@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import CalibratedEnsemble, brier_score, fit_platt, reliability_csv
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, EmptyDatabase
 from .experiments import EXPERIMENT_NAMES, RUNNERS, ExperimentConfig
 from .grid import assess_security, load_grid, six_bus
 from .learner import ensemble_score, ensemble_vote, load_model, save_model, train_adaboost
@@ -206,6 +206,8 @@ def _cmd_triage(args) -> int:
         raise ConfigError(f"no model supplied for contingencies {missing}")
 
     test = [db.conditions[i] for i in db.split_indices("test")]
+    if not test:
+        raise EmptyDatabase(f"{args.data} has no test conditions to triage")
     n = len(test)
     p_cond = (_load_condition_probs(args.condition_probs, n)
               if args.condition_probs else uniform_condition_probabilities(n))
@@ -293,10 +295,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    # the package raises ValueError only in its checks of input values
+    except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

@@ -56,6 +56,9 @@ COST_RATIO_CHOICES = (500.0 / 501.0, 1000.0 / 1001.0, 5000.0 / 5001.0, 10000.0 /
 
 COST_RATIO_GRID = (2.0 / 3.0, 5.0 / 6.0, 10.0 / 11.0, 50.0 / 51.0, 100.0 / 101.0, 500.0 / 501.0, 1000.0 / 1001.0)
 
+CALIBRATION_CONTINGENCY = 6
+CALIBRATION_SCORE_MODE = "samme"
+THRESHOLD_CONTINGENCY = 6
 TRIAGE_CONTINGENCY = 3
 TRIAGE_PARAMS = ContingencyParams.from_cost_ratio(3, 0.0002, 10000.0 / 10001.0)
 PAIR_PARAMS = {
@@ -254,18 +257,18 @@ def run_imbalance_study(config: ExperimentConfig, out_dir=None) -> Path:
 
 # -- study 2: calibration -------------------------------------------------
 
-def run_calibration_study(config: ExperimentConfig, out_dir=None, contingency: int = 6,
-                          score_mode: str = "samme") -> Path:
+def run_calibration_study(config: ExperimentConfig, out_dir=None) -> Path:
     """Brier score of raw scores vs calibrated probabilities on the test set.
 
     The uncalibrated score here is the discrete weighted-vote share
-    (``score_mode="samme"``), whose compression away from 0/1 is exactly
-    the distortion calibration exists to repair; the real-valued mode's
-    logistic margin is already near-calibrated and shows no effect.
+    (``CALIBRATION_SCORE_MODE``), whose compression away from 0/1 is
+    exactly the distortion calibration exists to repair; the real-valued
+    mode's logistic margin is already near-calibrated and shows no effect.
     """
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    study_config = ExperimentConfig(**{**config.to_dict(), "mode": score_mode})
+    contingency = CALIBRATION_CONTINGENCY
+    study_config = ExperimentConfig(**{**config.to_dict(), "mode": CALIBRATION_SCORE_MODE})
     db = generation_pool(config)
     x = db.features_matrix()
     y = db.label_vector(contingency)
@@ -313,7 +316,7 @@ def _threshold_variants(db, x, train_idx, calib_idx, test_idx, contingency, conf
     }
 
 
-def run_threshold_study(config: ExperimentConfig, out_dir=None, contingency: int = 6) -> Path:
+def run_threshold_study(config: ExperimentConfig, out_dir=None) -> Path:
     """Residual-risk grid over cost ratios for five classifier variants.
 
     The contingency probability is identified with the insecure-class
@@ -322,6 +325,7 @@ def run_threshold_study(config: ExperimentConfig, out_dir=None, contingency: int
     """
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    contingency = THRESHOLD_CONTINGENCY
     db = generation_pool(config)
     x = db.features_matrix()
     y = db.label_vector(contingency)

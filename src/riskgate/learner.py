@@ -48,20 +48,15 @@ class Stump:
     left: Leaf
     right: Leaf
 
-    def proba(self, x: np.ndarray) -> np.ndarray:
-        """Secure-class probability per row of ``x``."""
+    def values(self, x: np.ndarray, left, right) -> np.ndarray:
+        """``left`` for rows of ``x`` that go left, ``right`` for the others."""
         x = np.atleast_2d(x)
         if self.feature is None:
-            return np.full(len(x), self.left.p1)
-        mask = x[:, self.feature] <= self.threshold
-        return np.where(mask, self.left.p1, self.right.p1)
+            return np.full(len(x), left)
+        return np.where(x[:, self.feature] <= self.threshold, left, right)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        if self.feature is None:
-            return np.full(len(x), self.left.label, dtype=int)
-        mask = x[:, self.feature] <= self.threshold
-        return np.where(mask, self.left.label, self.right.label)
+        return self.values(x, self.left.label, self.right.label)
 
 
 class _StumpFitter:
@@ -98,9 +93,7 @@ class _StumpFitter:
         if total <= 0:
             raise ValueError("example weights must not all be zero")
         if t0 == 0.0 or t1 == 0.0:
-            label1 = t1 > 0.0
-            p1 = 1.0 - LEAF_EPS if label1 else LEAF_EPS
-            leaf = Leaf(1.0 - p1, p1)
+            leaf = _leaf(t0, t1)
             return Stump(feature=None, threshold=0.0, left=leaf, right=leaf)
         if not self.has_cut:
             raise DegenerateData("all feature vectors are identical with both classes present")
@@ -129,14 +122,15 @@ class _StumpFitter:
                 f = g
         j = cut[f]
         l0, l1 = c0[f, j], c1[f, j]
-
-        def leaf(n0, n1):
-            tot = n0 + n1
-            p1 = np.clip(n1 / tot if tot > 0 else 0.5, LEAF_EPS, 1.0 - LEAF_EPS)
-            return Leaf(1.0 - p1, float(p1))
-
         return Stump(feature=f, threshold=float(self.midpoints[f, j]),
-                     left=leaf(l0, l1), right=leaf(t0 - l0, t1 - l1))
+                     left=_leaf(l0, l1), right=_leaf(t0 - l0, t1 - l1))
+
+
+def _leaf(n0, n1) -> Leaf:
+    """Leaf of class weights ``n0``, ``n1``; its probabilities stay ``LEAF_EPS`` from 0 and 1."""
+    tot = n0 + n1
+    p1 = min(max(n1 / tot if tot > 0 else 0.5, LEAF_EPS), 1.0 - LEAF_EPS)
+    return Leaf(1.0 - p1, float(p1))
 
 
 def _gini_term(n0, n1, side, out, tmp, mask):
@@ -177,6 +171,32 @@ class Ensemble:
         return len(self.stumps)
 
 
+def _term(stump: Stump, alpha, mode, x) -> np.ndarray:
+    """One round's addition to the score of each row of ``x``.
+
+    SAMME adds the stump's vote weighted by ``alpha``; the real-valued
+    mode adds the half-log-odds of the leaf the row falls in.
+    """
+    if mode == "samme":
+        return alpha * stump.predict(x)
+    p1 = np.array([stump.left.p1, stump.right.p1])
+    half_log_odds = 0.5 * (np.log(p1) - np.log1p(-p1))
+    return stump.values(x, half_log_odds[0], half_log_odds[1])
+
+
+def _prefix_scores(stumps, alphas, mode, x) -> np.ndarray:
+    """``(len(stumps) + 1, n)`` scores: row ``r`` sums the first ``r`` rounds' terms.
+
+    The sum runs in round order (``cumsum``), as the rounds were added;
+    a pairwise sum such as ``np.sum(axis=0)`` would round differently.
+    """
+    x = np.atleast_2d(x)
+    if mode != "samme":
+        alphas = [None] * len(stumps)
+    terms = [np.zeros(len(x))] + [_term(s, a, mode, x) for s, a in zip(stumps, alphas)]
+    return np.cumsum(terms, axis=0)
+
+
 def _boost(x, y, fitter, rounds, mode):
     n = len(y)
     w = np.full(n, 1.0 / n)
@@ -192,38 +212,23 @@ def _boost(x, y, fitter, rounds, mode):
                 break
             err = min(max(err, _ERR_FLOOR), 1.0 - _ERR_FLOOR)
             alpha = np.log((1.0 - err) / err)  # + log(K-1) = 0 for two classes
-            stumps.append(stump)
             alphas.append(float(max(alpha, 0.0)))
             w = w * np.exp(alpha * miss)
         else:
-            p1 = stump.proba(x)
-            contrib = 0.5 * (np.log(p1) - np.log1p(-p1))
-            stumps.append(stump)
-            w = w * np.exp(-sign * contrib)
+            w = w * np.exp(-sign * _term(stump, None, mode, x))
+        stumps.append(stump)
         w = w / w.sum()
     return stumps, alphas
 
 
 def _prefix_error_curve(stumps, alphas, mode, x, y, rounds):
-    """Validation error of every prefix ensemble, padded to ``rounds``."""
-    errs = np.empty(rounds)
-    if mode == "samme":
-        vote_sum = np.zeros(len(y))
-        weight_sum = 0.0
-        for r in range(rounds):
-            if r < len(stumps):
-                vote_sum += alphas[r] * stumps[r].predict(x)
-                weight_sum += alphas[r]
-            pred = vote_sum >= 0.5 * weight_sum if weight_sum > 0 else np.ones(len(y), bool)
-            errs[r] = np.mean(pred.astype(int) != y)
-    else:
-        margin = np.zeros(len(y))
-        for r in range(rounds):
-            if r < len(stumps):
-                p1 = stumps[r].proba(x)
-                margin += 0.5 * (np.log(p1) - np.log1p(-p1))
-            errs[r] = np.mean((margin >= 0).astype(int) != y)
-    return errs
+    """Validation error of every prefix ensemble, padded to ``rounds`` with the last."""
+    scores = _prefix_scores(stumps, alphas, mode, x)
+    threshold = np.zeros(len(scores))
+    if mode == "samme":  # secure from half the weight so far; with no weight yet, every row is
+        threshold[1:] = 0.5 * np.cumsum(alphas)
+    errs = np.mean((scores >= threshold[:, None]) != y, axis=1)
+    return errs[np.minimum(np.arange(1, rounds + 1), len(stumps))]
 
 
 def train_adaboost(features, labels, rounds: int = 100, mode: str = "samme.r", k_folds: int = 3) -> Ensemble:
@@ -270,34 +275,18 @@ def train_adaboost(features, labels, rounds: int = 100, mode: str = "samme.r", k
     return Ensemble(mode=mode, stumps=stumps, weights=alphas if mode == "samme" else None)
 
 
-def ensemble_margin(ensemble: Ensemble, features) -> np.ndarray:
-    """Additive half-log-odds margin (real-valued mode only)."""
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    margin = np.zeros(len(x))
-    for stump in ensemble.stumps:
-        p1 = stump.proba(x)
-        margin += 0.5 * (np.log(p1) - np.log1p(-p1))
-    return margin
-
-
 def ensemble_score(ensemble: Ensemble, features):
     """Secure-class score in [0, 1]; complements to 1 for the other class."""
     x = np.asarray(features, dtype=float)
     single = x.ndim == 1
-    x = np.atleast_2d(x)
+    score = _prefix_scores(ensemble.stumps, ensemble.weights, ensemble.mode, x)[-1]
     if ensemble.mode == "samme":
         total = float(np.sum(ensemble.weights))
-        if total <= 0:
-            score = np.full(len(x), 0.5)
-        else:
-            vote = np.zeros(len(x))
-            for alpha, stump in zip(ensemble.weights, ensemble.stumps):
-                vote += alpha * stump.predict(x)
-            # the vote sums sequentially and the total pairwise, which can
-            # put a unanimous secure vote one ulp above 1
-            score = np.minimum(vote / total, 1.0)
+        # the vote sums in order and the total pairwise, which can put a
+        # unanimous secure vote one ulp above 1
+        score = np.full(len(score), 0.5) if total <= 0 else np.minimum(score / total, 1.0)
     else:
-        score = 1.0 / (1.0 + np.exp(-2.0 * ensemble_margin(ensemble, x)))
+        score = 1.0 / (1.0 + np.exp(-2.0 * score))
     return float(score[0]) if single else score
 
 
@@ -323,10 +312,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
-
-    @property
-    def label(self) -> int:
-        return 1 if self.p1 >= self.p0 else 0
 
 
 @dataclass(frozen=True)
@@ -373,10 +358,9 @@ def _tree_leaf(node: TreeNode, row: np.ndarray) -> TreeNode:
 
 
 def tree_predict(tree: SingleTree, features):
-    x = np.asarray(features, dtype=float)
-    if x.ndim == 1:
-        return _tree_leaf(tree.root, x).label
-    return np.array([_tree_leaf(tree.root, row).label for row in x], dtype=int)
+    """Majority label of the leaf each row falls in (ties go secure)."""
+    p1 = tree_proba(tree, features)
+    return int(p1 >= 0.5) if isinstance(p1, float) else (p1 >= 0.5).astype(int)
 
 
 def tree_proba(tree: SingleTree, features):

@@ -195,21 +195,14 @@ class TriageReport:
     ml_risk: float  # residual risk carried by unverified predictions
     total_risk: float
     assessment_failures: list[int] = field(default_factory=list)  # ranks with oracle errors
-    missed_alarms: dict[int, int] = field(default_factory=dict)
-    false_alarms: dict[int, int] = field(default_factory=dict)
-    residual_risk: dict[int, float] = field(default_factory=dict)
 
 
-def triage(ranked: ScenarioTable, budget: int, oracle, params_by_contingency, true_labels=None,
-           n_conditions: int | None = None) -> TriageReport:
+def triage(ranked: ScenarioTable, budget: int, oracle, params_by_contingency) -> TriageReport:
     """Assess the top-``budget`` scenarios with the oracle, keep the rest on ML.
 
     ``oracle(condition_id, contingency_id) -> 0/1``; an oracle exception
     marks that scenario's severity unknown (it stays in the high-risk
     set, flagged in ``assessment_failures``) and never aborts the run.
-    When ``true_labels(condition_id, contingency_id)`` is supplied, the
-    unverified predictions are graded and the per-contingency residual
-    risk estimate is computed over the low-risk set only.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -232,7 +225,7 @@ def triage(ranked: ScenarioTable, budget: int, oracle, params_by_contingency, tr
             conventional += p_scn * params_by_contingency[cont].miss_cost
 
     ml = float(sum(ranked.risk[low].tolist()))
-    report = TriageReport(
+    return TriageReport(
         scenarios=ranked,
         budget=budget,
         n_high=n_high,
@@ -243,28 +236,6 @@ def triage(ranked: ScenarioTable, budget: int, oracle, params_by_contingency, tr
         total_risk=conventional + ml,
         assessment_failures=failures,
     )
-
-    if true_labels is not None:
-        contingencies = sorted(params_by_contingency)
-        missed = {c: 0 for c in contingencies}
-        false = {c: 0 for c in contingencies}
-        for cond, cont, pred in zip(ranked.condition[low].tolist(), ranked.contingency[low].tolist(),
-                                    ranked.predicted_label[low].tolist()):
-            truth = int(true_labels(cond, cont))
-            if truth == 0 and pred == 1:
-                missed[cont] += 1
-            elif truth == 1 and pred == 0:
-                false[cont] += 1
-        if n_conditions is None:
-            n_conditions = len(np.unique(ranked.condition))
-        report.missed_alarms = missed
-        report.false_alarms = false
-        report.residual_risk = {
-            c: residual_risk_estimate(missed[c], false[c], params_by_contingency[c].ratio,
-                                      params_by_contingency[c].probability, n_conditions)
-            for c in contingencies
-        }
-    return report
 
 
 def triage_csv(report: TriageReport, path) -> None:

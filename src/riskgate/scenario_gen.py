@@ -85,6 +85,8 @@ class LabeledDatabase:
         return np.array([self.conditions[i].features for i in idx])
 
     def label_vector(self, contingency: int, split: str | None = None) -> np.ndarray:
+        if contingency not in self.labels:
+            raise ValueError(f"no labels for contingency {contingency}; labelled: {self.contingencies}")
         lab = np.asarray(self.labels[contingency], dtype=int)
         return lab if split is None else lab[self.split_indices(split)]
 
@@ -223,27 +225,32 @@ def build_database(
 
 # -- dataset.csv -------------------------------------------------------------
 
-_N_LOADS, _N_GENS, _N_ANGLES, _N_FLOWS = 3, 3, 6, 11
+_FEATURE_GROUPS = ("load", "gen", "angle", "flow")  # OperatingCondition.features order
 
 
-def _header(contingencies) -> list[str]:
+def _header(widths) -> list[str]:
+    """Columns before the labels: id, numbered feature groups of ``widths``, split."""
     cols = ["id"]
-    cols += [f"load{k}" for k in range(1, _N_LOADS + 1)]
-    cols += [f"gen{k}" for k in range(1, _N_GENS + 1)]
-    cols += [f"angle{k}" for k in range(1, _N_ANGLES + 1)]
-    cols += [f"flow{k}" for k in range(1, _N_FLOWS + 1)]
-    cols.append("split")
-    cols += [f"label_c{c}" for c in contingencies]
-    return cols
+    for group, width in zip(_FEATURE_GROUPS, widths):
+        cols += [f"{group}{k}" for k in range(1, width + 1)]
+    return cols + ["split"]
 
 
 def save_database(db: LabeledDatabase, path) -> None:
-    """Write ``dataset.csv``; floats carry 17 significant digits."""
+    """Write ``dataset.csv``; floats carry 17 significant digits.
+
+    The feature widths are the conditions' own, so the database must
+    hold at least one condition.
+    """
+    if not db.conditions:
+        raise ValueError("a dataset needs at least one condition to take its feature widths from")
+    first = db.conditions[0]
+    widths = [len(first.loads), len(first.generation), len(first.angles), len(first.flows)]
     cons = sorted(db.labels)
     lines = []
     if db.seed is not None:
         lines.append(f"# seed={db.seed}")
-    lines.append(",".join(_header(cons)))
+    lines.append(",".join(_header(widths) + [f"label_c{c}" for c in cons]))
     for i, cond in enumerate(db.conditions):
         row = [str(cond.id)]
         row += [f"{v:.17g}" for v in cond.features]
@@ -254,7 +261,11 @@ def save_database(db: LabeledDatabase, path) -> None:
 
 
 def load_database(path) -> LabeledDatabase:
-    """Parse ``dataset.csv``; raises MalformedFile with the offending line."""
+    """Parse ``dataset.csv``; raises MalformedFile with the offending line.
+
+    The feature widths are the sizes of the header's ``load``, ``gen``,
+    ``angle`` and ``flow`` column groups.
+    """
     raw = Path(path).read_text().splitlines()
     seed = None
     lineno = 0
@@ -272,10 +283,12 @@ def load_database(path) -> LabeledDatabase:
 
     header = raw[0].split(",")
     lineno += 1
-    n_fixed = 1 + _N_LOADS + _N_GENS + _N_ANGLES + _N_FLOWS + 1
-    expected_fixed = _header([])
-    if header[: len(expected_fixed)] != expected_fixed:
+    widths = [sum(col.rstrip("0123456789") == group for col in header) for group in _FEATURE_GROUPS]
+    expected_fixed = _header(widths)
+    n_fixed = len(expected_fixed)
+    if header[:n_fixed] != expected_fixed:
         raise MalformedFile("unexpected header columns (missing feature or split column?)", line=lineno)
+    edges = np.cumsum([0] + widths).tolist()
     cons = []
     for col in header[n_fixed:]:
         if not col.startswith("label_c"):
@@ -305,11 +318,7 @@ def load_database(path) -> LabeledDatabase:
         if split not in SPLIT_NAMES:
             raise MalformedFile(f"unknown split tag {split!r}", line=lineno)
         vals = np.array(values)
-        o = 0
-        loads, o = vals[o: o + _N_LOADS], o + _N_LOADS
-        gens, o = vals[o: o + _N_GENS], o + _N_GENS
-        angles, o = vals[o: o + _N_ANGLES], o + _N_ANGLES
-        flows = vals[o: o + _N_FLOWS]
+        loads, gens, angles, flows = (vals[a:b] for a, b in zip(edges, edges[1:]))
         conditions.append(OperatingCondition(cid, loads, gens, angles, flows))
         splits.append(split)
         for c, text in zip(cons, parts[n_fixed:]):

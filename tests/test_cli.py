@@ -5,8 +5,8 @@ import json
 import pytest
 
 from riskgate.cli import main
-from riskgate.grid import Bus, Generator, GridModel, Line, save_grid
-from riskgate.scenario_gen import load_database
+from riskgate.grid import Bus, Generator, GridModel, Line, save_grid, six_bus
+from riskgate.scenario_gen import load_database, save_database
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ def test_train_calibrate_evaluate(dataset, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def triage_inputs(dataset, tmp_path_factory):
+def trained(dataset, tmp_path_factory):
     """Calibrated models for lines 5 and 6 and their contingencies.json."""
     tmp = tmp_path_factory.mktemp("triage")
     models = []
@@ -61,8 +61,13 @@ def triage_inputs(dataset, tmp_path_factory):
         {"line_id": 5, "p_c": 0.0003, "cost_ratio": 500.0 / 501.0},
         {"line_id": 6, "p_c": 0.0001, "cost_ratio": 1000.0 / 1001.0},
     ]))
-    return ["triage", "--data", str(dataset), "--models", ",".join(models),
-            "--contingencies-file", str(contingencies), "--budget", "12"]
+    return {"models": ",".join(models), "model6": models[1], "contingencies": str(contingencies)}
+
+
+@pytest.fixture(scope="module")
+def triage_inputs(dataset, trained):
+    return ["triage", "--data", str(dataset), "--models", trained["models"],
+            "--contingencies-file", trained["contingencies"], "--budget", "12"]
 
 
 def test_triage_command(triage_inputs, dataset, tmp_path):
@@ -136,6 +141,52 @@ def test_experiment_command(tmp_path):
     assert (out / "imbalance.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 11
+
+
+@pytest.fixture(scope="module")
+def no_test_split(dataset, tmp_path_factory):
+    db = load_database(dataset)
+    db.splits = ["calib" if split == "test" else split for split in db.splits]
+    path = tmp_path_factory.mktemp("no_test") / "data.csv"
+    save_database(db, path)
+    return path
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["generate", "--n", "7", "--splits", "5,1,1", "--contingencies", "99"], 2, "unknown line id 99"),
+    (["generate", "--n", "7", "--splits", "5,1,2"], 2, "must sum to n=7"),
+    (["generate", "--n", "0", "--splits", "0,0,0"], 2, "at least one condition"),
+    (["train", "--data", "{data}", "--contingency", "6", "--rounds", "0"], 2, "rounds must be >= 1"),
+    (["train", "--data", "{data}", "--contingency", "6", "--k-folds", "1"], 2, "k_folds must be >= 2"),
+    (["train", "--data", "{data}", "--contingency", "42"], 2, "no labels for contingency 42"),
+    (["evaluate", "--data", "{data}", "--model", "{model6}", "--probability", "2", "--cost-ratio", "0.9"],
+     2, "probability must be strictly inside (0, 1)"),
+    (["triage", "--data", "{no_test_split}", "--models", "{models}", "--contingencies-file", "{contingencies}",
+      "--budget", "12"], 3, "has no test conditions"),
+], ids=["unknown-line", "splits-sum", "no-conditions", "zero-rounds", "one-fold", "unlabelled-line",
+        "probability-above-one", "empty-test-split"])
+def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, tmp_path, capsys,
+                                           argv, code, message):
+    out = tmp_path / "out"
+    fields = {"data": dataset, "no_test_split": no_test_split, **trained}
+    assert main([arg.format(**fields) for arg in argv] + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_twelve_line_network_generates_and_trains(tmp_path):
+    # the dataset's flow columns follow the network: 12 here, not the packaged 11
+    six = six_bus()
+    parallel = Line(12, six.lines[0].from_bus, six.lines[0].to_bus, six.lines[0].reactance, six.lines[0].limit)
+    network = tmp_path / "network.json"
+    save_grid(GridModel(six.buses, six.lines + (parallel,), six.generators, six.base_mva), network)
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--out", str(data), "--n", "60", "--splits", "40,10,10", "--seed", "3",
+                 "--contingencies", "6,12", "--network", str(network)]) == 0
+    db = load_database(data)
+    assert db.features_matrix().shape == (60, 3 + 3 + 6 + 12)
+    assert main(["train", "--data", str(data), "--contingency", "12", "--rounds", "5",
+                 "--out", str(tmp_path / "model.json")]) == 0
 
 
 def test_exit_code_config_error(tmp_path):

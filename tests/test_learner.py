@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,7 +14,9 @@ from riskgate.learner import (
     Leaf,
     Stump,
     _StumpFitter,
-    ensemble_margin,
+    _prefix_error_curve,
+    _prefix_scores,
+    _tree_leaf,
     ensemble_score,
     ensemble_vote,
     load_model,
@@ -325,7 +327,7 @@ def test_half_log_odds_margin():
     # single stump with p1 = 0.9: margin = 0.5*ln(9) > 0 -> vote 1
     ens = Ensemble("samme.r", [constant_stump(0.9)], None)
     x = np.zeros(23)
-    assert ensemble_margin(ens, x.reshape(1, -1))[0] == pytest.approx(0.5 * np.log(9.0))
+    assert _prefix_scores(ens.stumps, ens.weights, ens.mode, x)[-1, 0] == pytest.approx(0.5 * np.log(9.0))
     assert ensemble_vote(ens, x) == 1
     assert ensemble_score(ens, x) == pytest.approx(1.0 / (1.0 + np.exp(-np.log(9.0))))
 
@@ -346,6 +348,131 @@ def test_score_vote_consistency_property():
         vote = ensemble_vote(ens, pts)
         assert np.array_equal(vote, (score >= 0.5).astype(int))
         assert np.all((score >= 0.0) & (score <= 1.0))
+
+
+# The round-by-round score loops that the prefix-score path replaced, kept
+# verbatim as references; ``stump.proba`` and ``stump.predict`` are the old
+# split tests, ``reference_proba`` and ``reference_predict``.
+
+def reference_proba(stump, x):
+    x = np.atleast_2d(x)
+    if stump.feature is None:
+        return np.full(len(x), stump.left.p1)
+    mask = x[:, stump.feature] <= stump.threshold
+    return np.where(mask, stump.left.p1, stump.right.p1)
+
+
+def reference_predict(stump, x):
+    x = np.atleast_2d(x)
+    if stump.feature is None:
+        return np.full(len(x), stump.left.label, dtype=int)
+    mask = x[:, stump.feature] <= stump.threshold
+    return np.where(mask, stump.left.label, stump.right.label)
+
+
+def reference_prefix_error_curve(stumps, alphas, mode, x, y, rounds):
+    errs = np.empty(rounds)
+    if mode == "samme":
+        vote_sum = np.zeros(len(y))
+        weight_sum = 0.0
+        for r in range(rounds):
+            if r < len(stumps):
+                vote_sum += alphas[r] * reference_predict(stumps[r], x)
+                weight_sum += alphas[r]
+            pred = vote_sum >= 0.5 * weight_sum if weight_sum > 0 else np.ones(len(y), bool)
+            errs[r] = np.mean(pred.astype(int) != y)
+    else:
+        margin = np.zeros(len(y))
+        for r in range(rounds):
+            if r < len(stumps):
+                p1 = reference_proba(stumps[r], x)
+                margin += 0.5 * (np.log(p1) - np.log1p(-p1))
+            errs[r] = np.mean((margin >= 0).astype(int) != y)
+    return errs
+
+
+def reference_margin(ensemble, features):
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    margin = np.zeros(len(x))
+    for stump in ensemble.stumps:
+        p1 = reference_proba(stump, x)
+        margin += 0.5 * (np.log(p1) - np.log1p(-p1))
+    return margin
+
+
+def reference_score(ensemble, features):
+    x = np.asarray(features, dtype=float)
+    single = x.ndim == 1
+    x = np.atleast_2d(x)
+    if ensemble.mode == "samme":
+        total = float(np.sum(ensemble.weights))
+        if total <= 0:
+            score = np.full(len(x), 0.5)
+        else:
+            vote = np.zeros(len(x))
+            for alpha, stump in zip(ensemble.weights, ensemble.stumps):
+                vote += alpha * reference_predict(stump, x)
+            score = np.minimum(vote / total, 1.0)
+    else:
+        score = 1.0 / (1.0 + np.exp(-2.0 * reference_margin(ensemble, x)))
+    return float(score[0]) if single else score
+
+
+def reference_tree_label(node):
+    return 1 if node.p1 >= node.p0 else 0
+
+
+def same_bits(got, expected):
+    return type(got) is type(expected) and np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+@st.composite
+def random_ensembles(draw):
+    """Ensembles of 0-16 random stumps with inputs of 1-5 rows; SAMME weights may all be zero."""
+    mode = draw(st.sampled_from(["samme", "samme.r"]))
+    n_features = draw(st.integers(1, 3))
+    n_rows = draw(st.sampled_from([1, 1, 2, 5]))
+    n_stumps = draw(st.integers(0, 16))
+    cut = st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0])
+    p1 = st.one_of(st.sampled_from([LEAF_EPS, 1.0 - LEAF_EPS, 0.5]), st.floats(LEAF_EPS, 1.0 - LEAF_EPS))
+    stumps = []
+    for _ in range(n_stumps):
+        feature = draw(st.one_of(st.none(), st.integers(0, n_features - 1)))
+        left, right = draw(p1), draw(p1)
+        stumps.append(Stump(feature, 0.0 if feature is None else draw(cut),
+                            Leaf(1.0 - left, left), Leaf(1.0 - right, right)))
+    weights = None
+    if mode == "samme":
+        weight = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+        weights = draw(st.one_of(st.just([0.0] * n_stumps),
+                                 st.lists(weight, min_size=n_stumps, max_size=n_stumps)))
+    x = draw(arrays(float, (n_rows, n_features), elements=st.one_of(cut, st.floats(-2.0, 2.0))))
+    y = draw(arrays(int, n_rows, elements=st.integers(0, 1)))
+    return Ensemble(mode, stumps, weights), x, y
+
+
+# one row through ten rounds: summed pairwise, both modes' scores differ from the sequential sum
+ONE_ROW = np.array([[0.3, -0.2]])
+TEN_STUMPS = [split_stump(k % 2, 0.1 * k - 0.5, 0.9 / (k + 1.3), 0.9 - 0.07 * k) for k in range(10)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_ensembles(), st.integers(0, 3))
+@example((Ensemble("samme.r", [], None), ONE_ROW, np.array([1])), 2)
+@example((Ensemble("samme", TEN_STUMPS[:3], [0.0] * 3), ONE_ROW, np.array([0])), 1)
+@example((Ensemble("samme", TEN_STUMPS, [float(np.log(k + 2)) for k in range(10)]), ONE_ROW, np.array([1])), 0)
+@example((Ensemble("samme.r", TEN_STUMPS, None), ONE_ROW, np.array([0])), 0)
+def test_prefix_scores_match_reference_loops(case, pad):
+    ens, x, y = case
+    for stump in ens.stumps:
+        assert same_bits(stump.predict(x), reference_predict(stump, x))
+    assert same_bits(ensemble_score(ens, x), reference_score(ens, x))
+    assert same_bits(ensemble_score(ens, x[0]), reference_score(ens, x[0]))
+    if ens.mode == "samme.r":
+        assert same_bits(_prefix_scores(ens.stumps, None, ens.mode, x)[-1], reference_margin(ens, x))
+    rounds = max(len(ens.stumps) + pad, 1)
+    assert same_bits(_prefix_error_curve(ens.stumps, ens.weights, ens.mode, x, y, rounds),
+                     reference_prefix_error_curve(ens.stumps, ens.weights, ens.mode, x, y, rounds))
 
 
 # -- single tree -----------------------------------------------------------
@@ -399,6 +526,16 @@ def test_tree_proba_in_unit_interval():
     p = tree_proba(tree, x)
     assert np.all((p >= 0) & (p <= 1))
     assert np.array_equal(tree_predict(tree, x), (p >= 0.5).astype(int))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stump_problems(), st.integers(0, 3))
+def test_tree_predict_matches_leaf_label_reference(problem, max_depth):
+    x, y, _ = problem
+    tree = train_single_tree(x, y, max_depth=max_depth)
+    expected = np.array([reference_tree_label(_tree_leaf(tree.root, row)) for row in x])
+    assert same_bits(tree_predict(tree, x), expected)
+    assert same_bits(tree_predict(tree, x[0]), reference_tree_label(_tree_leaf(tree.root, x[0])))
 
 
 # -- model files ------------------------------------------------------------

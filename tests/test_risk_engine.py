@@ -223,11 +223,9 @@ def test_zero_budget_everything_on_ml():
 def test_full_budget_everything_verified():
     ranked, params = make_ranked()
     truth = lambda i, c: 0 if i % 2 == 0 else 1
-    report = triage(ranked, 100, oracle=truth, params_by_contingency=params, true_labels=truth)
+    report = triage(ranked, 100, oracle=truth, params_by_contingency=params)
     assert report.n_high == len(ranked)
     assert report.ml_risk == 0.0
-    assert report.missed_alarms == {1: 0} and report.false_alarms == {1: 0}
-    assert report.residual_risk == {1: 0.0}
     expected = sum(
         p * params[1].miss_cost
         for p, i in zip(ranked.scenario_probability.tolist(), ranked.condition.tolist()) if truth(i, 1) == 0
@@ -276,22 +274,18 @@ def test_endpoint_identities():
 def test_residual_risk_non_increasing_in_budget():
     ranked, params = make_ranked(n=12, probability=0.02, ratio=0.95)
     rng = np.random.default_rng(9)
-    labels = {i: int(rng.uniform() > 0.4) for i in ranked.condition.tolist()}
-    truth = lambda i, c: labels[i]
-    prev = None
-    for budget in range(len(ranked) + 1):
-        report = triage(ranked, budget, oracle=truth, params_by_contingency=params, true_labels=truth)
-        z = sum(report.residual_risk.values())
-        if prev is not None:
-            assert z <= prev + 1e-15
-        prev = z
+    truth = (rng.uniform(size=len(ranked)) > 0.4).astype(int)  # in ranked order
+    _, _, _, risk = residual_error_curves(ranked.contingency, ranked.predicted_label, truth, params, 12)
+    assert len(risk) == len(ranked) + 1
+    assert np.all(np.diff(risk) <= 1e-15)
+    assert risk[0] > risk[-1] == 0.0
 
 
 def test_triage_deterministic():
     ranked, params = make_ranked(n=10)
     truth = lambda i, c: 1
-    a = triage(ranked, 4, truth, params, true_labels=truth)
-    b = triage(ranked, 4, truth, params, true_labels=truth)
+    a = triage(ranked, 4, truth, params)
+    b = triage(ranked, 4, truth, params)
     assert a.total_risk == b.total_risk
     assert np.array_equal(a.scenarios.condition, b.scenarios.condition)
 

@@ -11,7 +11,6 @@ from .grid import (  # noqa: F401
     Line,
     assess_security,
     load_grid,
-    save_grid,
     six_bus,
     solve_dc_power_flow,
     solve_dcopf,
@@ -21,7 +20,6 @@ from .scenario_gen import (  # noqa: F401
     OperatingCondition,
     build_database,
     load_database,
-    sample_loads,
     save_database,
 )
 from .learner import (  # noqa: F401

@@ -106,8 +106,10 @@ def fit_platt(scores, labels) -> PlattParams:
     return PlattParams(a=float(a), b=float(b), nll=value, iterations=iterations)
 
 
-def calibrated_probability(params: PlattParams, score):
-    """Map a score through the fitted sigmoid; strictly inside (0, 1)."""
+def calibrated_probability(params: PlattParams | None, score):
+    """Map a score through the fitted sigmoid, strictly inside (0, 1); unfitted (None) keeps the raw score."""
+    if params is None:
+        return score
     s = np.asarray(score, dtype=float)
     p = _sigmoid(params.a * s + params.b)
     p = np.clip(p, 1e-15, 1.0 - 1e-15)
@@ -159,8 +161,4 @@ class CalibratedEnsemble:
         return ensemble_score(self.ensemble, features)
 
     def probability(self, features):
-        """Calibrated secure-class probability (raw score if unfitted)."""
-        s = self.score(features)
-        if self.params is None:
-            return s
-        return calibrated_probability(self.params, s)
+        return calibrated_probability(self.params, self.score(features))

@@ -17,13 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import CalibratedEnsemble, brier_score, fit_platt, reliability_csv
+from .calibration import CalibratedEnsemble, brier_score, calibrated_probability, fit_platt, reliability_csv
 from .errors import ConfigError, DataError, EmptyDatabase
 from .experiments import EXPERIMENT_NAMES, RUNNERS, ExperimentConfig
 from .grid import assess_security, load_grid, six_bus
-from .learner import ensemble_score, ensemble_vote, load_model, save_model, train_adaboost
+from .learner import ensemble_score, load_model, save_model, train_adaboost
 from .risk_engine import (
     PROBABILITY_SUM_TOL,
+    ContingencyParams,
     load_contingency_params,
     rank_scenarios,
     residual_risk_estimate,
@@ -154,8 +155,6 @@ def _cmd_calibrate(args) -> int:
     print(f"wrote {out}: a={params.a:.4f} b={params.b:.4f} ({params.iterations} iterations)")
     if args.reliability:
         test_scores = ensemble_score(ens, db.features_matrix("test"))
-        from .calibration import calibrated_probability
-
         probs = calibrated_probability(params, test_scores)
         _, bins = brier_score(probs, db.label_vector(contingency, "test"), bins=args.bins)
         reliability_csv(bins, args.reliability)
@@ -211,7 +210,8 @@ def _cmd_triage(args) -> int:
     n = len(test)
     p_cond = (_load_condition_probs(args.condition_probs, n)
               if args.condition_probs else uniform_condition_probabilities(n))
-    ranked = rank_scenarios(db.features_matrix("test"), list(range(n)), p_cond, models, params)
+    x = db.features_matrix("test")
+    ranked = rank_scenarios({c: models[c].probability(x) for c in params}, p_cond, params)
     loads = bus_loads(grid, [cond.loads for cond in test])
 
     def oracle(condition, contingency):
@@ -230,15 +230,13 @@ def _cmd_evaluate(args) -> int:
     ens, contingency, cal = load_model(args.model)
     if contingency is None:
         raise ConfigError("model carries no contingency id")
-    model = CalibratedEnsemble(ensemble=ens, contingency=contingency, params=cal)
     x = db.features_matrix("test")
     y = db.label_vector(contingency, "test")
-    from .risk_engine import ContingencyParams
-
     params = ContingencyParams.from_cost_ratio(contingency, args.probability, args.cost_ratio)
-    probs = np.asarray(model.probability(x))
+    scores = ensemble_score(ens, x)
+    probs = calibrated_probability(cal, scores)
     labels, _ = risk_optimal_predict(probs, params)
-    votes = ensemble_vote(ens, x)
+    votes = (scores >= 0.5).astype(int)
     missed = int(np.sum((y == 0) & (labels == 1)))
     false = int(np.sum((y == 1) & (labels == 0)))
     metrics = {
@@ -250,7 +248,7 @@ def _cmd_evaluate(args) -> int:
         "false_alarms": false,
         "residual_risk": residual_risk_estimate(missed, false, args.cost_ratio, args.probability, len(y)),
         "brier_score": brier_score(probs, y, bins=args.bins)[0],
-        "brier_score_uncalibrated": brier_score(np.asarray(ensemble_score(ens, x)), y, bins=args.bins)[0],
+        "brier_score_uncalibrated": brier_score(scores, y, bins=args.bins)[0],
     }
     text = json.dumps(metrics, indent=2)
     if args.out:

@@ -22,13 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import CalibratedEnsemble, brier_score, fit_platt, reliability_csv
+from .calibration import CalibratedEnsemble, brier_score, calibrated_probability, fit_platt, reliability_csv
 from .errors import SingleClassCalibration, SingleClassData
 from .grid import six_bus
 from .learner import (
     Ensemble,
     ensemble_score,
-    ensemble_vote,
     train_adaboost,
     train_single_tree,
     train_stump,
@@ -120,11 +119,15 @@ class ExperimentConfig:
         }
 
 
-def budget_sweep(n_scenarios: int, stride_threshold: int = 3000, stride: int = 100) -> np.ndarray:
+BUDGET_STRIDE_THRESHOLD = 3000  # larger sweeps step budgets by BUDGET_STRIDE
+BUDGET_STRIDE = 100
+
+
+def budget_sweep(n_scenarios: int) -> np.ndarray:
     """Every integer budget up to the threshold, then strided (end included)."""
-    if n_scenarios <= stride_threshold:
+    if n_scenarios <= BUDGET_STRIDE_THRESHOLD:
         return np.arange(n_scenarios + 1)
-    budgets = np.arange(0, n_scenarios + 1, stride)
+    budgets = np.arange(0, n_scenarios + 1, BUDGET_STRIDE)
     if budgets[-1] != n_scenarios:
         budgets = np.append(budgets, n_scenarios)
     return budgets
@@ -279,7 +282,7 @@ def run_calibration_study(config: ExperimentConfig, out_dir=None) -> Path:
         train_idx, calib_idx, test_idx = _resplit(db, config, rep)
         model = fit_contingency_model(db, train_idx, calib_idx, contingency, study_config)
         scores = model.score(x[test_idx])
-        probs = model.probability(x[test_idx])
+        probs = calibrated_probability(model.params, scores)
         b_raw, bins_raw = brier_score(scores, y[test_idx], bins=config.bins)
         b_cal, bins_cal = brier_score(probs, y[test_idx], bins=config.bins)
         total += (b_raw, b_cal)
@@ -306,13 +309,14 @@ def _threshold_variants(db, x, train_idx, calib_idx, test_idx, contingency, conf
     y = db.label_vector(contingency)
     tree = train_single_tree(x[train_idx], y[train_idx], max_depth=config.max_tree_depth)
     model = fit_contingency_model(db, train_idx, calib_idx, contingency, config)
-    xt = x[test_idx]
+    leaf_p1 = tree_proba(tree, x[test_idx])
+    score = model.score(x[test_idx])
     return {
-        "dt": (tree_predict(tree, xt), None),
-        "dt_threshold": (None, tree_proba(tree, xt)),
-        "adaboost": (ensemble_vote(model.ensemble, xt), None),
-        "adaboost_threshold": (None, model.score(xt)),
-        "calibrated_threshold": (None, model.probability(xt)),
+        "dt": ((leaf_p1 >= 0.5).astype(int), None),
+        "dt_threshold": (None, leaf_p1),
+        "adaboost": ((score >= 0.5).astype(int), None),
+        "adaboost_threshold": (None, score),
+        "calibrated_threshold": (None, calibrated_probability(model.params, score)),
     }
 
 
@@ -387,13 +391,15 @@ def _budget_curves(db, config, models, true_params, rankings):
     truth = np.stack([db.label_vector(c)[test_idx] for c in contingencies])  # contingency-major
     budgets = budget_sweep(truth.size)
 
+    scores = {c: models[c].score(x) for c in contingencies}
+    probabilities = {c: calibrated_probability(models[c].params, s) for c, s in scores.items()}
     curves = {}
     for name, ranking_params in rankings.items():
-        ranked = rank_scenarios(x, range(n_test), uniform_condition_probabilities(n_test), models, ranking_params)
+        ranked = rank_scenarios(probabilities, uniform_condition_probabilities(n_test), ranking_params)
         ranked_truth = truth[np.searchsorted(contingencies, ranked.contingency), ranked.condition]
         curves[name] = residual_error_curves(ranked.contingency, ranked.predicted_label, ranked_truth,
                                              true_params, n_test, budgets)
-    votes = np.concatenate([ensemble_vote(models[c].ensemble, x) for c in contingencies])
+    votes = np.concatenate([(scores[c] >= 0.5).astype(int) for c in contingencies])
     order = secure_first_order(votes, config.seed)
     curves["standard"] = residual_error_curves(np.repeat(contingencies, n_test)[order], votes[order],
                                                truth.ravel()[order], true_params, n_test, budgets)

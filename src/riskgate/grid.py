@@ -243,22 +243,13 @@ def _dispatch_lp(grid, top, loads, cost, lo, hi):
     )
 
 
-def _redispatch_bounds(grid: GridModel, base_dispatch, shift) -> tuple[np.ndarray, np.ndarray]:
-    base = np.asarray(base_dispatch, dtype=float)
-    shift = np.broadcast_to(np.asarray(shift, dtype=float), base.shape)
-    return np.maximum(grid.p_min, base - shift), np.minimum(grid.p_max, base + shift)
-
-
-def solve_dcopf(grid: GridModel, loads, redispatch_bounds=None) -> DispatchSolution:
+def solve_dcopf(grid: GridModel, loads) -> DispatchSolution:
     """Cost-minimal dispatch under power balance, generator and flow limits.
 
     Parameters
     ----------
     loads : array (n_buses,)
         Per-bus load in MW, all >= 0.
-    redispatch_bounds : (base_dispatch, max_shift), optional
-        Restricts each generator to ``base +- shift`` intersected with
-        its own limits; the intersection must be nonempty.
 
     Returns an infeasible `DispatchSolution` (no dispatch, no cost) when
     no dispatch satisfies the constraints.
@@ -268,13 +259,7 @@ def solve_dcopf(grid: GridModel, loads, redispatch_bounds=None) -> DispatchSolut
         raise ValueError(f"loads must have length {grid.n_buses}")
     if np.any(loads < 0):
         raise ValueError("loads must be nonnegative")
-    if redispatch_bounds is not None:
-        lo, hi = _redispatch_bounds(grid, *redispatch_bounds)
-        if np.any(lo > hi):
-            raise ValueError("redispatch bounds do not intersect generator limits")
-    else:
-        lo, hi = grid.p_min, grid.p_max
-    res = _dispatch_lp(grid, grid.topology(None), loads, grid.cost, lo, hi)
+    res = _dispatch_lp(grid, grid.topology(None), loads, grid.cost, grid.p_min, grid.p_max)
     if not res.optimal:
         return DispatchSolution(outputs=None, cost=None, feasible=False)
     return DispatchSolution(outputs=res.x, cost=res.objective, feasible=True)
@@ -303,7 +288,8 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int, correcti
     if np.all(np.abs(flows) <= grid.line_limits + 1e-9):
         return 1  # secure with zero corrective action
 
-    lo, hi = _redispatch_bounds(grid, dispatch, corrective_range)
+    lo = np.maximum(grid.p_min, dispatch - corrective_range)
+    hi = np.minimum(grid.p_max, dispatch + corrective_range)
     if np.any(lo > hi):
         return 0
     res = _dispatch_lp(grid, top, loads, np.zeros(len(grid.generators)), lo, hi)
@@ -351,10 +337,6 @@ def grid_from_dict(data: dict) -> GridModel:
         if isinstance(exc, MalformedFile):
             raise
         raise MalformedFile(f"bad network description: {exc}") from exc
-
-
-def save_grid(grid: GridModel, path) -> None:
-    Path(path).write_text(json.dumps(grid_to_dict(grid), indent=2) + "\n")
 
 
 def load_grid(path) -> GridModel:

@@ -276,9 +276,15 @@ def train_adaboost(features, labels, rounds: int = 100, mode: str = "samme.r", k
 
 
 def ensemble_score(ensemble: Ensemble, features):
-    """Secure-class score in [0, 1]; complements to 1 for the other class."""
+    """Secure-class score in [0, 1]; complements to 1 for the other class.
+
+    Raises ValueError if a stump reads a feature past the width of ``features``.
+    """
     x = np.asarray(features, dtype=float)
     single = x.ndim == 1
+    widest = max((s.feature for s in ensemble.stumps if s.feature is not None), default=-1)
+    if widest >= x.shape[-1]:
+        raise ValueError(f"model reads feature {widest}, but the features have {x.shape[-1]} columns")
     score = _prefix_scores(ensemble.stumps, ensemble.weights, ensemble.mode, x)[-1]
     if ensemble.mode == "samme":
         total = float(np.sum(ensemble.weights))
@@ -402,7 +408,8 @@ def save_model(path, ensemble: Ensemble, contingency: int | None = None, calibra
 def load_model(path):
     """Read ``model.json``; returns (ensemble, contingency, calibration).
 
-    ``calibration`` is a PlattParams or None.
+    ``calibration`` is a PlattParams or None.  A negative stump feature is
+    rejected here; one past the data's width, when the model is scored.
     """
     from .calibration import PlattParams
 
@@ -423,6 +430,9 @@ def load_model(path):
             )
             for s in doc["stumps"]
         ]
+        negative = [s.feature for s in stumps if s.feature is not None and s.feature < 0]
+        if negative:
+            raise MalformedFile(f"stump feature {negative[0]} is negative")
         ensemble = Ensemble(
             mode=str(doc["mode"]),
             stumps=stumps,

@@ -131,7 +131,6 @@ class ScenarioTable:
 
     condition: np.ndarray
     contingency: np.ndarray
-    condition_probability: np.ndarray  # p of this operating condition occurring
     scenario_probability: np.ndarray  # condition probability times contingency probability
     probability_estimate: np.ndarray  # calibrated secure-class probability
     predicted_label: np.ndarray
@@ -141,40 +140,39 @@ class ScenarioTable:
         return len(self.risk)
 
 
-def rank_scenarios(features, condition_ids, condition_probabilities, models, params_by_contingency):
-    """Score every (condition, contingency) pair and sort by falling risk.
+def rank_scenarios(probabilities, condition_probabilities, params_by_contingency):
+    """Sort every (condition, contingency) pair by falling risk.
 
-    ``models`` maps contingency id to a CalibratedEnsemble (anything with
-    a ``probability(features)`` method works); ``params_by_contingency``
-    maps contingency id to ContingencyParams.  Returns a ScenarioTable in
-    descending-risk order; ties break on ascending (contingency,
-    condition) so the ordering is fully deterministic.
+    ``probabilities`` maps contingency id to a column of calibrated
+    secure-class probabilities, one per condition; a condition's id is its
+    row position.  ``params_by_contingency`` maps contingency id to
+    ContingencyParams.  Returns a ScenarioTable in descending-risk order;
+    ties break on ascending (contingency, condition) so the ordering is
+    fully deterministic.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    ids = np.asarray(list(condition_ids))
     p_cond = np.asarray(condition_probabilities, dtype=float)
-    if len(ids) != len(x) or len(p_cond) != len(x):
-        raise ValueError("features, ids and probabilities must align")
     if abs(p_cond.sum() - 1.0) > PROBABILITY_SUM_TOL:
         raise ValueError("condition probabilities must sum to 1")
 
     contingencies = sorted(params_by_contingency)
-    n, m = len(ids), len(contingencies) * len(ids)
+    n, m = len(p_cond), len(contingencies) * len(p_cond)
     p1, residual, c_prob = np.empty(m), np.empty(m), np.empty(m)
     labels = np.empty(m, dtype=int)
     for k, c in enumerate(contingencies):  # contingency-major rows
-        if c not in models:
+        if c not in probabilities:
             raise MissingModel(c)
+        column = np.asarray(probabilities[c], dtype=float)
+        if column.shape != (n,):
+            raise ValueError(f"contingency {c}: {column.size} probabilities for {n} conditions")
         params = params_by_contingency[c]
         rows = slice(k * n, (k + 1) * n)
-        p1[rows] = models[c].probability(x)
-        labels[rows], residual[rows] = risk_optimal_predict(p1[rows], params)
+        p1[rows] = column
+        labels[rows], residual[rows] = risk_optimal_predict(column, params)
         c_prob[rows] = params.probability
     p_rows = np.tile(p_cond, len(contingencies))
     table = ScenarioTable(
-        condition=np.tile(ids, len(contingencies)),
+        condition=np.tile(np.arange(n), len(contingencies)),
         contingency=np.repeat(np.asarray(contingencies, dtype=int), n),
-        condition_probability=p_rows,
         scenario_probability=p_rows * c_prob,
         probability_estimate=p1,
         predicted_label=labels,
@@ -187,7 +185,6 @@ def rank_scenarios(features, condition_ids, condition_probabilities, models, par
 @dataclass
 class TriageReport:
     scenarios: ScenarioTable  # descending-risk order
-    budget: int
     n_high: int
     assessed_fraction: float  # share of scenarios sent to the oracle
     oracle_labels: list[int | None]  # aligned with the high-risk prefix
@@ -227,7 +224,6 @@ def triage(ranked: ScenarioTable, budget: int, oracle, params_by_contingency) ->
     ml = float(sum(ranked.risk[low].tolist()))
     return TriageReport(
         scenarios=ranked,
-        budget=budget,
         n_high=n_high,
         assessed_fraction=n_high / len(ranked) if len(ranked) else 0.0,
         oracle_labels=oracle_labels,

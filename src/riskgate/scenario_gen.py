@@ -116,10 +116,10 @@ def _copula_cholesky(correlation: float, dim: int) -> np.ndarray:
         raise InvalidCorrelation(f"correlation {correlation} is not positive definite for dim {dim}") from exc
 
 
-def kumaraswamy_ppf(u, a: float = KUMARASWAMY_A, b: float = KUMARASWAMY_B):
-    """Inverse CDF of the Kumaraswamy distribution on [0, 1]."""
+def kumaraswamy_ppf(u):
+    """Inverse CDF of the Kumaraswamy(``KUMARASWAMY_A``, ``KUMARASWAMY_B``) distribution on [0, 1]."""
     u = np.asarray(u, dtype=float)
-    return (1.0 - (1.0 - u) ** (1.0 / b)) ** (1.0 / a)
+    return (1.0 - (1.0 - u) ** (1.0 / KUMARASWAMY_B)) ** (1.0 / KUMARASWAMY_A)
 
 
 def _draw_load_triple(rng, chol, dim: int) -> np.ndarray:
@@ -127,21 +127,6 @@ def _draw_load_triple(rng, chol, dim: int) -> np.ndarray:
     u = ndtr(z)
     low, high = LOAD_RANGE
     return low + (high - low) * kumaraswamy_ppf(u)
-
-
-def sample_loads(n: int, seed: int, correlation: float = LOAD_CORRELATION, dim: int = 3) -> np.ndarray:
-    """Draw ``n`` correlated load tuples (MW) via the Gaussian copula.
-
-    Each row uses the independent stream ``(seed, row, 0)``; the result
-    for row ``i`` never depends on ``n`` or on other rows.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    chol = _copula_cholesky(correlation, dim)
-    out = np.empty((n, dim))
-    for i in range(n):
-        out[i] = _draw_load_triple(np.random.default_rng([seed, i, 0]), chol, dim)
-    return out
 
 
 def bus_loads(grid: grid_mod.GridModel, loads) -> np.ndarray:

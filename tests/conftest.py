@@ -1,0 +1,25 @@
+"""Fixtures shared by several test modules."""
+
+import numpy as np
+import pytest
+
+from riskgate import calibration, cli, experiments, learner
+
+
+@pytest.fixture
+def times_scored(monkeypatch):
+    """``times_scored(x)``: how often ``ensemble_score`` has been given exactly the matrix ``x``.
+
+    Counts every lookup the package makes: ``calibration`` (the calibrated
+    model), ``experiments``, ``cli`` and ``learner`` (``ensemble_vote``).
+    """
+    original = learner.ensemble_score
+    matrices = []
+
+    def counting(ensemble, features):
+        matrices.append(np.asarray(features))
+        return original(ensemble, features)
+
+    for module in (calibration, cli, experiments, learner):
+        monkeypatch.setattr(module, "ensemble_score", counting)
+    return lambda x: sum(m.shape == x.shape and np.array_equal(m, x) for m in matrices)

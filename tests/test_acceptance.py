@@ -263,7 +263,7 @@ def test_criterion_7_sensitivity_superposed(config, pool, sensitivity_outputs):
 
 def test_criterion_8_statistical_fidelity():
     """Sampled marginals and dependence match the specified targets."""
-    from riskgate.scenario_gen import sample_loads
+    from test_scenario_gen import sample_loads
 
     loads = sample_loads(3500, seed=101)
     u = (loads - 50.0) / 100.0
@@ -319,9 +319,7 @@ def test_criterion_9_invariant_suite(pool, config):
     params = {3: ContingencyParams.from_cost_ratio(3, 0.0002, 10000.0 / 10001.0)}
     model3 = fit_contingency_model(db, train_idx, calib_idx, 3, config)
     n_test = len(test_idx)
-    ranked = rank_scenarios(
-        x[test_idx], list(range(n_test)), uniform_condition_probabilities(n_test), {3: model3}, params
-    )
+    ranked = rank_scenarios({3: model3.probability(x[test_idx])}, uniform_condition_probabilities(n_test), params)
     truth3 = db.label_vector(3)[test_idx]
     _, _, _, z_curve = residual_error_curves(ranked.contingency, ranked.predicted_label,
                                              truth3[ranked.condition], params, n_test)

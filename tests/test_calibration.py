@@ -209,6 +209,12 @@ def test_calibrated_ensemble_probability():
     assert bare.probability(np.zeros(23)) == s
 
 
+def test_unfitted_probability_is_the_raw_score():
+    scores = np.array([0.0, 0.25, 1.0])
+    assert calibrated_probability(None, scores) is scores
+    assert calibrated_probability(None, 0.25) == 0.25
+
+
 def test_extreme_scores_do_not_overflow():
     params = PlattParams(a=-1.0, b=0.0)
     with warnings.catch_warnings():

@@ -1,12 +1,30 @@
 """CLI tests: pipeline subcommands, overrides, exit codes."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from riskgate import cli
 from riskgate.cli import main
-from riskgate.grid import Bus, Generator, GridModel, Line, save_grid, six_bus
+from riskgate.grid import Bus, Generator, GridModel, Line, six_bus
 from riskgate.scenario_gen import load_database, save_database
+
+from test_bench import load_tracing
+from test_grid import save_grid
+
+# sha256 of the CLI outputs on the fixtures below; the bytes must not move
+# unless a change says which numbers it changes and why
+GOLDEN_SHA256 = {
+    "evaluate": "b2c010f1da5e995a499cbbd17ea35c43779e36ccd993de707ead79b05739a452",
+    "triage": "2a1c439246cc3bac72b9f2e3f96f9f564dedde22f4e59c84712f607e1bfedf71",
+    "triage_condition_probs": "71177a9f6218fb7508423e8f54eee95f15b1824dbc8aa5141573c177fa4513cb",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +61,7 @@ def test_train_calibrate_evaluate(dataset, tmp_path):
     assert report["contingency"] == 6
     assert 0.0 <= report["vote_error"] <= 1.0
     assert report["residual_risk"] >= 0.0
+    assert sha256(metrics) == GOLDEN_SHA256["evaluate"]
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +100,28 @@ def test_triage_command(triage_inputs, dataset, tmp_path):
     db = load_database(dataset)
     for row in verified:  # the oracle reproduces the label the dataset was generated with
         assert int(row[8]) == db.label_vector(int(row[3]), "test")[int(row[2])]
+    assert sha256(out) == GOLDEN_SHA256["triage"]
+
+
+def test_evaluate_scores_the_test_split_once(dataset, trained, tmp_path, times_scored):
+    assert main(["evaluate", "--data", str(dataset), "--model", trained["model6"], "--probability", "0.0001",
+                 "--cost-ratio", "0.999", "--out", str(tmp_path / "metrics.json")]) == 0
+    assert times_scored(load_database(dataset).features_matrix("test")) == 1
+
+
+def test_traced_triage_scores_each_model_once(triage_inputs, tmp_path):
+    # the benchmark's tracer sees the scoring where calibrated models look it up
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        assert cli.main(triage_inputs + ["--out", str(tmp_path / "triage.csv")]) == 0
+    finally:
+        tracer.end_op()
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["learner.ensemble_score"]["calls"] == 2  # lines 5 and 6
+    assert summary["risk_engine.rank_scenarios"]["calls"] == 1
 
 
 def test_triage_condition_probs_file(triage_inputs, tmp_path):
@@ -91,6 +132,7 @@ def test_triage_condition_probs_file(triage_inputs, tmp_path):
     out = tmp_path / "triage.csv"
     assert main(triage_inputs + ["--out", str(out), "--condition-probs", str(probs)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 2 * 45
+    assert sha256(out) == GOLDEN_SHA256["triage_condition_probs"]
 
 
 @pytest.mark.parametrize("bad_line, probability, line", [
@@ -152,6 +194,19 @@ def no_test_split(dataset, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def bad_models(trained, tmp_path_factory):
+    """Copies of the line-6 model whose first stump reads feature 40 (of 23) or -1."""
+    tmp = tmp_path_factory.mktemp("bad_models")
+    paths = {}
+    for name, feature in (("feature40", 40), ("negative_feature", -1)):
+        doc = json.loads(Path(trained["model6"]).read_text())
+        doc["stumps"][0]["feature"] = feature
+        paths[name] = tmp / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return paths
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["generate", "--n", "7", "--splits", "5,1,1", "--contingencies", "99"], 2, "unknown line id 99"),
     (["generate", "--n", "7", "--splits", "5,1,2"], 2, "must sum to n=7"),
@@ -163,12 +218,20 @@ def no_test_split(dataset, tmp_path_factory):
      2, "probability must be strictly inside (0, 1)"),
     (["triage", "--data", "{no_test_split}", "--models", "{models}", "--contingencies-file", "{contingencies}",
       "--budget", "12"], 3, "has no test conditions"),
+    (["evaluate", "--data", "{data}", "--model", "{feature40}", "--probability", "0.0001", "--cost-ratio", "0.9"],
+     2, "model reads feature 40, but the features have 23 columns"),
+    (["evaluate", "--data", "{data}", "--model", "{negative_feature}", "--probability", "0.0001",
+      "--cost-ratio", "0.9"], 2, "stump feature -1 is negative"),
+    (["calibrate", "--data", "{data}", "--model", "{feature40}"], 2, "model reads feature 40"),
+    (["triage", "--data", "{data}", "--models", "{models},{feature40}", "--contingencies-file", "{contingencies}",
+      "--budget", "12"], 2, "model reads feature 40"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "zero-rounds", "one-fold", "unlabelled-line",
-        "probability-above-one", "empty-test-split"])
-def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, tmp_path, capsys,
+        "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
+        "calibrate-feature-past-width", "triage-feature-past-width"])
+def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, bad_models, tmp_path, capsys,
                                            argv, code, message):
     out = tmp_path / "out"
-    fields = {"data": dataset, "no_test_split": no_test_split, **trained}
+    fields = {"data": dataset, "no_test_split": no_test_split, **trained, **bad_models}
     assert main([arg.format(**fields) for arg in argv] + ["--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()

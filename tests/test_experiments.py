@@ -15,6 +15,7 @@ import pytest
 from riskgate.experiments import (
     ALL_LINES,
     ExperimentConfig,
+    _resplit,
     _write_manifest,
     budget_sweep,
     draw_contingency_params,
@@ -137,6 +138,16 @@ def test_threshold_study_grid(tmp_path):
     assert variants == {"dt", "dt_threshold", "adaboost", "adaboost_threshold", "calibrated_threshold"}
 
 
+@pytest.mark.parametrize("run", [run_calibration_study, run_threshold_study])
+def test_each_repetition_scores_its_model_once(tmp_path, times_scored, run):
+    cfg = small_config(tmp_path)
+    run(cfg)
+    db = generation_pool(cfg)
+    for rep in range(cfg.repetitions):
+        _, _, test_idx = _resplit(db, cfg, rep)
+        assert times_scored(db.features_matrix()[test_idx]) == 1
+
+
 def test_triage_study_curves(tmp_path):
     cfg = small_config(tmp_path)
     out = run_triage_study(cfg)
@@ -188,6 +199,15 @@ def test_sensitivity_curves_differ_when_distorted(tmp_path):
     for r in rows:
         by_curve.setdefault(r["curve"], []).append(float(r["residual_risk"]))
     assert by_curve["superposed"][0] >= by_curve["unperturbed"][0]
+
+
+def test_sensitivity_scores_each_model_once(tmp_path, times_scored):
+    # six ranked curves and the standard one share one score per model
+    cfg = small_config(tmp_path)
+    run_sensitivity_study(cfg)
+    db = generation_pool(cfg)
+    _, _, test_idx = _resplit(db, cfg, 0)
+    assert times_scored(db.features_matrix()[test_idx]) == len(ALL_LINES)
 
 
 def test_runner_isolation(tmp_path):

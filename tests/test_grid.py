@@ -1,6 +1,7 @@
 """Grid engine tests: DC power flow, DC-OPF, and the security oracle."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from riskgate.grid import (
     grid_from_dict,
     grid_to_dict,
     load_grid,
-    save_grid,
     six_bus,
     solve_dc_power_flow,
     solve_dcopf,
@@ -377,17 +377,6 @@ def test_infeasible_load_returns_flag():
     assert sol.outputs is None and sol.cost is None
 
 
-def test_redispatch_bounds_restrict_solution():
-    g = six_bus_relaxed()
-    loads = np.zeros(6)
-    loads[3:] = 50.0
-    base = np.array([50.0, 50.0, 50.0])
-    sol = solve_dcopf(g, loads, redispatch_bounds=(base, 10.0))
-    assert sol.feasible
-    assert np.all(np.abs(sol.outputs - base) <= 10.0 + 1e-9)
-    assert abs(sol.outputs.sum() - 150.0) < 1e-6
-
-
 # -- security assessment ------------------------------------------------------
 
 def test_secure_without_redispatch():
@@ -442,7 +431,7 @@ def test_redispatch_rescues_overload():
 def test_monotone_in_corrective_range():
     g = six_bus()
     rng = np.random.default_rng(5)
-    from riskgate.scenario_gen import sample_loads
+    from test_scenario_gen import sample_loads
 
     triples = sample_loads(25, seed=9)
     for triple in triples:
@@ -468,6 +457,11 @@ def test_assessment_deterministic():
 
 
 # -- network.json ---------------------------------------------------------
+
+def save_grid(grid, path):
+    """Write ``network.json`` as ``load_grid`` reads it."""
+    path.write_text(json.dumps(grid_to_dict(grid), indent=2) + "\n")
+
 
 def test_network_roundtrip(tmp_path):
     g = six_bus()

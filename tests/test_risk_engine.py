@@ -126,20 +126,9 @@ def test_perturbation():
 
 # -- ranking ----------------------------------------------------------------
 
-class FakeModel:
-    """Deterministic stand-in emitting a fixed probability per condition."""
-
-    def __init__(self, probs):
-        self.probs = np.asarray(probs, dtype=float)
-
-    def probability(self, features):
-        return self.probs[: len(np.atleast_2d(features))]
-
-
 def test_rank_single_scenario():
     params = {3: params_for()}
-    models = {3: FakeModel([0.9])}
-    ranked = rank_scenarios(np.zeros((1, 23)), [0], [1.0], models, params)
+    ranked = rank_scenarios({3: [0.9]}, [1.0], params)
     assert len(ranked) == 1
     rs, ri = prediction_risks(0.9, params[3])
     assert ranked.risk[0] == pytest.approx(min(rs, ri))
@@ -149,13 +138,12 @@ def test_rank_single_scenario():
 def test_rank_sorting_and_ties():
     params = {1: ContingencyParams(1, 0.5, 2.0, 2.0)}
     # residual risk of insecure prediction = p1 (cost 2 * 0.5 * p1)
-    models = {1: FakeModel([0.3, 0.1, 0.2])}
-    ranked = rank_scenarios(np.zeros((3, 23)), [0, 1, 2], uniform_condition_probabilities(3), models, params)
+    ranked = rank_scenarios({1: [0.3, 0.1, 0.2]}, uniform_condition_probabilities(3), params)
     assert ranked.condition.tolist() == [0, 2, 1]
     # exact ties break on (contingency, condition) ascending
-    models = {1: FakeModel([0.2, 0.2, 0.2]), 2: FakeModel([0.2, 0.2, 0.2])}
+    probabilities = {1: [0.2, 0.2, 0.2], 2: [0.2, 0.2, 0.2]}
     params = {1: ContingencyParams(1, 0.5, 2.0, 2.0), 2: ContingencyParams(2, 0.5, 2.0, 2.0)}
-    ranked = rank_scenarios(np.zeros((3, 23)), [0, 1, 2], uniform_condition_probabilities(3), models, params)
+    ranked = rank_scenarios(probabilities, uniform_condition_probabilities(3), params)
     assert list(zip(ranked.contingency.tolist(), ranked.condition.tolist())) == [
         (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
@@ -164,24 +152,23 @@ def test_rank_columns_match_per_scenario_sort():
     # reference: one row per pair, sorted by (-risk, contingency, condition)
     rng = np.random.default_rng(31)
     n = 40
-    ids = (rng.permutation(n) * 3).tolist()  # ids are not row positions
     p_cond = rng.choice([1.0, 2.0], n)
     p_cond /= p_cond.sum()
     params = {c: ContingencyParams.from_cost_ratio(c, p, r)
               for c, p, r in [(7, 0.01, 0.9), (2, 0.01, 0.9), (5, 0.002, 0.99)]}
-    models = {c: FakeModel(rng.choice([0.1, 0.5, 0.95], n)) for c in params}  # many exact ties
-    ranked = rank_scenarios(np.zeros((n, 23)), ids, p_cond, models, params)
+    probabilities = {c: rng.choice([0.1, 0.5, 0.95], n) for c in params}  # many exact ties
+    ranked = rank_scenarios(probabilities, p_cond, params)
 
     rows = []
     for c in sorted(params):
-        p1 = models[c].probs
+        p1 = probabilities[c]
         labels, residual = risk_optimal_predict(p1, params[c])
         for k in range(n):
-            rows.append((ids[k], c, float(p_cond[k]), float(p_cond[k] * params[c].probability),
+            rows.append((k, c, float(p_cond[k] * params[c].probability),
                          float(p1[k]), int(labels[k]), float(p_cond[k] * residual[k])))
-    rows.sort(key=lambda r: (-r[6], r[1], r[0]))
-    columns = (ranked.condition, ranked.contingency, ranked.condition_probability,
-               ranked.scenario_probability, ranked.probability_estimate, ranked.predicted_label, ranked.risk)
+    rows.sort(key=lambda r: (-r[5], r[1], r[0]))
+    columns = (ranked.condition, ranked.contingency, ranked.scenario_probability,
+               ranked.probability_estimate, ranked.predicted_label, ranked.risk)
     assert len(ranked) == len(rows) == 3 * n
     for j, column in enumerate(columns):
         assert column.tolist() == [r[j] for r in rows]
@@ -189,12 +176,17 @@ def test_rank_columns_match_per_scenario_sort():
 
 def test_missing_model_raises():
     with pytest.raises(MissingModel):
-        rank_scenarios(np.zeros((1, 23)), [0], [1.0], {}, {3: params_for()})
+        rank_scenarios({}, [1.0], {3: params_for()})
 
 
 def test_probabilities_must_sum_to_one():
     with pytest.raises(ValueError):
-        rank_scenarios(np.zeros((2, 23)), [0, 1], [0.7, 0.7], {3: FakeModel([0.5, 0.5])}, {3: params_for()})
+        rank_scenarios({3: [0.5, 0.5]}, [0.7, 0.7], {3: params_for()})
+
+
+def test_probability_column_must_cover_every_condition():
+    with pytest.raises(ValueError, match="2 probabilities for 3 conditions"):
+        rank_scenarios({3: [0.5, 0.5]}, uniform_condition_probabilities(3), {3: params_for()})
 
 
 # -- triage ---------------------------------------------------------------
@@ -202,11 +194,7 @@ def test_probabilities_must_sum_to_one():
 def make_ranked(n=6, contingency=1, probability=0.01, ratio=0.99):
     params = {contingency: ContingencyParams.from_cost_ratio(contingency, probability, ratio)}
     rng = np.random.default_rng(5)
-    probs = rng.uniform(0, 1, n)
-    models = {contingency: FakeModel(probs)}
-    ranked = rank_scenarios(
-        np.zeros((n, 23)), list(range(n)), uniform_condition_probabilities(n), models, params
-    )
+    ranked = rank_scenarios({contingency: rng.uniform(0, 1, n)}, uniform_condition_probabilities(n), params)
     return ranked, params
 
 

@@ -8,13 +8,21 @@ import pytest
 from riskgate.errors import GenerationStalled, InvalidCorrelation, MalformedFile
 from riskgate.grid import six_bus
 from riskgate.scenario_gen import (
+    LOAD_CORRELATION,
     LabeledDatabase,
+    _copula_cholesky,
+    _draw_load_triple,
     build_database,
     kumaraswamy_ppf,
     load_database,
-    sample_loads,
     save_database,
 )
+
+
+def sample_loads(n, seed, correlation=LOAD_CORRELATION, dim=3):
+    """``n`` correlated load tuples (MW), row ``i`` from the stream ``build_database`` draws first."""
+    chol = _copula_cholesky(correlation, dim)
+    return np.array([_draw_load_triple(np.random.default_rng([seed, i, 0]), chol, dim) for i in range(n)])
 
 
 # -- marginal transform ---------------------------------------------------

@@ -10,6 +10,7 @@ shipped experiments.  Exit codes: 0 success, 2 configuration error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,10 +22,11 @@ from .calibration import CalibratedEnsemble, brier_score, calibrated_probability
 from .errors import ConfigError, DataError, EmptyDatabase
 from .experiments import EXPERIMENT_NAMES, RUNNERS, ExperimentConfig
 from .grid import assess_security, load_grid, six_bus
-from .learner import ensemble_score, load_model, save_model, train_adaboost
+from .learner import MODES, ensemble_score, load_model, save_model, train_adaboost
 from .risk_engine import (
     PROBABILITY_SUM_TOL,
     ContingencyParams,
+    alarm_masks,
     load_contingency_params,
     rank_scenarios,
     residual_risk_estimate,
@@ -51,7 +53,7 @@ def _add_train(sub):
     p.add_argument("--data", required=True)
     p.add_argument("--contingency", type=int, required=True)
     p.add_argument("--rounds", type=int, default=100)
-    p.add_argument("--mode", choices=("samme", "samme.r"), default="samme.r")
+    p.add_argument("--mode", choices=MODES, default="samme.r")
     p.add_argument("--k-folds", type=int, default=3)
     p.add_argument("--out", required=True, help="output model.json")
 
@@ -91,10 +93,10 @@ def _add_experiment(sub):
     p.add_argument("name", choices=EXPERIMENT_NAMES)
     p.add_argument("--config", help="ExperimentConfig JSON")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--bins", type=int)
     p.add_argument("--rounds", type=int)
-    p.add_argument("--mode", choices=("samme", "samme.r"))
+    p.add_argument("--mode", choices=MODES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,12 +196,13 @@ def _cmd_triage(args) -> int:
     db = load_database(args.data)
     grid = _grid_from_args(args)
     params = load_contingency_params(args.contingencies_file)
-    models = {}
+    models, paths = {}, {}
     for path in args.models.split(","):
         ens, contingency, cal = load_model(path)
         if contingency is None:
             raise ConfigError(f"{path}: model carries no contingency id")
         models[contingency] = CalibratedEnsemble(ensemble=ens, contingency=contingency, params=cal)
+        paths[contingency] = path
     missing = sorted(set(params) - set(models))
     if missing:
         raise ConfigError(f"no model supplied for contingencies {missing}")
@@ -211,7 +214,13 @@ def _cmd_triage(args) -> int:
     p_cond = (_load_condition_probs(args.condition_probs, n)
               if args.condition_probs else uniform_condition_probabilities(n))
     x = db.features_matrix("test")
-    ranked = rank_scenarios({c: models[c].probability(x) for c in params}, p_cond, params)
+    probabilities = {}
+    for c in params:
+        try:
+            probabilities[c] = models[c].probability(x)
+        except ValueError as exc:  # a stump past the data's width
+            raise ConfigError(f"{paths[c]}: {exc}") from exc
+    ranked = rank_scenarios(probabilities, p_cond, params)
     loads = bus_loads(grid, [cond.loads for cond in test])
 
     def oracle(condition, contingency):
@@ -237,8 +246,7 @@ def _cmd_evaluate(args) -> int:
     probs = calibrated_probability(cal, scores)
     labels, _ = risk_optimal_predict(probs, params)
     votes = (scores >= 0.5).astype(int)
-    missed = int(np.sum((y == 0) & (labels == 1)))
-    false = int(np.sum((y == 1) & (labels == 0)))
+    missed, false = (int(mask.sum()) for mask in alarm_masks(labels, y))
     metrics = {
         "contingency": contingency,
         "n_test": int(len(y)),
@@ -261,19 +269,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.bins is not None:
-        overrides["bins"] = args.bins
-    if args.rounds is not None:
-        overrides["rounds"] = args.rounds
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if overrides:
-        config = ExperimentConfig(**{**config.to_dict(), **overrides})
+    overrides = {name: getattr(args, name) for name in ("seed", "out_dir", "bins", "rounds", "mode")}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     out = RUNNERS[args.name](config)
     print(f"experiment {args.name} complete: outputs in {out}")
     return 0

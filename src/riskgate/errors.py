@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the JSON file reader.
 
 ``ConfigError`` subclasses signal malformed inputs (bad files, bad
 parameters) and map to CLI exit code 2; ``DataError`` subclasses signal
 problems with otherwise well-formed data (degenerate training sets,
 stalled generation) and map to exit code 3.
 """
+
+import json
+from pathlib import Path
 
 
 class RiskgateError(Exception):
@@ -54,6 +57,14 @@ class MalformedFile(ConfigError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_json(path):
+    """Parse the JSON file at ``path``; a syntax error raises MalformedFile naming the file and line."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(f"invalid JSON in {path}: {exc.msg} (column {exc.colno})", line=exc.lineno) from exc
 
 
 class VersionMismatch(ConfigError):

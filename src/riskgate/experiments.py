@@ -14,6 +14,7 @@ re-cuts train/calibration/test at the configured sizes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -23,9 +24,10 @@ import numpy as np
 
 from . import __version__
 from .calibration import CalibratedEnsemble, brier_score, calibrated_probability, fit_platt, reliability_csv
-from .errors import SingleClassCalibration, SingleClassData
+from .errors import MalformedFile, SingleClassCalibration, SingleClassData, read_json
 from .grid import six_bus
 from .learner import (
+    MODES,
     Ensemble,
     ensemble_score,
     train_adaboost,
@@ -36,6 +38,7 @@ from .learner import (
 )
 from .risk_engine import (
     ContingencyParams,
+    alarm_masks,
     decision_threshold,
     perturb_params,
     random_assessment_order,
@@ -82,41 +85,25 @@ class ExperimentConfig:
     bins: int = 10
     repetitions: int = 10
     alpha: float = 10.0
-    alpha_target: str = "both"
     out_dir: str = "out"
 
     def __post_init__(self):
         object.__setattr__(self, "splits", tuple(int(v) for v in self.splits))
         if sum(self.splits) != self.n:
             raise ValueError(f"splits {self.splits} must sum to n={self.n}")
-        if self.mode not in ("samme", "samme.r"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown boosting mode {self.mode!r}")
-        if self.alpha_target not in ("costs", "probabilities", "both"):
-            raise ValueError(f"unknown perturbation target {self.alpha_target!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        from .errors import MalformedFile
-
+        doc = read_json(path)
         try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise MalformedFile(f"invalid JSON in config: {exc}", line=exc.lineno) from exc
-        try:
-            if "splits" in doc:
-                doc["splits"] = tuple(int(v) for v in doc["splits"])
             return cls(**doc)
         except TypeError as exc:
-            raise MalformedFile(f"bad config field: {exc}") from exc
+            raise MalformedFile(f"{path}: bad config field: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "splits": list(self.splits), "seed": self.seed,
-            "rounds": self.rounds, "mode": self.mode, "k_folds": self.k_folds,
-            "max_tree_depth": self.max_tree_depth, "bins": self.bins,
-            "repetitions": self.repetitions, "alpha": self.alpha,
-            "alpha_target": self.alpha_target, "out_dir": str(self.out_dir),
-        }
+        return {**dataclasses.asdict(self), "out_dir": str(self.out_dir)}
 
 
 BUDGET_STRIDE_THRESHOLD = 3000  # larger sweeps step budgets by BUDGET_STRIDE
@@ -195,6 +182,12 @@ def draw_contingency_params(contingencies, seed: int) -> dict[int, ContingencyPa
     return out
 
 
+def _output_dir(config: ExperimentConfig) -> Path:
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_manifest(config: ExperimentConfig, experiment: str, out_dir: Path, extras: dict) -> None:
     doc = config.to_dict()
     study = {k: v for k, v in doc.items() if k != "out_dir"}  # the output directory is not part of the study
@@ -215,22 +208,20 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def _error_rates(pred, truth):
     """(overall error, false-alarm rate, missed-alarm rate), per-class rates."""
-    pred = np.asarray(pred, dtype=int)
-    truth = np.asarray(truth, dtype=int)
-    overall = float(np.mean(pred != truth))
-    secure = truth == 1
-    insecure = ~secure
-    false_alarm = float(np.mean(pred[secure] == 0)) if secure.any() else 0.0
-    missed_alarm = float(np.mean(pred[insecure] == 1)) if insecure.any() else 0.0
+    missed, false = alarm_masks(pred, truth)
+    n_secure = int(np.sum(truth == 1))
+    n_insecure = len(truth) - n_secure
+    overall = float(np.mean(missed | false))
+    false_alarm = int(false.sum()) / n_secure if n_secure else 0.0
+    missed_alarm = int(missed.sum()) / n_insecure if n_insecure else 0.0
     return overall, false_alarm, missed_alarm
 
 
 # -- study 1: class imbalance --------------------------------------------------
 
-def run_imbalance_study(config: ExperimentConfig, out_dir=None) -> Path:
+def run_imbalance_study(config: ExperimentConfig) -> Path:
     """Per-class test errors of a depth-limited tree on lines 5 and 6."""
-    out = Path(out_dir or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     db = generation_pool(config)
     x = db.features_matrix()
     contingencies = (5, 6)
@@ -260,7 +251,7 @@ def run_imbalance_study(config: ExperimentConfig, out_dir=None) -> Path:
 
 # -- study 2: calibration -------------------------------------------------
 
-def run_calibration_study(config: ExperimentConfig, out_dir=None) -> Path:
+def run_calibration_study(config: ExperimentConfig) -> Path:
     """Brier score of raw scores vs calibrated probabilities on the test set.
 
     The uncalibrated score here is the discrete weighted-vote share
@@ -268,10 +259,9 @@ def run_calibration_study(config: ExperimentConfig, out_dir=None) -> Path:
     exactly the distortion calibration exists to repair; the real-valued
     mode's logistic margin is already near-calibrated and shows no effect.
     """
-    out = Path(out_dir or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     contingency = CALIBRATION_CONTINGENCY
-    study_config = ExperimentConfig(**{**config.to_dict(), "mode": CALIBRATION_SCORE_MODE})
+    study_config = dataclasses.replace(config, mode=CALIBRATION_SCORE_MODE)
     db = generation_pool(config)
     x = db.features_matrix()
     y = db.label_vector(contingency)
@@ -320,15 +310,14 @@ def _threshold_variants(db, x, train_idx, calib_idx, test_idx, contingency, conf
     }
 
 
-def run_threshold_study(config: ExperimentConfig, out_dir=None) -> Path:
+def run_threshold_study(config: ExperimentConfig) -> Path:
     """Residual-risk grid over cost ratios for five classifier variants.
 
     The contingency probability is identified with the insecure-class
     prior of the training split, and the whole test set stays on machine
     learning (no conventional assessments).
     """
-    out = Path(out_dir or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     contingency = THRESHOLD_CONTINGENCY
     db = generation_pool(config)
     x = db.features_matrix()
@@ -348,10 +337,9 @@ def run_threshold_study(config: ExperimentConfig, out_dir=None) -> Path:
             for variant in variants:
                 fixed, proba = preds[variant]
                 labels = fixed if proba is None else (proba > z).astype(int)
-                missed = int(np.sum((truth == 0) & (labels == 1)))
-                false = int(np.sum((truth == 1) & (labels == 0)))
+                missed, false = alarm_masks(labels, truth)
                 totals[(variant, ratio)] += residual_risk_estimate(
-                    missed, false, ratio, prior_insecure, len(test_idx))
+                    int(missed.sum()), int(false.sum()), ratio, prior_insecure, len(test_idx))
 
     rows = [
         (variant, f"{ratio:.17g}", f"{totals[(variant, ratio)] / config.repetitions:.17g}")
@@ -419,10 +407,9 @@ def _write_curve(path: Path, curve, name: str) -> dict:
 
 # -- study 4: single-contingency triage -----------------------------------------
 
-def run_triage_study(config: ExperimentConfig, out_dir=None) -> Path:
+def run_triage_study(config: ExperimentConfig) -> Path:
     """Budgeted verification curves for the three assessment strategies."""
-    out = Path(out_dir or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     db = generation_pool(config)
     c = TRIAGE_CONTINGENCY
     params_by_c = {c: TRIAGE_PARAMS}
@@ -445,10 +432,9 @@ def run_triage_study(config: ExperimentConfig, out_dir=None) -> Path:
 
 # -- study 5: several contingencies ---------------------------------------------
 
-def run_multi_contingency_study(config: ExperimentConfig, out_dir=None) -> Path:
+def run_multi_contingency_study(config: ExperimentConfig) -> Path:
     """Joint triage across two contingencies and across all eleven lines."""
-    out = Path(out_dir or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     db = generation_pool(config)
     drawn = draw_contingency_params(ALL_LINES, config.seed)
     extras = {
@@ -469,10 +455,9 @@ def run_multi_contingency_study(config: ExperimentConfig, out_dir=None) -> Path:
 
 # -- study 6: parameter sensitivity ---------------------------------------------
 
-def run_sensitivity_study(config: ExperimentConfig, out_dir=None) -> Path:
+def run_sensitivity_study(config: ExperimentConfig) -> Path:
     """True-risk curves when ranking uses distorted costs/probabilities."""
-    out = Path(out_dir or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     db = generation_pool(config)
     true_params = draw_contingency_params(ALL_LINES, config.seed)
     alpha = config.alpha
@@ -485,9 +470,8 @@ def run_sensitivity_study(config: ExperimentConfig, out_dir=None) -> Path:
         "superposed": {c: perturb_params(p, alpha, "both") for c, p in true_params.items()},
     }
 
-    target_curve = {"costs": "cost_up", "probabilities": "prob_up", "both": "superposed"}[config.alpha_target]
     rows = []
-    extras = {"alpha": alpha, "target_curve": target_curve}
+    extras = {"alpha": alpha}
     curves = _budget_curves(db, config, _fit_models(db, config, ALL_LINES), true_params, rankings)
     for name, (bud, _, _, risk) in curves.items():
         rows += [(name, int(s), f"{r:.17g}") for s, r in zip(bud, risk)]

@@ -23,11 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
-from .errors import IslandedNetwork, MalformedFile, SingularSystem
+from .errors import IslandedNetwork, MalformedFile, SingularSystem, read_json
 from .simplex import solve_lp
 
 BALANCE_TOL = 1e-6  # MW; residual beyond this is an error, never absorbed
@@ -333,18 +332,16 @@ def grid_from_dict(data: dict) -> GridModel:
             ),
             base_mva=float(data.get("base_mva", 100.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, MalformedFile):
-            raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: not a JSON object
         raise MalformedFile(f"bad network description: {exc}") from exc
 
 
 def load_grid(path) -> GridModel:
+    data = read_json(path)
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"invalid JSON in network file: {exc}", line=exc.lineno) from exc
-    return grid_from_dict(data)
+        return grid_from_dict(data)
+    except MalformedFile as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
 
 
 def six_bus() -> GridModel:

@@ -20,13 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateData, MalformedFile, SingleClassData, VersionMismatch
+from .errors import DegenerateData, MalformedFile, SingleClassData, VersionMismatch, read_json
 
 LEAF_EPS = 1e-6  # probability clamp applied before any logarithm
 _TIE_TOL = 1e-12  # impurity window treated as a tie (lexicographic winner)
 _ERR_FLOOR = 1e-10  # weighted-error clamp for discrete stump weights
 
 MODEL_SCHEMA_VERSION = 1
+MODES = ("samme", "samme.r")  # discrete vote weights, real-valued half-log-odds
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def train_stump(features, labels, weights=None) -> Stump:
 class Ensemble:
     """Boosted stump ensemble; ``weights`` is None in real-valued mode."""
 
-    mode: str  # "samme" | "samme.r"
+    mode: str  # one of MODES
     stumps: list[Stump]
     weights: list[float] | None
 
@@ -242,7 +243,7 @@ def train_adaboost(features, labels, rounds: int = 100, mode: str = "samme.r", k
     SingleClassData
         If the training split contains only one class.
     """
-    if mode not in ("samme", "samme.r"):
+    if mode not in MODES:
         raise ValueError(f"unknown boosting mode {mode!r}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -408,19 +409,18 @@ def save_model(path, ensemble: Ensemble, contingency: int | None = None, calibra
 def load_model(path):
     """Read ``model.json``; returns (ensemble, contingency, calibration).
 
-    ``calibration`` is a PlattParams or None.  A negative stump feature is
-    rejected here; one past the data's width, when the model is scored.
+    ``calibration`` is a PlattParams or None.  The mode must be one of
+    ``MODES``, with one weight per stump in ``"samme"`` and null weights
+    in ``"samme.r"``.  A negative stump feature is rejected here; one past
+    the data's width, when the model is scored.
     """
     from .calibration import PlattParams
 
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"invalid JSON in model file: {exc}", line=exc.lineno) from exc
+    doc = read_json(path)
     try:
         version = doc["version"]
         if version != MODEL_SCHEMA_VERSION:
-            raise VersionMismatch(f"unsupported model version {version!r}")
+            raise VersionMismatch(f"{path}: unsupported model version {version!r}")
         stumps = [
             Stump(
                 feature=None if s["feature"] is None else int(s["feature"]),
@@ -432,14 +432,18 @@ def load_model(path):
         ]
         negative = [s.feature for s in stumps if s.feature is not None and s.feature < 0]
         if negative:
-            raise MalformedFile(f"stump feature {negative[0]} is negative")
-        ensemble = Ensemble(
-            mode=str(doc["mode"]),
-            stumps=stumps,
-            weights=None if doc["weights"] is None else [float(v) for v in doc["weights"]],
-        )
+            raise MalformedFile(f"{path}: stump feature {negative[0]} is negative")
+        mode, weights = doc["mode"], doc["weights"]
+        if mode not in MODES:
+            raise MalformedFile(f"{path}: unknown boosting mode {mode!r}, expected one of {MODES}")
+        if mode == "samme" and (weights is None or len(weights) != len(stumps)):
+            raise MalformedFile(f"{path}: a samme model needs one weight per stump ({len(stumps)})")
+        if mode != "samme" and weights is not None:
+            raise MalformedFile(f"{path}: a {mode} model needs null weights")
+        ensemble = Ensemble(mode=mode, stumps=stumps,
+                            weights=None if weights is None else [float(v) for v in weights])
         cal = doc.get("calibration")
         params = None if cal is None else PlattParams(a=float(cal["a"]), b=float(cal["b"]))
         return ensemble, doc.get("contingency"), params
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFile(f"bad model description: {exc}") from exc
+        raise MalformedFile(f"{path}: bad model description: {exc}") from exc

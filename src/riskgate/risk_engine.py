@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingModel, NonPositiveCost
+from .errors import MalformedFile, MissingModel, NonPositiveCost, read_json
 
 _PROB_CEIL = 1.0 - 1e-9
 PROBABILITY_SUM_TOL = 1e-9  # condition probabilities must sum to 1 within this
@@ -89,6 +89,17 @@ def risk_optimal_predict(probability_estimate, params: ContingencyParams):
         return 0, risk_insecure
     label = (risk_secure < risk_insecure).astype(int)
     return label, np.where(label == 1, risk_secure, risk_insecure)
+
+
+def alarm_masks(predicted, truth):
+    """(missed, false) alarm masks; label 1 is secure.
+
+    A missed alarm predicts secure where the truth is insecure, a false
+    alarm predicts insecure where the truth is secure.
+    """
+    pred = np.asarray(predicted, dtype=int)
+    true = np.asarray(truth, dtype=int)
+    return (true == 0) & (pred == 1), (true == 1) & (pred == 0)
 
 
 def residual_risk_estimate(missed_alarms: int, false_alarms: int, ratio: float,
@@ -260,8 +271,6 @@ def residual_error_curves(contingencies, predicted, truth, params_by_contingency
     by the oracle and carry no residual error).
     """
     c_ids = np.asarray(contingencies)
-    pred = np.asarray(predicted, dtype=int)
-    true = np.asarray(truth, dtype=int)
     n = len(c_ids)
     if budgets is None:
         budgets = np.arange(n + 1)
@@ -269,8 +278,7 @@ def residual_error_curves(contingencies, predicted, truth, params_by_contingency
     if np.any(budgets < 0) or np.any(budgets > n):
         raise ValueError("budgets must lie in [0, number of scenarios]")
 
-    is_missed = ((true == 0) & (pred == 1)).astype(float)
-    is_false = ((true == 1) & (pred == 0)).astype(float)
+    is_missed, is_false = (mask.astype(float) for mask in alarm_masks(predicted, truth))
     weight = np.empty(n)
     for c in np.unique(c_ids):
         p = params_by_contingency[int(c)]
@@ -310,14 +318,7 @@ def load_contingency_params(path) -> dict[int, ContingencyParams]:
     Each entry names a line id and probability, plus either ``cost_ratio``
     or the pair ``c_f1``/``c_f0``.
     """
-    import json
-
-    from .errors import MalformedFile
-
-    try:
-        entries = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"invalid JSON in contingency file: {exc}", line=exc.lineno) from exc
+    entries = read_json(path)
     out: dict[int, ContingencyParams] = {}
     try:
         for entry in entries:
@@ -329,9 +330,9 @@ def load_contingency_params(path) -> dict[int, ContingencyParams]:
                 params = ContingencyParams(line_id, prob, float(entry["c_f1"]), float(entry["c_f0"]))
             out[line_id] = params
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFile(f"bad contingency entry: {exc}") from exc
+        raise MalformedFile(f"{path}: bad contingency entry: {exc}") from exc
     if not out:
-        raise MalformedFile("contingency file lists no contingencies")
+        raise MalformedFile(f"{path}: contingency file lists no contingencies")
     return out
 
 

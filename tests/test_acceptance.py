@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,18 +52,18 @@ def pool(config):
 @pytest.fixture(scope="session")
 def triage_outputs(config, tmp_path_factory):
     start = time.perf_counter()
-    out = run_triage_study(config, out_dir=tmp_path_factory.mktemp("triage"))
+    out = run_triage_study(replace(config, out_dir=tmp_path_factory.mktemp("triage")))
     return out, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
 def multi_outputs(config, tmp_path_factory):
-    return run_multi_contingency_study(config, out_dir=tmp_path_factory.mktemp("multi"))
+    return run_multi_contingency_study(replace(config, out_dir=tmp_path_factory.mktemp("multi")))
 
 
 @pytest.fixture(scope="session")
 def sensitivity_outputs(config, tmp_path_factory):
-    return run_sensitivity_study(config, out_dir=tmp_path_factory.mktemp("sens"))
+    return run_sensitivity_study(replace(config, out_dir=tmp_path_factory.mktemp("sens")))
 
 
 def read_curve(path, value="residual_risk", curve=None):
@@ -146,7 +147,7 @@ def test_criterion_2_lp_oracle_equivalence():
 def test_criterion_3_calibration_effect(config, pool, tmp_path_factory):
     """Calibration halves the binned Brier score and lands below 0.02."""
     start = time.perf_counter()
-    out = run_calibration_study(config, out_dir=tmp_path_factory.mktemp("cal"))
+    out = run_calibration_study(replace(config, out_dir=tmp_path_factory.mktemp("cal")))
     elapsed = time.perf_counter() - start
     extras = json.loads((out / "manifest.json").read_text())["extras"]
     uncal = extras["mean_uncalibrated"]
@@ -163,7 +164,7 @@ def test_criterion_3_calibration_effect(config, pool, tmp_path_factory):
 
 def test_criterion_4_imbalance_direction(config, pool, tmp_path_factory):
     """Class imbalance shows up as missed alarms dominating false alarms."""
-    out = run_imbalance_study(config, out_dir=tmp_path_factory.mktemp("imb"))
+    out = run_imbalance_study(replace(config, out_dir=tmp_path_factory.mktemp("imb")))
     extras = json.loads((out / "manifest.json").read_text())["extras"]
     pi1_imbalanced = extras["pool_priors"]["5"]["secure"]
     pi1_balanced = extras["pool_priors"]["6"]["secure"]

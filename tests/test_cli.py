@@ -4,11 +4,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from riskgate import cli
 from riskgate.cli import main
+from riskgate.errors import MalformedFile
+from riskgate.experiments import ExperimentConfig
 from riskgate.grid import Bus, Generator, GridModel, Line, six_bus
+from riskgate.learner import MODES, Ensemble, load_model, save_model, train_stump
 from riskgate.scenario_gen import load_database, save_database
 
 from test_bench import load_tracing
@@ -196,12 +200,19 @@ def no_test_split(dataset, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_models(trained, tmp_path_factory):
-    """Copies of the line-6 model whose first stump reads feature 40 (of 23) or -1."""
+    """Copies of the line-6 samme model, each with one defect."""
     tmp = tmp_path_factory.mktemp("bad_models")
+    defects = {
+        "feature40": lambda doc: doc["stumps"][0].update(feature=40),  # the data has 23 columns
+        "negative_feature": lambda doc: doc["stumps"][0].update(feature=-1),
+        "unknown_mode": lambda doc: doc.update(mode="SAMME"),
+        "null_weights": lambda doc: doc.update(weights=None),
+        "short_weights": lambda doc: doc.update(weights=doc["weights"][:-1]),
+    }
     paths = {}
-    for name, feature in (("feature40", 40), ("negative_feature", -1)):
+    for name, defect in defects.items():
         doc = json.loads(Path(trained["model6"]).read_text())
-        doc["stumps"][0]["feature"] = feature
+        defect(doc)
         paths[name] = tmp / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
     return paths
@@ -224,10 +235,17 @@ def bad_models(trained, tmp_path_factory):
       "--cost-ratio", "0.9"], 2, "stump feature -1 is negative"),
     (["calibrate", "--data", "{data}", "--model", "{feature40}"], 2, "model reads feature 40"),
     (["triage", "--data", "{data}", "--models", "{models},{feature40}", "--contingencies-file", "{contingencies}",
-      "--budget", "12"], 2, "model reads feature 40"),
+      "--budget", "12"], 2, "feature40.json: model reads feature 40"),
+    (["evaluate", "--data", "{data}", "--model", "{unknown_mode}", "--probability", "0.0001", "--cost-ratio", "0.9"],
+     2, "unknown_mode.json: unknown boosting mode 'SAMME'"),
+    (["evaluate", "--data", "{data}", "--model", "{null_weights}", "--probability", "0.0001", "--cost-ratio", "0.9"],
+     2, "null_weights.json: a samme model needs one weight per stump"),
+    (["evaluate", "--data", "{data}", "--model", "{short_weights}", "--probability", "0.0001", "--cost-ratio", "0.9"],
+     2, "short_weights.json: a samme model needs one weight per stump"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "zero-rounds", "one-fold", "unlabelled-line",
         "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
-        "calibrate-feature-past-width", "triage-feature-past-width"])
+        "calibrate-feature-past-width", "triage-feature-past-width", "unknown-mode", "null-weights",
+        "short-weights"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, bad_models, tmp_path, capsys,
                                            argv, code, message):
     out = tmp_path / "out"
@@ -235,6 +253,48 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, bad_
     assert main([arg.format(**fields) for arg in argv] + ["--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--network", "--model", "--contingencies-file", "--config"])
+def test_broken_json_input_names_the_file(dataset, trained, tmp_path, capsys, flag):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{\n  "version": 1,\n  oops\n}\n')
+    data, out = str(dataset), str(tmp_path / "out")
+    argv = {
+        "--network": ["generate", "--n", "7", "--splits", "5,1,1", "--out", out],
+        "--model": ["evaluate", "--data", data, "--probability", "0.0001", "--cost-ratio", "0.9"],
+        "--contingencies-file": ["triage", "--data", data, "--models", trained["models"], "--budget", "12",
+                                 "--out", out],
+        "--config": ["experiment", "imbalance", "--out", out],
+    }[flag]
+    assert main(argv + [flag, str(broken)]) == 2
+    assert f"line 3: invalid JSON in {broken}" in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
+def test_every_mode_check_accepts_exactly_the_learner_modes(tmp_path):
+    def accepts(check):
+        try:
+            check()
+        except (SystemExit, ValueError, MalformedFile):
+            return False
+        return True
+
+    def loads_model(mode):
+        path = tmp_path / "model.json"
+        save_model(path, Ensemble(mode, [train_stump(np.zeros((2, 1)), [1, 1])], [1.0] if mode == "samme" else None))
+        load_model(path)
+
+    parser = cli.build_parser()
+    for mode in MODES + ("SAMME", "samme_r", ""):
+        verdicts = [
+            accepts(lambda: parser.parse_args(["train", "--data", "d", "--contingency", "6", "--out", "m",
+                                               "--mode", mode])),
+            accepts(lambda: parser.parse_args(["experiment", "imbalance", "--mode", mode])),
+            accepts(lambda: ExperimentConfig(mode=mode)),
+            accepts(lambda: loads_model(mode)),
+        ]
+        assert verdicts == [mode in MODES] * 4, mode
 
 
 def test_twelve_line_network_generates_and_trains(tmp_path):
@@ -273,8 +333,6 @@ def test_generate_bad_integer_list_is_config_error(tmp_path, capsys, flag, value
 def test_exit_code_data_error(dataset, tmp_path):
     # contingency 5 exists but asking for an unlabeled one is a config error;
     # a single-class training split is a data error (exit 3)
-    import numpy as np
-
     from riskgate.scenario_gen import LabeledDatabase, OperatingCondition, save_database
 
     conditions = [

@@ -483,6 +483,9 @@ def test_malformed_network_rejected(tmp_path):
     path.write_text('{"version": 1, "buses": []}')
     with pytest.raises(MalformedFile):
         load_grid(path)
+    path.write_text("[1, 2]")  # valid JSON, but not an object
+    with pytest.raises(MalformedFile, match="bad.json"):
+        load_grid(path)
 
 
 def test_packaged_network_shape():

@@ -17,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,6 +73,20 @@ PAIR_PARAMS = {
 EXPERIMENT_NAMES = ("imbalance", "calibration", "threshold", "triage", "multi", "sensitivity")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# ExperimentConfig field checks, by the type of the field's default
+_FIELD_KINDS = {
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, (str, os.PathLike))),  # out_dir may be a Path
+    tuple: ("a list of three integers", lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+            and all(map(_is_int, v))),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int = 5875
@@ -88,6 +104,11 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, fits = _FIELD_KINDS[type(f.default)]
+            if not fits(value):
+                raise TypeError(f"{f.name} must be {kind}, got {value!r}")
         object.__setattr__(self, "splits", tuple(int(v) for v in self.splits))
         if sum(self.splits) != self.n:
             raise ValueError(f"splits {self.splits} must sum to n={self.n}")

@@ -30,6 +30,10 @@ from .errors import IslandedNetwork, MalformedFile, SingularSystem, read_json
 from .simplex import solve_lp
 
 BALANCE_TOL = 1e-6  # MW; residual beyond this is an error, never absorbed
+SECURE_TOL = 1e-9  # MW; a flow or redispatch row violated by at most this holds
+UNDECIDED_TOL = 1e-6  # MW; best-vertex violations up to this are left to the LP
+_PARALLEL_TOL = 1e-12  # |sin| of the angle below which two polygon rows are parallel
+_CHUNK_FLOATS = 1 << 15  # 256 KB of float64 per chunk of vertex violations
 
 NETWORK_SCHEMA_VERSION = 1
 
@@ -264,35 +268,87 @@ def solve_dcopf(grid: GridModel, loads) -> DispatchSolution:
     return DispatchSolution(outputs=res.x, cost=res.objective, feasible=True)
 
 
-def assess_security(grid: GridModel, loads, dispatch, contingency: int, corrective_range: float = 20.0) -> int:
-    """Label a pre-fault condition against a line-outage contingency.
+def _best_vertex_violation(grid, top, loads, lo, hi) -> np.ndarray:
+    """Per condition, the smallest largest row violation (MW) over its redispatch polygon's vertices.
 
-    Returns 1 (secure) iff some corrective redispatch within
-    ``+-corrective_range`` MW of the pre-fault outputs (intersected with
+    Three generators only: substituting the last unit through the balance
+    equality leaves a polygon in the first two outputs, cut by the 2·L
+    flow rows and the 2·3 bound rows.  The box bounds it, so it is
+    nonempty iff the crossing of some non-parallel pair of rows violates
+    no row.  Every pair is inverted once per call; the
+    ``(conditions, pairs, rows)`` violations are built a few conditions at
+    a time, ``_CHUNK_FLOATS`` values per chunk.
+    """
+    rows = np.vstack([top.a_ub, np.eye(3), -np.eye(3)])
+    plane = rows[:, :2] - rows[:, 2:]  # x3 = total - x1 - x2
+    i, j = np.triu_indices(len(plane), 1)
+    det = plane[i, 0] * plane[j, 1] - plane[i, 1] * plane[j, 0]
+    norms = np.hypot(plane[:, 0], plane[:, 1])
+    keep = np.abs(det) > _PARALLEL_TOL * norms[i] * norms[j]
+    i, j, det = i[keep], j[keep], det[keep]
+    inverse = np.array([[plane[j, 1], -plane[i, 1]], [-plane[j, 0], plane[i, 0]]]) / det  # (2, 2, pairs)
+
+    base_flow = loads @ -top.ptdf.T
+    limits = grid.line_limits
+    rhs = np.hstack([limits - base_flow, limits + base_flow, hi, -lo]) - loads.sum(axis=1)[:, None] * rows[:, 2]
+    best = np.empty(len(loads))
+    step = max(1, _CHUNK_FLOATS // (len(i) * len(plane)))
+    for s in range(0, len(loads), step):
+        r = rhs[s:s + step]
+        vertices = np.stack([inverse[a, 0] * r[:, i] + inverse[a, 1] * r[:, j] for a in (0, 1)], axis=-1)
+        violation = vertices @ plane.T
+        violation -= r[:, None, :]
+        best[s:s + step] = violation.max(axis=2).min(axis=1)
+    return best
+
+
+def assess_security(grid: GridModel, loads, dispatch, contingency: int, corrective_range: float = 20.0):
+    """Label pre-fault conditions against a line-outage contingency.
+
+    A condition is secure (1) iff some corrective redispatch within
+    ``+-corrective_range`` MW of its pre-fault outputs (intersected with
     generator limits) keeps every post-contingency line flow within its
     limit while preserving power balance.  Islanding the network counts
-    as insecure (label 0), not as an error.
+    as insecure (0), not as an error.
+
+    One condition -- ``loads`` of shape ``(n_buses,)``, ``dispatch`` of
+    shape ``(G,)`` -- returns an int; ``m`` conditions -- ``(m, n_buses)``
+    and ``(m, G)`` -- return an array of ``m`` labels.  Both forms first
+    take a condition as secure if no flow exceeds its limit by more than
+    ``SECURE_TOL`` MW, and as insecure if its redispatch box is empty.
+    One condition then goes to the LP, the reference.  The rest of a batch
+    on a three-generator network gets the vertex certificate
+    (`_best_vertex_violation`): secure if the best vertex violates no row
+    by more than ``SECURE_TOL`` MW, insecure beyond ``UNDECIDED_TOL`` MW.
+    The undecided band between, and every remaining condition when
+    G != 3, goes to the LP.
     """
     loads = np.asarray(loads, dtype=float)
     dispatch = np.asarray(dispatch, dtype=float)
     if corrective_range < 0:
         raise ValueError("corrective_range must be >= 0")
-    if abs(dispatch.sum() - loads.sum()) > BALANCE_TOL:
+    single = loads.ndim == 1
+    loads, dispatch = np.atleast_2d(loads), np.atleast_2d(dispatch)
+    if loads.ndim != 2 or len(loads) != len(dispatch):
+        raise ValueError("loads and dispatch must describe the same conditions")
+    if np.any(np.abs(dispatch.sum(axis=1) - loads.sum(axis=1)) > BALANCE_TOL):
         raise ValueError("pre-fault condition is not balanced")
+    labels = np.zeros(len(loads), dtype=int)
     top = grid.topology(contingency)
-    if top.islanded:
-        return 0
-
-    flows = top.ptdf @ (grid.incidence @ dispatch - loads)
-    if np.all(np.abs(flows) <= grid.line_limits + 1e-9):
-        return 1  # secure with zero corrective action
-
-    lo = np.maximum(grid.p_min, dispatch - corrective_range)
-    hi = np.minimum(grid.p_max, dispatch + corrective_range)
-    if np.any(lo > hi):
-        return 0
-    res = _dispatch_lp(grid, top, loads, np.zeros(len(grid.generators)), lo, hi)
-    return 1 if res.optimal else 0
+    if not top.islanded:
+        flows = (dispatch @ grid.incidence.T - loads) @ top.ptdf.T
+        labels[np.all(np.abs(flows) <= grid.line_limits + SECURE_TOL, axis=1)] = 1  # no corrective action
+        lo = np.maximum(grid.p_min, dispatch - corrective_range)
+        hi = np.minimum(grid.p_max, dispatch + corrective_range)
+        rest = np.flatnonzero((labels == 0) & np.all(lo <= hi, axis=1))
+        if not single and len(grid.generators) == 3 and rest.size:
+            best = _best_vertex_violation(grid, top, loads[rest], lo[rest], hi[rest])
+            labels[rest[best <= SECURE_TOL]] = 1
+            rest = rest[(best > SECURE_TOL) & (best <= UNDECIDED_TOL)]
+        zero_cost = np.zeros(len(grid.generators))
+        for k in rest:
+            labels[k] = int(_dispatch_lp(grid, top, loads[k], zero_cost, lo[k], hi[k]).optimal)
+    return int(labels[0]) if single else labels
 
 
 # -- network.json ------------------------------------------------------------

@@ -156,6 +156,8 @@ def build_database(
     Conditions whose loads admit no feasible pre-fault dispatch are
     resampled from the same per-condition stream (attempt counter bumps),
     keeping the load distribution unbiased within the feasible region.
+    Once every condition is dispatched, each contingency labels all of
+    them in one `grid.assess_security` call.
 
     Raises
     ------
@@ -171,7 +173,6 @@ def build_database(
     chol = _copula_cholesky(LOAD_CORRELATION, len(LOAD_BUSES))
 
     conditions: list[OperatingCondition] = []
-    labels = {c: np.zeros(n, dtype=int) for c in contingencies}
     attempts = 0
     rejects = 0
     for i in range(n):
@@ -201,9 +202,11 @@ def build_database(
                 flows=flow.flows.copy(),
             )
         )
-        for c in contingencies:
-            labels[c][i] = grid_mod.assess_security(grid, loads, dispatch.outputs, c, CORRECTIVE_RANGE_MW)
 
+    # Label one contingency at a time, for every condition at once.
+    loads = bus_loads(grid, np.array([cond.loads for cond in conditions]).reshape(n, len(LOAD_BUSES)))
+    outputs = np.array([cond.generation for cond in conditions]).reshape(n, len(grid.generators))
+    labels = {c: grid_mod.assess_security(grid, loads, outputs, c, CORRECTIVE_RANGE_MW) for c in contingencies}
     tags = [SPLIT_NAMES[0]] * splits[0] + [SPLIT_NAMES[1]] * splits[1] + [SPLIT_NAMES[2]] * splits[2]
     return LabeledDatabase(conditions=conditions, labels=labels, splits=tags, seed=seed)
 

@@ -8,10 +8,12 @@ Solves small linear programs of the form
                 lower <= x <= upper
 
 Bland's anti-cycling rule is used throughout, which makes the solver
-deterministic and guarantees termination on degenerate problems at the
-price of speed.  Problem sizes in this package are tiny (tens of rows),
-so the dense tableau is the right trade-off: no dependencies, and
-bit-identical results for identical inputs.
+deterministic and guarantees termination on degenerate problems; both of
+its scans (first improving column, then the tied leaving row with the
+smallest basis index) are array operations.  Problem sizes in this
+package are tiny (tens of rows), so the dense tableau is the right
+trade-off: no dependencies, and bit-identical results for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def solve_lp(
     b = np.where(neg, -b, b)
 
     tableau = np.hstack([full, np.eye(m), b[:, None]])
-    basis = list(range(k, k + m))  # artificials
+    basis = np.arange(k, k + m)  # artificials
 
     # Phase-2 cost row carried through phase-1 pivots so it stays canonical.
     cost_row = np.zeros(k + m + 1)
@@ -148,22 +150,18 @@ def solve_lp(
 
     def run(active_row: np.ndarray, limit: int) -> None:
         for _ in range(_MAX_ITER):
-            entering = -1
-            for j in range(limit):
-                if active_row[j] < -PIVOT_TOL:
-                    entering = j
-                    break
-            if entering < 0:
+            improving = (active_row[:limit] < -PIVOT_TOL).nonzero()[0]
+            if improving.size == 0:
                 return
+            entering = improving[0]
             col = tableau[:, entering]
             ratios = np.where(col > PIVOT_TOL, tableau[:, -1] / np.where(col > PIVOT_TOL, col, 1.0), np.inf)
-            best = np.min(ratios)
+            best = ratios.min()
             if not np.isfinite(best):
                 raise UnboundedLP("unbounded direction in simplex")
             # Bland: among tied rows, leave the smallest basis index.
-            tied = [i for i in range(m) if np.isfinite(ratios[i]) and ratios[i] <= best + PIVOT_TOL]
-            leave = min(tied, key=lambda i: basis[i])
-            pivot(leave, entering)
+            tied = (ratios <= best + PIVOT_TOL).nonzero()[0]
+            pivot(tied[basis[tied].argmin()], entering)
         raise RuntimeError("simplex iteration limit exceeded")
 
     run(phase1_row, k)
@@ -184,7 +182,6 @@ def solve_lp(
     run(cost_row, k)
 
     xfull = np.zeros(k + m)
-    for r, col in enumerate(basis):
-        xfull[col] = tableau[r, -1]
+    xfull[basis] = tableau[:, -1]
     x = lo + xfull[:n]
     return LPResult("optimal", x, float(c @ xfull[:n] + c @ lo))

@@ -242,14 +242,19 @@ def bad_models(trained, tmp_path_factory):
      2, "null_weights.json: a samme model needs one weight per stump"),
     (["evaluate", "--data", "{data}", "--model", "{short_weights}", "--probability", "0.0001", "--cost-ratio", "0.9"],
      2, "short_weights.json: a samme model needs one weight per stump"),
+    (["experiment", "calibration", "--config", "{string_rounds}"],
+     2, "string_rounds.json: bad config field: rounds must be an integer, got '6'"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "zero-rounds", "one-fold", "unlabelled-line",
         "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
         "calibrate-feature-past-width", "triage-feature-past-width", "unknown-mode", "null-weights",
-        "short-weights"])
+        "short-weights", "config-string-rounds"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, bad_models, tmp_path, capsys,
                                            argv, code, message):
     out = tmp_path / "out"
-    fields = {"data": dataset, "no_test_split": no_test_split, **trained, **bad_models}
+    string_rounds = tmp_path / "string_rounds.json"
+    string_rounds.write_text('{"rounds": "6"}\n')
+    fields = {"data": dataset, "no_test_split": no_test_split, "string_rounds": string_rounds, **trained,
+              **bad_models}
     assert main([arg.format(**fields) for arg in argv] + ["--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -63,6 +63,20 @@ def test_config_split_mismatch_rejected():
         ExperimentConfig(n=100, splits=(50, 20, 20))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rounds", "6"), ("rounds", True), ("rounds", 6.0), ("seed", None), ("alpha", "10"), ("alpha", False),
+    ("mode", 1), ("splits", [3500, "875", 1500]), ("splits", [5875]), ("splits", "3500,875,1500"),
+])
+def test_config_field_of_the_wrong_type_rejected(field, value):
+    with pytest.raises(TypeError, match=f"^{field} must be "):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_fields_accept_their_own_kinds(tmp_path):
+    cfg = ExperimentConfig(alpha=10, splits=[3500, 875, 1500], seed=np.int64(7), out_dir=tmp_path)
+    assert cfg.alpha == 10 and cfg.splits == (3500, 875, 1500) and cfg.seed == 7
+
+
 def test_drawn_params_are_from_choice_sets():
     drawn = draw_contingency_params(ALL_LINES, seed=3)
     from riskgate.experiments import COST_RATIO_CHOICES, PROBABILITY_CHOICES

@@ -456,6 +456,75 @@ def test_assessment_deterministic():
     assert len(labels) == 1
 
 
+@st.composite
+def condition_batches(draw):
+    """A random grid with 0-4 generators, balanced conditions on it, and a corrective range.
+
+    Generation is uniform within each unit's limits; the loads share out
+    its total across the buses.
+    """
+    grid, _ = draw(connected_grids())
+    bus_ids = [b.id for b in grid.buses]
+    gens = []
+    for j in range(draw(st.sampled_from([3, 3, 3, 0, 1, 2, 4]))):
+        p_min = draw(st.sampled_from([0.0, 10.0, 45.0]))
+        gens.append(Generator(j + 1, draw(st.sampled_from(bus_ids)), p_min,
+                              p_min + draw(st.sampled_from([0.0, 30.0, 200.0])), 1.0))
+    grid = dataclasses.replace(grid, generators=tuple(gens))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 8))
+    dispatch = rng.uniform(grid.p_min, grid.p_max, (m, len(gens)))
+    shares = rng.uniform(0.0, 1.0, (m, grid.n_buses)) ** 3 + 1e-3
+    loads = dispatch.sum(axis=1)[:, None] * shares / shares.sum(axis=1)[:, None]
+    corrective = draw(st.sampled_from([0.0, 0.0, 5.0, 20.0, 60.0, 200.0]))
+    return grid, loads, dispatch, corrective
+
+
+def scaled_onto_boundary(grid, loads, dispatch, contingency, corrective):
+    """The insecure condition scaled by the two closest factors in [0, 1] that the LP labels apart.
+
+    At factor 0 no line carries flow, so the condition is secure; 45
+    halvings of the interval put the pair within 3e-14 of the boundary.
+    """
+    label = lambda t: assess_security(grid, t * loads, t * dispatch, contingency, corrective)  # noqa: E731
+    secure, insecure = 0.0, 1.0
+    for _ in range(45):
+        mid = 0.5 * (secure + insecure)
+        secure, insecure = (mid, insecure) if label(mid) else (secure, mid)
+    return np.array([secure * loads, insecure * loads]), np.array([secure * dispatch, insecure * dispatch])
+
+
+@settings(max_examples=300, deadline=None)
+@given(condition_batches(), st.data())
+def test_batched_labels_equal_single_condition_labels(case, data):
+    grid, loads, dispatch, corrective = case
+    outages = [ln.id for ln in grid.lines]
+    for c in outages:
+        singles = [assess_security(grid, loads[k], dispatch[k], c, corrective) for k in range(len(loads))]
+        assert all(type(label) is int for label in singles)
+        batch = assess_security(grid, loads, dispatch, c, corrective)
+        assert batch.shape == (len(loads),)
+        assert batch.tolist() == singles
+        if grid.topology(c).islanded:
+            assert singles == [0] * len(loads)
+
+    # one insecure condition on the boundary, for a drawn outage that leaves the network whole
+    c = data.draw(st.sampled_from(outages)) if outages else None
+    if c is None or grid.topology(c).islanded:
+        return
+    insecure = [k for k in range(len(loads)) if not assess_security(grid, loads[k], dispatch[k], c, corrective)]
+    if insecure:
+        pair_loads, pair_dispatch = scaled_onto_boundary(grid, loads[insecure[0]], dispatch[insecure[0]], c,
+                                                         corrective)
+        assert assess_security(grid, np.vstack([loads, pair_loads]), np.vstack([dispatch, pair_dispatch]), c,
+                               corrective).tolist()[-2:] == [1, 0]
+
+
+def test_batched_labels_of_no_conditions():
+    g = six_bus()
+    assert assess_security(g, np.zeros((0, 6)), np.zeros((0, 3)), 5).shape == (0,)
+
+
 # -- network.json ---------------------------------------------------------
 
 def save_grid(grid, path):

@@ -9,6 +9,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from riskgate.errors import UnboundedLP
 from riskgate.simplex import solve_lp
@@ -151,3 +154,40 @@ def test_random_boxes_against_oracle():
         else:
             assert res.optimal
             assert res.objective == pytest.approx(expect, abs=1e-6)
+
+
+@st.composite
+def bounded_lps(draw):
+    """A random LP with finite bounds on every variable, so it is infeasible or has an optimum.
+
+    Every number is a multiple of 1/64, and whole problems are drawn
+    integer-valued too: their many equal ratios exercise Bland's tie
+    scan, and the grid keeps infeasibility margins far above both
+    solvers' tolerances.
+    """
+    denominator = draw(st.sampled_from([1, 64]))
+    span = 4 * denominator
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(st.integers(-span, span), min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=float).reshape(rows, cols) / denominator
+
+    n = draw(st.integers(1, 4))
+    n_eq, n_ub = draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    lower = matrix(1, n)[0]
+    upper = lower + np.abs(matrix(1, n)[0])
+    return matrix(1, n)[0], matrix(n_eq, n), matrix(1, n_eq)[0], matrix(n_ub, n), matrix(1, n_ub)[0], lower, upper
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounded_lps())
+def test_matches_highs_on_bounded_lps(lp):
+    c, a_eq, b_eq, a_ub, b_ub, lower, upper = lp
+    rows = lambda a, b: (a, b) if len(b) else (None, None)  # noqa: E731
+    res = solve_lp(c, *rows(a_eq, b_eq), *rows(a_ub, b_ub), lower=lower, upper=upper)
+    ref = linprog(c, *rows(a_ub, b_ub), *rows(a_eq, b_eq), bounds=list(zip(lower, upper)), method="highs")
+    assert ref.status in (0, 2)  # optimal or infeasible: every variable is bounded
+    assert res.status == ("optimal" if ref.status == 0 else "infeasible")
+    if res.optimal:
+        assert res.objective == pytest.approx(ref.fun, abs=1e-6)
+        assert np.all((res.x >= lower - 1e-7) & (res.x <= upper + 1e-7))

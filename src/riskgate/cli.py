@@ -35,7 +35,7 @@ from .risk_engine import (
     triage_csv,
     uniform_condition_probabilities,
 )
-from .scenario_gen import CORRECTIVE_RANGE_MW, build_database, bus_loads, load_database, save_database
+from .scenario_gen import build_database, bus_loads, load_database, save_database
 
 
 def _add_generate(sub):
@@ -210,6 +210,9 @@ def _cmd_triage(args) -> int:
     test = [db.conditions[i] for i in db.split_indices("test")]
     if not test:
         raise EmptyDatabase(f"{args.data} has no test conditions to triage")
+    loads = bus_loads(grid, [cond.loads for cond in test])
+    for c in params:
+        grid.topology(c)  # an unknown line id is a configuration error, not an oracle failure
     n = len(test)
     p_cond = (_load_condition_probs(args.condition_probs, n)
               if args.condition_probs else uniform_condition_probabilities(n))
@@ -221,11 +224,9 @@ def _cmd_triage(args) -> int:
         except ValueError as exc:  # a stump past the data's width
             raise ConfigError(f"{paths[c]}: {exc}") from exc
     ranked = rank_scenarios(probabilities, p_cond, params)
-    loads = bus_loads(grid, [cond.loads for cond in test])
 
     def oracle(condition, contingency):
-        return assess_security(grid, loads[condition], test[condition].generation, contingency,
-                               CORRECTIVE_RANGE_MW)
+        return assess_security(grid, loads[condition], test[condition].generation, contingency)
 
     report = triage(ranked, args.budget, oracle, params)
     triage_csv(report, args.out)

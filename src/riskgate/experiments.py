@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ValueError(f"splits {self.splits} must sum to n={self.n}")
         if self.mode not in MODES:
             raise ValueError(f"unknown boosting mode {self.mode!r}")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

@@ -32,6 +32,7 @@ from .simplex import solve_lp
 BALANCE_TOL = 1e-6  # MW; residual beyond this is an error, never absorbed
 SECURE_TOL = 1e-9  # MW; a flow or redispatch row violated by at most this holds
 UNDECIDED_TOL = 1e-6  # MW; best-vertex violations up to this are left to the LP
+CORRECTIVE_RANGE_MW = 20.0  # MW; corrective redispatch moves each output by at most this
 _PARALLEL_TOL = 1e-12  # |sin| of the angle below which two polygon rows are parallel
 _CHUNK_FLOATS = 1 << 15  # 256 KB of float64 per chunk of vertex violations
 
@@ -302,7 +303,8 @@ def _best_vertex_violation(grid, top, loads, lo, hi) -> np.ndarray:
     return best
 
 
-def assess_security(grid: GridModel, loads, dispatch, contingency: int, corrective_range: float = 20.0):
+def assess_security(grid: GridModel, loads, dispatch, contingency: int,
+                    corrective_range: float = CORRECTIVE_RANGE_MW):
     """Label pre-fault conditions against a line-outage contingency.
 
     A condition is secure (1) iff some corrective redispatch within

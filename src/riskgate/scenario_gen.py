@@ -28,7 +28,6 @@ LOAD_CORRELATION = 0.75
 KUMARASWAMY_A = 1.6
 KUMARASWAMY_B = 2.8
 LOAD_BUSES = (4, 5, 6)
-CORRECTIVE_RANGE_MW = 20.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +205,7 @@ def build_database(
     # Label one contingency at a time, for every condition at once.
     loads = bus_loads(grid, np.array([cond.loads for cond in conditions]).reshape(n, len(LOAD_BUSES)))
     outputs = np.array([cond.generation for cond in conditions]).reshape(n, len(grid.generators))
-    labels = {c: grid_mod.assess_security(grid, loads, outputs, c, CORRECTIVE_RANGE_MW) for c in contingencies}
+    labels = {c: grid_mod.assess_security(grid, loads, outputs, c) for c in contingencies}
     tags = [SPLIT_NAMES[0]] * splits[0] + [SPLIT_NAMES[1]] * splits[1] + [SPLIT_NAMES[2]] * splits[2]
     return LabeledDatabase(conditions=conditions, labels=labels, splits=tags, seed=seed)
 

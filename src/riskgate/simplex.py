@@ -14,6 +14,21 @@ smallest basis index) are array operations.  Problem sizes in this
 package are tiny (tens of rows), so the dense tableau is the right
 trade-off: no dependencies, and bit-identical results for identical
 inputs.
+
+Tableau layout, for ``n`` variables shifted to ``x - lower >= 0`` and
+``m`` rows (equality rows, then inequality rows, then one row per finite
+upper bound), each negated where its right-hand side is negative::
+
+    rows 0 .. m-1   constraints    [ A | slacks | rhs ]
+    row  m          phase-2 cost   [ cost, 0    | 0   ]
+    row  m+1        phase-1 cost   [ -column sums of the constraint rows ]
+
+Columns ``0 .. n-1`` are the variables, ``n .. k-1`` one slack per
+inequality row, and the last is the right-hand side.  Each row starts
+with an artificial variable basic in it; an artificial has no column,
+only its basis label ``k + row``, because it never re-enters.  A pivot
+eliminates the entering column from every row, the two cost rows
+included, so phase 2 starts from a canonical cost row.
 """
 
 from __future__ import annotations
@@ -84,78 +99,49 @@ def solve_lp(
         return LPResult("infeasible", None, None)
 
     # Shift x = lo + x' so that x' >= 0; finite upper bounds become rows.
-    rows = []
-    rhs = []
-    n_eq = 0
-    if a_eq is not None:
-        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        for i in range(a_eq.shape[0]):
-            rows.append(a_eq[i])
-            rhs.append(b_eq[i] - a_eq[i] @ lo)
-        n_eq = a_eq.shape[0]
-    if a_ub is not None:
-        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        for i in range(a_ub.shape[0]):
-            rows.append(a_ub[i])
-            rhs.append(b_ub[i] - a_ub[i] @ lo)
-    for j in range(n):
-        if np.isfinite(hi[j]):
-            row = np.zeros(n)
-            row[j] = 1.0
-            rows.append(row)
-            rhs.append(hi[j] - lo[j])
+    bounded = np.isfinite(hi)
+    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
+    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
+    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
+    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
+    a = np.vstack([a_eq, a_ub, np.eye(n)[bounded]])
+    b = np.concatenate([b_eq, b_ub, hi[bounded]]) - np.vecdot(a, lo)  # one dot per row, as a row @ lo
 
-    m = len(rows)
+    m, n_eq = len(a), len(a_eq)
     if m == 0:
         if np.any(c < -PIVOT_TOL):
             raise UnboundedLP("no constraints and a negative cost coefficient")
         return LPResult("optimal", lo.copy(), float(c @ lo))
 
-    a = np.vstack(rows)
-    b = np.asarray(rhs, dtype=float)
-    n_slack = m - n_eq
-    k = n + n_slack
-
-    # Standard form: equality rows first, then one slack per inequality row.
-    full = np.zeros((m, k))
-    full[:, :n] = a
-    for i in range(n_slack):
-        full[n_eq + i, n + i] = 1.0
-
-    neg = b < 0
-    full[neg] *= -1.0
-    b = np.where(neg, -b, b)
-
-    tableau = np.hstack([full, np.eye(m), b[:, None]])
+    # Standard form: equality rows first, then one slack per inequality
+    # row; rows with a negative right-hand side are negated.
+    k = n + m - n_eq
+    tableau = np.zeros((m + 2, k + 1))
+    tableau[:m, :n] = a
+    tableau[n_eq:m, n:k] = np.eye(m - n_eq)
+    tableau[:m, -1] = b
+    tableau[np.flatnonzero(b < 0)] *= -1.0
+    tableau[m, :n] = c
+    tableau[m + 1, :k] = -tableau[:m, :k].sum(axis=0)
+    tableau[m + 1, -1] = -tableau[:m, -1].sum()
     basis = np.arange(k, k + m)  # artificials
-
-    # Phase-2 cost row carried through phase-1 pivots so it stays canonical.
-    cost_row = np.zeros(k + m + 1)
-    cost_row[:n] = c
-    phase1_row = np.zeros(k + m + 1)
-    phase1_row[:k] = -tableau[:, :k].sum(axis=0)
-    phase1_row[-1] = -b.sum()
+    cost_row, phase1_row = m, m + 1
 
     def pivot(r: int, col: int) -> None:
         tableau[r] /= tableau[r, col]
         factors = tableau[:, col].copy()
         factors[r] = 0.0
         tableau[:] -= factors[:, None] * tableau[r]
-        for crow in (cost_row, phase1_row):
-            if abs(crow[col]) > 0.0:
-                crow -= crow[col] * tableau[r]
         basis[r] = col
 
-    def run(active_row: np.ndarray, limit: int) -> None:
+    def run(active_row: int, limit: int) -> None:
         for _ in range(_MAX_ITER):
-            improving = (active_row[:limit] < -PIVOT_TOL).nonzero()[0]
+            improving = (tableau[active_row, :limit] < -PIVOT_TOL).nonzero()[0]
             if improving.size == 0:
                 return
             entering = improving[0]
-            col = tableau[:, entering]
-            ratios = np.where(col > PIVOT_TOL, tableau[:, -1] / np.where(col > PIVOT_TOL, col, 1.0), np.inf)
+            col = tableau[:m, entering]
+            ratios = np.where(col > PIVOT_TOL, tableau[:m, -1] / np.where(col > PIVOT_TOL, col, 1.0), np.inf)
             best = ratios.min()
             if not np.isfinite(best):
                 raise UnboundedLP("unbounded direction in simplex")
@@ -165,23 +151,19 @@ def solve_lp(
         raise RuntimeError("simplex iteration limit exceeded")
 
     run(phase1_row, k)
-    if -phase1_row[-1] > FEAS_TOL:
+    if -tableau[phase1_row, -1] > FEAS_TOL:
         return LPResult("infeasible", None, None)
 
     # Drive leftover basic artificials out; rows that cannot pivot are
     # redundant and harmless (the artificial stays basic at value 0).
-    for r in range(m):
-        if basis[r] >= k:
-            for j in range(k):
-                if abs(tableau[r, j]) > PIVOT_TOL:
-                    pivot(r, j)
-                    break
+    for r in np.flatnonzero(basis >= k):
+        cols = np.flatnonzero(np.abs(tableau[r, :k]) > PIVOT_TOL)
+        if cols.size:
+            pivot(r, cols[0])
 
-    # Forbid artificials from re-entering in phase 2.
-    tableau[:, k:k + m] = 0.0
     run(cost_row, k)
 
     xfull = np.zeros(k + m)
-    xfull[basis] = tableau[:, -1]
+    xfull[basis] = tableau[:m, -1]
     x = lo + xfull[:n]
     return LPResult("optimal", x, float(c @ xfull[:n] + c @ lo))

@@ -7,6 +7,7 @@ under ``pytest -s``); the assertions pin the stated tolerances.
 """
 
 import csv
+import hashlib
 import json
 import math
 import time
@@ -294,7 +295,7 @@ def test_criterion_8_statistical_fidelity():
 
 # -- criterion 9 --------------------------------------------------------------
 
-def test_criterion_9_invariant_suite(pool, config):
+def test_criterion_9_invariant_suite(pool, config, tmp_path):
     """Cross-module invariants on full-size artifacts."""
     from riskgate.experiments import _resplit, fit_contingency_model
     from riskgate.risk_engine import rank_scenarios, residual_error_curves, triage, uniform_condition_probabilities
@@ -334,9 +335,15 @@ def test_criterion_9_invariant_suite(pool, config):
     checks["risk_total_at_zero_budget_is_ml_risk"] = bool(np.isclose(r0.total_risk, ml_total, rtol=1e-12))
     checks["risk_total_at_full_budget_is_sa_risk"] = bool(np.isclose(rn.total_risk, sa_total, rtol=1e-12))
 
+    # the pool's dataset.csv, byte for byte as a default `riskgate generate` writes it
+    from riskgate.scenario_gen import build_database, save_database
+
+    save_database(db, tmp_path / "dataset.csv")
+    checks["pool_bytes_pinned"] = (hashlib.sha256((tmp_path / "dataset.csv").read_bytes()).hexdigest()
+                                   == "ff35edf2290bf38d8ac3ecaed0ea789fe16e6b7edac868ae094a0421bfee44a9")
+
     # determinism: regenerating a slice of the pool reproduces it exactly
     from riskgate.grid import six_bus
-    from riskgate.scenario_gen import build_database
 
     slice_a = build_database(six_bus(), n=25, contingencies=[5, 6], seed=config.seed, splits=(15, 5, 5))
     slice_b = build_database(six_bus(), n=25, contingencies=[5, 6], seed=config.seed, splits=(15, 5, 5))

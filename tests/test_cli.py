@@ -21,6 +21,7 @@ from test_grid import save_grid
 # sha256 of the CLI outputs on the fixtures below; the bytes must not move
 # unless a change says which numbers it changes and why
 GOLDEN_SHA256 = {
+    "generate": "25d907e898ab51e21e6f8c583350de57b0515c5ce621f3b18727cdb8f1c3d68d",
     "evaluate": "b2c010f1da5e995a499cbbd17ea35c43779e36ccd993de707ead79b05739a452",
     "triage": "2a1c439246cc3bac72b9f2e3f96f9f564dedde22f4e59c84712f607e1bfedf71",
     "triage_condition_probs": "71177a9f6218fb7508423e8f54eee95f15b1824dbc8aa5141573c177fa4513cb",
@@ -47,6 +48,7 @@ def test_generate_output_loads(dataset):
     assert len(db) == 240
     assert db.contingencies == [5, 6]
     assert db.seed == 11
+    assert sha256(dataset) == GOLDEN_SHA256["generate"]
 
 
 def test_train_calibrate_evaluate(dataset, tmp_path):
@@ -208,6 +210,7 @@ def bad_models(trained, tmp_path_factory):
         "unknown_mode": lambda doc: doc.update(mode="SAMME"),
         "null_weights": lambda doc: doc.update(weights=None),
         "short_weights": lambda doc: doc.update(weights=doc["weights"][:-1]),
+        "line12": lambda doc: doc.update(contingency=12),  # the network has 11 lines
     }
     paths = {}
     for name, defect in defects.items():
@@ -244,17 +247,21 @@ def bad_models(trained, tmp_path_factory):
      2, "short_weights.json: a samme model needs one weight per stump"),
     (["experiment", "calibration", "--config", "{string_rounds}"],
      2, "string_rounds.json: bad config field: rounds must be an integer, got '6'"),
+    (["triage", "--data", "{data}", "--models", "{model6},{line12}", "--contingencies-file", "{lines_6_12}",
+      "--budget", "50"], 2, "unknown line id 12"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "zero-rounds", "one-fold", "unlabelled-line",
         "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
         "calibrate-feature-past-width", "triage-feature-past-width", "unknown-mode", "null-weights",
-        "short-weights", "config-string-rounds"])
+        "short-weights", "config-string-rounds", "triage-unknown-line"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, bad_models, tmp_path, capsys,
                                            argv, code, message):
     out = tmp_path / "out"
     string_rounds = tmp_path / "string_rounds.json"
     string_rounds.write_text('{"rounds": "6"}\n')
-    fields = {"data": dataset, "no_test_split": no_test_split, "string_rounds": string_rounds, **trained,
-              **bad_models}
+    lines_6_12 = tmp_path / "lines_6_12.json"
+    lines_6_12.write_text(json.dumps([{"line_id": c, "p_c": 0.0001, "cost_ratio": 0.999} for c in (6, 12)]))
+    fields = {"data": dataset, "no_test_split": no_test_split, "string_rounds": string_rounds,
+              "lines_6_12": lines_6_12, **trained, **bad_models}
     assert main([arg.format(**fields) for arg in argv] + ["--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()

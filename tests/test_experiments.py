@@ -63,6 +63,12 @@ def test_config_split_mismatch_rejected():
         ExperimentConfig(n=100, splits=(50, 20, 20))
 
 
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_config_without_repetitions_rejected(repetitions):
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        ExperimentConfig(repetitions=repetitions)
+
+
 @pytest.mark.parametrize("field, value", [
     ("rounds", "6"), ("rounds", True), ("rounds", 6.0), ("seed", None), ("alpha", "10"), ("alpha", False),
     ("mode", 1), ("splits", [3500, "875", 1500]), ("splits", [5875]), ("splits", "3500,875,1500"),

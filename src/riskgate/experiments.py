@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown boosting mode {self.mode!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if not 0 < self.alpha < float("inf"):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

@@ -11,7 +11,8 @@ never perturb the streams of other conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,12 @@ class OperatingCondition:
 
 @dataclass(eq=False)
 class LabeledDatabase:
+    """Conditions, their per-contingency labels and split tags.
+
+    ``conditions`` and their arrays are not mutated after construction:
+    the feature matrix is built from them once, on first use, and kept.
+    """
+
     conditions: list[OperatingCondition]
     labels: dict[int, np.ndarray]  # contingency id -> 0/1 per condition
     splits: list[str]  # one of SPLIT_NAMES per condition
@@ -79,9 +86,15 @@ class LabeledDatabase:
             raise ValueError(f"unknown split {split!r}")
         return np.array([i for i, s in enumerate(self.splits) if s == split], dtype=int)
 
+    @cached_property
+    def _features(self) -> np.ndarray:
+        features = np.array([cond.features for cond in self.conditions])
+        features.setflags(write=False)
+        return features
+
     def features_matrix(self, split: str | None = None) -> np.ndarray:
-        idx = range(len(self)) if split is None else self.split_indices(split)
-        return np.array([self.conditions[i].features for i in idx])
+        """One feature row per condition (of ``split``, if given), as a new array."""
+        return self._features.copy() if split is None else self._features[self.split_indices(split)]
 
     def label_vector(self, contingency: int, split: str | None = None) -> np.ndarray:
         if contingency not in self.labels:

@@ -28,11 +28,15 @@ inequality row, and the last is the right-hand side.  Each row starts
 with an artificial variable basic in it; an artificial has no column,
 only its basis label ``k + row``, because it never re-enters.  A pivot
 eliminates the entering column from every row, the two cost rows
-included, so phase 2 starts from a canonical cost row.
+included, so phase 2 starts from a canonical cost row.  The loop works in
+buffers allocated once per solve (the scan masks, the ratios, the pivot
+column and the elimination's outer product); only the tie scan's two
+m-vectors are allocated per pivot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +97,9 @@ def solve_lp(
     n = c.size
     lo = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
     hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    if not np.all(np.isfinite(lo)):
+    if not np.isfinite(lo).all():
         raise ValueError("lower bounds must be finite")
-    if np.any(hi < lo):
+    if (hi < lo).any():
         return LPResult("infeasible", None, None)
 
     # Shift x = lo + x' so that x' >= 0; finite upper bounds become rows.
@@ -125,33 +129,43 @@ def solve_lp(
     tableau[m + 1, :k] = -tableau[:m, :k].sum(axis=0)
     tableau[m + 1, -1] = -tableau[:m, -1].sum()
     basis = np.arange(k, k + m)  # artificials
-    cost_row, phase1_row = m, m + 1
+    rhs = tableau[:m, -1]
+
+    improving = np.empty(k, dtype=bool)
+    positive = np.empty(m, dtype=bool)
+    ratios = np.empty(m)
+    factors = np.empty((m + 2, 1))  # the pivot column, zeroed in the pivot row
+    product = np.empty_like(tableau)
+    no_row = k + m  # a basis label past every real one
 
     def pivot(r: int, col: int) -> None:
-        tableau[r] /= tableau[r, col]
-        factors = tableau[:, col].copy()
+        row = tableau[r]
+        np.divide(row, row[col], out=row)
+        factors[:, 0] = tableau[:, col]
         factors[r] = 0.0
-        tableau[:] -= factors[:, None] * tableau[r]
+        np.multiply(factors, row, out=product)
+        np.subtract(tableau, product, out=tableau)
         basis[r] = col
 
-    def run(active_row: int, limit: int) -> None:
+    def run(cost_row: np.ndarray) -> None:
         for _ in range(_MAX_ITER):
-            improving = (tableau[active_row, :limit] < -PIVOT_TOL).nonzero()[0]
-            if improving.size == 0:
+            # Bland: the first improving column enters ...
+            entering = np.less(cost_row, -PIVOT_TOL, out=improving).argmax()
+            if not improving[entering]:
                 return
-            entering = improving[0]
             col = tableau[:m, entering]
-            ratios = np.where(col > PIVOT_TOL, tableau[:m, -1] / np.where(col > PIVOT_TOL, col, 1.0), np.inf)
-            best = ratios.min()
-            if not np.isfinite(best):
+            np.greater(col, PIVOT_TOL, out=positive)
+            ratios.fill(np.inf)
+            np.divide(rhs, col, out=ratios, where=positive)
+            best = np.minimum.reduce(ratios)
+            if not math.isfinite(best):
                 raise UnboundedLP("unbounded direction in simplex")
-            # Bland: among tied rows, leave the smallest basis index.
-            tied = (ratios <= best + PIVOT_TOL).nonzero()[0]
-            pivot(tied[basis[tied].argmin()], entering)
+            # ... and among the tied rows, the smallest basis label leaves.
+            pivot(np.where(ratios <= best + PIVOT_TOL, basis, no_row).argmin(), entering)
         raise RuntimeError("simplex iteration limit exceeded")
 
-    run(phase1_row, k)
-    if -tableau[phase1_row, -1] > FEAS_TOL:
+    run(tableau[m + 1, :k])
+    if -tableau[m + 1, -1] > FEAS_TOL:
         return LPResult("infeasible", None, None)
 
     # Drive leftover basic artificials out; rows that cannot pivot are
@@ -161,9 +175,9 @@ def solve_lp(
         if cols.size:
             pivot(r, cols[0])
 
-    run(cost_row, k)
+    run(tableau[m, :k])
 
     xfull = np.zeros(k + m)
-    xfull[basis] = tableau[:m, -1]
+    xfull[basis] = rhs
     x = lo + xfull[:n]
     return LPResult("optimal", x, float(c @ xfull[:n] + c @ lo))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskgate import cli
+from riskgate import cli, experiments
 from riskgate.cli import main
 from riskgate.errors import MalformedFile
 from riskgate.experiments import ExperimentConfig
@@ -189,6 +189,19 @@ def test_experiment_command(tmp_path):
     assert (out / "imbalance.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 11
+
+
+def test_experiment_rejects_bad_alpha_before_generating(tmp_path, capsys, monkeypatch):
+    def build_database(*args, **kwargs):
+        raise AssertionError("the pool was built for a config that cannot run")
+
+    monkeypatch.setattr(experiments, "build_database", build_database)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 300, "splits": [200, 50, 50], "alpha": -1.0}))
+    out = tmp_path / "exp"
+    assert main(["experiment", "sensitivity", "--config", str(config), "--out", str(out)]) == 2
+    assert "alpha must be finite and > 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -69,6 +69,12 @@ def test_config_without_repetitions_rejected(repetitions):
         ExperimentConfig(repetitions=repetitions)
 
 
+@pytest.mark.parametrize("alpha", [0, -1.0, float("inf"), float("nan")])
+def test_config_alpha_must_be_finite_and_positive(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        ExperimentConfig(alpha=alpha)
+
+
 @pytest.mark.parametrize("field, value", [
     ("rounds", "6"), ("rounds", True), ("rounds", 6.0), ("seed", None), ("alpha", "10"), ("alpha", False),
     ("mode", 1), ("splits", [3500, "875", 1500]), ("splits", [5875]), ("splits", "3500,875,1500"),

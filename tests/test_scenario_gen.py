@@ -9,7 +9,9 @@ from riskgate.errors import GenerationStalled, InvalidCorrelation, MalformedFile
 from riskgate.grid import six_bus
 from riskgate.scenario_gen import (
     LOAD_CORRELATION,
+    SPLIT_NAMES,
     LabeledDatabase,
+    OperatingCondition,
     _copula_cholesky,
     _draw_load_triple,
     build_database,
@@ -115,6 +117,24 @@ def test_condition_invariants(small_db):
         assert cond.features.shape == (23,)
         assert np.all(cond.loads >= 50.0) and np.all(cond.loads <= 150.0)
         assert abs(cond.generation.sum() - cond.loads.sum()) < 1e-6
+
+
+def test_features_matrix_is_built_once_and_handed_out_fresh(small_db, tmp_path, monkeypatch):
+    db = LabeledDatabase(conditions=small_db.conditions, labels=small_db.labels, splits=small_db.splits, seed=3)
+    rows = np.array([cond.features for cond in db.conditions])
+    built = []
+    features = OperatingCondition.features
+    monkeypatch.setattr(OperatingCondition, "features", property(lambda c: built.append(c.id) or features.fget(c)))
+    full = db.features_matrix()
+    assert np.array_equal(full, rows) and len(built) == len(db)
+    full[:] = 0.0  # the caller's copy, not the database's
+    assert np.array_equal(db.features_matrix(), rows)
+    for split in SPLIT_NAMES:
+        assert np.array_equal(db.features_matrix(split), rows[db.split_indices(split)])
+    assert len(built) == len(db)
+    monkeypatch.undo()
+    save_database(db, tmp_path / "dataset.csv")
+    assert load_database(tmp_path / "dataset.csv") == db
 
 
 def test_generation_deterministic():

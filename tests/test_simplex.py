@@ -6,6 +6,7 @@ filters by feasibility, and takes the best objective.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from riskgate import grid
 from riskgate.errors import UnboundedLP
+from riskgate.grid import CORRECTIVE_RANGE_MW, six_bus, solve_dcopf
+from riskgate.scenario_gen import LOAD_BUSES, LOAD_RANGE, bus_loads
 from riskgate.simplex import _MAX_ITER, FEAS_TOL, PIVOT_TOL, LPResult, solve_lp
 
 
@@ -369,15 +373,11 @@ def random_lps(draw):
     return array(n), a_eq, a_eq @ point, a_ub, a_ub @ point + array(n_ub), lower, upper
 
 
-@settings(max_examples=400, deadline=None)
-@given(random_lps())
-def test_matches_the_reference_simplex_bit_for_bit(lp):
-    c, a_eq, b_eq, a_ub, b_ub, lower, upper = lp
-    rows = lambda a, b: (a, b) if len(b) else (None, None)  # noqa: E731
+def assert_matches_the_reference(*args, **kwargs):
     outcomes = []
     for solve in (solve_lp, reference_solve_lp):
         try:
-            outcomes.append(solve(c, *rows(a_eq, b_eq), *rows(a_ub, b_ub), lower=lower, upper=upper))
+            outcomes.append(solve(*args, **kwargs))
         except UnboundedLP:
             outcomes.append(None)  # both must find the problem unbounded
     res, ref = outcomes
@@ -388,3 +388,48 @@ def test_matches_the_reference_simplex_bit_for_bit(lp):
         if ref.optimal:
             assert res.x.tobytes() == ref.x.tobytes()
             assert res.objective == ref.objective
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_lps())
+def test_matches_the_reference_simplex_bit_for_bit(lp):
+    c, a_eq, b_eq, a_ub, b_ub, lower, upper = lp
+    rows = lambda a, b: (a, b) if len(b) else (None, None)  # noqa: E731
+    assert_matches_the_reference(c, *rows(a_eq, b_eq), *rows(a_ub, b_ub), lower=lower, upper=upper)
+
+
+SIX = six_bus()
+OUTAGES = [ln.id for ln in SIX.lines if not SIX.topology(ln.id).islanded]
+
+
+@st.composite
+def six_bus_lps(draw):
+    """An LP that labelling a pool solves on the packaged network, as ``grid`` poses it.
+
+    Either the DC-OPF of a load triple drawn from the sampling range (some
+    have no feasible dispatch), or the corrective-redispatch LP of one
+    outage: a box of random reach around that triple's DC-OPF dispatch
+    (around a random point where there is none).  Both have 26 rows.
+    """
+    loads = bus_loads(SIX, [draw(st.floats(*LOAD_RANGE)) for _ in LOAD_BUSES])
+    if draw(st.booleans()):
+        outage, cost, lo, hi = None, SIX.cost, SIX.p_min, SIX.p_max
+    else:
+        outage = draw(st.sampled_from(OUTAGES))
+        pre_fault = solve_dcopf(SIX, loads)
+        centre = pre_fault.outputs if pre_fault.feasible else np.array(
+            [draw(st.floats(g.p_min, g.p_max)) for g in SIX.generators])
+        reach = draw(st.floats(0.0, 2 * CORRECTIVE_RANGE_MW))
+        cost = np.zeros(len(SIX.generators))
+        lo, hi = np.maximum(SIX.p_min, centre - reach), np.minimum(SIX.p_max, centre + reach)
+    posed = []
+    with mock.patch.object(grid, "solve_lp", lambda *args, **kwargs: posed.append((args, kwargs))):
+        grid._dispatch_lp(SIX, SIX.topology(outage), loads, cost, lo, hi)
+    return posed[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(six_bus_lps())
+def test_matches_the_reference_simplex_bit_for_bit_on_six_bus_lps(lp):
+    args, kwargs = lp
+    assert_matches_the_reference(*args, **kwargs)

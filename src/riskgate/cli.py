@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .calibration import CalibratedEnsemble, brier_score, calibrated_probability, fit_platt, reliability_csv
 from .errors import ConfigError, DataError, EmptyDatabase
-from .experiments import EXPERIMENT_NAMES, RUNNERS, ExperimentConfig
+from .experiments import RUNNERS, ExperimentConfig, Study
 from .grid import assess_security, load_grid, six_bus
 from .learner import MODES, ensemble_score, load_model, save_model, train_adaboost
 from .risk_engine import (
@@ -90,7 +90,7 @@ def _add_evaluate(sub):
 
 def _add_experiment(sub):
     p = sub.add_parser("experiment", help="run a shipped study end to end")
-    p.add_argument("name", choices=EXPERIMENT_NAMES)
+    p.add_argument("name", choices=RUNNERS)
     p.add_argument("--config", help="ExperimentConfig JSON")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", dest="out_dir", help="output directory")
@@ -272,7 +272,7 @@ def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     overrides = {name: getattr(args, name) for name in ("seed", "out_dir", "bins", "rounds", "mode")}
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    out = RUNNERS[args.name](config)
+    out = RUNNERS[args.name](Study(config), config.out_dir)
     print(f"experiment {args.name} complete: outputs in {out}")
     return 0
 

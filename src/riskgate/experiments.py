@@ -1,11 +1,11 @@
 """Configuration-driven experiment runners.
 
-Each runner regenerates (or reuses, via an in-process cache) a labeled
-pool of operating conditions, trains whatever models it needs, and
-writes machine-readable CSVs plus a ``manifest.json`` (config hash,
-seed, version, measured extras) into its own output directory.  All
-randomness flows from the config seed through named substreams, so a
-rerun with the same config is byte-identical.
+Each runner reads a ``Study`` -- one config's labeled pool, built on
+first use, and its calibrated per-contingency models, each fitted once
+-- and writes machine-readable CSVs plus a ``manifest.json`` (config
+hash, seed, version, measured extras) into the output directory it is
+given.  All randomness flows from the config seed through named
+substreams, so a rerun with the same config is byte-identical.
 
 Repetitions are implemented as seeded re-splits of one generated pool:
 repetition ``r`` permutes the pool with stream ``(seed, 7000 + r)`` and
@@ -20,6 +20,7 @@ import json
 import numbers
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +71,6 @@ PAIR_PARAMS = {
     5: ContingencyParams.from_cost_ratio(5, 0.0003, 500.0 / 501.0),
 }
 
-EXPERIMENT_NAMES = ("imbalance", "calibration", "threshold", "triage", "multi", "sensitivity")
-
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -110,12 +109,18 @@ class ExperimentConfig:
             if not fits(value):
                 raise TypeError(f"{f.name} must be {kind}, got {value!r}")
         object.__setattr__(self, "splits", tuple(int(v) for v in self.splits))
+        if min(self.splits) < 0:
+            raise ValueError(f"split sizes must be >= 0, got {self.splits}")
         if sum(self.splits) != self.n:
             raise ValueError(f"splits {self.splits} must sum to n={self.n}")
+        if self.splits[0] < 1:  # an empty calibration or test split is allowed
+            raise ValueError("the train split needs at least one condition")
         if self.mode not in MODES:
             raise ValueError(f"unknown boosting mode {self.mode!r}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        for name, least in (("rounds", 1), ("k_folds", 2), ("max_tree_depth", 0), ("bins", 1),
+                            ("repetitions", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not 0 < self.alpha < float("inf"):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
 
@@ -145,27 +150,35 @@ def budget_sweep(n_scenarios: int) -> np.ndarray:
     return budgets
 
 
-# -- shared pool and model building ---------------------------------------
+# -- the study: shared pool, splits and models ------------------------------
 
-_POOL_CACHE: dict[tuple, LabeledDatabase] = {}
+class Study:
+    """One config's pool, built on first use, its repetition splits, and its models, each fitted once."""
 
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self._models: dict[tuple[int, int, str], CalibratedEnsemble] = {}
 
-def generation_pool(config: ExperimentConfig) -> LabeledDatabase:
-    """Labeled pool of the packaged network shared by all runners for a given (seed, n, splits)."""
-    key = (config.seed, config.n, config.splits)
-    if key not in _POOL_CACHE:
-        _POOL_CACHE[key] = build_database(
-            six_bus(), n=config.n, contingencies=ALL_LINES,
-            seed=config.seed, splits=config.splits,
-        )
-    return _POOL_CACHE[key]
+    @cached_property
+    def pool(self) -> LabeledDatabase:
+        """Labeled pool of the packaged network, every line an outage."""
+        return build_database(six_bus(), n=self.config.n, contingencies=ALL_LINES,
+                              seed=self.config.seed, splits=self.config.splits)
 
+    def split(self, repetition: int):
+        """Permuted (train, calib, test) index arrays for one repetition."""
+        perm = np.random.default_rng([self.config.seed, 7000 + repetition]).permutation(self.config.n)
+        a, b, _ = self.config.splits
+        return perm[:a], perm[a: a + b], perm[a + b:]
 
-def _resplit(db: LabeledDatabase, config: ExperimentConfig, repetition: int):
-    """Permuted (train, calib, test) index arrays for one repetition."""
-    perm = np.random.default_rng([config.seed, 7000 + repetition]).permutation(len(db))
-    a, b, _ = config.splits
-    return perm[:a], perm[a: a + b], perm[a + b:]
+    def model(self, repetition: int, contingency: int, mode: str) -> CalibratedEnsemble:
+        """The calibrated model of one contingency, trained on one repetition's splits."""
+        key = (repetition, contingency, mode)
+        if key not in self._models:
+            train_idx, calib_idx, _ = self.split(repetition)
+            self._models[key] = fit_contingency_model(self.pool, train_idx, calib_idx, contingency,
+                                                      dataclasses.replace(self.config, mode=mode))
+        return self._models[key]
 
 
 def _constant_ensemble(label: int) -> Ensemble:
@@ -207,14 +220,15 @@ def draw_contingency_params(contingencies, seed: int) -> dict[int, ContingencyPa
     return out
 
 
-def _output_dir(config: ExperimentConfig) -> Path:
-    out = Path(config.out_dir)
+def _output_dir(out_dir) -> Path:
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_manifest(config: ExperimentConfig, experiment: str, out_dir: Path, extras: dict) -> None:
-    doc = config.to_dict()
+def _write_manifest(config: ExperimentConfig, experiment: str, out_dir, extras: dict) -> None:
+    """Write ``manifest.json`` into ``out_dir``, which it records as the config's ``out_dir``."""
+    doc = {**config.to_dict(), "out_dir": str(out_dir)}
     study = {k: v for k, v in doc.items() if k != "out_dir"}  # the output directory is not part of the study
     payload = {
         "experiment": experiment,
@@ -224,7 +238,7 @@ def _write_manifest(config: ExperimentConfig, experiment: str, out_dir: Path, ex
         "config_hash": hashlib.sha256(json.dumps(study, sort_keys=True).encode()).hexdigest(),
         "extras": extras,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (Path(out_dir) / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -244,17 +258,18 @@ def _error_rates(pred, truth):
 
 # -- study 1: class imbalance --------------------------------------------------
 
-def run_imbalance_study(config: ExperimentConfig) -> Path:
+def run_imbalance_study(study: Study, out_dir) -> Path:
     """Per-class test errors of a depth-limited tree on lines 5 and 6."""
-    out = _output_dir(config)
-    db = generation_pool(config)
+    config = study.config
+    out = _output_dir(out_dir)
+    db = study.pool
     x = db.features_matrix()
     contingencies = (5, 6)
 
     rows = []
     sums = {c: np.zeros(3) for c in contingencies}
     for rep in range(config.repetitions):
-        train_idx, _, test_idx = _resplit(db, config, rep)
+        train_idx, _, test_idx = study.split(rep)
         for c in contingencies:
             y = db.label_vector(c)
             tree = train_single_tree(x[train_idx], y[train_idx], max_depth=config.max_tree_depth)
@@ -270,13 +285,13 @@ def run_imbalance_study(config: ExperimentConfig) -> Path:
         "pool_priors": {str(c): {"insecure": db.priors(c)[0], "secure": db.priors(c)[1]} for c in contingencies},
         "mean_rates": {str(c): list(sums[c] / config.repetitions) for c in contingencies},
     }
-    _write_manifest(config, "imbalance", out, extras)
+    _write_manifest(config, "imbalance", out_dir, extras)
     return out
 
 
 # -- study 2: calibration -------------------------------------------------
 
-def run_calibration_study(config: ExperimentConfig) -> Path:
+def run_calibration_study(study: Study, out_dir) -> Path:
     """Brier score of raw scores vs calibrated probabilities on the test set.
 
     The uncalibrated score here is the discrete weighted-vote share
@@ -284,18 +299,18 @@ def run_calibration_study(config: ExperimentConfig) -> Path:
     exactly the distortion calibration exists to repair; the real-valued
     mode's logistic margin is already near-calibrated and shows no effect.
     """
-    out = _output_dir(config)
+    config = study.config
+    out = _output_dir(out_dir)
     contingency = CALIBRATION_CONTINGENCY
-    study_config = dataclasses.replace(config, mode=CALIBRATION_SCORE_MODE)
-    db = generation_pool(config)
+    db = study.pool
     x = db.features_matrix()
     y = db.label_vector(contingency)
 
     rows = []
     total = np.zeros(2)
     for rep in range(config.repetitions):
-        train_idx, calib_idx, test_idx = _resplit(db, config, rep)
-        model = fit_contingency_model(db, train_idx, calib_idx, contingency, study_config)
+        _, _, test_idx = study.split(rep)
+        model = study.model(rep, contingency, CALIBRATION_SCORE_MODE)
         scores = model.score(x[test_idx])
         probs = calibrated_probability(model.params, scores)
         b_raw, bins_raw = brier_score(scores, y[test_idx], bins=config.bins)
@@ -309,7 +324,7 @@ def run_calibration_study(config: ExperimentConfig) -> Path:
     rows.append(("mean", f"{mean[0]:.17g}", f"{mean[1]:.17g}"))
 
     _write_csv(out / "brier.csv", "repetition,uncalibrated,calibrated", rows)
-    _write_manifest(config, "calibration", out, {
+    _write_manifest(config, "calibration", out_dir, {
         "contingency": contingency,
         "mean_uncalibrated": mean[0],
         "mean_calibrated": mean[1],
@@ -319,42 +334,37 @@ def run_calibration_study(config: ExperimentConfig) -> Path:
 
 # -- study 3: decision threshold --------------------------------------------
 
-def _threshold_variants(db, x, train_idx, calib_idx, test_idx, contingency, config):
-    """Predict-probability pairs per classifier variant for one repetition."""
-    y = db.label_vector(contingency)
-    tree = train_single_tree(x[train_idx], y[train_idx], max_depth=config.max_tree_depth)
-    model = fit_contingency_model(db, train_idx, calib_idx, contingency, config)
-    leaf_p1 = tree_proba(tree, x[test_idx])
-    score = model.score(x[test_idx])
-    return {
-        "dt": ((leaf_p1 >= 0.5).astype(int), None),
-        "dt_threshold": (None, leaf_p1),
-        "adaboost": ((score >= 0.5).astype(int), None),
-        "adaboost_threshold": (None, score),
-        "calibrated_threshold": (None, calibrated_probability(model.params, score)),
-    }
-
-
-def run_threshold_study(config: ExperimentConfig) -> Path:
+def run_threshold_study(study: Study, out_dir) -> Path:
     """Residual-risk grid over cost ratios for five classifier variants.
 
     The contingency probability is identified with the insecure-class
     prior of the training split, and the whole test set stays on machine
     learning (no conventional assessments).
     """
-    out = _output_dir(config)
+    config = study.config
+    out = _output_dir(out_dir)
     contingency = THRESHOLD_CONTINGENCY
-    db = generation_pool(config)
+    db = study.pool
     x = db.features_matrix()
     y = db.label_vector(contingency)
 
     variants = ("dt", "dt_threshold", "adaboost", "adaboost_threshold", "calibrated_threshold")
     totals = {(v, ratio): 0.0 for v in variants for ratio in COST_RATIO_GRID}
     for rep in range(config.repetitions):
-        train_idx, calib_idx, test_idx = _resplit(db, config, rep)
+        train_idx, _, test_idx = study.split(rep)
         # contingency probability identified with the insecure-class prior
         prior_insecure = float(np.mean(y[train_idx] == 0))
-        preds = _threshold_variants(db, x, train_idx, calib_idx, test_idx, contingency, config)
+        tree = train_single_tree(x[train_idx], y[train_idx], max_depth=config.max_tree_depth)
+        leaf_p1 = tree_proba(tree, x[test_idx])
+        model = study.model(rep, contingency, config.mode)
+        score = model.score(x[test_idx])
+        preds = {  # per variant: fixed labels, or probabilities thresholded per cost ratio
+            "dt": ((leaf_p1 >= 0.5).astype(int), None),
+            "dt_threshold": (None, leaf_p1),
+            "adaboost": ((score >= 0.5).astype(int), None),
+            "adaboost_threshold": (None, score),
+            "calibrated_threshold": (None, calibrated_probability(model.params, score)),
+        }
         truth = y[test_idx]
         for ratio in COST_RATIO_GRID:
             params = ContingencyParams.from_cost_ratio(contingency, prior_insecure, ratio)
@@ -371,7 +381,7 @@ def run_threshold_study(config: ExperimentConfig) -> Path:
         for variant in variants for ratio in COST_RATIO_GRID
     ]
     _write_csv(out / "threshold_risk.csv", "variant,cost_ratio,mean_risk", rows)
-    _write_manifest(config, "threshold", out, {
+    _write_manifest(config, "threshold", out_dir, {
         "contingency": contingency,
         "cost_ratios": [f"{r:.17g}" for r in COST_RATIO_GRID],
         "variants": list(variants),
@@ -381,29 +391,25 @@ def run_threshold_study(config: ExperimentConfig) -> Path:
 
 # -- budget-sweep curves shared by studies 4-6 -----------------------------------
 
-def _fit_models(db, config, contingencies) -> dict[int, CalibratedEnsemble]:
-    """One calibrated model per contingency, trained on repetition 0."""
-    train_idx, calib_idx, _ = _resplit(db, config, 0)
-    return {c: fit_contingency_model(db, train_idx, calib_idx, c, config) for c in contingencies}
-
-
-def _budget_curves(db, config, models, true_params, rankings):
+def _budget_curves(study, true_params, rankings):
     """Residual-error curves over the joint test scenarios of ``true_params``.
 
-    ``models`` (from ``_fit_models``) covers every contingency of
-    ``true_params``.  Each entry of ``rankings`` (name -> parameters used
-    for ranking and thresholding) gives a risk-ranked curve;
+    Each contingency of ``true_params`` is scored by its repetition-0
+    model in the config's mode.  Each entry of ``rankings`` (name ->
+    parameters used for ranking and thresholding) gives a risk-ranked curve;
     ``"standard"`` is the standard classifier, predicted-secure scenarios
     first in random order within each group.  Residual risk is always
     measured with ``true_params``.
     """
-    _, _, test_idx = _resplit(db, config, 0)
+    db, config = study.pool, study.config
+    _, _, test_idx = study.split(0)
     contingencies = sorted(true_params)
     n_test = len(test_idx)
     x = db.features_matrix()[test_idx]
     truth = np.stack([db.label_vector(c)[test_idx] for c in contingencies])  # contingency-major
     budgets = budget_sweep(truth.size)
 
+    models = {c: study.model(0, c, config.mode) for c in contingencies}
     scores = {c: models[c].score(x) for c in contingencies}
     probabilities = {c: calibrated_probability(models[c].params, s) for c, s in scores.items()}
     curves = {}
@@ -432,60 +438,56 @@ def _write_curve(path: Path, curve, name: str) -> dict:
 
 # -- study 4: single-contingency triage -----------------------------------------
 
-def run_triage_study(config: ExperimentConfig) -> Path:
+def run_triage_study(study: Study, out_dir) -> Path:
     """Budgeted verification curves for the three assessment strategies."""
-    out = _output_dir(config)
-    db = generation_pool(config)
+    out = _output_dir(out_dir)
     c = TRIAGE_CONTINGENCY
     params_by_c = {c: TRIAGE_PARAMS}
-    curves = _budget_curves(db, config, _fit_models(db, config, [c]), params_by_c, {"proposed": params_by_c})
+    curves = _budget_curves(study, params_by_c, {"proposed": params_by_c})
 
-    train_idx, _, test_idx = _resplit(db, config, 0)
-    y = db.label_vector(c)
+    train_idx, _, test_idx = study.split(0)
+    y = study.pool.label_vector(c)
     n_test = len(test_idx)
     majority = int(np.mean(y[train_idx]) >= 0.5)
-    order = random_assessment_order(n_test, config.seed)
+    order = random_assessment_order(n_test, study.config.seed)
     curves["no_ml"] = residual_error_curves(np.full(n_test, c), np.full(n_test, majority), y[test_idx][order],
                                             params_by_c, n_test, budget_sweep(n_test))
 
     extras = {"contingency": c, "n_test": n_test}
     for name, curve in curves.items():
         extras.update(_write_curve(out / f"triage_{name}.csv", curve, name))
-    _write_manifest(config, "triage", out, extras)
+    _write_manifest(study.config, "triage", out_dir, extras)
     return out
 
 
 # -- study 5: several contingencies ---------------------------------------------
 
-def run_multi_contingency_study(config: ExperimentConfig) -> Path:
+def run_multi_contingency_study(study: Study, out_dir) -> Path:
     """Joint triage across two contingencies and across all eleven lines."""
-    out = _output_dir(config)
-    db = generation_pool(config)
-    drawn = draw_contingency_params(ALL_LINES, config.seed)
+    out = _output_dir(out_dir)
+    drawn = draw_contingency_params(ALL_LINES, study.config.seed)
     extras = {
         "pair_contingencies": sorted(PAIR_PARAMS),
         "drawn_params": {
             str(c): {"p_c": p.probability, "cost_ratio": p.ratio} for c, p in sorted(drawn.items())
         },
     }
-    models = _fit_models(db, config, ALL_LINES)  # the pair's models are two of these
     for prefix, params_by_c in (("multi2", PAIR_PARAMS), ("multi11", drawn)):
-        curves = _budget_curves(db, config, models, params_by_c, {"proposed": params_by_c})
+        curves = _budget_curves(study, params_by_c, {"proposed": params_by_c})
         _write_curve(out / f"{prefix}_standard.csv", curves["standard"], prefix)
         extras.update(_write_curve(out / f"{prefix}_proposed.csv", curves["proposed"], prefix))
         extras[f"{prefix}_risk_at_zero"] = float(curves["proposed"][3][0])
-    _write_manifest(config, "multi", out, extras)
+    _write_manifest(study.config, "multi", out_dir, extras)
     return out
 
 
 # -- study 6: parameter sensitivity ---------------------------------------------
 
-def run_sensitivity_study(config: ExperimentConfig) -> Path:
+def run_sensitivity_study(study: Study, out_dir) -> Path:
     """True-risk curves when ranking uses distorted costs/probabilities."""
-    out = _output_dir(config)
-    db = generation_pool(config)
-    true_params = draw_contingency_params(ALL_LINES, config.seed)
-    alpha = config.alpha
+    out = _output_dir(out_dir)
+    true_params = draw_contingency_params(ALL_LINES, study.config.seed)
+    alpha = study.config.alpha
     rankings = {
         "unperturbed": true_params,
         "cost_up": {c: perturb_params(p, alpha, "costs") for c, p in true_params.items()},
@@ -497,13 +499,13 @@ def run_sensitivity_study(config: ExperimentConfig) -> Path:
 
     rows = []
     extras = {"alpha": alpha}
-    curves = _budget_curves(db, config, _fit_models(db, config, ALL_LINES), true_params, rankings)
+    curves = _budget_curves(study, true_params, rankings)
     for name, (bud, _, _, risk) in curves.items():
         rows += [(name, int(s), f"{r:.17g}") for s, r in zip(bud, risk)]
         extras[f"{name}_risk_at_zero"] = float(risk[0])
 
     _write_csv(out / "sensitivity.csv", "curve,budget,residual_risk", rows)
-    _write_manifest(config, "sensitivity", out, extras)
+    _write_manifest(study.config, "sensitivity", out_dir, extras)
     return out
 
 

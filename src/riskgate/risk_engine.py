@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedFile, MissingModel, NonPositiveCost, read_json
+from .errors import DataError, MalformedFile, MissingModel, NonPositiveCost, read_json
 
 _PROB_CEIL = 1.0 - 1e-9
 PROBABILITY_SUM_TOL = 1e-9  # condition probabilities must sum to 1 within this
@@ -198,36 +198,33 @@ class TriageReport:
     scenarios: ScenarioTable  # descending-risk order
     n_high: int
     assessed_fraction: float  # share of scenarios sent to the oracle
-    oracle_labels: list[int | None]  # aligned with the high-risk prefix
+    oracle_labels: list[int]  # aligned with the high-risk prefix
     conventional_risk: float  # residual risk carried by oracle results
     ml_risk: float  # residual risk carried by unverified predictions
     total_risk: float
-    assessment_failures: list[int] = field(default_factory=list)  # ranks with oracle errors
+    assessment_failures: list[int] = field(default_factory=list)  # always empty; kept only for bench/tracing.py
 
 
 def triage(ranked: ScenarioTable, budget: int, oracle, params_by_contingency) -> TriageReport:
     """Assess the top-``budget`` scenarios with the oracle, keep the rest on ML.
 
-    ``oracle(condition_id, contingency_id) -> 0/1``; an oracle exception
-    marks that scenario's severity unknown (it stays in the high-risk
-    set, flagged in ``assessment_failures``) and never aborts the run.
+    ``oracle(condition_id, contingency_id) -> 0/1``.  An oracle exception
+    is re-raised as a ``DataError`` naming the scenario and its rank, so
+    no assessed scenario is left without a label or out of the risk total.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     n_high = min(budget, len(ranked))
     high, low = slice(None, n_high), slice(n_high, None)
-    oracle_labels: list[int | None] = []
-    failures = []
+    oracle_labels: list[int] = []
     conventional = 0.0
     for rank, (cond, cont, p_scn) in enumerate(zip(ranked.condition[high].tolist(),
                                                    ranked.contingency[high].tolist(),
                                                    ranked.scenario_probability[high].tolist())):
         try:
             label = int(oracle(cond, cont))
-        except Exception:
-            oracle_labels.append(None)
-            failures.append(rank)
-            continue
+        except Exception as exc:  # any oracle error leaves the scenario unassessed
+            raise DataError(f"oracle failed on scenario {cond}:{cont} (rank {rank}): {exc}") from exc
         oracle_labels.append(label)
         if label == 0:  # binary severity: miss cost when insecure, else zero
             conventional += p_scn * params_by_contingency[cont].miss_cost
@@ -241,13 +238,12 @@ def triage(ranked: ScenarioTable, budget: int, oracle, params_by_contingency) ->
         conventional_risk=conventional,
         ml_risk=ml,
         total_risk=conventional + ml,
-        assessment_failures=failures,
     )
 
 
 def triage_csv(report: TriageReport, path) -> None:
     table = report.scenarios
-    oracle = ["" if v is None else str(v) for v in report.oracle_labels] + [""] * (len(table) - report.n_high)
+    oracle = [str(v) for v in report.oracle_labels] + [""] * (len(table) - report.n_high)
     lines = ["rank,scenario,condition,contingency,p_hat,label_pred,risk,in_high_set,oracle_label"]
     for rank, (cond, cont, p_hat, label, risk, oracle_label) in enumerate(zip(
             table.condition.tolist(), table.contingency.tolist(), table.probability_estimate.tolist(),

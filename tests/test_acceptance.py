@@ -11,14 +11,13 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from riskgate.experiments import (
     ExperimentConfig,
-    generation_pool,
+    Study,
     run_calibration_study,
     run_imbalance_study,
     run_multi_contingency_study,
@@ -41,30 +40,43 @@ def report(number, ok, detail):
 
 
 @pytest.fixture(scope="session")
-def config(tmp_path_factory):
-    return ExperimentConfig(out_dir=str(tmp_path_factory.mktemp("acceptance")))
+def study():
+    """The default-config study: its pool and models are shared by every criterion."""
+    return Study(ExperimentConfig())
 
 
 @pytest.fixture(scope="session")
-def pool(config):
-    return generation_pool(config)
+def pool(study):
+    return study.pool
 
 
 @pytest.fixture(scope="session")
-def triage_outputs(config, tmp_path_factory):
+def calibration_outputs(study, pool, tmp_path_factory):
     start = time.perf_counter()
-    out = run_triage_study(replace(config, out_dir=tmp_path_factory.mktemp("triage")))
+    out = run_calibration_study(study, tmp_path_factory.mktemp("cal"))
     return out, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
-def multi_outputs(config, tmp_path_factory):
-    return run_multi_contingency_study(replace(config, out_dir=tmp_path_factory.mktemp("multi")))
+def imbalance_outputs(study, tmp_path_factory):
+    return run_imbalance_study(study, tmp_path_factory.mktemp("imb"))
 
 
 @pytest.fixture(scope="session")
-def sensitivity_outputs(config, tmp_path_factory):
-    return run_sensitivity_study(replace(config, out_dir=tmp_path_factory.mktemp("sens")))
+def triage_outputs(study, pool, tmp_path_factory):
+    start = time.perf_counter()
+    out = run_triage_study(study, tmp_path_factory.mktemp("triage"))
+    return out, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def multi_outputs(study, tmp_path_factory):
+    return run_multi_contingency_study(study, tmp_path_factory.mktemp("multi"))
+
+
+@pytest.fixture(scope="session")
+def sensitivity_outputs(study, tmp_path_factory):
+    return run_sensitivity_study(study, tmp_path_factory.mktemp("sens"))
 
 
 def read_curve(path, value="residual_risk", curve=None):
@@ -145,11 +157,9 @@ def test_criterion_2_lp_oracle_equivalence():
 
 # -- criterion 3 ----------------------------------------------------------
 
-def test_criterion_3_calibration_effect(config, pool, tmp_path_factory):
+def test_criterion_3_calibration_effect(calibration_outputs):
     """Calibration halves the binned Brier score and lands below 0.02."""
-    start = time.perf_counter()
-    out = run_calibration_study(replace(config, out_dir=tmp_path_factory.mktemp("cal")))
-    elapsed = time.perf_counter() - start
+    out, elapsed = calibration_outputs
     extras = json.loads((out / "manifest.json").read_text())["extras"]
     uncal = extras["mean_uncalibrated"]
     cal = extras["mean_calibrated"]
@@ -163,10 +173,9 @@ def test_criterion_3_calibration_effect(config, pool, tmp_path_factory):
 
 # -- criterion 4 ------------------------------------------------------------
 
-def test_criterion_4_imbalance_direction(config, pool, tmp_path_factory):
+def test_criterion_4_imbalance_direction(imbalance_outputs):
     """Class imbalance shows up as missed alarms dominating false alarms."""
-    out = run_imbalance_study(replace(config, out_dir=tmp_path_factory.mktemp("imb")))
-    extras = json.loads((out / "manifest.json").read_text())["extras"]
+    extras = json.loads((imbalance_outputs / "manifest.json").read_text())["extras"]
     pi1_imbalanced = extras["pool_priors"]["5"]["secure"]
     pi1_balanced = extras["pool_priors"]["6"]["secure"]
     _, false_rate_5, missed_rate_5 = extras["mean_rates"]["5"]
@@ -180,7 +189,7 @@ def test_criterion_4_imbalance_direction(config, pool, tmp_path_factory):
 
 # -- criterion 5 ---------------------------------------------------------
 
-def test_criterion_5_triage_efficiency(config, pool, triage_outputs):
+def test_criterion_5_triage_efficiency(triage_outputs):
     """All residual errors found within 20% of the budget; dominance holds."""
     out, elapsed = triage_outputs
     budgets, errors, risk = read_errors(out / "triage_proposed.csv")
@@ -202,7 +211,7 @@ def test_criterion_5_triage_efficiency(config, pool, triage_outputs):
 
 # -- criterion 6 -------------------------------------------------------------
 
-def test_criterion_6_multi_contingency_scaling(config, pool, multi_outputs):
+def test_criterion_6_multi_contingency_scaling(multi_outputs):
     """Scaling to several contingencies keeps the triage efficient."""
     budgets2, errors2, _ = read_errors(multi_outputs / "multi2_proposed.csv")
     zero = np.flatnonzero(errors2 == 0)
@@ -232,7 +241,7 @@ def _sensitivity_dominance(out, curve):
     return violations, crossover, budgets[-1]
 
 
-def test_criterion_7_sensitivity_single_target(config, pool, sensitivity_outputs):
+def test_criterion_7_sensitivity_single_target(sensitivity_outputs):
     """Cost-only and probability-only distortions keep pointwise dominance."""
     results = {}
     ok = True
@@ -252,7 +261,7 @@ def test_criterion_7_sensitivity_single_target(config, pool, sensitivity_outputs
     "systematic across seeds; see the decisions ledger.",
     strict=False,
 )
-def test_criterion_7_sensitivity_superposed(config, pool, sensitivity_outputs):
+def test_criterion_7_sensitivity_superposed(sensitivity_outputs):
     """Superposed distortion: dominance at every sweep point (known red)."""
     violations, crossover, n = _sensitivity_dominance(sensitivity_outputs, "superposed")
     ok = len(violations) == 0
@@ -295,19 +304,18 @@ def test_criterion_8_statistical_fidelity():
 
 # -- criterion 9 --------------------------------------------------------------
 
-def test_criterion_9_invariant_suite(pool, config, tmp_path):
+def test_criterion_9_invariant_suite(study, pool, tmp_path):
     """Cross-module invariants on full-size artifacts."""
-    from riskgate.experiments import _resplit, fit_contingency_model
     from riskgate.risk_engine import rank_scenarios, residual_error_curves, triage, uniform_condition_probabilities
 
-    db = pool
-    train_idx, calib_idx, test_idx = _resplit(db, config, 0)
+    db, config = pool, study.config
+    train_idx, _, test_idx = study.split(0)
     x = db.features_matrix()
 
     checks = {}
 
     # score/vote consistency and score bounds on a real trained model
-    model = fit_contingency_model(db, train_idx, calib_idx, 6, config)
+    model = study.model(0, 6, config.mode)
     scores = np.asarray(ensemble_score(model.ensemble, x[test_idx]))
     votes = np.asarray(ensemble_vote(model.ensemble, x[test_idx]))
     checks["score_vote_consistency"] = bool(np.array_equal(votes, (scores >= 0.5).astype(int)))
@@ -319,7 +327,7 @@ def test_criterion_9_invariant_suite(pool, config, tmp_path):
 
     # residual-risk monotonicity in the budget and endpoint identities
     params = {3: ContingencyParams.from_cost_ratio(3, 0.0002, 10000.0 / 10001.0)}
-    model3 = fit_contingency_model(db, train_idx, calib_idx, 3, config)
+    model3 = study.model(0, 3, config.mode)
     n_test = len(test_idx)
     ranked = rank_scenarios({3: model3.probability(x[test_idx])}, uniform_condition_probabilities(n_test), params)
     truth3 = db.label_vector(3)[test_idx]
@@ -364,3 +372,44 @@ def test_criterion_9_invariant_suite(pool, config, tmp_path):
     failing = [k for k, v in checks.items() if not v]
     report(9, ok, f"invariants: {len(checks)} checks, failing: {failing or 'none'}")
     assert ok, f"invariant checks failed: {failing}"
+
+
+# -- default-config study outputs -------------------------------------------
+
+# sha256 of every CSV the default-config studies above write; sharing one
+# Study's pool and models across them must keep these bytes
+STUDY_SHA256 = {
+    "imbalance/imbalance.csv":
+        "a5f42145c413acc63f454c7d4709c54d7439e8fb6282a39b28a9ab6c668c10f6",
+    "calibration/brier.csv":
+        "7f4f8bd67ff67bc4e7e2fc2aac436a5599713c469b56ebb2d18f15ad96b4d9e2",
+    "calibration/reliability_calibrated.csv":
+        "980243c16ce6791688b67624f79ac33dca0e63a48ef180f7e6c4e5c03e72eff0",
+    "calibration/reliability_uncalibrated.csv":
+        "610fc95f6ab61e3947d7eb75ad53968098a0cb4928a5cd30d5a76a9e986475a9",
+    "triage/triage_no_ml.csv":
+        "5643686817dbfb73df2b5004c9057a2da2ce9ec17d81f5bfecf2514614579d6e",
+    "triage/triage_proposed.csv":
+        "893837c89a1039e95c84b5be05f371626e6b3bd0d23cfc07bb490d270acff72d",
+    "triage/triage_standard.csv":
+        "761dc06ec6f00cdda57edffc901f59a0a6226776e89dbe080d68f9ce8bb5eb4d",
+    "multi/multi11_proposed.csv":
+        "bd9be6aca4545dc1d949422fca82a39135bb210cf087fb4244569e29659f596c",
+    "multi/multi11_standard.csv":
+        "671b7f09316330703a489e5767348fea97a32192d82fa3ab0e0c8fb1f566643b",
+    "multi/multi2_proposed.csv":
+        "d140a97fbe783ca07a305c8828ea2f4fa46f7016670316772558993768b0b159",
+    "multi/multi2_standard.csv":
+        "707c7e86edb6625db97c25239ce22d270001c7f188007618f4bef0df4c43a746",
+    "sensitivity/sensitivity.csv":
+        "cd52ad7cd28a40e7de5286123c592d3aa21496cc79d73204ab35a2aaeeecf5c9",
+}
+
+
+def test_default_study_outputs_match_golden_digests(calibration_outputs, imbalance_outputs, triage_outputs,
+                                                    multi_outputs, sensitivity_outputs):
+    outputs = {"imbalance": imbalance_outputs, "calibration": calibration_outputs[0],
+               "triage": triage_outputs[0], "multi": multi_outputs, "sensitivity": sensitivity_outputs}
+    digests = {f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, out in outputs.items() for path in sorted(out.glob("*.csv"))}
+    assert digests == STUDY_SHA256

@@ -1,5 +1,6 @@
 """CLI tests: pipeline subcommands, overrides, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -189,19 +190,30 @@ def test_experiment_command(tmp_path):
     assert (out / "imbalance.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 11
+    assert manifest["config"]["out_dir"] == str(out)  # the directory the study wrote into
 
 
 def test_experiment_rejects_bad_alpha_before_generating(tmp_path, capsys, monkeypatch):
+    # and every other config value that no study can run
     def build_database(*args, **kwargs):
         raise AssertionError("the pool was built for a config that cannot run")
 
     monkeypatch.setattr(experiments, "build_database", build_database)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n": 300, "splits": [200, 50, 50], "alpha": -1.0}))
     out = tmp_path / "exp"
-    assert main(["experiment", "sensitivity", "--config", str(config), "--out", str(out)]) == 2
-    assert "alpha must be finite and > 0, got -1.0" in capsys.readouterr().err
-    assert not out.exists()
+    for name, fields, flags, message in [
+        ("sensitivity", {"alpha": -1.0}, [], "alpha must be finite and > 0, got -1.0"),
+        ("calibration", {}, ["--bins", "0"], "bins must be >= 1"),
+        ("multi", {}, ["--rounds", "0"], "rounds must be >= 1"),
+        ("triage", {"k_folds": 1}, [], "k_folds must be >= 2"),
+        ("imbalance", {"max_tree_depth": -1}, [], "max_tree_depth must be >= 0"),
+        ("threshold", {"splits": [-10, 160, 150]}, [], "split sizes must be >= 0, got (-10, 160, 150)"),
+        ("imbalance", {"splits": [0, 150, 150]}, [], "the train split needs at least one condition"),
+    ]:
+        config.write_text(json.dumps({"n": 300, "splits": [200, 50, 50], **fields}))
+        assert main(["experiment", name, "--config", str(config), "--out", str(out)] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +221,17 @@ def no_test_split(dataset, tmp_path_factory):
     db = load_database(dataset)
     db.splits = ["calib" if split == "test" else split for split in db.splits]
     path = tmp_path_factory.mktemp("no_test") / "data.csv"
+    save_database(db, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def unbalanced(dataset, tmp_path_factory):
+    """The dataset with generator 1 of test condition 3 raised by 5 MW, so the oracle rejects it."""
+    db = load_database(dataset)
+    i = db.split_indices("test")[3]
+    db.conditions[i] = dataclasses.replace(db.conditions[i], generation=db.conditions[i].generation + [5.0, 0, 0])
+    path = tmp_path_factory.mktemp("unbalanced") / "data.csv"
     save_database(db, path)
     return path
 
@@ -262,18 +285,20 @@ def bad_models(trained, tmp_path_factory):
      2, "string_rounds.json: bad config field: rounds must be an integer, got '6'"),
     (["triage", "--data", "{data}", "--models", "{model6},{line12}", "--contingencies-file", "{lines_6_12}",
       "--budget", "50"], 2, "unknown line id 12"),
+    (["triage", "--data", "{unbalanced}", "--models", "{models}", "--contingencies-file", "{contingencies}",
+      "--budget", "90"], 3, "oracle failed on scenario 3:5 (rank 41): pre-fault condition is not balanced"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "zero-rounds", "one-fold", "unlabelled-line",
         "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
         "calibrate-feature-past-width", "triage-feature-past-width", "unknown-mode", "null-weights",
-        "short-weights", "config-string-rounds", "triage-unknown-line"])
-def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, bad_models, tmp_path, capsys,
+        "short-weights", "config-string-rounds", "triage-unknown-line", "triage-unbalanced-condition"])
+def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unbalanced, bad_models, tmp_path, capsys,
                                            argv, code, message):
     out = tmp_path / "out"
     string_rounds = tmp_path / "string_rounds.json"
     string_rounds.write_text('{"rounds": "6"}\n')
     lines_6_12 = tmp_path / "lines_6_12.json"
     lines_6_12.write_text(json.dumps([{"line_id": c, "p_c": 0.0001, "cost_ratio": 0.999} for c in (6, 12)]))
-    fields = {"data": dataset, "no_test_split": no_test_split, "string_rounds": string_rounds,
+    fields = {"data": dataset, "no_test_split": no_test_split, "unbalanced": unbalanced, "string_rounds": string_rounds,
               "lines_6_12": lines_6_12, **trained, **bad_models}
     assert main([arg.format(**fields) for arg in argv] + ["--out", str(out)]) == code
     assert message in capsys.readouterr().err

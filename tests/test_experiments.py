@@ -12,14 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riskgate import experiments
 from riskgate.experiments import (
     ALL_LINES,
+    RUNNERS,
     ExperimentConfig,
-    _resplit,
+    Study,
     _write_manifest,
     budget_sweep,
     draw_contingency_params,
-    generation_pool,
+    fit_contingency_model,
     run_calibration_study,
     run_imbalance_study,
     run_multi_contingency_study,
@@ -33,6 +35,12 @@ SMALL = dict(n=320, splits=(200, 60, 60), seed=5, rounds=8, repetitions=2)
 
 def small_config(tmp_path, **over):
     return ExperimentConfig(**{**SMALL, **over, "out_dir": str(tmp_path)})
+
+
+@pytest.fixture(scope="module")
+def study():
+    """One study of the SMALL config, shared by the runner tests."""
+    return Study(ExperimentConfig(**SMALL))
 
 
 def read_csv(path):
@@ -89,6 +97,11 @@ def test_config_fields_accept_their_own_kinds(tmp_path):
     assert cfg.alpha == 10 and cfg.splits == (3500, 875, 1500) and cfg.seed == 7
 
 
+def test_config_accepts_empty_calibration_and_test_splits():
+    assert ExperimentConfig(n=300, splits=(200, 100, 0)).splits == (200, 100, 0)
+    assert ExperimentConfig(n=300, splits=(300, 0, 0)).splits == (300, 0, 0)
+
+
 def test_drawn_params_are_from_choice_sets():
     drawn = draw_contingency_params(ALL_LINES, seed=3)
     from riskgate.experiments import COST_RATIO_CHOICES, PROBABILITY_CHOICES
@@ -100,18 +113,16 @@ def test_drawn_params_are_from_choice_sets():
     assert draw_contingency_params(ALL_LINES, seed=3) == drawn
 
 
-def test_pool_cached_and_deterministic(tmp_path):
-    cfg = small_config(tmp_path)
-    pool_a = generation_pool(cfg)
-    pool_b = generation_pool(small_config(tmp_path / "other"))
-    assert pool_a is pool_b  # same (seed, n, splits) key
-    assert set(pool_a.labels) == set(ALL_LINES)
+def test_pool_cached_and_deterministic(study):
+    assert study.pool is study.pool  # built once per study
+    assert set(study.pool.labels) == set(ALL_LINES)
+    assert Study(ExperimentConfig(**SMALL)).pool == study.pool
 
 
 # -- runners -----------------------------------------------------------------
 
-def test_imbalance_study_structure(tmp_path):
-    out = run_imbalance_study(small_config(tmp_path / "a"))
+def test_imbalance_study_structure(study, tmp_path):
+    out = run_imbalance_study(study, tmp_path / "a")
     rows = read_csv(out / "imbalance.csv")
     assert len(rows) == 2 * SMALL["repetitions"] + 2
     mean_rows = [r for r in rows if r["repetition"] == "mean"]
@@ -123,9 +134,9 @@ def test_imbalance_study_structure(tmp_path):
     assert len(manifest["config_hash"]) == 64
 
 
-def test_imbalance_study_deterministic(tmp_path):
-    out_a = run_imbalance_study(small_config(tmp_path / "a"))
-    out_b = run_imbalance_study(small_config(tmp_path / "b"))
+def test_imbalance_study_deterministic(study, tmp_path):
+    out_a = run_imbalance_study(study, tmp_path / "a")
+    out_b = run_imbalance_study(Study(ExperimentConfig(**SMALL)), tmp_path / "b")
     assert (out_a / "imbalance.csv").read_bytes() == (out_b / "imbalance.csv").read_bytes()
 
 
@@ -143,7 +154,7 @@ def test_config_hash_ignores_out_dir_but_not_seed(tmp_path):
 
 def test_calibration_study_outputs(tmp_path):
     cfg = small_config(tmp_path, bins=6)
-    out = run_calibration_study(cfg)
+    out = run_calibration_study(Study(cfg), tmp_path)
     rows = read_csv(out / "brier.csv")
     assert len(rows) == SMALL["repetitions"] + 1
     assert rows[-1]["repetition"] == "mean"
@@ -155,8 +166,8 @@ def test_calibration_study_outputs(tmp_path):
         assert sum(counts) == cfg.splits[2]
 
 
-def test_threshold_study_grid(tmp_path):
-    out = run_threshold_study(small_config(tmp_path))
+def test_threshold_study_grid(study, tmp_path):
+    out = run_threshold_study(study, tmp_path)
     rows = read_csv(out / "threshold_risk.csv")
     assert len(rows) == 35  # 5 variants x 7 cost ratios
     assert all(float(r["mean_risk"]) >= 0.0 for r in rows)
@@ -165,19 +176,16 @@ def test_threshold_study_grid(tmp_path):
 
 
 @pytest.mark.parametrize("run", [run_calibration_study, run_threshold_study])
-def test_each_repetition_scores_its_model_once(tmp_path, times_scored, run):
-    cfg = small_config(tmp_path)
-    run(cfg)
-    db = generation_pool(cfg)
-    for rep in range(cfg.repetitions):
-        _, _, test_idx = _resplit(db, cfg, rep)
-        assert times_scored(db.features_matrix()[test_idx]) == 1
+def test_each_repetition_scores_its_model_once(study, tmp_path, times_scored, run):
+    run(study, tmp_path)
+    for rep in range(study.config.repetitions):
+        _, _, test_idx = study.split(rep)
+        assert times_scored(study.pool.features_matrix()[test_idx]) == 1
 
 
-def test_triage_study_curves(tmp_path):
-    cfg = small_config(tmp_path)
-    out = run_triage_study(cfg)
-    n_test = cfg.splits[2]
+def test_triage_study_curves(study, tmp_path):
+    out = run_triage_study(study, tmp_path)
+    n_test = study.config.splits[2]
     for name in ("proposed", "standard", "no_ml"):
         rows = read_csv(out / f"triage_{name}.csv")
         assert len(rows) == n_test + 1
@@ -188,10 +196,9 @@ def test_triage_study_curves(tmp_path):
         assert np.all(np.diff(risks) <= 1e-18)
 
 
-def test_multi_study_scenario_counts(tmp_path):
-    cfg = small_config(tmp_path)
-    out = run_multi_contingency_study(cfg)
-    n_test = cfg.splits[2]
+def test_multi_study_scenario_counts(study, tmp_path):
+    out = run_multi_contingency_study(study, tmp_path)
+    n_test = study.config.splits[2]
     rows2 = read_csv(out / "multi2_proposed.csv")
     assert int(rows2[-1]["budget"]) == 2 * n_test
     rows11 = read_csv(out / "multi11_proposed.csv")
@@ -203,8 +210,7 @@ def test_multi_study_scenario_counts(tmp_path):
 
 
 def test_sensitivity_identity_at_alpha_one(tmp_path):
-    cfg = small_config(tmp_path, alpha=1.0)
-    out = run_sensitivity_study(cfg)
+    out = run_sensitivity_study(Study(small_config(tmp_path, alpha=1.0)), tmp_path)
     rows = read_csv(out / "sensitivity.csv")
     curves = {}
     for r in rows:
@@ -218,8 +224,9 @@ def test_sensitivity_identity_at_alpha_one(tmp_path):
         assert float(risks[-1]) == 0.0  # full verification removes all risk
 
 
-def test_sensitivity_curves_differ_when_distorted(tmp_path):
-    out = run_sensitivity_study(small_config(tmp_path, alpha=10.0))
+def test_sensitivity_curves_differ_when_distorted(study, tmp_path):
+    assert study.config.alpha == 10.0
+    out = run_sensitivity_study(study, tmp_path)
     rows = read_csv(out / "sensitivity.csv")
     by_curve = {}
     for r in rows:
@@ -227,30 +234,26 @@ def test_sensitivity_curves_differ_when_distorted(tmp_path):
     assert by_curve["superposed"][0] >= by_curve["unperturbed"][0]
 
 
-def test_sensitivity_scores_each_model_once(tmp_path, times_scored):
+def test_sensitivity_scores_each_model_once(study, tmp_path, times_scored):
     # six ranked curves and the standard one share one score per model
-    cfg = small_config(tmp_path)
-    run_sensitivity_study(cfg)
-    db = generation_pool(cfg)
-    _, _, test_idx = _resplit(db, cfg, 0)
-    assert times_scored(db.features_matrix()[test_idx]) == len(ALL_LINES)
+    run_sensitivity_study(study, tmp_path)
+    _, _, test_idx = study.split(0)
+    assert times_scored(study.pool.features_matrix()[test_idx]) == len(ALL_LINES)
 
 
-def test_runner_isolation(tmp_path):
-    cfg_a = small_config(tmp_path / "imb")
-    cfg_b = small_config(tmp_path / "cal")
-    out_a = run_imbalance_study(cfg_a)
-    out_b = run_calibration_study(cfg_b)
+def test_runner_isolation(study, tmp_path):
+    out_a = run_imbalance_study(study, tmp_path / "imb")
+    out_b = run_calibration_study(study, tmp_path / "cal")
     assert out_a != out_b
     assert not (Path(out_a) / "brier.csv").exists()
     assert not (Path(out_b) / "imbalance.csv").exists()
 
 
-def test_emitted_dataset_reparses(tmp_path):
+def test_emitted_dataset_reparses(study, tmp_path):
     # every CSV the package emits must be loadable by its own tooling;
     # the dataset writer round-trip is checked in the scenario tests, and
     # runner CSVs must parse as plain CSV with stable headers.
-    out = run_triage_study(small_config(tmp_path))
+    out = run_triage_study(study, tmp_path)
     rows = read_csv(out / "triage_proposed.csv")
     assert set(rows[0]) == {"budget", "missed_alarms", "false_alarms", "residual_risk"}
 
@@ -316,13 +319,27 @@ GOLDEN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("mode", ["samme", "samme.r"])
-def test_runner_outputs_match_golden_digests(tmp_path, mode):
-    from riskgate.experiments import RUNNERS
+# Distinct (repetition, contingency, mode) models the six runners need under
+# SMALL: calibration fits line 6 in samme on both repetitions, threshold
+# does so in the config's mode, and triage, multi and sensitivity read the
+# repetition-0 models of all eleven lines in the config's mode.
+DISTINCT_FITS = {"samme": 12, "samme.r": 14}
 
+
+@pytest.mark.parametrize("mode", ["samme", "samme.r"])
+def test_runner_outputs_match_golden_digests(tmp_path, monkeypatch, mode):
+    fits = []
+
+    def counting_fit(db, train_idx, calib_idx, contingency, config):
+        fits.append((train_idx.tobytes(), contingency, config.mode))
+        return fit_contingency_model(db, train_idx, calib_idx, contingency, config)
+
+    monkeypatch.setattr(experiments, "fit_contingency_model", counting_fit)
+    study = Study(ExperimentConfig(**SMALL, mode=mode))
     digests = {}
     for name, run in RUNNERS.items():
-        out = run(small_config(tmp_path / name, mode=mode))
+        out = run(study, tmp_path / name)
         for path in sorted(out.glob("*.csv")):
             digests[f"{mode}/{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == {k: v for k, v in GOLDEN_SHA256.items() if k.startswith(f"{mode}/")}
+    assert len(fits) == len(set(fits)) == DISTINCT_FITS[mode]

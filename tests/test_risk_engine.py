@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from riskgate.errors import MalformedFile, MissingModel, NonPositiveCost
+from riskgate.errors import DataError, MalformedFile, MissingModel, NonPositiveCost
 from riskgate.risk_engine import (
     ContingencyParams,
     cost_ratio,
@@ -231,18 +231,18 @@ def test_top_one_split():
     assert report.scenarios.risk[report.n_high:].max() <= high_risk[0]
 
 
-def test_oracle_failure_flagged_not_fatal():
+def test_oracle_failure_is_a_data_error_naming_the_scenario():
     ranked, params = make_ranked(n=4)
+    failing = int(ranked.condition[1])
 
     def oracle(i, c):
-        if i == ranked.condition[1]:
+        if i == failing:
             raise RuntimeError("solver exploded")
         return 1
 
-    report = triage(ranked, 2, oracle=oracle, params_by_contingency=params)
-    assert report.assessment_failures == [1]
-    assert report.oracle_labels[1] is None
-    assert report.n_high == 2
+    with pytest.raises(DataError, match=rf"scenario {failing}:1 \(rank 1\): solver exploded") as info:
+        triage(ranked, 2, oracle=oracle, params_by_contingency=params)
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_endpoint_identities():

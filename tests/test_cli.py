@@ -209,6 +209,8 @@ def test_experiment_rejects_bad_alpha_before_generating(tmp_path, capsys, monkey
         ("imbalance", {"max_tree_depth": -1}, [], "max_tree_depth must be >= 0"),
         ("threshold", {"splits": [-10, 160, 150]}, [], "split sizes must be >= 0, got (-10, 160, 150)"),
         ("imbalance", {"splits": [0, 150, 150]}, [], "the train split needs at least one condition"),
+        ("imbalance", {"splits": [200, 100, 0]}, [], "the test split needs at least one condition"),
+        ("triage", {"splits": [200, 100, 0]}, [], "the test split needs at least one condition"),
     ]:
         config.write_text(json.dumps({"n": 300, "splits": [200, 50, 50], **fields}))
         assert main(["experiment", name, "--config", str(config), "--out", str(out)] + flags) == 2

@@ -2,19 +2,24 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskgate import grid as grid_mod
 from riskgate.errors import IslandedNetwork, MalformedFile
 from riskgate.grid import (
+    _PARALLEL_TOL,
+    UNDECIDED_TOL,
     Bus,
     DispatchSolution,
     Generator,
     GridModel,
     Line,
+    _best_vertex_violation,
     assess_security,
     grid_from_dict,
     grid_to_dict,
@@ -456,8 +461,20 @@ def test_assessment_deterministic():
     assert len(labels) == 1
 
 
+@pytest.mark.parametrize("corrective", [-1.0, float("nan")])
+def test_negative_or_nan_corrective_range_rejected(corrective):
+    g = six_bus()
+    loads = np.zeros(6)
+    loads[3:] = [120.0, 95.0, 70.0]
+    d = solve_dcopf(g, loads)
+    with pytest.raises(ValueError, match="corrective_range must be >= 0"):
+        assess_security(g, loads, d.outputs, 5, corrective)
+    with pytest.raises(ValueError, match="corrective_range must be >= 0"):
+        assess_security(g, loads[None], d.outputs[None], 5, corrective)
+
+
 @st.composite
-def condition_batches(draw):
+def condition_batches(draw, generator_counts=(3, 3, 3, 0, 1, 2, 4)):
     """A random grid with 0-4 generators, balanced conditions on it, and a corrective range.
 
     Generation is uniform within each unit's limits; the loads share out
@@ -466,7 +483,7 @@ def condition_batches(draw):
     grid, _ = draw(connected_grids())
     bus_ids = [b.id for b in grid.buses]
     gens = []
-    for j in range(draw(st.sampled_from([3, 3, 3, 0, 1, 2, 4]))):
+    for j in range(draw(st.sampled_from(generator_counts))):
         p_min = draw(st.sampled_from([0.0, 10.0, 45.0]))
         gens.append(Generator(j + 1, draw(st.sampled_from(bus_ids)), p_min,
                               p_min + draw(st.sampled_from([0.0, 30.0, 200.0])), 1.0))
@@ -518,6 +535,82 @@ def test_batched_labels_equal_single_condition_labels(case, data):
                                                          corrective)
         assert assess_security(grid, np.vstack([loads, pair_loads]), np.vstack([dispatch, pair_dispatch]), c,
                                corrective).tolist()[-2:] == [1, 0]
+
+
+_CHUNK_FLOATS = 1 << 15  # the reference's chunk size
+
+
+def reference_best_vertex_violation(grid, top, loads, lo, hi) -> np.ndarray:
+    """The certificate as it scored every vertex on every row: exact everywhere."""
+    rows = np.vstack([top.a_ub, np.eye(3), -np.eye(3)])
+    plane = rows[:, :2] - rows[:, 2:]  # x3 = total - x1 - x2
+    i, j = np.triu_indices(len(plane), 1)
+    det = plane[i, 0] * plane[j, 1] - plane[i, 1] * plane[j, 0]
+    norms = np.hypot(plane[:, 0], plane[:, 1])
+    keep = np.abs(det) > _PARALLEL_TOL * norms[i] * norms[j]
+    i, j, det = i[keep], j[keep], det[keep]
+    inverse = np.array([[plane[j, 1], -plane[i, 1]], [-plane[j, 0], plane[i, 0]]]) / det  # (2, 2, pairs)
+
+    base_flow = loads @ -top.ptdf.T
+    limits = grid.line_limits
+    rhs = np.hstack([limits - base_flow, limits + base_flow, hi, -lo]) - loads.sum(axis=1)[:, None] * rows[:, 2]
+    best = np.empty(len(loads))
+    step = max(1, _CHUNK_FLOATS // (len(i) * len(plane)))
+    for s in range(0, len(loads), step):
+        r = rhs[s:s + step]
+        vertices = np.stack([inverse[a, 0] * r[:, i] + inverse[a, 1] * r[:, j] for a in (0, 1)], axis=-1)
+        violation = vertices @ plane.T
+        violation -= r[:, None, :]
+        best[s:s + step] = violation.max(axis=2).min(axis=1)
+    return best
+
+
+def assert_certificate_matches_reference(grid, loads, dispatch, contingency, corrective):
+    """Bit for bit where the reference is at most UNDECIDED_TOL, above UNDECIDED_TOL elsewhere.
+
+    Returns how many conditions the reference puts at or under UNDECIDED_TOL.
+    """
+    top = grid.topology(contingency)
+    lo = np.maximum(grid.p_min, dispatch - corrective)
+    hi = np.minimum(grid.p_max, dispatch + corrective)
+    box = np.all(lo <= hi, axis=1)  # assess_security certifies only these
+    reference = reference_best_vertex_violation(grid, top, loads[box], lo[box], hi[box])
+    best = _best_vertex_violation(grid, top, loads[box], lo[box], hi[box])
+    decided = reference <= UNDECIDED_TOL
+    assert best[decided].tobytes() == reference[decided].tobytes()
+    assert np.all(best[~decided] > UNDECIDED_TOL)
+    return int(decided.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(condition_batches(generator_counts=(3,)), st.sampled_from([1, 40, 1 << 13]), st.data())
+def test_certificate_matches_scoring_every_vertex(case, chunk_floats, data):
+    grid, loads, dispatch, corrective = case
+    outages = [None] + [ln.id for ln in grid.lines if not grid.topology(ln.id).islanded]
+    c = data.draw(st.sampled_from(outages))
+    insecure = [k for k in range(len(loads)) if not assess_security(grid, loads[k], dispatch[k], c, corrective)]
+    if insecure:  # add the pair on either side of one condition's boundary
+        pair_loads, pair_dispatch = scaled_onto_boundary(grid, loads[insecure[0]], dispatch[insecure[0]], c,
+                                                         corrective)
+        loads, dispatch = np.vstack([loads, pair_loads]), np.vstack([dispatch, pair_dispatch])
+    with mock.patch.object(grid_mod, "_CHUNK_FLOATS", chunk_floats):  # 1: a chunk per condition
+        assert_certificate_matches_reference(grid, loads, dispatch, c, corrective)
+
+
+def test_certificate_matches_scoring_every_vertex_on_a_six_bus_pool():
+    # about 300 vertex pairs per outage: 240 conditions span about nine chunks of 27
+    from test_scenario_gen import sample_loads
+
+    g = six_bus()
+    loads = np.zeros((240, 6))
+    loads[:, 3:] = sample_loads(240, seed=13)
+    dispatch = [solve_dcopf(g, row) for row in loads]
+    feasible = [k for k, d in enumerate(dispatch) if d.feasible]
+    loads, dispatch = loads[feasible], np.array([dispatch[k].outputs for k in feasible])
+    assert len(loads) >= 200
+    decided = [assert_certificate_matches_reference(g, loads, dispatch, ln.id, corrective)
+               for ln in g.lines for corrective in (5.0, 20.0)]
+    assert 0 < sum(decided) < len(decided) * len(loads)  # both sides of the tolerance are compared
 
 
 def test_batched_labels_of_no_conditions():

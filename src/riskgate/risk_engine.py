@@ -241,18 +241,18 @@ def triage(ranked: ScenarioTable, budget: int, oracle, params_by_contingency) ->
     )
 
 
+_TRIAGE_HEADER = "rank,scenario,condition,contingency,p_hat,label_pred,risk,in_high_set,oracle_label\n"
+_TRIAGE_ROW = "%d,%d:%d,%d,%d,%.17g,%d,%.17g,%d,%s\n".__mod__
+
+
 def triage_csv(report: TriageReport, path) -> None:
     table = report.scenarios
-    oracle = [str(v) for v in report.oracle_labels] + [""] * (len(table) - report.n_high)
-    lines = ["rank,scenario,condition,contingency,p_hat,label_pred,risk,in_high_set,oracle_label"]
-    for rank, (cond, cont, p_hat, label, risk, oracle_label) in enumerate(zip(
-            table.condition.tolist(), table.contingency.tolist(), table.probability_estimate.tolist(),
-            table.predicted_label.tolist(), table.risk.tolist(), oracle)):
-        lines.append(
-            f"{rank},{cond}:{cont},{cond},{cont},{p_hat:.17g},{label},{risk:.17g},"
-            f"{int(rank < report.n_high)},{oracle_label}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    n, n_high = len(table), report.n_high
+    cond, cont = table.condition.tolist(), table.contingency.tolist()
+    rows = zip(range(n), cond, cont, cond, cont, table.probability_estimate.tolist(),
+               table.predicted_label.tolist(), table.risk.tolist(),
+               [1] * n_high + [0] * (n - n_high), report.oracle_labels + [""] * (n - n_high))
+    Path(path).write_text(_TRIAGE_HEADER + "".join(map(_TRIAGE_ROW, rows)))
 
 
 # -- budget-sweep curves -------------------------------------------------------

@@ -300,7 +300,8 @@ def load_database(path) -> LabeledDatabase:
     if not cons:
         raise MalformedFile("no label columns", line=lineno)
 
-    conditions, splits = [], []
+    ids, linenos, splits = [], [], []
+    values = np.empty((len(raw) - 1, n_fixed - 2))  # rows left over by blank lines are cut below
     labels = {c: [] for c in cons}
     for row_text in raw[1:]:
         lineno += 1
@@ -311,21 +312,27 @@ def load_database(path) -> LabeledDatabase:
             raise MalformedFile(f"expected {len(header)} columns, got {len(parts)}", line=lineno)
         try:
             cid = int(parts[0])
-            values = [float(v) for v in parts[1: n_fixed - 1]]
+            values[len(ids)] = [float(v) for v in parts[1: n_fixed - 1]]
         except ValueError as exc:
             raise MalformedFile(f"unparseable numeric field: {exc}", line=lineno) from exc
+        ids.append(cid)
+        linenos.append(lineno)
         split = parts[n_fixed - 1]
         if split not in SPLIT_NAMES:
             raise MalformedFile(f"unknown split tag {split!r}", line=lineno)
-        vals = np.array(values)
-        loads, gens, angles, flows = (vals[a:b] for a, b in zip(edges, edges[1:]))
-        conditions.append(OperatingCondition(cid, loads, gens, angles, flows))
         splits.append(split)
         for c, text in zip(cons, parts[n_fixed:]):
             if text not in ("0", "1"):
                 raise MalformedFile(f"label must be 0 or 1, got {text!r}", line=lineno)
             labels[c].append(int(text))
 
+    values = values[:len(ids)]
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise MalformedFile(f"feature {header[1 + j]} is {values[i, j]}, not a finite number", line=linenos[i])
+    conditions = [OperatingCondition(cid, *(vals[a:b] for a, b in zip(edges, edges[1:])))
+                  for cid, vals in zip(ids, values)]
     return LabeledDatabase(
         conditions=conditions,
         labels={c: np.array(v, dtype=int) for c, v in labels.items()},

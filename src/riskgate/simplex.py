@@ -32,6 +32,20 @@ included, so phase 2 starts from a canonical cost row.  The loop works in
 buffers allocated once per solve (the scan masks, the ratios, the pivot
 column and the elimination's outer product); only the tie scan's two
 m-vectors are allocated per pivot.
+
+Most pivots (about three in four on a six-bus DC-OPF) enter the slack of
+a row ``r`` that was not negated and has not pivoted.  That column is
+still the unit vector ``e_r``: the ratio test can only pick row ``r``,
+dividing it by 1.0 changes nothing, and every other constraint row has a
+zero factor.  Such a pivot updates only the two cost rows, with the same
+multiply and subtract as the full elimination.  Skipping ``t - 0 * row``
+can change only the sign of a zero entry, which no comparison sees, so
+Bland's choices stay the same while the tableau is finite; the solve
+checks that on every exit, and a non-finite entry never turns finite
+again.  ``x`` keeps its bits too: one of its columns enters only by a
+full pivot, whose ``row - 0.0 * row`` leaves no -0.0 in its row, and a
+subtraction yields -0.0 only from -0.0, so on either path no basic
+component of ``x`` is ever -0.0.
 """
 
 from __future__ import annotations
@@ -81,7 +95,7 @@ def solve_lp(
         Inequality constraints ``a_ub x <= b_ub``.
     lower, upper : arrays (n,)
         Variable bounds. ``lower`` defaults to 0 and must be finite;
-        ``upper`` defaults to +inf.
+        ``upper`` defaults to +inf, its one non-finite value.
 
     Returns
     -------
@@ -92,6 +106,9 @@ def solve_lp(
     ------
     UnboundedLP
         If the objective is unbounded below on the feasible set.
+    ValueError
+        If an input is NaN or infinite (other than +inf in ``upper``),
+        or the tableau overflows.
     """
     c = np.asarray(cost, dtype=float)
     n = c.size
@@ -99,8 +116,8 @@ def solve_lp(
     hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
     if not np.isfinite(lo).all():
         raise ValueError("lower bounds must be finite")
-    if (hi < lo).any():
-        return LPResult("infeasible", None, None)
+    if not (hi > -np.inf).all():
+        raise ValueError("upper bounds must not be NaN or -inf")
 
     # Shift x = lo + x' so that x' >= 0; finite upper bounds become rows.
     bounded = np.isfinite(hi)
@@ -109,7 +126,12 @@ def solve_lp(
     b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
     b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
     a = np.vstack([a_eq, a_ub, np.eye(n)[bounded]])
-    b = np.concatenate([b_eq, b_ub, hi[bounded]]) - np.vecdot(a, lo)  # one dot per row, as a row @ lo
+    b = np.concatenate([b_eq, b_ub, hi[bounded]])
+    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("cost and constraints must be finite")
+    if (hi < lo).any():
+        return LPResult("infeasible", None, None)
+    b = b - np.vecdot(a, lo)  # one dot per row, as a row @ lo
 
     m, n_eq = len(a), len(a_eq)
     if m == 0:
@@ -137,6 +159,7 @@ def solve_lp(
     factors = np.empty((m + 2, 1))  # the pivot column, zeroed in the pivot row
     product = np.empty_like(tableau)
     no_row = k + m  # a basis label past every real one
+    unit = b >= 0  # row r's slack column, n - n_eq + r, is still e_r: not negated, not pivoted
 
     def pivot(r: int, col: int) -> None:
         row = tableau[r]
@@ -146,6 +169,7 @@ def solve_lp(
         np.multiply(factors, row, out=product)
         np.subtract(tableau, product, out=tableau)
         basis[r] = col
+        unit[r] = False
 
     def run(cost_row: np.ndarray) -> None:
         for _ in range(_MAX_ITER):
@@ -153,6 +177,13 @@ def solve_lp(
             entering = np.less(cost_row, -PIVOT_TOL, out=improving).argmax()
             if not improving[entering]:
                 return
+            r = entering - n + n_eq
+            if entering >= n and unit[r]:  # only row r can leave, and only the cost rows change
+                np.multiply(tableau[m:, entering, None], tableau[r], out=product[m:])
+                np.subtract(tableau[m:], product[m:], out=tableau[m:])
+                basis[r] = entering
+                unit[r] = False
+                continue
             col = tableau[:m, entering]
             np.greater(col, PIVOT_TOL, out=positive)
             ratios.fill(np.inf)
@@ -164,18 +195,24 @@ def solve_lp(
             pivot(np.where(ratios <= best + PIVOT_TOL, basis, no_row).argmin(), entering)
         raise RuntimeError("simplex iteration limit exceeded")
 
-    run(tableau[m + 1, :k])
-    if -tableau[m + 1, -1] > FEAS_TOL:
-        return LPResult("infeasible", None, None)
+    try:
+        run(tableau[m + 1, :k])
+        if -tableau[m + 1, -1] > FEAS_TOL:
+            return LPResult("infeasible", None, None)
 
-    # Drive leftover basic artificials out; rows that cannot pivot are
-    # redundant and harmless (the artificial stays basic at value 0).
-    for r in np.flatnonzero(basis >= k):
-        cols = np.flatnonzero(np.abs(tableau[r, :k]) > PIVOT_TOL)
-        if cols.size:
-            pivot(r, cols[0])
+        # Drive leftover basic artificials out; rows that cannot pivot are
+        # redundant and harmless (the artificial stays basic at value 0).
+        for r in np.flatnonzero(basis >= k):
+            cols = np.flatnonzero(np.abs(tableau[r, :k]) > PIVOT_TOL)
+            if cols.size:
+                pivot(r, cols[0])
 
-    run(tableau[m, :k])
+        run(tableau[m, :k])
+    finally:
+        # On every exit: a non-finite entry never turns finite again, so a
+        # finite tableau now was finite at every pivot.
+        if not np.isfinite(tableau).all():
+            raise ValueError("simplex tableau overflowed: the LP's coefficients are too large")
 
     xfull = np.zeros(k + m)
     xfull[basis] = rhs

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from riskgate import calibration, cli, experiments, learner
+
+# CI reruns the two bit-for-bit simplex properties under this profile
+# (``--hypothesis-profile simplex-reference``); they take the larger of
+# their tier-1 budget and its ``max_examples``.
+settings.register_profile("simplex-reference", max_examples=5000)
 
 
 @pytest.fixture

@@ -239,6 +239,26 @@ def unbalanced(dataset, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def non_finite(dataset, tmp_path_factory):
+    """Copies of the dataset with one feature of the first test row replaced: ``load1`` by nan, ``flow2`` by -inf.
+
+    Also gives that row's line number.
+    """
+    lines = Path(dataset).read_text().splitlines()  # a seed comment, the header, then the rows
+    header = lines[1].split(",")
+    lineno = next(i for i in range(2, len(lines)) if lines[i].split(",")[header.index("split")] == "test")
+    files = {"nan_line": str(lineno + 1)}
+    for name, column, value in [("nan_load", "load1", "nan"), ("inf_flow", "flow2", "-inf")]:
+        edited = list(lines)
+        parts = edited[lineno].split(",")
+        parts[header.index(column)] = value
+        edited[lineno] = ",".join(parts)
+        files[name] = tmp_path_factory.mktemp(name) / "data.csv"
+        files[name].write_text("\n".join(edited) + "\n")
+    return files
+
+
+@pytest.fixture(scope="module")
 def bad_models(trained, tmp_path_factory):
     """Copies of the line-6 samme model, each with one defect."""
     tmp = tmp_path_factory.mktemp("bad_models")
@@ -289,21 +309,27 @@ def bad_models(trained, tmp_path_factory):
       "--budget", "50"], 2, "unknown line id 12"),
     (["triage", "--data", "{unbalanced}", "--models", "{models}", "--contingencies-file", "{contingencies}",
       "--budget", "90"], 3, "oracle failed on scenario 3:5 (rank 41): pre-fault condition is not balanced"),
+    (["triage", "--data", "{nan_load}", "--models", "{models}", "--contingencies-file", "{contingencies}",
+      "--budget", "12"], 2, "line {nan_line}: feature load1 is nan, not a finite number"),
+    (["evaluate", "--data", "{nan_load}", "--model", "{model6}", "--probability", "0.0001", "--cost-ratio", "0.9"],
+     2, "line {nan_line}: feature load1 is nan, not a finite number"),
+    (["train", "--data", "{inf_flow}", "--contingency", "6"], 2, "line {nan_line}: feature flow2 is -inf"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "zero-rounds", "one-fold", "unlabelled-line",
         "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
         "calibrate-feature-past-width", "triage-feature-past-width", "unknown-mode", "null-weights",
-        "short-weights", "config-string-rounds", "triage-unknown-line", "triage-unbalanced-condition"])
-def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unbalanced, bad_models, tmp_path, capsys,
-                                           argv, code, message):
+        "short-weights", "config-string-rounds", "triage-unknown-line", "triage-unbalanced-condition",
+        "triage-nan-feature", "evaluate-nan-feature", "train-inf-feature"])
+def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unbalanced, non_finite, bad_models,
+                                           tmp_path, capsys, argv, code, message):
     out = tmp_path / "out"
     string_rounds = tmp_path / "string_rounds.json"
     string_rounds.write_text('{"rounds": "6"}\n')
     lines_6_12 = tmp_path / "lines_6_12.json"
     lines_6_12.write_text(json.dumps([{"line_id": c, "p_c": 0.0001, "cost_ratio": 0.999} for c in (6, 12)]))
     fields = {"data": dataset, "no_test_split": no_test_split, "unbalanced": unbalanced, "string_rounds": string_rounds,
-              "lines_6_12": lines_6_12, **trained, **bad_models}
+              "lines_6_12": lines_6_12, **trained, **non_finite, **bad_models}
     assert main([arg.format(**fields) for arg in argv] + ["--out", str(out)]) == code
-    assert message in capsys.readouterr().err
+    assert message.format(**fields) in capsys.readouterr().err
     assert not out.exists()
 
 

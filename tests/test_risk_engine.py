@@ -1,6 +1,7 @@
 """Risk engine tests: formulas, ranking determinism, triage invariants."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from riskgate.errors import DataError, MalformedFile, MissingModel, NonPositiveCost
 from riskgate.risk_engine import (
     ContingencyParams,
+    ScenarioTable,
+    TriageReport,
     cost_ratio,
     decision_threshold,
     load_contingency_params,
@@ -289,6 +292,45 @@ def test_triage_csv_schema(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[7] == "1" and first[8] == "1"
     assert lines[-1].split(",")[7] == "0"
+
+
+# The writer as it stood before it formatted each row with one %-template,
+# kept verbatim: the current writer must reproduce its bytes.
+def reference_triage_csv(report: TriageReport, path) -> None:
+    table = report.scenarios
+    oracle = [str(v) for v in report.oracle_labels] + [""] * (len(table) - report.n_high)
+    lines = ["rank,scenario,condition,contingency,p_hat,label_pred,risk,in_high_set,oracle_label"]
+    for rank, (cond, cont, p_hat, label, risk, oracle_label) in enumerate(zip(
+            table.condition.tolist(), table.contingency.tolist(), table.probability_estimate.tolist(),
+            table.predicted_label.tolist(), table.risk.tolist(), oracle)):
+        lines.append(
+            f"{rank},{cond}:{cont},{cond},{cont},{p_hat:.17g},{label},{risk:.17g},"
+            f"{int(rank < report.n_high)},{oracle_label}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0, 3.0, -7.0,
+                  1e16, 2.0 ** 53 + 2, 0.1, 1 / 3]
+
+
+def test_triage_csv_matches_the_reference_writer(tmp_path):
+    rng = np.random.default_rng(14)
+
+    def floats(n):
+        drawn = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n).astype(float)
+        return np.where(rng.random(n) < 0.5, rng.choice(SPECIAL_FLOATS, n), drawn)
+
+    for n in [0, 1, 2, 7, 50, 333]:
+        n_high = int(rng.integers(0, n + 1))
+        table = ScenarioTable(
+            condition=rng.integers(0, 10**6, n), contingency=rng.integers(1, 12, n),
+            scenario_probability=floats(n), probability_estimate=floats(n),
+            predicted_label=rng.integers(0, 2, n), risk=floats(n))
+        report = TriageReport(table, n_high, n_high / max(n, 1), rng.integers(0, 2, n_high).tolist(), 0.0, 0.0, 0.0)
+        triage_csv(report, tmp_path / "new.csv")
+        reference_triage_csv(report, tmp_path / "reference.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 # -- sweep curves ----------------------------------------------------------

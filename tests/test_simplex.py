@@ -10,11 +10,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from riskgate import grid
+from riskgate import grid, simplex
 from riskgate.errors import UnboundedLP
 from riskgate.grid import CORRECTIVE_RANGE_MW, six_bus, solve_dcopf
 from riskgate.scenario_gen import LOAD_BUSES, LOAD_RANGE, bus_loads
@@ -119,6 +119,49 @@ def test_degenerate_cycling_guard():
     res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, lower=np.zeros(4))
     assert res.optimal
     assert res.objective == pytest.approx(-0.05, abs=1e-9)
+
+
+LP = dict(cost=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[1.0, -1.0]], b_ub=[0.5], lower=[0.0, 0.0],
+          upper=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("argument, value", [
+    (argument, value) for argument in ("cost", "a_eq", "b_eq", "a_ub", "b_ub", "lower")
+    for value in (np.nan, np.inf, -np.inf)
+] + [("upper", np.nan), ("upper", -np.inf)])
+def test_non_finite_inputs_raise(argument, value):
+    lp = {name: np.array(v) for name, v in LP.items()}
+    lp[argument].flat[-1] = value
+    with pytest.raises(ValueError, match="must"):
+        solve_lp(**lp)
+
+
+def test_nan_cost_raises_even_when_the_box_is_empty():
+    with pytest.raises(ValueError, match="cost and constraints must be finite"):
+        solve_lp([np.nan], lower=[1.0], upper=[0.0])
+
+
+def test_a_tableau_that_overflows_raises():
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflowed"):
+        solve_lp([1.0, 1.0], a_eq=[[1e-5, 1e305]], b_eq=[1.0])
+
+
+def test_six_bus_dcopf_pivots_take_the_slack_shortcut(monkeypatch):
+    """Some pivots enter a slack column that is still a unit vector and update only the two cost rows."""
+    rows_updated = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def multiply(self, x, y, out):
+            rows_updated.append(len(out))
+            return np.multiply(x, y, out=out)
+
+    monkeypatch.setattr(simplex, "np", CountingNumpy())
+    assert solve_dcopf(SIX, bus_loads(SIX, [100.0, 100.0, 100.0])).feasible
+    assert rows_updated.count(2) > 0  # shortcut pivots
+    assert any(n > 2 for n in rows_updated)  # pivots that eliminate every row
 
 
 def test_equality_constrained_against_oracle():
@@ -390,8 +433,26 @@ def assert_matches_the_reference(*args, **kwargs):
             assert res.objective == ref.objective
 
 
-@settings(max_examples=400, deadline=None)
+def lp_example(cost, a_ub, b_ub, lower, upper, a_eq=(), b_eq=()):
+    """One ``random_lps`` draw, written out."""
+    n = len(cost)
+    return tuple(np.array(v, dtype=float).reshape(shape) for v, shape in [
+        (cost, n), (a_eq, (-1, n)), (b_eq, -1), (a_ub, (-1, n)), (b_ub, -1), (lower, n), (upper, n)])
+
+
+# The two bit-for-bit properties run tier-1's budget, or more under
+# ``--hypothesis-profile simplex-reference`` (tests/conftest.py).
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(random_lps())
+# Zero and -0.0 right-hand sides, with a -0.0 lower bound on the variable basic at zero.
+@example(lp_example([0.0], [[2.0], [-1.0], [1.0]], [-0.0, -0.0, 5.0], [-0.0], [np.inf]))
+@example(lp_example([1.0, -1.0], [[1.0, 1.0], [-1.0, 2.0]], [0.0, -0.0], [-0.0, -0.0], [np.inf, 0.0]))
+# Negated rows: negative right-hand sides on inequality and equality rows.
+@example(lp_example([1.0, 1.0], [[-1.0, -1.0], [1.0, 0.0]], [-2.0, 3.0], [0.0, 0.0], [np.inf, 4.0],
+                    a_eq=[[1.0, -1.0]], b_eq=[-1.0]))
+# Zero costs: phase 2 has nothing to improve.
+@example(lp_example([0.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]], [2.0, -0.0], [-0.0, 0.0, -1.0],
+                    [1.0, np.inf, 1.0], a_eq=[[1.0, 0.0, 1.0]], b_eq=[0.5]))
 def test_matches_the_reference_simplex_bit_for_bit(lp):
     c, a_eq, b_eq, a_ub, b_ub, lower, upper = lp
     rows = lambda a, b: (a, b) if len(b) else (None, None)  # noqa: E731
@@ -428,7 +489,7 @@ def six_bus_lps(draw):
     return posed[0]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(six_bus_lps())
 def test_matches_the_reference_simplex_bit_for_bit_on_six_bus_lps(lp):
     args, kwargs = lp

@@ -110,10 +110,8 @@ def calibrated_probability(params: PlattParams | None, score):
     """Map a score through the fitted sigmoid, strictly inside (0, 1); unfitted (None) keeps the raw score."""
     if params is None:
         return score
-    s = np.asarray(score, dtype=float)
-    p = _sigmoid(params.a * s + params.b)
-    p = np.clip(p, 1e-15, 1.0 - 1e-15)
-    return float(p) if np.isscalar(score) or s.ndim == 0 else p
+    p = _sigmoid(params.a * np.asarray(score, dtype=float) + params.b)
+    return np.clip(p, 1e-15, 1.0 - 1e-15)
 
 
 def brier_score(values, labels, bins: int = 10) -> tuple[float, ReliabilityBins]:

@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     # the package raises ValueError only in its checks of input values
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

@@ -261,12 +261,26 @@ def solve_dcopf(grid: GridModel, loads) -> DispatchSolution:
     loads = np.asarray(loads, dtype=float)
     if loads.shape != (grid.n_buses,):
         raise ValueError(f"loads must have length {grid.n_buses}")
-    if np.any(loads < 0):
+    if not np.all(loads >= 0):  # NaN fails this too
         raise ValueError("loads must be nonnegative")
     res = _dispatch_lp(grid, grid.topology(None), loads, grid.cost, grid.p_min, grid.p_max)
     if not res.optimal:
         return DispatchSolution(outputs=None, cost=None, feasible=False)
     return DispatchSolution(outputs=res.x, cost=res.objective, feasible=True)
+
+
+def _fixed_order_product(a, b) -> np.ndarray:
+    """``a @ b.T``, summed term by term in column order.
+
+    A BLAS product's bits can depend on how many rows it has (one row goes
+    to gemv), which would let a condition on the ``SECURE_TOL`` boundary
+    get one label alone and another in a batch; here every row gets the
+    same bits either way.
+    """
+    out = np.zeros((len(a), len(b)))
+    for k in range(a.shape[1]):
+        out += a[:, k, None] * b[:, k]
+    return out
 
 
 def _best_vertex_violation(grid, top, loads, lo, hi) -> np.ndarray:
@@ -344,12 +358,16 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int,
     ``UNDECIDED_TOL`` of its redispatch box.  The undecided band between,
     and every remaining condition when G != 3, goes to the LP.
 
-    Raises ``ValueError`` if ``corrective_range`` is negative or NaN.
+    Raises ``ValueError`` if ``corrective_range`` is negative or NaN, or
+    if ``loads`` or ``dispatch`` holds a NaN or an infinity.
     """
     loads = np.asarray(loads, dtype=float)
     dispatch = np.asarray(dispatch, dtype=float)
     if not corrective_range >= 0:  # NaN would empty every redispatch box
         raise ValueError(f"corrective_range must be >= 0, got {corrective_range}")
+    for name, values in (("loads", loads), ("dispatch", dispatch)):
+        if not np.isfinite(values).all():  # the balance check passes NaN
+            raise ValueError(f"{name} must be finite")
     single = loads.ndim == 1
     loads, dispatch = np.atleast_2d(loads), np.atleast_2d(dispatch)
     if loads.ndim != 2 or len(loads) != len(dispatch):
@@ -359,7 +377,7 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int,
     labels = np.zeros(len(loads), dtype=int)
     top = grid.topology(contingency)
     if not top.islanded:
-        flows = (dispatch @ grid.incidence.T - loads) @ top.ptdf.T
+        flows = _fixed_order_product(_fixed_order_product(dispatch, grid.incidence) - loads, top.ptdf)
         labels[np.all(np.abs(flows) <= grid.line_limits + SECURE_TOL, axis=1)] = 1  # no corrective action
         lo = np.maximum(grid.p_min, dispatch - corrective_range)
         hi = np.minimum(grid.p_max, dispatch + corrective_range)

@@ -1,11 +1,15 @@
 """Boosted decision-stump ensembles and the depth-limited tree baseline.
 
-Two boosting modes are supported: the real-valued variant (default, as
-used for all shipped experiments) drives an additive half-log-odds
-margin from stump leaf probabilities, while the discrete variant keeps
-explicit nonnegative stump weights and realises the weighted-majority
-vote literally.  Both expose the same two outputs: a binary vote and a
+Two boosting modes are supported.  The real-valued variant
+(``"samme.r"``, the default of `train_adaboost` and of ``riskgate train
+--mode``) drives an additive half-log-odds margin from stump leaf
+probabilities.  The discrete variant (``"samme"``, the default of
+``ExperimentConfig.mode``, so of the shipped studies and the benchmark)
+keeps explicit nonnegative stump weights and realises the
+weighted-majority vote literally.  Both expose the same two outputs, as
+arrays with one entry per row of a feature matrix: a binary vote and a
 secure-class score in [0, 1] with ``vote == (score >= 0.5)`` exactly.
+A 1-D feature vector is one row.
 
 The ensemble size is chosen by k-fold cross-validation: the final model
 is retrained on the full split with the round count that minimised the
@@ -51,7 +55,6 @@ class Stump:
 
     def values(self, x: np.ndarray, left, right) -> np.ndarray:
         """``left`` for rows of ``x`` that go left, ``right`` for the others."""
-        x = np.atleast_2d(x)
         if self.feature is None:
             return np.full(len(x), left)
         return np.where(x[:, self.feature] <= self.threshold, left, right)
@@ -277,12 +280,11 @@ def train_adaboost(features, labels, rounds: int = 100, mode: str = "samme.r", k
 
 
 def ensemble_score(ensemble: Ensemble, features):
-    """Secure-class score in [0, 1]; complements to 1 for the other class.
+    """Secure-class score in [0, 1] of each row; complements to 1 for the other class.
 
     Raises ValueError if a stump reads a feature past the width of ``features``.
     """
     x = np.asarray(features, dtype=float)
-    single = x.ndim == 1
     widest = max((s.feature for s in ensemble.stumps if s.feature is not None), default=-1)
     if widest >= x.shape[-1]:
         raise ValueError(f"model reads feature {widest}, but the features have {x.shape[-1]} columns")
@@ -294,15 +296,12 @@ def ensemble_score(ensemble: Ensemble, features):
         score = np.full(len(score), 0.5) if total <= 0 else np.minimum(score / total, 1.0)
     else:
         score = 1.0 / (1.0 + np.exp(-2.0 * score))
-    return float(score[0]) if single else score
+    return score
 
 
 def ensemble_vote(ensemble: Ensemble, features):
-    """Binary label; 1 exactly when the score reaches 0.5."""
-    score = ensemble_score(ensemble, features)
-    if isinstance(score, float):
-        return int(score >= 0.5)
-    return (score >= 0.5).astype(int)
+    """Binary label of each row; 1 exactly when the score reaches 0.5."""
+    return (ensemble_score(ensemble, features) >= 0.5).astype(int)
 
 
 # -- depth-limited tree baseline ----------------------------------------------
@@ -366,15 +365,12 @@ def _tree_leaf(node: TreeNode, row: np.ndarray) -> TreeNode:
 
 def tree_predict(tree: SingleTree, features):
     """Majority label of the leaf each row falls in (ties go secure)."""
-    p1 = tree_proba(tree, features)
-    return int(p1 >= 0.5) if isinstance(p1, float) else (p1 >= 0.5).astype(int)
+    return (tree_proba(tree, features) >= 0.5).astype(int)
 
 
 def tree_proba(tree: SingleTree, features):
-    """Secure-class leaf frequency, used when thresholding a plain tree."""
-    x = np.asarray(features, dtype=float)
-    if x.ndim == 1:
-        return _tree_leaf(tree.root, x).p1
+    """Secure-class leaf frequency of each row, used when thresholding a plain tree."""
+    x = np.atleast_2d(np.asarray(features, dtype=float))
     return np.array([_tree_leaf(tree.root, row).p1 for row in x])
 
 

@@ -66,27 +66,21 @@ def decision_threshold(params: ContingencyParams) -> float:
 
 
 def prediction_risks(probability_estimate, params: ContingencyParams):
-    """(risk of predicting secure, risk of predicting insecure)."""
+    """(risk of predicting secure, risk of predicting insecure), one entry each per probability."""
     p1 = np.asarray(probability_estimate, dtype=float)
     risk_secure = params.miss_cost * params.probability * (1.0 - p1)
     risk_insecure = params.false_alarm_cost * (1.0 - params.probability) * p1
-    if p1.ndim == 0:
-        return float(risk_secure), float(risk_insecure)
     return risk_secure, risk_insecure
 
 
 def risk_optimal_predict(probability_estimate, params: ContingencyParams):
-    """Label with the smaller prediction risk, and that residual risk.
+    """Label with the smaller prediction risk, and that residual risk, per probability.
 
     Predicts secure exactly when the secure-side risk is strictly
     smaller, which coincides with ``p1 > threshold``; at the boundary the
     prediction is insecure.
     """
     risk_secure, risk_insecure = prediction_risks(probability_estimate, params)
-    if np.ndim(risk_secure) == 0:
-        if risk_secure < risk_insecure:
-            return 1, risk_secure
-        return 0, risk_insecure
     label = (risk_secure < risk_insecure).astype(int)
     return label, np.where(label == 1, risk_secure, risk_insecure)
 
@@ -258,7 +252,7 @@ def triage_csv(report: TriageReport, path) -> None:
 # -- budget-sweep curves -------------------------------------------------------
 
 def residual_error_curves(contingencies, predicted, truth, params_by_contingency,
-                          n_conditions: int, budgets=None):
+                          n_conditions: int, budgets):
     """Errors and residual risk left after assessing the first S scenarios.
 
     The three arrays describe scenarios in assessment order.  Returns
@@ -268,8 +262,6 @@ def residual_error_curves(contingencies, predicted, truth, params_by_contingency
     """
     c_ids = np.asarray(contingencies)
     n = len(c_ids)
-    if budgets is None:
-        budgets = np.arange(n + 1)
     budgets = np.asarray(budgets, dtype=int)
     if np.any(budgets < 0) or np.any(budgets > n):
         raise ValueError("budgets must lie in [0, number of scenarios]")

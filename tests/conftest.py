@@ -10,6 +10,9 @@ from riskgate import calibration, cli, experiments, learner
 # (``--hypothesis-profile simplex-reference``); they take the larger of
 # their tier-1 budget and its ``max_examples``.
 settings.register_profile("simplex-reference", max_examples=5000)
+# and the three bit-for-bit learner reference properties under this one
+# (``--hypothesis-profile learner-reference``), likewise.
+settings.register_profile("learner-reference", max_examples=2000)
 
 
 @pytest.fixture

@@ -332,7 +332,7 @@ def test_criterion_9_invariant_suite(study, pool, tmp_path):
     ranked = rank_scenarios({3: model3.probability(x[test_idx])}, uniform_condition_probabilities(n_test), params)
     truth3 = db.label_vector(3)[test_idx]
     _, _, _, z_curve = residual_error_curves(ranked.contingency, ranked.predicted_label,
-                                             truth3[ranked.condition], params, n_test)
+                                             truth3[ranked.condition], params, n_test, np.arange(len(ranked) + 1))
     checks["residual_risk_monotone_in_budget"] = bool(np.all(np.diff(z_curve) <= 1e-18))
 
     oracle = lambda i, c: int(truth3[i])

@@ -314,11 +314,15 @@ def bad_models(trained, tmp_path_factory):
     (["evaluate", "--data", "{nan_load}", "--model", "{model6}", "--probability", "0.0001", "--cost-ratio", "0.9"],
      2, "line {nan_line}: feature load1 is nan, not a finite number"),
     (["train", "--data", "{inf_flow}", "--contingency", "6"], 2, "line {nan_line}: feature flow2 is -inf"),
+    (["train", "--data", "{a_dir}", "--contingency", "6"], 2, "Is a directory: '{a_dir}'"),
+    (["train", "--data", "{data}", "--contingency", "6", "--rounds", "2", "--out", "{a_dir}"],
+     2, "Is a directory: '{a_dir}'"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "zero-rounds", "one-fold", "unlabelled-line",
         "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
         "calibrate-feature-past-width", "triage-feature-past-width", "unknown-mode", "null-weights",
         "short-weights", "config-string-rounds", "triage-unknown-line", "triage-unbalanced-condition",
-        "triage-nan-feature", "evaluate-nan-feature", "train-inf-feature"])
+        "triage-nan-feature", "evaluate-nan-feature", "train-inf-feature", "train-data-directory",
+        "train-out-directory"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unbalanced, non_finite, bad_models,
                                            tmp_path, capsys, argv, code, message):
     out = tmp_path / "out"
@@ -326,9 +330,12 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unba
     string_rounds.write_text('{"rounds": "6"}\n')
     lines_6_12 = tmp_path / "lines_6_12.json"
     lines_6_12.write_text(json.dumps([{"line_id": c, "p_c": 0.0001, "cost_ratio": 0.999} for c in (6, 12)]))
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
     fields = {"data": dataset, "no_test_split": no_test_split, "unbalanced": unbalanced, "string_rounds": string_rounds,
-              "lines_6_12": lines_6_12, **trained, **non_finite, **bad_models}
-    assert main([arg.format(**fields) for arg in argv] + ["--out", str(out)]) == code
+              "lines_6_12": lines_6_12, "a_dir": a_dir, **trained, **non_finite, **bad_models}
+    argv = [arg.format(**fields) for arg in argv]
+    assert main(argv if "--out" in argv else argv + ["--out", str(out)]) == code
     assert message.format(**fields) in capsys.readouterr().err
     assert not out.exists()
 

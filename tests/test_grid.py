@@ -382,6 +382,11 @@ def test_infeasible_load_returns_flag():
     assert sol.outputs is None and sol.cost is None
 
 
+def test_nan_load_rejected_before_the_lp():
+    with pytest.raises(ValueError, match="loads must be nonnegative"):
+        solve_dcopf(six_bus(), np.array([0, 0, 0, 120.0, np.nan, 70.0]))
+
+
 # -- security assessment ------------------------------------------------------
 
 def test_secure_without_redispatch():
@@ -473,6 +478,20 @@ def test_negative_or_nan_corrective_range_rejected(corrective):
         assess_security(g, loads[None], d.outputs[None], 5, corrective)
 
 
+@pytest.mark.parametrize("batched", [False, True], ids=["one-condition", "batch"])
+@pytest.mark.parametrize("name", ["loads", "dispatch"])
+def test_nan_condition_rejected(name, batched):
+    g = six_bus()
+    loads = np.zeros(6)
+    loads[3:] = [120.0, 95.0, 70.0]
+    condition = {"loads": loads, "dispatch": solve_dcopf(g, loads).outputs.copy()}
+    condition[name][-1] = np.nan
+    if batched:
+        condition = {k: v[None] for k, v in condition.items()}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        assess_security(g, condition["loads"], condition["dispatch"], 5)
+
+
 @st.composite
 def condition_batches(draw, generator_counts=(3, 3, 3, 0, 1, 2, 4)):
     """A random grid with 0-4 generators, balanced conditions on it, and a corrective range.
@@ -535,6 +554,35 @@ def test_batched_labels_equal_single_condition_labels(case, data):
                                                          corrective)
         assert assess_security(grid, np.vstack([loads, pair_loads]), np.vstack([dispatch, pair_dispatch]), c,
                                corrective).tolist()[-2:] == [1, 0]
+
+
+def test_batched_label_matches_single_label_on_the_secure_tol_boundary():
+    # A falsifying example of the property above: summed by BLAS, the boundary pair's
+    # insecure condition overloaded a line by just over SECURE_TOL alone (gemv) and by
+    # just under it in the batch (gemm), so the batch labelled it secure.
+    line = lambda k, a, b, x=1.0: Line(k, a, b, x, 100.0)  # noqa: E731
+    g = GridModel(
+        buses=(Bus(1, True),) + tuple(Bus(k) for k in range(2, 8)),
+        lines=(line(1, 2, 1), line(2, 1, 2), line(3, 4, 1), line(4, 5, 1), line(5, 6, 2), line(6, 7, 3),
+               line(7, 2, 3, 1.5109469864802432), line(8, 1, 2), line(9, 1, 2), line(10, 1, 2),
+               line(11, 3, 2, 2.728715766918797)),
+        generators=(Generator(1, 3, 0.0, 200.0, 1.0), Generator(2, 1, 10.0, 10.0, 1.0),
+                    Generator(3, 1, 45.0, 75.0, 1.0)),
+    )
+    loads = np.array([
+        [39.71994978991004, 71.60564853227783, 1.6217229714844341, 64.01838901060958, 38.1981567063995,
+         1.2431317145791243, 4.420146047351686],
+        [0.8440063083822099, 5.542419190449711, 1.0788814737005774, 2.233653850688351, 40.100409359301786,
+         70.0774322491302, 106.9324790448818],
+        [26.28850012698695, 0.3668036111824728, 68.68673929751928, 8.815180203411936, 42.21055760315709,
+         22.236271045427323, 2.4412259355067696]])
+    dispatch = np.array([[163.7002896314866, 10.0, 47.12685514112557],
+                         [158.74901954264112, 10.0, 58.06026193389352],
+                         [101.92888975990537, 10.0, 59.11638806328645]])
+    pair_loads, pair_dispatch = scaled_onto_boundary(g, loads[0], dispatch[0], 1, 0.0)
+    assert [assess_security(g, pair_loads[k], pair_dispatch[k], 1, 0.0) for k in (0, 1)] == [1, 0]
+    labels = assess_security(g, np.vstack([loads, pair_loads]), np.vstack([dispatch, pair_dispatch]), 1, 0.0)
+    assert labels.tolist()[-2:] == [1, 0]
 
 
 _CHUNK_FLOATS = 1 << 15  # the reference's chunk size

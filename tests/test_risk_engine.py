@@ -266,7 +266,8 @@ def test_residual_risk_non_increasing_in_budget():
     ranked, params = make_ranked(n=12, probability=0.02, ratio=0.95)
     rng = np.random.default_rng(9)
     truth = (rng.uniform(size=len(ranked)) > 0.4).astype(int)  # in ranked order
-    _, _, _, risk = residual_error_curves(ranked.contingency, ranked.predicted_label, truth, params, 12)
+    _, _, _, risk = residual_error_curves(ranked.contingency, ranked.predicted_label, truth, params, 12,
+                                          np.arange(len(ranked) + 1))
     assert len(risk) == len(ranked) + 1
     assert np.all(np.diff(risk) <= 1e-15)
     assert risk[0] > risk[-1] == 0.0
@@ -340,7 +341,7 @@ def test_error_curves_suffix_counts():
     contingencies = [1, 1, 1, 1]
     pred = [1, 0, 1, 0]
     true = [0, 1, 1, 0]  # scenario 0: missed alarm; scenario 1: false alarm
-    budgets, missed, false, risk = residual_error_curves(contingencies, pred, true, params, 4)
+    budgets, missed, false, risk = residual_error_curves(contingencies, pred, true, params, 4, np.arange(5))
     assert list(budgets) == [0, 1, 2, 3, 4]
     assert list(missed) == [1, 0, 0, 0, 0]
     assert list(false) == [1, 1, 0, 0, 0]

@@ -16,8 +16,8 @@ from .grid import (  # noqa: F401
     solve_dcopf,
 )
 from .scenario_gen import (  # noqa: F401
+    Conditions,
     LabeledDatabase,
-    OperatingCondition,
     build_database,
     load_database,
     save_database,

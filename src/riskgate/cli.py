@@ -207,10 +207,10 @@ def _cmd_triage(args) -> int:
     if missing:
         raise ConfigError(f"no model supplied for contingencies {missing}")
 
-    test = [db.conditions[i] for i in db.split_indices("test")]
-    if not test:
+    test = db.conditions[db.split_indices("test")]
+    if not len(test):
         raise EmptyDatabase(f"{args.data} has no test conditions to triage")
-    loads = bus_loads(grid, [cond.loads for cond in test])
+    loads = bus_loads(grid, test.loads)
     for c in params:
         grid.topology(c)  # an unknown line id is a configuration error, not an oracle failure
     n = len(test)
@@ -226,7 +226,7 @@ def _cmd_triage(args) -> int:
     ranked = rank_scenarios(probabilities, p_cond, params)
 
     def oracle(condition, contingency):
-        return assess_security(grid, loads[condition], test[condition].generation, contingency)
+        return assess_security(grid, loads[condition], test.generation[condition], contingency)
 
     report = triage(ranked, args.budget, oracle, params)
     triage_csv(report, args.out)

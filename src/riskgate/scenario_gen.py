@@ -6,12 +6,13 @@ range, dispatched by DC-OPF, and labeled per contingency by the exact
 security oracle.  Every condition owns an independent RNG stream derived
 from ``(seed, index, attempt)``, so generation is reproducible no matter
 how the work is partitioned, and rejected (pre-fault infeasible) samples
-never perturb the streams of other conditions.
+never perturb the streams of other conditions.  The pool is one
+`Conditions` table: a read-only array per feature group, aligned by row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -32,41 +33,51 @@ LOAD_BUSES = (4, 5, 6)
 
 
 @dataclass(frozen=True, eq=False)
-class OperatingCondition:
-    """One pre-fault steady state; features are loads, outputs, angles, flows."""
+class Conditions:
+    """Operating conditions as aligned read-only columns, one row per condition.
 
-    id: int
-    loads: np.ndarray
-    generation: np.ndarray
-    angles: np.ndarray
-    flows: np.ndarray
+    The features are loads, generator outputs, bus angles and line flows,
+    in that order.  An int index gives one condition (its columns lose the
+    leading axis); an index array or slice gives a sub-table.
+    """
 
-    @property
-    def features(self) -> np.ndarray:
-        return np.concatenate([self.loads, self.generation, self.angles, self.flows])
+    id: np.ndarray  # (n,)
+    loads: np.ndarray  # (n, 3): MW on LOAD_BUSES
+    generation: np.ndarray  # (n, G)
+    angles: np.ndarray  # (n, B)
+    flows: np.ndarray  # (n, L)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OperatingCondition)
-            and self.id == other.id
-            and np.array_equal(self.features, other.features)
-        )
+    def __post_init__(self):
+        for f in fields(self):
+            col = np.asarray(getattr(self, f.name)).view()  # the caller's array stays writeable
+            col.setflags(write=False)
+            object.__setattr__(self, f.name, col)
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, index) -> Conditions:
+        return Conditions(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
+
+    @classmethod
+    def stack(cls, rows) -> Conditions:
+        """The table of a sequence of single conditions."""
+        return cls(**{f.name: np.stack([getattr(row, f.name) for row in rows]) for f in fields(cls)})
 
 
 @dataclass(eq=False)
 class LabeledDatabase:
-    """Conditions, their per-contingency labels and split tags.
+    """Conditions, their per-contingency labels and split tags; features are stacked once, on first use."""
 
-    ``conditions`` and their arrays are not mutated after construction:
-    the feature matrix is built from them once, on first use, and kept.
-    """
-
-    conditions: list[OperatingCondition]
+    conditions: Conditions
     labels: dict[int, np.ndarray]  # contingency id -> 0/1 per condition
     splits: list[str]  # one of SPLIT_NAMES per condition
     seed: int | None = None
 
     def __post_init__(self):
+        """Stack a sequence of single conditions: bench/workloads.py builds its triage batches so."""
+        if not isinstance(self.conditions, Conditions):
+            self.conditions = Conditions.stack(self.conditions)
         n = len(self.conditions)
         if len(self.splits) != n:
             raise ValueError("split tags must cover every condition")
@@ -88,7 +99,8 @@ class LabeledDatabase:
 
     @cached_property
     def _features(self) -> np.ndarray:
-        features = np.array([cond.features for cond in self.conditions])
+        c = self.conditions
+        features = np.hstack([c.loads, c.generation, c.angles, c.flows])
         features.setflags(write=False)
         return features
 
@@ -111,7 +123,8 @@ class LabeledDatabase:
     def __eq__(self, other):
         return (
             isinstance(other, LabeledDatabase)
-            and self.conditions == other.conditions
+            and np.array_equal(self.conditions.id, other.conditions.id)
+            and np.array_equal(self._features, other._features)
             and self.splits == other.splits
             and self.seed == other.seed
             and sorted(self.labels) == sorted(other.labels)
@@ -180,11 +193,14 @@ def build_database(
     contingencies = list(contingencies)
     for c in contingencies:
         grid.topology(c)
+    if n < 0 or min(splits) < 0:
+        raise ValueError(f"n and split sizes must be >= 0, got n={n} and splits {tuple(splits)}")
     if sum(splits) != n:
         raise ValueError(f"splits {splits} must sum to n={n}")
     chol = _copula_cholesky(LOAD_CORRELATION, len(LOAD_BUSES))
 
-    conditions: list[OperatingCondition] = []
+    triples, outputs, angles, flows = (np.empty((n, width)) for width in (
+        len(LOAD_BUSES), len(grid.generators), grid.n_buses, len(grid.lines)))
     attempts = 0
     rejects = 0
     for i in range(n):
@@ -203,29 +219,19 @@ def build_database(
         else:
             raise GenerationStalled(f"condition {i}: no feasible dispatch in 1000 attempts")
 
-        injections = grid.incidence @ dispatch.outputs - loads
-        flow = grid_mod.solve_dc_power_flow(grid, injections)
-        conditions.append(
-            OperatingCondition(
-                id=i,
-                loads=triple,
-                generation=dispatch.outputs.copy(),
-                angles=flow.angles.copy(),
-                flows=flow.flows.copy(),
-            )
-        )
+        flow = grid_mod.solve_dc_power_flow(grid, grid.incidence @ dispatch.outputs - loads)
+        triples[i], outputs[i], angles[i], flows[i] = triple, dispatch.outputs, flow.angles, flow.flows
 
     # Label one contingency at a time, for every condition at once.
-    loads = bus_loads(grid, np.array([cond.loads for cond in conditions]).reshape(n, len(LOAD_BUSES)))
-    outputs = np.array([cond.generation for cond in conditions]).reshape(n, len(grid.generators))
+    loads = bus_loads(grid, triples)
     labels = {c: grid_mod.assess_security(grid, loads, outputs, c) for c in contingencies}
     tags = [SPLIT_NAMES[0]] * splits[0] + [SPLIT_NAMES[1]] * splits[1] + [SPLIT_NAMES[2]] * splits[2]
-    return LabeledDatabase(conditions=conditions, labels=labels, splits=tags, seed=seed)
+    return LabeledDatabase(Conditions(np.arange(n), triples, outputs, angles, flows), labels, tags, seed)
 
 
 # -- dataset.csv -------------------------------------------------------------
 
-_FEATURE_GROUPS = ("load", "gen", "angle", "flow")  # OperatingCondition.features order
+_FEATURE_GROUPS = ("load", "gen", "angle", "flow")  # the feature matrix's column order
 
 
 def _header(widths) -> list[str]:
@@ -239,25 +245,18 @@ def _header(widths) -> list[str]:
 def save_database(db: LabeledDatabase, path) -> None:
     """Write ``dataset.csv``; floats carry 17 significant digits.
 
-    The feature widths are the conditions' own, so the database must
-    hold at least one condition.
+    The database must hold at least one condition.
     """
-    if not db.conditions:
-        raise ValueError("a dataset needs at least one condition to take its feature widths from")
-    first = db.conditions[0]
-    widths = [len(first.loads), len(first.generation), len(first.angles), len(first.flows)]
+    if not len(db):
+        raise ValueError("a dataset needs at least one condition")
+    table = db.conditions
+    widths = [col.shape[1] for col in (table.loads, table.generation, table.angles, table.flows)]
     cons = sorted(db.labels)
-    lines = []
-    if db.seed is not None:
-        lines.append(f"# seed={db.seed}")
-    lines.append(",".join(_header(widths) + [f"label_c{c}" for c in cons]))
-    for i, cond in enumerate(db.conditions):
-        row = [str(cond.id)]
-        row += [f"{v:.17g}" for v in cond.features]
-        row.append(db.splits[i])
-        row += [str(int(db.labels[c][i])) for c in cons]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = [] if db.seed is None else [f"# seed={db.seed}\n"]
+    head.append(",".join(_header(widths) + [f"label_c{c}" for c in cons]) + "\n")
+    row = ",".join(["%d"] + ["%.17g"] * sum(widths) + ["%s"] + ["%d"] * len(cons)) + "\n"
+    rows = zip(table.id.tolist(), *db._features.T.tolist(), db.splits, *(db.label_vector(c).tolist() for c in cons))
+    Path(path).write_text("".join(head) + "".join(map(row.__mod__, rows)))
 
 
 def load_database(path) -> LabeledDatabase:
@@ -288,7 +287,6 @@ def load_database(path) -> LabeledDatabase:
     n_fixed = len(expected_fixed)
     if header[:n_fixed] != expected_fixed:
         raise MalformedFile("unexpected header columns (missing feature or split column?)", line=lineno)
-    edges = np.cumsum([0] + widths).tolist()
     cons = []
     for col in header[n_fixed:]:
         if not col.startswith("label_c"):
@@ -297,6 +295,8 @@ def load_database(path) -> LabeledDatabase:
             cons.append(int(col[len("label_c"):]))
         except ValueError as exc:
             raise MalformedFile(f"bad label column {col!r}", line=lineno) from exc
+        if cons[-1] in cons[:-1]:
+            raise MalformedFile(f"repeated label column {col!r}", line=lineno)
     if not cons:
         raise MalformedFile("no label columns", line=lineno)
 
@@ -331,10 +331,8 @@ def load_database(path) -> LabeledDatabase:
     if bad.size:
         i, j = bad[0]
         raise MalformedFile(f"feature {header[1 + j]} is {values[i, j]}, not a finite number", line=linenos[i])
-    conditions = [OperatingCondition(cid, *(vals[a:b] for a, b in zip(edges, edges[1:])))
-                  for cid, vals in zip(ids, values)]
     return LabeledDatabase(
-        conditions=conditions,
+        conditions=Conditions(np.array(ids, dtype=int), *np.split(values, np.cumsum(widths)[:-1], axis=1)),
         labels={c: np.array(v, dtype=int) for c, v in labels.items()},
         splits=splits,
         seed=seed,

@@ -14,7 +14,7 @@ from riskgate.errors import MalformedFile
 from riskgate.experiments import ExperimentConfig
 from riskgate.grid import Bus, Generator, GridModel, Line, six_bus
 from riskgate.learner import MODES, Ensemble, load_model, save_model, train_stump
-from riskgate.scenario_gen import load_database, save_database
+from riskgate.scenario_gen import Conditions, LabeledDatabase, load_database, save_database
 
 from test_bench import load_tracing
 from test_grid import save_grid
@@ -231,10 +231,19 @@ def no_test_split(dataset, tmp_path_factory):
 def unbalanced(dataset, tmp_path_factory):
     """The dataset with generator 1 of test condition 3 raised by 5 MW, so the oracle rejects it."""
     db = load_database(dataset)
-    i = db.split_indices("test")[3]
-    db.conditions[i] = dataclasses.replace(db.conditions[i], generation=db.conditions[i].generation + [5.0, 0, 0])
+    generation = db.conditions.generation.copy()
+    generation[db.split_indices("test")[3]] += [5.0, 0, 0]
+    db = LabeledDatabase(dataclasses.replace(db.conditions, generation=generation), db.labels, db.splits, db.seed)
     path = tmp_path_factory.mktemp("unbalanced") / "data.csv"
     save_database(db, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def repeated_label(dataset, tmp_path_factory):
+    """The dataset with its ``label_c6`` header column renamed ``label_c5``."""
+    path = tmp_path_factory.mktemp("repeated_label") / "data.csv"
+    path.write_text(Path(dataset).read_text().replace(",label_c6", ",label_c5"))
     return path
 
 
@@ -283,6 +292,8 @@ def bad_models(trained, tmp_path_factory):
     (["generate", "--n", "7", "--splits", "5,1,1", "--contingencies", "99"], 2, "unknown line id 99"),
     (["generate", "--n", "7", "--splits", "5,1,2"], 2, "must sum to n=7"),
     (["generate", "--n", "0", "--splits", "0,0,0"], 2, "at least one condition"),
+    (["generate", "--n", "3", "--splits=5,-1,-1"], 2, "n and split sizes must be >= 0, got n=3 and splits (5, -1, -1)"),
+    (["generate", "--n", "-3", "--splits=-3,0,0"], 2, "n and split sizes must be >= 0, got n=-3 and splits (-3, 0, 0)"),
     (["train", "--data", "{data}", "--contingency", "6", "--rounds", "0"], 2, "rounds must be >= 1"),
     (["train", "--data", "{data}", "--contingency", "6", "--k-folds", "1"], 2, "k_folds must be >= 2"),
     (["train", "--data", "{data}", "--contingency", "42"], 2, "no labels for contingency 42"),
@@ -315,16 +326,17 @@ def bad_models(trained, tmp_path_factory):
      2, "line {nan_line}: feature load1 is nan, not a finite number"),
     (["train", "--data", "{inf_flow}", "--contingency", "6"], 2, "line {nan_line}: feature flow2 is -inf"),
     (["train", "--data", "{a_dir}", "--contingency", "6"], 2, "Is a directory: '{a_dir}'"),
+    (["train", "--data", "{repeated_label}", "--contingency", "5"], 2, "line 2: repeated label column 'label_c5'"),
     (["train", "--data", "{data}", "--contingency", "6", "--rounds", "2", "--out", "{a_dir}"],
      2, "Is a directory: '{a_dir}'"),
-], ids=["unknown-line", "splits-sum", "no-conditions", "zero-rounds", "one-fold", "unlabelled-line",
-        "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
+], ids=["unknown-line", "splits-sum", "no-conditions", "negative-split", "negative-n", "zero-rounds", "one-fold",
+        "unlabelled-line", "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
         "calibrate-feature-past-width", "triage-feature-past-width", "unknown-mode", "null-weights",
         "short-weights", "config-string-rounds", "triage-unknown-line", "triage-unbalanced-condition",
         "triage-nan-feature", "evaluate-nan-feature", "train-inf-feature", "train-data-directory",
-        "train-out-directory"])
+        "repeated-label-column", "train-out-directory"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unbalanced, non_finite, bad_models,
-                                           tmp_path, capsys, argv, code, message):
+                                           repeated_label, tmp_path, capsys, argv, code, message):
     out = tmp_path / "out"
     string_rounds = tmp_path / "string_rounds.json"
     string_rounds.write_text('{"rounds": "6"}\n')
@@ -333,7 +345,8 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unba
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
     fields = {"data": dataset, "no_test_split": no_test_split, "unbalanced": unbalanced, "string_rounds": string_rounds,
-              "lines_6_12": lines_6_12, "a_dir": a_dir, **trained, **non_finite, **bad_models}
+              "lines_6_12": lines_6_12, "a_dir": a_dir, "repeated_label": repeated_label, **trained, **non_finite,
+              **bad_models}
     argv = [arg.format(**fields) for arg in argv]
     assert main(argv if "--out" in argv else argv + ["--out", str(out)]) == code
     assert message.format(**fields) in capsys.readouterr().err
@@ -418,12 +431,8 @@ def test_generate_bad_integer_list_is_config_error(tmp_path, capsys, flag, value
 def test_exit_code_data_error(dataset, tmp_path):
     # contingency 5 exists but asking for an unlabeled one is a config error;
     # a single-class training split is a data error (exit 3)
-    from riskgate.scenario_gen import LabeledDatabase, OperatingCondition, save_database
-
-    conditions = [
-        OperatingCondition(i, np.full(3, 60.0), np.full(3, 60.0), np.zeros(6), np.zeros(11))
-        for i in range(8)
-    ]
+    conditions = Conditions(np.arange(8), np.full((8, 3), 60.0), np.full((8, 3), 60.0), np.zeros((8, 6)),
+                            np.zeros((8, 11)))
     db = LabeledDatabase(
         conditions=conditions,
         labels={5: np.ones(8, dtype=int)},

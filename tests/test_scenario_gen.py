@@ -1,17 +1,21 @@
 """Database generation tests: copula sampling, labeling, CSV round-trip."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from riskgate import grid, scenario_gen
 from riskgate.errors import GenerationStalled, InvalidCorrelation, MalformedFile
 from riskgate.grid import six_bus
 from riskgate.scenario_gen import (
     LOAD_CORRELATION,
     SPLIT_NAMES,
+    Conditions,
     LabeledDatabase,
-    OperatingCondition,
     _copula_cholesky,
     _draw_load_triple,
     build_database,
@@ -113,28 +117,46 @@ def test_database_structure(small_db):
 
 
 def test_condition_invariants(small_db):
-    for cond in small_db.conditions:
-        assert cond.features.shape == (23,)
-        assert np.all(cond.loads >= 50.0) and np.all(cond.loads <= 150.0)
-        assert abs(cond.generation.sum() - cond.loads.sum()) < 1e-6
+    c = small_db.conditions
+    assert small_db.features_matrix().shape == (12, 23)
+    assert np.all(c.loads >= 50.0) and np.all(c.loads <= 150.0)
+    assert np.all(np.abs(c.generation.sum(axis=1) - c.loads.sum(axis=1)) < 1e-6)
 
 
 def test_features_matrix_is_built_once_and_handed_out_fresh(small_db, tmp_path, monkeypatch):
     db = LabeledDatabase(conditions=small_db.conditions, labels=small_db.labels, splits=small_db.splits, seed=3)
-    rows = np.array([cond.features for cond in db.conditions])
+    c = db.conditions
+    rows = np.array([np.concatenate([c.loads[i], c.generation[i], c.angles[i], c.flows[i]]) for i in range(len(db))])
     built = []
-    features = OperatingCondition.features
-    monkeypatch.setattr(OperatingCondition, "features", property(lambda c: built.append(c.id) or features.fget(c)))
+    hstack = np.hstack
+    monkeypatch.setattr(scenario_gen.np, "hstack", lambda arrays: built.append(len(arrays)) or hstack(arrays))
     full = db.features_matrix()
-    assert np.array_equal(full, rows) and len(built) == len(db)
+    assert np.array_equal(full, rows) and built == [4]  # one stack of the four feature groups
     full[:] = 0.0  # the caller's copy, not the database's
     assert np.array_equal(db.features_matrix(), rows)
     for split in SPLIT_NAMES:
         assert np.array_equal(db.features_matrix(split), rows[db.split_indices(split)])
-    assert len(built) == len(db)
+    assert built == [4]
     monkeypatch.undo()
     save_database(db, tmp_path / "dataset.csv")
     assert load_database(tmp_path / "dataset.csv") == db
+
+
+def test_a_list_of_single_conditions_stacks_into_the_table(small_db, tmp_path):
+    # bench/workloads.py builds its triage batches from single conditions
+    idx = np.array([0, 4, 5, 11])
+    parts = dict(labels={c: small_db.labels[c][idx] for c in small_db.labels}, splits=["test"] * len(idx), seed=3)
+    from_rows = LabeledDatabase(conditions=[small_db.conditions[i] for i in idx], **parts)
+    assert from_rows == LabeledDatabase(conditions=small_db.conditions[idx], **parts)
+    assert np.array_equal(from_rows.features_matrix(), small_db.features_matrix()[idx])
+    row = small_db.conditions[5]
+    assert row.id == 5 and row.loads.shape == (3,) and np.array_equal(row.flows, small_db.conditions.flows[5])
+
+    save_database(small_db, tmp_path / "dataset.csv")
+    for table in (small_db.conditions, load_database(tmp_path / "dataset.csv").conditions, from_rows.conditions, row):
+        for name in ("id", "loads", "generation", "angles", "flows"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[...] = 0
 
 
 def test_generation_deterministic():
@@ -146,6 +168,16 @@ def test_generation_deterministic():
 def test_bad_splits_rejected():
     with pytest.raises(ValueError):
         build_database(six_bus(), n=10, contingencies=[5], seed=0, splits=(5, 3, 3))
+
+
+@pytest.mark.parametrize("n, splits", [(3, (5, -1, -1)), (-3, (-3, 0, 0))])
+def test_negative_sizes_rejected_before_sampling(monkeypatch, n, splits):
+    def solve_dcopf(*args):
+        raise AssertionError("a condition was dispatched")
+
+    monkeypatch.setattr(grid, "solve_dcopf", solve_dcopf)
+    with pytest.raises(ValueError, match=rf"must be >= 0, got n={n} and splits \({splits[0]}, "):
+        build_database(six_bus(), n=n, contingencies=[5], seed=0, splits=splits)
 
 
 def test_generation_stalls_on_hopeless_network():
@@ -225,3 +257,60 @@ def test_wrong_column_count_reports_line(tmp_path, small_db):
     with pytest.raises(MalformedFile) as err:
         load_database(path)
     assert err.value.line == 5
+
+
+# The writer as it stood while the pool was a list of condition objects,
+# kept verbatim but for ``cond.features``, spelled out as the concatenation
+# that property made: the current writer must reproduce its bytes.
+def reference_save_database(db: LabeledDatabase, path) -> None:
+    if not db.conditions:
+        raise ValueError("a dataset needs at least one condition to take its feature widths from")
+    first = db.conditions[0]
+    widths = [len(first.loads), len(first.generation), len(first.angles), len(first.flows)]
+    cons = sorted(db.labels)
+    lines = []
+    if db.seed is not None:
+        lines.append(f"# seed={db.seed}")
+    lines.append(",".join(scenario_gen._header(widths) + [f"label_c{c}" for c in cons]))
+    for i, cond in enumerate(db.conditions):
+        row = [str(cond.id)]
+        row += [f"{v:.17g}" for v in np.concatenate([cond.loads, cond.generation, cond.angles, cond.flows])]
+        row.append(db.splits[i])
+        row += [str(int(db.labels[c][i])) for c in cons]
+        lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0, 3.0, -7.0,
+                  1e16, 2.0 ** 53 + 2, 0.1, 1 / 3]
+
+
+@st.composite
+def databases(draw):
+    n = draw(st.integers(1, 50))
+    widths = draw(st.lists(st.integers(0, 6), min_size=4, max_size=4))
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
+    values = np.array(draw(st.lists(floats, min_size=n * sum(widths), max_size=n * sum(widths))),
+                      dtype=float).reshape(n, sum(widths))
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+    cons = draw(st.lists(st.integers(0, 30), min_size=1, max_size=3, unique=True))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return LabeledDatabase(
+        conditions=Conditions(np.array(ids), *np.split(values, np.cumsum(widths)[:-1], axis=1)),
+        labels={c: np.array(draw(bits)) for c in cons},
+        splits=draw(st.lists(st.sampled_from(SPLIT_NAMES), min_size=n, max_size=n)),
+        seed=draw(st.none() | st.integers(-2**40, 2**40)),
+    )
+
+
+@given(databases())
+@example(LabeledDatabase(Conditions(np.array([7]), np.array([[-0.0, 5e-324, -5e-324]]), np.array([[1e300, 3.0]]),
+                                    np.zeros((1, 0)), np.array([[2.0 ** 53 + 2]])),
+                         {2: np.array([1]), 1: np.array([0])}, ["calib"], 0))
+def test_save_database_matches_the_reference_writer(db):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, reference = Path(tmp) / "new.csv", Path(tmp) / "reference.csv"
+        save_database(db, new)
+        reference_save_database(db, reference)
+        assert new.read_bytes() == reference.read_bytes()
+        assert load_database(new) == db

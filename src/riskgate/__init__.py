@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .grid import (  # noqa: F401
     Bus,
-    DispatchSolution,
     FlowSolution,
     Generator,
     GridModel,
@@ -24,7 +23,6 @@ from .scenario_gen import (  # noqa: F401
 )
 from .learner import (  # noqa: F401
     Ensemble,
-    SingleTree,
     Stump,
     ensemble_score,
     ensemble_vote,
@@ -47,7 +45,6 @@ from .risk_engine import (  # noqa: F401
     ScenarioTable,
     TriageReport,
     cost_ratio,
-    decision_threshold,
     perturb_params,
     prediction_risks,
     rank_scenarios,

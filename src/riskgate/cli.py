@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import CalibratedEnsemble, brier_score, calibrated_probability, fit_platt, reliability_csv
+from .calibration import brier_score, calibrated_probability, fit_platt, reliability_csv
 from .errors import ConfigError, DataError, EmptyDatabase
 from .experiments import RUNNERS, ExperimentConfig, Study
 from .grid import assess_security, load_grid, six_bus
-from .learner import MODES, ensemble_score, load_model, save_model, train_adaboost
+from .learner import MODES, load_model, save_model, train_adaboost
 from .risk_engine import (
     PROBABILITY_SUM_TOL,
     ContingencyParams,
@@ -147,18 +147,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     db = load_database(args.data)
-    ens, contingency, _ = load_model(args.model)
-    if contingency is None:
-        raise ConfigError("model carries no contingency id; retrain with --contingency")
-    scores = ensemble_score(ens, db.features_matrix("calib"))
-    params = fit_platt(scores, db.label_vector(contingency, "calib"))
+    model = load_model(args.model)
+    params = fit_platt(model.score(db.features_matrix("calib")), db.label_vector(model.contingency, "calib"))
     out = args.out or args.model
-    save_model(out, ens, contingency=contingency, calibration=params)
+    save_model(out, model.ensemble, contingency=model.contingency, calibration=params)
     print(f"wrote {out}: a={params.a:.4f} b={params.b:.4f} ({params.iterations} iterations)")
     if args.reliability:
-        test_scores = ensemble_score(ens, db.features_matrix("test"))
-        probs = calibrated_probability(params, test_scores)
-        _, bins = brier_score(probs, db.label_vector(contingency, "test"), bins=args.bins)
+        probs = calibrated_probability(params, model.score(db.features_matrix("test")))
+        _, bins = brier_score(probs, db.label_vector(model.contingency, "test"), bins=args.bins)
         reliability_csv(bins, args.reliability)
         print(f"wrote {args.reliability}")
     return 0
@@ -198,11 +194,10 @@ def _cmd_triage(args) -> int:
     params = load_contingency_params(args.contingencies_file)
     models, paths = {}, {}
     for path in args.models.split(","):
-        ens, contingency, cal = load_model(path)
-        if contingency is None:
-            raise ConfigError(f"{path}: model carries no contingency id")
-        models[contingency] = CalibratedEnsemble(ensemble=ens, contingency=contingency, params=cal)
-        paths[contingency] = path
+        model = load_model(path)
+        if model.contingency in paths:
+            raise ConfigError(f"{paths[model.contingency]} and {path} are both models of line {model.contingency}")
+        models[model.contingency], paths[model.contingency] = model, path
     missing = sorted(set(params) - set(models))
     if missing:
         raise ConfigError(f"no model supplied for contingencies {missing}")
@@ -237,14 +232,13 @@ def _cmd_triage(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     db = load_database(args.data)
-    ens, contingency, cal = load_model(args.model)
-    if contingency is None:
-        raise ConfigError("model carries no contingency id")
+    model = load_model(args.model)
+    contingency = model.contingency
     x = db.features_matrix("test")
     y = db.label_vector(contingency, "test")
     params = ContingencyParams.from_cost_ratio(contingency, args.probability, args.cost_ratio)
-    scores = ensemble_score(ens, x)
-    probs = calibrated_probability(cal, scores)
+    scores = model.score(x)
+    probs = calibrated_probability(model.params, scores)
     labels, _ = risk_optimal_predict(probs, params)
     votes = (scores >= 0.5).astype(int)
     missed, false = (int(mask.sum()) for mask in alarm_masks(labels, y))

@@ -42,12 +42,12 @@ from .learner import (
 from .risk_engine import (
     ContingencyParams,
     alarm_masks,
-    decision_threshold,
     perturb_params,
     random_assessment_order,
     rank_scenarios,
     residual_error_curves,
     residual_risk_estimate,
+    risk_optimal_predict,
     secure_first_order,
     uniform_condition_probabilities,
 )
@@ -368,10 +368,9 @@ def run_threshold_study(study: Study, out_dir) -> Path:
         truth = y[test_idx]
         for ratio in COST_RATIO_GRID:
             params = ContingencyParams.from_cost_ratio(contingency, prior_insecure, ratio)
-            z = decision_threshold(params)
             for variant in variants:
                 fixed, proba = preds[variant]
-                labels = fixed if proba is None else (proba > z).astype(int)
+                labels = fixed if proba is None else risk_optimal_predict(proba, params)[0]
                 missed, false = alarm_masks(labels, truth)
                 totals[(variant, ratio)] += residual_risk_estimate(
                     int(missed.sum()), int(false.sum()), ratio, prior_insecure, len(test_idx))

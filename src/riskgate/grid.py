@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import IslandedNetwork, MalformedFile, SingularSystem, read_json
-from .simplex import solve_lp
+from .simplex import LPResult, solve_lp
 
 BALANCE_TOL = 1e-6  # MW; residual beyond this is an error, never absorbed
 SECURE_TOL = 1e-9  # MW; a flow or redispatch row violated by at most this holds
@@ -98,10 +98,11 @@ class GridModel:
     def __post_init__(self):
         if sum(1 for b in self.buses if b.slack) != 1:
             raise ValueError("exactly one slack bus required")
-        ids = [b.id for b in self.buses]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate bus ids")
-        known = set(ids)
+        for kind, items in (("bus", self.buses), ("line", self.lines), ("generator", self.generators)):
+            ids = [item.id for item in items]
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"duplicate {kind} ids")
+        known = {b.id for b in self.buses}
         for ln in self.lines:
             if ln.reactance <= 0:
                 raise ValueError(f"line {ln.id}: reactance must be > 0")
@@ -194,15 +195,6 @@ class FlowSolution:
     flows: np.ndarray
 
 
-@dataclass(frozen=True)
-class DispatchSolution:
-    """Per-generator outputs (MW), objective cost ($), feasibility flag."""
-
-    outputs: np.ndarray | None
-    cost: float | None
-    feasible: bool
-
-
 def solve_dc_power_flow(grid: GridModel, injection, outaged_line: int | None = None) -> FlowSolution:
     """Solve the DC power flow for per-bus net injections (MW).
 
@@ -247,7 +239,7 @@ def _dispatch_lp(grid, top, loads, cost, lo, hi):
     )
 
 
-def solve_dcopf(grid: GridModel, loads) -> DispatchSolution:
+def solve_dcopf(grid: GridModel, loads) -> LPResult:
     """Cost-minimal dispatch under power balance, generator and flow limits.
 
     Parameters
@@ -255,18 +247,16 @@ def solve_dcopf(grid: GridModel, loads) -> DispatchSolution:
     loads : array (n_buses,)
         Per-bus load in MW, all >= 0.
 
-    Returns an infeasible `DispatchSolution` (no dispatch, no cost) when
-    no dispatch satisfies the constraints.
+    Returns the simplex's `LPResult`: ``x`` holds the per-generator
+    outputs (MW) and ``objective`` the cost ($); both are None, and
+    ``optimal`` False, when no dispatch satisfies the constraints.
     """
     loads = np.asarray(loads, dtype=float)
     if loads.shape != (grid.n_buses,):
         raise ValueError(f"loads must have length {grid.n_buses}")
     if not np.all(loads >= 0):  # NaN fails this too
         raise ValueError("loads must be nonnegative")
-    res = _dispatch_lp(grid, grid.topology(None), loads, grid.cost, grid.p_min, grid.p_max)
-    if not res.optimal:
-        return DispatchSolution(outputs=None, cost=None, feasible=False)
-    return DispatchSolution(outputs=res.x, cost=res.objective, feasible=True)
+    return _dispatch_lp(grid, grid.topology(None), loads, grid.cost, grid.p_min, grid.p_max)
 
 
 def _fixed_order_product(a, b) -> np.ndarray:

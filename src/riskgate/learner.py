@@ -19,6 +19,7 @@ mean fold error (ties go to fewer rounds).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -320,12 +321,6 @@ class TreeNode:
         return self.feature is None
 
 
-@dataclass(frozen=True)
-class SingleTree:
-    root: TreeNode
-    max_depth: int
-
-
 def _grow(x, y, depth, max_depth):
     n1 = int(np.sum(y == 1))
     n0 = len(y) - n1
@@ -348,13 +343,13 @@ def _grow(x, y, depth, max_depth):
     )
 
 
-def train_single_tree(features, labels, max_depth: int = 3) -> SingleTree:
-    """Greedy gini CART to ``max_depth``; leaves keep class frequencies."""
+def train_single_tree(features, labels, max_depth: int = 3) -> TreeNode:
+    """Greedy gini CART to ``max_depth``, as its root node; leaves keep class frequencies."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    return SingleTree(root=_grow(x, y, 0, max_depth), max_depth=max_depth)
+    return _grow(x, y, 0, max_depth)
 
 
 def _tree_leaf(node: TreeNode, row: np.ndarray) -> TreeNode:
@@ -363,15 +358,15 @@ def _tree_leaf(node: TreeNode, row: np.ndarray) -> TreeNode:
     return node
 
 
-def tree_predict(tree: SingleTree, features):
+def tree_predict(tree: TreeNode, features):
     """Majority label of the leaf each row falls in (ties go secure)."""
     return (tree_proba(tree, features) >= 0.5).astype(int)
 
 
-def tree_proba(tree: SingleTree, features):
+def tree_proba(tree: TreeNode, features):
     """Secure-class leaf frequency of each row, used when thresholding a plain tree."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
-    return np.array([_tree_leaf(tree.root, row).p1 for row in x])
+    return np.array([_tree_leaf(tree, row).p1 for row in x])
 
 
 # -- model.json ---------------------------------------------------------------
@@ -389,8 +384,8 @@ def _stump_to_dict(stump: Stump) -> dict:
     }
 
 
-def save_model(path, ensemble: Ensemble, contingency: int | None = None, calibration=None) -> None:
-    """Write ``model.json``: stumps, weights, optional sigmoid parameters."""
+def save_model(path, ensemble: Ensemble, contingency: int, calibration=None) -> None:
+    """Write ``model.json``: the line id, stumps, weights, optional sigmoid parameters."""
     doc = {
         "version": MODEL_SCHEMA_VERSION,
         "mode": ensemble.mode,
@@ -402,33 +397,51 @@ def save_model(path, ensemble: Ensemble, contingency: int | None = None, calibra
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_model(path):
-    """Read ``model.json``; returns (ensemble, contingency, calibration).
+def _integer(value, what) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
-    ``calibration`` is a PlattParams or None.  The mode must be one of
-    ``MODES``, with one weight per stump in ``"samme"`` and null weights
-    in ``"samme.r"``.  A negative stump feature is rejected here; one past
-    the data's width, when the model is scored.
+
+def _finite(value, what, lo=-math.inf, hi=math.inf) -> float:
+    """``value`` as a float; ValueError unless it is finite and within ``[lo, hi]``."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    if not lo <= v <= hi:
+        raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}], got {value!r}")
+    return v
+
+
+def _stump_from_dict(s, what) -> Stump:
+    feature = s["feature"]
+    if feature is not None and _integer(feature, f"{what} feature") < 0:
+        raise ValueError(f"stump feature {feature} is negative")
+    leaves = [Leaf(*(_finite(s[side][p], f"{what} {side} leaf {p}", 0.0, 1.0) for p in ("p0", "p1")))
+              for side in ("left", "right")]
+    return Stump(feature, _finite(s["threshold"], f"{what} threshold"), *leaves)
+
+
+def load_model(path):
+    """Read ``model.json`` as the `CalibratedEnsemble` it was saved from.
+
+    The contingency must be an integer line id and the mode one of
+    ``MODES``, with one finite nonnegative weight per stump in
+    ``"samme"`` and null weights in ``"samme.r"``.  Stump features are
+    null or nonnegative integers, thresholds and sigmoid parameters
+    finite, leaf probabilities in [0, 1].  A stump feature past the
+    data's width is rejected when the model is scored.  Every rejection
+    is a MalformedFile naming ``path``.
     """
-    from .calibration import PlattParams
+    from .calibration import CalibratedEnsemble, PlattParams
 
     doc = read_json(path)
     try:
         version = doc["version"]
         if version != MODEL_SCHEMA_VERSION:
             raise VersionMismatch(f"{path}: unsupported model version {version!r}")
-        stumps = [
-            Stump(
-                feature=None if s["feature"] is None else int(s["feature"]),
-                threshold=float(s["threshold"]),
-                left=Leaf(float(s["left"]["p0"]), float(s["left"]["p1"])),
-                right=Leaf(float(s["right"]["p0"]), float(s["right"]["p1"])),
-            )
-            for s in doc["stumps"]
-        ]
-        negative = [s.feature for s in stumps if s.feature is not None and s.feature < 0]
-        if negative:
-            raise MalformedFile(f"{path}: stump feature {negative[0]} is negative")
+        contingency = _integer(doc["contingency"], "contingency")
+        stumps = [_stump_from_dict(s, f"stump {k}") for k, s in enumerate(doc["stumps"])]
         mode, weights = doc["mode"], doc["weights"]
         if mode not in MODES:
             raise MalformedFile(f"{path}: unknown boosting mode {mode!r}, expected one of {MODES}")
@@ -436,10 +449,11 @@ def load_model(path):
             raise MalformedFile(f"{path}: a samme model needs one weight per stump ({len(stumps)})")
         if mode != "samme" and weights is not None:
             raise MalformedFile(f"{path}: a {mode} model needs null weights")
-        ensemble = Ensemble(mode=mode, stumps=stumps,
-                            weights=None if weights is None else [float(v) for v in weights])
+        ensemble = Ensemble(mode=mode, stumps=stumps, weights=None if weights is None else
+                            [_finite(v, f"weight {k}", lo=0.0) for k, v in enumerate(weights)])
         cal = doc.get("calibration")
-        params = None if cal is None else PlattParams(a=float(cal["a"]), b=float(cal["b"]))
-        return ensemble, doc.get("contingency"), params
+        params = None if cal is None else PlattParams(a=_finite(cal["a"], "calibration a"),
+                                                      b=_finite(cal["b"], "calibration b"))
+        return CalibratedEnsemble(ensemble, contingency, params)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"{path}: bad model description: {exc}") from exc

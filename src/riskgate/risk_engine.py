@@ -59,12 +59,6 @@ class ContingencyParams:
         return cost_ratio(self.miss_cost, self.false_alarm_cost)
 
 
-def decision_threshold(params: ContingencyParams) -> float:
-    """Probability cutoff above which predicting secure minimises risk."""
-    num = params.miss_cost * params.probability
-    return num / (num + params.false_alarm_cost * (1.0 - params.probability))
-
-
 def prediction_risks(probability_estimate, params: ContingencyParams):
     """(risk of predicting secure, risk of predicting insecure), one entry each per probability."""
     p1 = np.asarray(probability_estimate, dtype=float)
@@ -77,7 +71,9 @@ def risk_optimal_predict(probability_estimate, params: ContingencyParams):
     """Label with the smaller prediction risk, and that residual risk, per probability.
 
     Predicts secure exactly when the secure-side risk is strictly
-    smaller, which coincides with ``p1 > threshold``; at the boundary the
+    smaller, which coincides with ``p1`` above the shifted threshold
+    ``m*p / (m*p + f*(1 - p))`` (``m``, ``f`` the miss and false-alarm
+    costs, ``p`` the contingency probability); at the boundary the
     prediction is insecure.
     """
     risk_secure, risk_insecure = prediction_risks(probability_estimate, params)
@@ -316,6 +312,8 @@ def load_contingency_params(path) -> dict[int, ContingencyParams]:
                 params = ContingencyParams.from_cost_ratio(line_id, prob, float(entry["cost_ratio"]))
             else:
                 params = ContingencyParams(line_id, prob, float(entry["c_f1"]), float(entry["c_f0"]))
+            if line_id in out:
+                raise ValueError(f"line {line_id} is listed twice")
             out[line_id] = params
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"{path}: bad contingency entry: {exc}") from exc

@@ -197,6 +197,8 @@ def build_database(
         raise ValueError(f"n and split sizes must be >= 0, got n={n} and splits {tuple(splits)}")
     if sum(splits) != n:
         raise ValueError(f"splits {splits} must sum to n={n}")
+    if not contingencies:
+        raise ValueError("no contingencies to label")
     chol = _copula_cholesky(LOAD_CORRELATION, len(LOAD_BUSES))
 
     triples, outputs, angles, flows = (np.empty((n, width)) for width in (
@@ -209,7 +211,7 @@ def build_database(
             triple = _draw_load_triple(np.random.default_rng([seed, i, attempt]), chol, len(LOAD_BUSES))
             loads = bus_loads(grid, triple)
             dispatch = grid_mod.solve_dcopf(grid, loads)
-            if dispatch.feasible:
+            if dispatch.optimal:
                 break
             rejects += 1
             if attempts >= 50 and rejects > 0.5 * attempts:
@@ -219,8 +221,8 @@ def build_database(
         else:
             raise GenerationStalled(f"condition {i}: no feasible dispatch in 1000 attempts")
 
-        flow = grid_mod.solve_dc_power_flow(grid, grid.incidence @ dispatch.outputs - loads)
-        triples[i], outputs[i], angles[i], flows[i] = triple, dispatch.outputs, flow.angles, flow.flows
+        flow = grid_mod.solve_dc_power_flow(grid, grid.incidence @ dispatch.x - loads)
+        triples[i], outputs[i], angles[i], flows[i] = triple, dispatch.x, flow.angles, flow.flows
 
     # Label one contingency at a time, for every condition at once.
     loads = bus_loads(grid, triples)

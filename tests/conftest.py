@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from riskgate import calibration, cli, experiments, learner
+from riskgate import calibration, experiments, learner
 
 # CI reruns the two bit-for-bit simplex properties under this profile
 # (``--hypothesis-profile simplex-reference``); they take the larger of
@@ -20,7 +20,8 @@ def times_scored(monkeypatch):
     """``times_scored(x)``: how often ``ensemble_score`` has been given exactly the matrix ``x``.
 
     Counts every lookup the package makes: ``calibration`` (the calibrated
-    model), ``experiments``, ``cli`` and ``learner`` (``ensemble_vote``).
+    model, which the CLI scores through), ``experiments`` and ``learner``
+    (``ensemble_vote``).
     """
     original = learner.ensemble_score
     matrices = []
@@ -29,6 +30,6 @@ def times_scored(monkeypatch):
         matrices.append(np.asarray(features))
         return original(ensemble, features)
 
-    for module in (calibration, cli, experiments, learner):
+    for module in (calibration, experiments, learner):
         monkeypatch.setattr(module, "ensemble_score", counting)
     return lambda x: sum(m.shape == x.shape and np.array_equal(m, x) for m in matrices)

@@ -12,7 +12,7 @@ from riskgate import cli, experiments
 from riskgate.cli import main
 from riskgate.errors import MalformedFile
 from riskgate.experiments import ExperimentConfig
-from riskgate.grid import Bus, Generator, GridModel, Line, six_bus
+from riskgate.grid import Bus, Generator, GridModel, Line, grid_to_dict, six_bus
 from riskgate.learner import MODES, Ensemble, load_model, save_model, train_stump
 from riskgate.scenario_gen import Conditions, LabeledDatabase, load_database, save_database
 
@@ -87,7 +87,7 @@ def trained(dataset, tmp_path_factory):
         {"line_id": 5, "p_c": 0.0003, "cost_ratio": 500.0 / 501.0},
         {"line_id": 6, "p_c": 0.0001, "cost_ratio": 1000.0 / 1001.0},
     ]))
-    return {"models": ",".join(models), "model6": models[1], "contingencies": str(contingencies)}
+    return {"models": ",".join(models), "model5": models[0], "model6": models[1], "contingencies": str(contingencies)}
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +278,17 @@ def bad_models(trained, tmp_path_factory):
         "null_weights": lambda doc: doc.update(weights=None),
         "short_weights": lambda doc: doc.update(weights=doc["weights"][:-1]),
         "line12": lambda doc: doc.update(contingency=12),  # the network has 11 lines
+        "copy6": lambda doc: None,
+        "null_contingency": lambda doc: doc.update(contingency=None),
+        "bool_contingency": lambda doc: doc.update(contingency=True),
+        "string_contingency": lambda doc: doc.update(contingency="6"),
+        "nan_calibration": lambda doc: doc["calibration"].update(a=float("nan")),
+        "nan_weights": lambda doc: doc.update(weights=[float("nan")] * len(doc["weights"])),
+        "negative_weights": lambda doc: doc.update(weights=[-1.0] * len(doc["weights"])),
+        "fractional_feature": lambda doc: doc["stumps"][0].update(feature=2.7),
+        "inf_threshold": lambda doc: doc["stumps"][0].update(threshold=float("inf")),
+        "nan_leaf": lambda doc: doc["stumps"][0]["left"].update(p0=float("nan")),
+        "leaf_above_one": lambda doc: doc["stumps"][0]["right"].update(p1=1.5),
     }
     paths = {}
     for name, defect in defects.items():
@@ -306,7 +317,7 @@ def bad_models(trained, tmp_path_factory):
     (["evaluate", "--data", "{data}", "--model", "{negative_feature}", "--probability", "0.0001",
       "--cost-ratio", "0.9"], 2, "stump feature -1 is negative"),
     (["calibrate", "--data", "{data}", "--model", "{feature40}"], 2, "model reads feature 40"),
-    (["triage", "--data", "{data}", "--models", "{models},{feature40}", "--contingencies-file", "{contingencies}",
+    (["triage", "--data", "{data}", "--models", "{model5},{feature40}", "--contingencies-file", "{contingencies}",
       "--budget", "12"], 2, "feature40.json: model reads feature 40"),
     (["evaluate", "--data", "{data}", "--model", "{unknown_mode}", "--probability", "0.0001", "--cost-ratio", "0.9"],
      2, "unknown_mode.json: unknown boosting mode 'SAMME'"),
@@ -314,6 +325,26 @@ def bad_models(trained, tmp_path_factory):
      2, "null_weights.json: a samme model needs one weight per stump"),
     (["evaluate", "--data", "{data}", "--model", "{short_weights}", "--probability", "0.0001", "--cost-ratio", "0.9"],
      2, "short_weights.json: a samme model needs one weight per stump"),
+    *[(["evaluate", "--data", "{data}", "--model", "{%s}" % name, "--probability", "0.0001", "--cost-ratio", "0.9"],
+       2, f"{name}.json: bad model description: {message}") for name, message in [
+        ("null_contingency", "contingency must be an integer, got None"),
+        ("bool_contingency", "contingency must be an integer, got True"),
+        ("string_contingency", "contingency must be an integer, got '6'"),
+        ("nan_calibration", "calibration a must be a finite number, got nan"),
+        ("nan_weights", "weight 0 must be a finite number, got nan"),
+        ("negative_weights", "weight 0 must lie in [0, inf], got -1.0"),
+        ("fractional_feature", "stump 0 feature must be an integer, got 2.7"),
+        ("inf_threshold", "stump 0 threshold must be a finite number, got inf"),
+        ("nan_leaf", "stump 0 left leaf p0 must be a finite number, got nan"),
+        ("leaf_above_one", "stump 0 right leaf p1 must lie in [0, 1], got 1.5"),
+    ]],
+    (["triage", "--data", "{data}", "--models", "{models},{copy6}", "--contingencies-file", "{contingencies}",
+      "--budget", "12"], 2, "{model6} and {copy6} are both models of line 6"),
+    (["triage", "--data", "{data}", "--models", "{models}", "--contingencies-file", "{lines_6_6}",
+      "--budget", "12"], 2, "lines_6_6.json: bad contingency entry: line 6 is listed twice"),
+    (["generate", "--n", "7", "--splits", "5,1,1", "--contingencies", ""], 2, "no contingencies to label"),
+    (["generate", "--n", "7", "--splits", "5,1,1", "--contingencies", "3", "--network", "{two_lines_3}"],
+     2, "duplicate line ids"),
     (["experiment", "calibration", "--config", "{string_rounds}"],
      2, "string_rounds.json: bad config field: rounds must be an integer, got '6'"),
     (["triage", "--data", "{data}", "--models", "{model6},{line12}", "--contingencies-file", "{lines_6_12}",
@@ -332,7 +363,10 @@ def bad_models(trained, tmp_path_factory):
 ], ids=["unknown-line", "splits-sum", "no-conditions", "negative-split", "negative-n", "zero-rounds", "one-fold",
         "unlabelled-line", "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
         "calibrate-feature-past-width", "triage-feature-past-width", "unknown-mode", "null-weights",
-        "short-weights", "config-string-rounds", "triage-unknown-line", "triage-unbalanced-condition",
+        "short-weights", "null-contingency", "bool-contingency", "string-contingency", "nan-calibration",
+        "nan-weights", "negative-weights", "fractional-feature", "inf-threshold", "nan-leaf", "leaf-above-one",
+        "triage-two-models-of-a-line", "triage-line-listed-twice", "generate-no-contingencies",
+        "generate-duplicate-line-ids", "config-string-rounds", "triage-unknown-line", "triage-unbalanced-condition",
         "triage-nan-feature", "evaluate-nan-feature", "train-inf-feature", "train-data-directory",
         "repeated-label-column", "train-out-directory"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unbalanced, non_finite, bad_models,
@@ -342,11 +376,18 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unba
     string_rounds.write_text('{"rounds": "6"}\n')
     lines_6_12 = tmp_path / "lines_6_12.json"
     lines_6_12.write_text(json.dumps([{"line_id": c, "p_c": 0.0001, "cost_ratio": 0.999} for c in (6, 12)]))
+    lines_6_6 = tmp_path / "lines_6_6.json"
+    lines_6_6.write_text(json.dumps([{"line_id": 5, "p_c": 0.0003, "cost_ratio": 0.998}]
+                                    + [{"line_id": 6, "p_c": p, "cost_ratio": 0.999} for p in (0.0001, 0.5)]))
+    network = grid_to_dict(six_bus())
+    network["lines"].append(dict(network["lines"][3], id=3))  # a second line 3, in parallel with line 4
+    two_lines_3 = tmp_path / "two_lines_3.json"
+    two_lines_3.write_text(json.dumps(network))
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
     fields = {"data": dataset, "no_test_split": no_test_split, "unbalanced": unbalanced, "string_rounds": string_rounds,
-              "lines_6_12": lines_6_12, "a_dir": a_dir, "repeated_label": repeated_label, **trained, **non_finite,
-              **bad_models}
+              "lines_6_12": lines_6_12, "lines_6_6": lines_6_6, "two_lines_3": two_lines_3, "a_dir": a_dir,
+              "repeated_label": repeated_label, **trained, **non_finite, **bad_models}
     argv = [arg.format(**fields) for arg in argv]
     assert main(argv if "--out" in argv else argv + ["--out", str(out)]) == code
     assert message.format(**fields) in capsys.readouterr().err
@@ -380,7 +421,8 @@ def test_every_mode_check_accepts_exactly_the_learner_modes(tmp_path):
 
     def loads_model(mode):
         path = tmp_path / "model.json"
-        save_model(path, Ensemble(mode, [train_stump(np.zeros((2, 1)), [1, 1])], [1.0] if mode == "samme" else None))
+        save_model(path, Ensemble(mode, [train_stump(np.zeros((2, 1)), [1, 1])], [1.0] if mode == "samme" else None),
+                   contingency=6)
         load_model(path)
 
     parser = cli.build_parser()

@@ -15,7 +15,6 @@ from riskgate.grid import (
     _PARALLEL_TOL,
     UNDECIDED_TOL,
     Bus,
-    DispatchSolution,
     Generator,
     GridModel,
     Line,
@@ -28,6 +27,7 @@ from riskgate.grid import (
     solve_dc_power_flow,
     solve_dcopf,
 )
+from riskgate.simplex import LPResult
 
 
 def two_bus(limit=100.0):
@@ -64,6 +64,20 @@ def test_exactly_one_slack_required():
         GridModel(buses=(Bus(1), Bus(2)), lines=(Line(1, 1, 2, 0.1, 10),), generators=())
     with pytest.raises(ValueError):
         GridModel(buses=(Bus(1, True), Bus(2, True)), lines=(Line(1, 1, 2, 0.1, 10),), generators=())
+
+
+@pytest.mark.parametrize("kind", ["bus", "line", "generator"])
+def test_duplicate_ids_rejected(kind):
+    g = six_bus()
+    buses, lines, generators = g.buses, g.lines, g.generators
+    if kind == "bus":
+        buses += (dataclasses.replace(buses[-1], id=buses[0].id),)
+    elif kind == "line":  # a second line 3 in parallel with line 4
+        lines += (dataclasses.replace(lines[3], id=lines[2].id),)
+    else:
+        generators += (dataclasses.replace(generators[0], id=generators[1].id),)
+    with pytest.raises(ValueError, match=f"duplicate {kind} ids"):
+        GridModel(buses, lines, generators, g.base_mva)
 
 
 def test_disconnected_graph_rejected():
@@ -319,9 +333,9 @@ def test_power_flow_deterministic():
 
 def test_zero_load_zero_cost():
     sol = solve_dcopf(six_bus_relaxed(), np.zeros(6))
-    assert sol.feasible
-    assert sol.outputs == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
-    assert sol.cost == pytest.approx(0.0, abs=1e-9)
+    assert sol.optimal
+    assert sol.x == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
+    assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_single_bus_two_generator_dispatch():
@@ -332,9 +346,9 @@ def test_single_bus_two_generator_dispatch():
         generators=(Generator(1, 1, 0.0, 60.0, 1.0), Generator(2, 1, 0.0, 60.0, 2.0)),
     )
     sol = solve_dcopf(g, [100.0])
-    assert sol.feasible
-    assert sol.outputs == pytest.approx([60.0, 40.0], abs=1e-8)
-    assert sol.cost == pytest.approx(140.0, abs=1e-7)
+    assert sol.optimal
+    assert sol.x == pytest.approx([60.0, 40.0], abs=1e-8)
+    assert sol.objective == pytest.approx(140.0, abs=1e-7)
 
 
 def test_merit_order_when_nothing_binds():
@@ -343,9 +357,9 @@ def test_merit_order_when_nothing_binds():
     loads = np.zeros(6)
     loads[3:] = 50.0
     sol = solve_dcopf(g, loads)
-    assert sol.feasible
-    assert sol.outputs == pytest.approx([0.0, 0.0, 150.0], abs=1e-7)
-    assert sol.cost == pytest.approx(8.0 * 150.0, abs=1e-6)
+    assert sol.optimal
+    assert sol.x == pytest.approx([0.0, 0.0, 150.0], abs=1e-7)
+    assert sol.objective == pytest.approx(8.0 * 150.0, abs=1e-6)
 
 
 def test_dispatch_balances_load():
@@ -353,12 +367,12 @@ def test_dispatch_balances_load():
     loads = np.zeros(6)
     loads[3:] = [90.0, 80.0, 100.0]
     sol = solve_dcopf(g, loads)
-    assert sol.feasible
-    assert abs(sol.outputs.sum() - loads.sum()) < 1e-6
+    assert sol.optimal
+    assert abs(sol.x.sum() - loads.sum()) < 1e-6
     lo = [gen.p_min for gen in g.generators]
     hi = [gen.p_max for gen in g.generators]
-    assert np.all(sol.outputs >= np.array(lo) - 1e-9)
-    assert np.all(sol.outputs <= np.array(hi) + 1e-9)
+    assert np.all(sol.x >= np.array(lo) - 1e-9)
+    assert np.all(sol.x <= np.array(hi) + 1e-9)
 
 
 def test_dispatch_respects_line_limits():
@@ -366,9 +380,9 @@ def test_dispatch_respects_line_limits():
     loads = np.zeros(6)
     loads[3:] = [100.0, 90.0, 95.0]
     sol = solve_dcopf(g, loads)
-    assert sol.feasible
+    assert sol.optimal
     inj = np.zeros(6)
-    for out, gen in zip(sol.outputs, g.generators):
+    for out, gen in zip(sol.x, g.generators):
         inj[g.bus_position(gen.bus)] += out
     inj -= loads
     flows = solve_dc_power_flow(g, inj).flows
@@ -377,9 +391,9 @@ def test_dispatch_respects_line_limits():
 
 def test_infeasible_load_returns_flag():
     sol = solve_dcopf(six_bus(), np.array([0, 0, 0, 150.0, 150.0, 150.0]))
-    assert isinstance(sol, DispatchSolution)
-    assert not sol.feasible
-    assert sol.outputs is None and sol.cost is None
+    assert isinstance(sol, LPResult)
+    assert not sol.optimal
+    assert sol.x is None and sol.objective is None
 
 
 def test_nan_load_rejected_before_the_lp():
@@ -399,8 +413,8 @@ def assess(grid, loads3, contingency, corrective=20.0):
     loads = np.zeros(6)
     loads[3:] = loads3
     d = solve_dcopf(grid, loads)
-    assert d.feasible
-    return assess_security(grid, loads, d.outputs, contingency, corrective)
+    assert d.optimal
+    return assess_security(grid, loads, d.x, contingency, corrective)
 
 
 def test_islanding_contingency_is_insecure_not_error():
@@ -448,10 +462,10 @@ def test_monotone_in_corrective_range():
         loads = np.zeros(6)
         loads[3:] = triple
         d = solve_dcopf(g, loads)
-        if not d.feasible:
+        if not d.optimal:
             continue
         for c in (3, 5, 6):
-            labels = [assess_security(g, loads, d.outputs, c, r) for r in (0.0, 10.0, 20.0, 40.0)]
+            labels = [assess_security(g, loads, d.x, c, r) for r in (0.0, 10.0, 20.0, 40.0)]
             # once secure, always secure as the range grows
             assert labels == sorted(labels)
 
@@ -461,8 +475,8 @@ def test_assessment_deterministic():
     loads = np.zeros(6)
     loads[3:] = [120.0, 95.0, 70.0]
     d = solve_dcopf(g, loads)
-    assert d.feasible
-    labels = {assess_security(g, loads, d.outputs, c, 20.0) for _ in range(3) for c in (5,)}
+    assert d.optimal
+    labels = {assess_security(g, loads, d.x, c, 20.0) for _ in range(3) for c in (5,)}
     assert len(labels) == 1
 
 
@@ -473,9 +487,9 @@ def test_negative_or_nan_corrective_range_rejected(corrective):
     loads[3:] = [120.0, 95.0, 70.0]
     d = solve_dcopf(g, loads)
     with pytest.raises(ValueError, match="corrective_range must be >= 0"):
-        assess_security(g, loads, d.outputs, 5, corrective)
+        assess_security(g, loads, d.x, 5, corrective)
     with pytest.raises(ValueError, match="corrective_range must be >= 0"):
-        assess_security(g, loads[None], d.outputs[None], 5, corrective)
+        assess_security(g, loads[None], d.x[None], 5, corrective)
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["one-condition", "batch"])
@@ -484,7 +498,7 @@ def test_nan_condition_rejected(name, batched):
     g = six_bus()
     loads = np.zeros(6)
     loads[3:] = [120.0, 95.0, 70.0]
-    condition = {"loads": loads, "dispatch": solve_dcopf(g, loads).outputs.copy()}
+    condition = {"loads": loads, "dispatch": solve_dcopf(g, loads).x.copy()}
     condition[name][-1] = np.nan
     if batched:
         condition = {k: v[None] for k, v in condition.items()}
@@ -653,8 +667,8 @@ def test_certificate_matches_scoring_every_vertex_on_a_six_bus_pool():
     loads = np.zeros((240, 6))
     loads[:, 3:] = sample_loads(240, seed=13)
     dispatch = [solve_dcopf(g, row) for row in loads]
-    feasible = [k for k, d in enumerate(dispatch) if d.feasible]
-    loads, dispatch = loads[feasible], np.array([dispatch[k].outputs for k in feasible])
+    feasible = [k for k, d in enumerate(dispatch) if d.optimal]
+    loads, dispatch = loads[feasible], np.array([dispatch[k].x for k in feasible])
     assert len(loads) >= 200
     decided = [assert_certificate_matches_reference(g, loads, dispatch, ln.id, corrective)
                for ln in g.lines for corrective in (5.0, 20.0)]

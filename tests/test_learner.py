@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from riskgate.calibration import CalibratedEnsemble
 from riskgate.errors import DegenerateData, MalformedFile, SingleClassData, VersionMismatch
 from riskgate.learner import (
     _TIE_TOL,
@@ -484,7 +485,7 @@ def test_prefix_scores_match_reference_loops(case, pad):
 
 def test_pure_training_set_constant_tree():
     tree = train_single_tree(np.random.default_rng(0).normal(size=(10, 3)), np.ones(10, dtype=int))
-    assert tree.root.is_leaf
+    assert tree.is_leaf
     assert tree_predict(tree, np.zeros(3)) == 1
 
 
@@ -493,8 +494,8 @@ def test_separable_tree_depth_one():
     y = (x[:, 0] > 0).astype(int)
     tree = train_single_tree(x, y, max_depth=3)
     assert np.array_equal(tree_predict(tree, x), y)
-    assert tree.root.feature is not None
-    assert tree.root.left.is_leaf and tree.root.right.is_leaf
+    assert tree.feature is not None
+    assert tree.left.is_leaf and tree.right.is_leaf
 
 
 def test_tree_beats_stump_on_training_error():
@@ -520,7 +521,7 @@ def test_tree_depth_limit():
         return 1 + max(depth(node.left), depth(node.right))
 
     tree = train_single_tree(x, y, max_depth=3)
-    assert depth(tree.root) <= 3
+    assert depth(tree) <= 3
 
 
 def test_tree_proba_in_unit_interval():
@@ -538,7 +539,7 @@ def test_tree_proba_in_unit_interval():
 def test_tree_predict_matches_leaf_label_reference(problem, max_depth):
     x, y, _ = problem
     tree = train_single_tree(x, y, max_depth=max_depth)
-    expected = np.array([reference_tree_label(_tree_leaf(tree.root, row)) for row in x])
+    expected = np.array([reference_tree_label(_tree_leaf(tree, row)) for row in x])
     assert same_bits(tree_predict(tree, x), expected)
     assert same_as_one_row(tree_predict(tree, x[0]), tree_predict(tree, x[:1]))
 
@@ -553,12 +554,13 @@ def test_model_roundtrip(tmp_path):
         ens = train_adaboost(x, y, rounds=8, mode=mode, k_folds=2)
         path = tmp_path / f"model_{mode}.json"
         save_model(path, ens, contingency=6)
-        loaded, contingency, params = load_model(path)
-        assert contingency == 6
-        assert params is None
+        loaded = load_model(path)
+        assert isinstance(loaded, CalibratedEnsemble)
+        assert loaded.contingency == 6
+        assert loaded.params is None
         pts = rng.normal(size=(100, 23))
-        assert np.array_equal(ensemble_vote(ens, pts), ensemble_vote(loaded, pts))
-        assert ensemble_score(ens, pts) == pytest.approx(ensemble_score(loaded, pts))
+        assert np.array_equal(ensemble_vote(ens, pts), ensemble_vote(loaded.ensemble, pts))
+        assert ensemble_score(ens, pts) == pytest.approx(loaded.score(pts))
 
 
 def test_model_with_calibration_roundtrip(tmp_path):
@@ -567,14 +569,14 @@ def test_model_with_calibration_roundtrip(tmp_path):
     ens = Ensemble("samme.r", [constant_stump(0.8)], None)
     path = tmp_path / "model.json"
     save_model(path, ens, contingency=3, calibration=PlattParams(a=-4.0, b=2.0))
-    _, _, params = load_model(path)
+    params = load_model(path).params
     assert params.a == -4.0 and params.b == 2.0
 
 
 def test_truncated_model_rejected(tmp_path):
     path = tmp_path / "model.json"
     ens = Ensemble("samme", [constant_stump(0.8)], [1.0])
-    save_model(path, ens)
+    save_model(path, ens, contingency=6)
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
     with pytest.raises(MalformedFile):
@@ -584,7 +586,7 @@ def test_truncated_model_rejected(tmp_path):
 def test_unknown_version_rejected(tmp_path):
     path = tmp_path / "model.json"
     ens = Ensemble("samme", [constant_stump(0.8)], [1.0])
-    save_model(path, ens)
+    save_model(path, ens, contingency=6)
     doc = path.read_text().replace('"version": 1', '"version": 999')
     path.write_text(doc)
     with pytest.raises(VersionMismatch):

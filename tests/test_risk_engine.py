@@ -12,7 +12,6 @@ from riskgate.risk_engine import (
     ScenarioTable,
     TriageReport,
     cost_ratio,
-    decision_threshold,
     load_contingency_params,
     perturb_params,
     prediction_risks,
@@ -30,6 +29,12 @@ from riskgate.risk_engine import (
 
 def params_for(probability=0.0002, ratio=10000.0 / 10001.0, contingency=3):
     return ContingencyParams.from_cost_ratio(contingency, probability, ratio)
+
+
+def decision_threshold(params: ContingencyParams) -> float:
+    """Reference: the probability cutoff above which predicting secure minimises risk."""
+    num = params.miss_cost * params.probability
+    return num / (num + params.false_alarm_cost * (1.0 - params.probability))
 
 
 # -- scalar formulas ------------------------------------------------------
@@ -397,4 +402,7 @@ def test_contingency_file_errors(tmp_path):
         load_contingency_params(path)
     path.write_text("[]")
     with pytest.raises(MalformedFile):
+        load_contingency_params(path)
+    path.write_text('[{"line_id": 6, "p_c": 0.0001, "cost_ratio": 0.999}, {"line_id": 6, "p_c": 0.5, "cost_ratio": 0.9}]')
+    with pytest.raises(MalformedFile, match="line 6 is listed twice"):
         load_contingency_params(path)

@@ -159,7 +159,7 @@ def test_six_bus_dcopf_pivots_take_the_slack_shortcut(monkeypatch):
             return np.multiply(x, y, out=out)
 
     monkeypatch.setattr(simplex, "np", CountingNumpy())
-    assert solve_dcopf(SIX, bus_loads(SIX, [100.0, 100.0, 100.0])).feasible
+    assert solve_dcopf(SIX, bus_loads(SIX, [100.0, 100.0, 100.0])).optimal
     assert rows_updated.count(2) > 0  # shortcut pivots
     assert any(n > 2 for n in rows_updated)  # pivots that eliminate every row
 
@@ -478,7 +478,7 @@ def six_bus_lps(draw):
     else:
         outage = draw(st.sampled_from(OUTAGES))
         pre_fault = solve_dcopf(SIX, loads)
-        centre = pre_fault.outputs if pre_fault.feasible else np.array(
+        centre = pre_fault.x if pre_fault.optimal else np.array(
             [draw(st.floats(g.p_min, g.p_max)) for g in SIX.generators])
         reach = draw(st.floats(0.0, 2 * CORRECTIVE_RANGE_MW))
         cost = np.zeros(len(SIX.generators))

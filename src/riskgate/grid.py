@@ -30,7 +30,8 @@ from .errors import IslandedNetwork, MalformedFile, SingularSystem, read_json
 from .simplex import LPResult, solve_lp
 
 BALANCE_TOL = 1e-6  # MW; residual beyond this is an error, never absorbed
-SECURE_TOL = 1e-9  # MW; a flow or redispatch row violated by at most this holds
+SECURE_TOL = 1e-9  # MW; a flow violated by at most this holds without redispatch
+CERTIFIED_TOL = 1e-12  # MW; a best vertex violating no row by more than this is feasible up to rounding
 UNDECIDED_TOL = 1e-6  # MW; best-vertex violations up to this are left to the LP
 CORRECTIVE_RANGE_MW = 20.0  # MW; corrective redispatch moves each output by at most this
 _PARALLEL_TOL = 1e-12  # |sin| of the angle below which two polygon rows are parallel
@@ -343,10 +344,11 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int,
     One condition then goes to the LP, the reference.  The rest of a batch
     on a three-generator network gets the vertex certificate
     (`_best_vertex_violation`): secure if the best vertex violates no row
-    by more than ``SECURE_TOL`` MW, insecure beyond ``UNDECIDED_TOL`` MW,
-    which includes every condition whose polygon has no vertex within
-    ``UNDECIDED_TOL`` of its redispatch box.  The undecided band between,
-    and every remaining condition when G != 3, goes to the LP.
+    by more than ``CERTIFIED_TOL`` MW, a rounding error, insecure beyond
+    ``UNDECIDED_TOL`` MW, which includes every condition whose polygon has
+    no vertex within ``UNDECIDED_TOL`` of its redispatch box.  The band
+    between, where the LP's verdict turns on where its phase 1 stops, and
+    every remaining condition when G != 3, goes to the LP.
 
     Raises ``ValueError`` if ``corrective_range`` is negative or NaN, or
     if ``loads`` or ``dispatch`` holds a NaN or an infinity.
@@ -374,8 +376,8 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int,
         rest = np.flatnonzero((labels == 0) & np.all(lo <= hi, axis=1))
         if not single and len(grid.generators) == 3 and rest.size:
             best = _best_vertex_violation(grid, top, loads[rest], lo[rest], hi[rest])
-            labels[rest[best <= SECURE_TOL]] = 1
-            rest = rest[(best > SECURE_TOL) & (best <= UNDECIDED_TOL)]
+            labels[rest[best <= CERTIFIED_TOL]] = 1
+            rest = rest[(best > CERTIFIED_TOL) & (best <= UNDECIDED_TOL)]
         zero_cost = np.zeros(len(grid.generators))
         for k in rest:
             labels[k] = int(_dispatch_lp(grid, top, loads[k], zero_cost, lo[k], hi[k]).optimal)

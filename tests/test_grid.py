@@ -13,6 +13,7 @@ from riskgate import grid as grid_mod
 from riskgate.errors import IslandedNetwork, MalformedFile
 from riskgate.grid import (
     _PARALLEL_TOL,
+    SECURE_TOL,
     UNDECIDED_TOL,
     Bus,
     Generator,
@@ -597,6 +598,30 @@ def test_batched_label_matches_single_label_on_the_secure_tol_boundary():
     assert [assess_security(g, pair_loads[k], pair_dispatch[k], 1, 0.0) for k in (0, 1)] == [1, 0]
     labels = assess_security(g, np.vstack([loads, pair_loads]), np.vstack([dispatch, pair_dispatch]), 1, 0.0)
     assert labels.tolist()[-2:] == [1, 0]
+
+
+def test_batched_label_matches_single_label_where_the_lp_stops_short_of_secure_tol():
+    # A falsifying example of the property above: the LP found the boundary pair's insecure
+    # condition infeasible (its phase 1 stopped above FEAS_TOL), while its best vertex violated
+    # a row by only 5.2e-10 MW, under SECURE_TOL, so the certificate labelled it secure.
+    line = lambda k, a, b, x=1.0: Line(k, a, b, x, 100.0)  # noqa: E731
+    g = GridModel(
+        buses=tuple(Bus(k, k == 6) for k in range(1, 8)),
+        lines=(line(1, 2, 1), line(2, 3, 1), line(3, 4, 1), line(4, 5, 1), line(5, 7, 1), line(6, 1, 2),
+               line(7, 1, 6, 0.0078125), line(8, 6, 3, 0.5), line(9, 1, 3)),
+        generators=(Generator(1, 1, 0.0, 0.0, 1.0), Generator(2, 1, 0.0, 30.0, 1.0),
+                    Generator(3, 3, 0.0, 200.0, 1.0)),
+    )
+    loads = np.array([0.1645583986270685, 61.75059736005733, 1.017876487693231, 102.1288347685499,
+                      25.327972242600325, 4.427128209966994, 12.132255172505202])
+    dispatch = np.array([0.0, 24.39810718, 182.55111546])
+    pair_loads, pair_dispatch = scaled_onto_boundary(g, loads, dispatch, 2, 5.0)
+    assert [assess_security(g, pair_loads[k], pair_dispatch[k], 2, 5.0) for k in (0, 1)] == [1, 0]
+    top = g.topology(2)
+    lo = np.maximum(g.p_min, pair_dispatch - 5.0)
+    hi = np.minimum(g.p_max, pair_dispatch + 5.0)
+    assert np.all(_best_vertex_violation(g, top, pair_loads, lo, hi) < SECURE_TOL)
+    assert assess_security(g, pair_loads, pair_dispatch, 2, 5.0).tolist() == [1, 0]
 
 
 _CHUNK_FLOATS = 1 << 15  # the reference's chunk size

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientData, SingleClassCalibration
+from .errors import DataError, SingleClassCalibration
 from .learner import Ensemble, ensemble_score
 
 _NEWTON_MAX_ITER = 100
@@ -122,7 +122,7 @@ def brier_score(values, labels, bins: int = 10) -> tuple[float, ReliabilityBins]
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if n < bins:
-        raise InsufficientData(f"{n} examples cannot fill {bins} bins")
+        raise DataError(f"{n} examples cannot fill {bins} bins")
     order = np.lexsort((y, v))  # label as tiebreak keeps bins canonical
     v = v[order]
     y = y[order]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import brier_score, calibrated_probability, fit_platt, reliability_csv
-from .errors import ConfigError, DataError, EmptyDatabase
+from .errors import ConfigError, DataError
 from .experiments import RUNNERS, ExperimentConfig, Study
 from .grid import assess_security, load_grid, six_bus
 from .learner import MODES, load_model, save_model, train_adaboost
@@ -204,7 +204,7 @@ def _cmd_triage(args) -> int:
 
     test = db.conditions[db.split_indices("test")]
     if not len(test):
-        raise EmptyDatabase(f"{args.data} has no test conditions to triage")
+        raise DataError(f"{args.data} has no test conditions to triage")
     loads = bus_loads(grid, test.loads)
     for c in params:
         grid.topology(c)  # an unknown line id is a configuration error, not an oracle failure

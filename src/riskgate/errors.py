@@ -1,49 +1,45 @@
-"""Exception hierarchy shared across the package, and the JSON file reader.
+"""The input contract: which inputs are refused, and with which exit code.
 
-``ConfigError`` subclasses signal malformed inputs (bad files, bad
-parameters) and map to CLI exit code 2; ``DataError`` subclasses signal
+``ConfigError`` (and ``ValueError``) signal malformed inputs (bad files,
+bad parameters) and map to CLI exit code 2; ``DataError`` signals
 problems with otherwise well-formed data (degenerate training sets,
-stalled generation) and map to exit code 3.
+stalled generation) and maps to exit code 3.  The subclasses below exist
+only where some code tells them apart.  `read_json`, `integer` and
+`number` decide what a JSON input file may contain.
 """
 
 import json
+import math
+import numbers
 from pathlib import Path
 
 
-class RiskgateError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class ConfigError(RiskgateError):
+class ConfigError(Exception):
     """Malformed configuration, file, or parameter."""
 
 
-class DataError(RiskgateError):
+class DataError(Exception):
     """Well-formed input whose content cannot be processed."""
 
 
-# -- network / LP ------------------------------------------------------------
-
 class IslandedNetwork(DataError):
     """A line outage (or bad topology) disconnects the network graph."""
-
-
-class SingularSystem(DataError):
-    """The reduced susceptance matrix is not invertible."""
 
 
 class UnboundedLP(DataError):
     """The linear program has an unbounded objective (malformed model)."""
 
 
-# -- sampling / database -----------------------------------------------------
-
-class InvalidCorrelation(ConfigError):
-    """Load correlation matrix is not positive definite."""
+class DegenerateData(DataError):
+    """All feature vectors identical while both classes are present."""
 
 
-class GenerationStalled(DataError):
-    """Too many sampled conditions are pre-fault infeasible."""
+class SingleClassData(DataError):
+    """Training split contains only one class."""
+
+
+class SingleClassCalibration(DataError):
+    """Calibration split contains only one class."""
 
 
 class MalformedFile(ConfigError):
@@ -67,41 +63,24 @@ def read_json(path):
         raise MalformedFile(f"invalid JSON in {path}: {exc.msg} (column {exc.colno})", line=exc.lineno) from exc
 
 
-class VersionMismatch(ConfigError):
-    """A serialized artifact carries an unsupported version tag."""
+def integer(value, what: str) -> int:
+    """``value`` as an int; TypeError unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
-# -- learning / calibration --------------------------------------------------
+def number(value, what: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``value`` as a float.
 
-class DegenerateData(DataError):
-    """All feature vectors identical while both classes are present."""
-
-
-class SingleClassData(DataError):
-    """Training split contains only one class."""
-
-
-class SingleClassCalibration(DataError):
-    """Calibration split contains only one class."""
-
-
-# -- risk engine -------------------------------------------------------------
-
-class NonPositiveCost(ConfigError):
-    """Miss / false-alarm costs must be strictly positive."""
-
-
-class EmptyDatabase(DataError):
-    """An operation requires at least one labeled example."""
-
-
-class InsufficientData(DataError):
-    """Fewer examples than required (e.g. fewer than requested bins)."""
-
-
-class MissingModel(ConfigError):
-    """No trained model supplied for a contingency in scope."""
-
-    def __init__(self, contingency: int):
-        super().__init__(f"no model for contingency {contingency}")
-        self.contingency = contingency
+    TypeError unless it is a real number (a bool or a string is not);
+    ValueError unless it is finite and within ``[lo, hi]``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    if not lo <= v <= hi:
+        raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}], got {value!r}")
+    return v

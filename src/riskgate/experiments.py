@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import CalibratedEnsemble, brier_score, calibrated_probability, fit_platt, reliability_csv
-from .errors import MalformedFile, SingleClassCalibration, SingleClassData, read_json
+from .errors import MalformedFile, SingleClassCalibration, SingleClassData, integer, number, read_json
 from .grid import six_bus
 from .learner import (
     MODES,
@@ -72,17 +71,26 @@ PAIR_PARAMS = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _takes_type(reader):
+    """The predicate "``reader`` takes the value's type"; ``__post_init__`` checks ranges with its own messages."""
+    def takes(value) -> bool:
+        try:
+            reader(value, "")
+        except TypeError:
+            return False
+        except ValueError:  # a non-finite number
+            pass
+        return True
+    return takes
 
 
 # ExperimentConfig field checks, by the type of the field's default
 _FIELD_KINDS = {
-    int: ("an integer", _is_int),
-    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    int: ("an integer", _takes_type(integer)),
+    float: ("a number", _takes_type(number)),
     str: ("a string", lambda v: isinstance(v, (str, os.PathLike))),  # out_dir may be a Path
     tuple: ("a list of three integers", lambda v: isinstance(v, (list, tuple)) and len(v) == 3
-            and all(map(_is_int, v))),
+            and all(map(_takes_type(integer), v))),
 }
 
 

@@ -26,7 +26,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import IslandedNetwork, MalformedFile, SingularSystem, read_json
+from .errors import DataError, IslandedNetwork, MalformedFile, integer, number, read_json
 from .simplex import LPResult, solve_lp
 
 BALANCE_TOL = 1e-6  # MW; residual beyond this is an error, never absorbed
@@ -160,7 +160,7 @@ class GridModel:
         try:
             b_inv = np.linalg.inv(b_full[np.ix_(self._keep, self._keep)])
         except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"reduced susceptance matrix is singular (outage {outaged_line})") from exc
+            raise DataError(f"reduced susceptance matrix is singular (outage {outaged_line})") from exc
         theta = np.zeros((n, n))
         theta[np.ix_(self._keep, self._keep)] = b_inv
         ptdf = np.zeros((len(self.lines), n))
@@ -403,23 +403,34 @@ def grid_to_dict(grid: GridModel) -> dict:
     }
 
 
+def _true_or_false(value, what) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def grid_from_dict(data: dict) -> GridModel:
+    """The network that ``data`` (the JSON form of `grid_to_dict`) describes.
+
+    Ids and buses must be JSON integers, every other value a finite
+    number, and a bus's optional ``slack`` true or false.
+    """
     try:
         if data.get("version", NETWORK_SCHEMA_VERSION) != NETWORK_SCHEMA_VERSION:
             raise MalformedFile(f"unsupported network schema version {data['version']}")
+
+        def read(kind, make, integers, reals):
+            return tuple(make(*(integer(entry[f], f"{kind}[{k}].{f}") for f in integers),
+                              *(number(entry[f], f"{kind}[{k}].{f}") for f in reals))
+                         for k, entry in enumerate(data[kind]))
+
         return GridModel(
-            buses=tuple(Bus(int(b["id"]), bool(b.get("slack", False))) for b in data["buses"]),
-            lines=tuple(
-                Line(int(ln["id"]), int(ln["from_bus"]), int(ln["to_bus"]),
-                     float(ln["reactance"]), float(ln["limit"]))
-                for ln in data["lines"]
-            ),
-            generators=tuple(
-                Generator(int(g["id"]), int(g["bus"]), float(g["p_min"]),
-                          float(g["p_max"]), float(g["cost"]))
-                for g in data["generators"]
-            ),
-            base_mva=float(data.get("base_mva", 100.0)),
+            buses=tuple(Bus(integer(b["id"], f"buses[{k}].id"),
+                            _true_or_false(b.get("slack", False), f"buses[{k}].slack"))
+                        for k, b in enumerate(data["buses"])),
+            lines=read("lines", Line, ("id", "from_bus", "to_bus"), ("reactance", "limit")),
+            generators=read("generators", Generator, ("id", "bus"), ("p_min", "p_max", "cost")),
+            base_mva=number(data.get("base_mva", 100.0), "base_mva"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: not a JSON object
         raise MalformedFile(f"bad network description: {exc}") from exc

@@ -19,13 +19,12 @@ mean fold error (ties go to fewer rounds).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateData, MalformedFile, SingleClassData, VersionMismatch, read_json
+from .errors import DegenerateData, MalformedFile, SingleClassData, integer, number, read_json
 
 LEAF_EPS = 1e-6  # probability clamp applied before any logarithm
 _TIE_TOL = 1e-12  # impurity window treated as a tie (lexicographic winner)
@@ -397,29 +396,13 @@ def save_model(path, ensemble: Ensemble, contingency: int, calibration=None) -> 
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _integer(value, what) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _finite(value, what, lo=-math.inf, hi=math.inf) -> float:
-    """``value`` as a float; ValueError unless it is finite and within ``[lo, hi]``."""
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    if not lo <= v <= hi:
-        raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}], got {value!r}")
-    return v
-
-
 def _stump_from_dict(s, what) -> Stump:
     feature = s["feature"]
-    if feature is not None and _integer(feature, f"{what} feature") < 0:
+    if feature is not None and integer(feature, f"{what} feature") < 0:
         raise ValueError(f"stump feature {feature} is negative")
-    leaves = [Leaf(*(_finite(s[side][p], f"{what} {side} leaf {p}", 0.0, 1.0) for p in ("p0", "p1")))
+    leaves = [Leaf(*(number(s[side][p], f"{what} {side} leaf {p}", 0.0, 1.0) for p in ("p0", "p1")))
               for side in ("left", "right")]
-    return Stump(feature, _finite(s["threshold"], f"{what} threshold"), *leaves)
+    return Stump(feature, number(s["threshold"], f"{what} threshold"), *leaves)
 
 
 def load_model(path):
@@ -439,8 +422,8 @@ def load_model(path):
     try:
         version = doc["version"]
         if version != MODEL_SCHEMA_VERSION:
-            raise VersionMismatch(f"{path}: unsupported model version {version!r}")
-        contingency = _integer(doc["contingency"], "contingency")
+            raise MalformedFile(f"{path}: unsupported model version {version!r}")
+        contingency = integer(doc["contingency"], "contingency")
         stumps = [_stump_from_dict(s, f"stump {k}") for k, s in enumerate(doc["stumps"])]
         mode, weights = doc["mode"], doc["weights"]
         if mode not in MODES:
@@ -450,10 +433,10 @@ def load_model(path):
         if mode != "samme" and weights is not None:
             raise MalformedFile(f"{path}: a {mode} model needs null weights")
         ensemble = Ensemble(mode=mode, stumps=stumps, weights=None if weights is None else
-                            [_finite(v, f"weight {k}", lo=0.0) for k, v in enumerate(weights)])
+                            [number(v, f"weight {k}", lo=0.0) for k, v in enumerate(weights)])
         cal = doc.get("calibration")
-        params = None if cal is None else PlattParams(a=_finite(cal["a"], "calibration a"),
-                                                      b=_finite(cal["b"], "calibration b"))
+        params = None if cal is None else PlattParams(a=number(cal["a"], "calibration a"),
+                                                      b=number(cal["b"], "calibration b"))
         return CalibratedEnsemble(ensemble, contingency, params)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"{path}: bad model description: {exc}") from exc

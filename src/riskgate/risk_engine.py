@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MalformedFile, MissingModel, NonPositiveCost, read_json
+from .errors import ConfigError, DataError, MalformedFile, integer, number, read_json
 
 _PROB_CEIL = 1.0 - 1e-9
 PROBABILITY_SUM_TOL = 1e-9  # condition probabilities must sum to 1 within this
@@ -31,7 +31,7 @@ PROBABILITY_SUM_TOL = 1e-9  # condition probabilities must sum to 1 within this
 def cost_ratio(miss_cost: float, false_alarm_cost: float) -> float:
     """Skew between miss and false-alarm costs, in (0, 1)."""
     if miss_cost <= 0 or false_alarm_cost <= 0:
-        raise NonPositiveCost("costs must be strictly positive")
+        raise ValueError("costs must be strictly positive")
     return miss_cost / (miss_cost + false_alarm_cost)
 
 
@@ -46,7 +46,7 @@ class ContingencyParams:
         if not 0.0 < self.probability < 1.0:
             raise ValueError("contingency probability must be strictly inside (0, 1)")
         if self.miss_cost <= 0 or self.false_alarm_cost <= 0:
-            raise NonPositiveCost("costs must be strictly positive")
+            raise ValueError("costs must be strictly positive")
 
     @classmethod
     def from_cost_ratio(cls, contingency: int, probability: float, ratio: float) -> "ContingencyParams":
@@ -161,7 +161,7 @@ def rank_scenarios(probabilities, condition_probabilities, params_by_contingency
     labels = np.empty(m, dtype=int)
     for k, c in enumerate(contingencies):  # contingency-major rows
         if c not in probabilities:
-            raise MissingModel(c)
+            raise ConfigError(f"no model for contingency {c}")
         column = np.asarray(probabilities[c], dtype=float)
         if column.shape != (n,):
             raise ValueError(f"contingency {c}: {column.size} probabilities for {n} conditions")
@@ -299,19 +299,22 @@ def secure_first_order(predicted, seed: int) -> np.ndarray:
 def load_contingency_params(path) -> dict[int, ContingencyParams]:
     """Read ``contingencies.json``: a list of per-contingency entries.
 
-    Each entry names a line id and probability, plus either ``cost_ratio``
-    or the pair ``c_f1``/``c_f0``.
+    Each entry names a line id (a JSON integer) and probability, plus
+    either ``cost_ratio`` or the pair ``c_f1``/``c_f0``, all finite
+    numbers.
     """
     entries = read_json(path)
     out: dict[int, ContingencyParams] = {}
     try:
-        for entry in entries:
-            line_id = int(entry["line_id"])
-            prob = float(entry["p_c"])
+        for k, entry in enumerate(entries):
+            def field(name):
+                return number(entry[name], f"entry {k} {name}")
+
+            line_id = integer(entry["line_id"], f"entry {k} line_id")
             if "cost_ratio" in entry:
-                params = ContingencyParams.from_cost_ratio(line_id, prob, float(entry["cost_ratio"]))
+                params = ContingencyParams.from_cost_ratio(line_id, field("p_c"), field("cost_ratio"))
             else:
-                params = ContingencyParams(line_id, prob, float(entry["c_f1"]), float(entry["c_f0"]))
+                params = ContingencyParams(line_id, field("p_c"), field("c_f1"), field("c_f0"))
             if line_id in out:
                 raise ValueError(f"line {line_id} is listed twice")
             out[line_id] = params

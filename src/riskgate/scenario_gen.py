@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import grid as grid_mod
-from .errors import ConfigError, GenerationStalled, InvalidCorrelation, MalformedFile
+from .errors import ConfigError, DataError, MalformedFile
 
 SPLIT_NAMES = ("train", "calib", "test")
 
@@ -138,7 +138,7 @@ def _copula_cholesky(correlation: float, dim: int) -> np.ndarray:
     try:
         return np.linalg.cholesky(corr)
     except np.linalg.LinAlgError as exc:
-        raise InvalidCorrelation(f"correlation {correlation} is not positive definite for dim {dim}") from exc
+        raise ConfigError(f"correlation {correlation} is not positive definite for dim {dim}") from exc
 
 
 def kumaraswamy_ppf(u):
@@ -186,7 +186,7 @@ def build_database(
 
     Raises
     ------
-    GenerationStalled
+    DataError
         If more than half of all sampled load tuples are pre-fault
         infeasible, which signals bad network data.
     """
@@ -215,11 +215,11 @@ def build_database(
                 break
             rejects += 1
             if attempts >= 50 and rejects > 0.5 * attempts:
-                raise GenerationStalled(
+                raise DataError(
                     f"{rejects}/{attempts} sampled conditions are pre-fault infeasible"
                 )
         else:
-            raise GenerationStalled(f"condition {i}: no feasible dispatch in 1000 attempts")
+            raise DataError(f"condition {i}: no feasible dispatch in 1000 attempts")
 
         flow = grid_mod.solve_dc_power_flow(grid, grid.incidence @ dispatch.x - loads)
         triples[i], outputs[i], angles[i], flows[i] = triple, dispatch.x, flow.angles, flow.flows

@@ -14,7 +14,7 @@ from riskgate.calibration import (
     fit_platt,
     reliability_csv,
 )
-from riskgate.errors import InsufficientData, SingleClassCalibration
+from riskgate.errors import DataError, SingleClassCalibration
 
 
 def oracle_fit(scores, labels, grid=60):
@@ -177,7 +177,7 @@ def test_brier_bounds_and_errors():
     labels = rng.integers(0, 2, 50)
     score, _ = brier_score(values, labels, bins=7)
     assert 0.0 <= score <= 1.0
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DataError, match="5 examples cannot fill 6 bins"):
         brier_score(values[:5], labels[:5], bins=6)
 
 

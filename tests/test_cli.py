@@ -289,6 +289,10 @@ def bad_models(trained, tmp_path_factory):
         "inf_threshold": lambda doc: doc["stumps"][0].update(threshold=float("inf")),
         "nan_leaf": lambda doc: doc["stumps"][0]["left"].update(p0=float("nan")),
         "leaf_above_one": lambda doc: doc["stumps"][0]["right"].update(p1=1.5),
+        "string_weight": lambda doc: doc["weights"].__setitem__(0, "1.5"),
+        "bool_threshold": lambda doc: doc["stumps"][0].update(threshold=True),
+        "string_leaf": lambda doc: doc["stumps"][0]["left"].update(p1="0.5"),
+        "string_calibration": lambda doc: doc["calibration"].update(a="-3"),
     }
     paths = {}
     for name, defect in defects.items():
@@ -296,6 +300,41 @@ def bad_models(trained, tmp_path_factory):
         defect(doc)
         paths[name] = tmp / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """One-entry contingencies.json files and copies of the six-bus network.json, each with one defect."""
+    tmp = tmp_path_factory.mktemp("bad_inputs")
+    ratio_entry = {"line_id": 6, "p_c": 0.0001, "cost_ratio": 0.999}
+    cost_entry = {"line_id": 6, "p_c": 0.0001, "c_f1": 999.0, "c_f0": 1.0}
+    documents = {
+        "float_line_id": [dict(ratio_entry, line_id=6.7)],
+        "bool_line_id": [dict(ratio_entry, line_id=True)],
+        "string_line_id": [dict(ratio_entry, line_id="6")],
+        "string_p_c": [dict(ratio_entry, p_c="1e-3")],
+        "inf_c_f1": [dict(cost_entry, c_f1=float("inf"))],
+        "negative_c_f1": [dict(cost_entry, c_f1=-1)],
+    }
+    for name, (kind, k, field, value) in {
+        "float_line": ("lines", 2, "id", 3.9),
+        "float_generator_bus": ("generators", 0, "bus", 1.5),
+        "string_reactance": ("lines", 0, "reactance", "0.2"),
+        "inf_p_max": ("generators", 0, "p_max", float("inf")),
+        "bool_limit": ("lines", 0, "limit", True),
+        "nan_cost": ("generators", 1, "cost", float("nan")),
+        "nan_reactance": ("lines", 4, "reactance", float("nan")),
+        "inf_limit": ("lines", 10, "limit", float("inf")),
+        "string_slack": ("buses", 0, "slack", "false"),
+    }.items():
+        network = grid_to_dict(six_bus())
+        network[kind][k][field] = value
+        documents[name] = network
+    paths = {}
+    for name, doc in documents.items():
+        paths[name] = tmp / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
     return paths
 
 
@@ -337,6 +376,10 @@ def bad_models(trained, tmp_path_factory):
         ("inf_threshold", "stump 0 threshold must be a finite number, got inf"),
         ("nan_leaf", "stump 0 left leaf p0 must be a finite number, got nan"),
         ("leaf_above_one", "stump 0 right leaf p1 must lie in [0, 1], got 1.5"),
+        ("string_weight", "weight 0 must be a number, got '1.5'"),
+        ("bool_threshold", "stump 0 threshold must be a number, got True"),
+        ("string_leaf", "stump 0 left leaf p1 must be a number, got '0.5'"),
+        ("string_calibration", "calibration a must be a number, got '-3'"),
     ]],
     (["triage", "--data", "{data}", "--models", "{models},{copy6}", "--contingencies-file", "{contingencies}",
       "--budget", "12"], 2, "{model6} and {copy6} are both models of line 6"),
@@ -360,17 +403,40 @@ def bad_models(trained, tmp_path_factory):
     (["train", "--data", "{repeated_label}", "--contingency", "5"], 2, "line 2: repeated label column 'label_c5'"),
     (["train", "--data", "{data}", "--contingency", "6", "--rounds", "2", "--out", "{a_dir}"],
      2, "Is a directory: '{a_dir}'"),
+    *[(["triage", "--data", "{data}", "--models", "{models}", "--contingencies-file", "{%s}" % name,
+        "--budget", "12"], 2, f"{name}.json: bad contingency entry: {message}") for name, message in [
+        ("float_line_id", "entry 0 line_id must be an integer, got 6.7"),
+        ("bool_line_id", "entry 0 line_id must be an integer, got True"),
+        ("string_line_id", "entry 0 line_id must be an integer, got '6'"),
+        ("string_p_c", "entry 0 p_c must be a number, got '1e-3'"),
+        ("inf_c_f1", "entry 0 c_f1 must be a finite number, got inf"),
+        ("negative_c_f1", "costs must be strictly positive"),
+    ]],
+    *[(["generate", "--n", "7", "--splits", "5,1,1", "--contingencies", "3", "--network", "{%s}" % name],
+       2, f"{name}.json: bad network description: {message}") for name, message in [
+        ("float_line", "lines[2].id must be an integer, got 3.9"),
+        ("float_generator_bus", "generators[0].bus must be an integer, got 1.5"),
+        ("string_reactance", "lines[0].reactance must be a number, got '0.2'"),
+        ("inf_p_max", "generators[0].p_max must be a finite number, got inf"),
+        ("bool_limit", "lines[0].limit must be a number, got True"),
+        ("nan_cost", "generators[1].cost must be a finite number, got nan"),
+        ("nan_reactance", "lines[4].reactance must be a finite number, got nan"),
+        ("inf_limit", "lines[10].limit must be a finite number, got inf"),
+        ("string_slack", "buses[0].slack must be true or false, got 'false'"),
+    ]],
 ], ids=["unknown-line", "splits-sum", "no-conditions", "negative-split", "negative-n", "zero-rounds", "one-fold",
         "unlabelled-line", "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
         "calibrate-feature-past-width", "triage-feature-past-width", "unknown-mode", "null-weights",
         "short-weights", "null-contingency", "bool-contingency", "string-contingency", "nan-calibration",
-        "nan-weights", "negative-weights", "fractional-feature", "inf-threshold", "nan-leaf", "leaf-above-one",
+        "nan-weights", "negative-weights", "fractional-feature", "inf-threshold", "nan-leaf", "leaf-above-one", "string-weight", "bool-threshold", "string-leaf", "string-calibration",
         "triage-two-models-of-a-line", "triage-line-listed-twice", "generate-no-contingencies",
         "generate-duplicate-line-ids", "config-string-rounds", "triage-unknown-line", "triage-unbalanced-condition",
         "triage-nan-feature", "evaluate-nan-feature", "train-inf-feature", "train-data-directory",
-        "repeated-label-column", "train-out-directory"])
+        "repeated-label-column", "train-out-directory", "float-line-id", "bool-line-id", "string-line-id", "string-p-c", "inf-c-f1",
+        "negative-c-f1", "float-network-line-id", "float-generator-bus", "string-reactance", "inf-p-max",
+        "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unbalanced, non_finite, bad_models,
-                                           repeated_label, tmp_path, capsys, argv, code, message):
+                                           bad_inputs, repeated_label, tmp_path, capsys, argv, code, message):
     out = tmp_path / "out"
     string_rounds = tmp_path / "string_rounds.json"
     string_rounds.write_text('{"rounds": "6"}\n')
@@ -387,7 +453,7 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unba
     a_dir.mkdir()
     fields = {"data": dataset, "no_test_split": no_test_split, "unbalanced": unbalanced, "string_rounds": string_rounds,
               "lines_6_12": lines_6_12, "lines_6_6": lines_6_6, "two_lines_3": two_lines_3, "a_dir": a_dir,
-              "repeated_label": repeated_label, **trained, **non_finite, **bad_models}
+              "repeated_label": repeated_label, **trained, **non_finite, **bad_models, **bad_inputs}
     argv = [arg.format(**fields) for arg in argv]
     assert main(argv if "--out" in argv else argv + ["--out", str(out)]) == code
     assert message.format(**fields) in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from riskgate.calibration import CalibratedEnsemble
-from riskgate.errors import DegenerateData, MalformedFile, SingleClassData, VersionMismatch
+from riskgate.errors import DegenerateData, MalformedFile, SingleClassData
 from riskgate.learner import (
     _TIE_TOL,
     LEAF_EPS,
@@ -589,5 +589,5 @@ def test_unknown_version_rejected(tmp_path):
     save_model(path, ens, contingency=6)
     doc = path.read_text().replace('"version": 1', '"version": 999')
     path.write_text(doc)
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(MalformedFile, match="unsupported model version 999"):
         load_model(path)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskgate.errors import DataError, MalformedFile, MissingModel, NonPositiveCost
+from riskgate.errors import ConfigError, DataError, MalformedFile
 from riskgate.risk_engine import (
     ContingencyParams,
     ScenarioTable,
@@ -43,7 +43,7 @@ def test_cost_ratio_values():
     assert cost_ratio(5.0, 5.0) == pytest.approx(0.5)
     assert cost_ratio(500.0, 1.0) == pytest.approx(500.0 / 501.0)
     assert cost_ratio(3.0, 1.0) == pytest.approx(0.75)
-    with pytest.raises(NonPositiveCost):
+    with pytest.raises(ValueError, match="costs must be strictly positive"):
         cost_ratio(0.0, 1.0)
 
 
@@ -183,7 +183,7 @@ def test_rank_columns_match_per_scenario_sort():
 
 
 def test_missing_model_raises():
-    with pytest.raises(MissingModel):
+    with pytest.raises(ConfigError, match="no model for contingency 3"):
         rank_scenarios({}, [1.0], {3: params_for()})
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from riskgate import grid, scenario_gen
-from riskgate.errors import GenerationStalled, InvalidCorrelation, MalformedFile
+from riskgate.errors import ConfigError, DataError, MalformedFile
 from riskgate.grid import six_bus
 from riskgate.scenario_gen import (
     LOAD_CORRELATION,
@@ -67,7 +67,7 @@ def test_sampling_deterministic_and_prefix_stable():
 
 
 def test_invalid_correlation_rejected():
-    with pytest.raises(InvalidCorrelation):
+    with pytest.raises(ConfigError, match="correlation -0.9 is not positive definite"):
         sample_loads(10, seed=0, correlation=-0.9)
 
 
@@ -191,7 +191,7 @@ def test_generation_stalls_on_hopeless_network():
         generators=g.generators,
         base_mva=g.base_mva,
     )
-    with pytest.raises(GenerationStalled):
+    with pytest.raises(DataError, match="sampled conditions are pre-fault infeasible"):
         build_database(bad, n=30, contingencies=[5], seed=1, splits=(20, 5, 5))
 
 

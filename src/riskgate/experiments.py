@@ -137,7 +137,7 @@ class ExperimentConfig:
         doc = read_json(path)
         try:
             return cls(**doc)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise MalformedFile(f"{path}: bad config field: {exc}") from exc
 
     def to_dict(self) -> dict:

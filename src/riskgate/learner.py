@@ -13,7 +13,16 @@ A 1-D feature vector is one row.
 
 The ensemble size is chosen by k-fold cross-validation: the final model
 is retrained on the full split with the round count that minimised the
-mean fold error (ties go to fewer rounds).
+mean fold error (ties go to fewer rounds).  The k fold chains boost in
+lockstep, one batched stump search per round for all of them, and each
+chain's stumps and weights are bit for bit those it would get alone.
+
+There is one stump search, `_StumpFitter`, and a single training matrix
+is a batch of one: the final chain, `train_stump` and the tree baseline
+use it too.  Every chain's sort order is filtered from one stable
+argsort of the training split, and both classes' prefix sums run as the
+real and imaginary parts of one complex ``cumsum``.  Training inputs
+must be a finite matrix with 0/1 labels (`_training_data`).
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .errors import DegenerateData, MalformedFile, SingleClassData, integer, num
 LEAF_EPS = 1e-6  # probability clamp applied before any logarithm
 _TIE_TOL = 1e-12  # impurity window treated as a tie (lexicographic winner)
 _ERR_FLOOR = 1e-10  # weighted-error clamp for discrete stump weights
+_CLASSES = np.array([0, 1]).reshape(2, 1, 1)
 
 MODEL_SCHEMA_VERSION = 1
 MODES = ("samme", "samme.r")  # discrete vote weights, real-valued half-log-odds
@@ -53,96 +63,210 @@ class Stump:
     left: Leaf
     right: Leaf
 
-    def values(self, x: np.ndarray, left, right) -> np.ndarray:
-        """``left`` for rows of ``x`` that go left, ``right`` for the others."""
-        if self.feature is None:
-            return np.full(len(x), left)
-        return np.where(x[:, self.feature] <= self.threshold, left, right)
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.values(x, self.left.label, self.right.label)
+        if self.feature is None:
+            return np.full(len(x), self.left.label)
+        return np.where(x[:, self.feature] <= self.threshold, self.left.label, self.right.label)
+
+
+def _goes_left(stumps, columns) -> np.ndarray:
+    """``(len(stumps), n)``: whether each row goes left at each stump.
+
+    Row ``r`` of ``columns`` holds the values stump ``r`` splits on; a
+    constant stump sends every row left, whatever its row holds.
+    """
+    goes_left = columns <= np.array([s.threshold for s in stumps]).reshape(-1, 1)
+    constant = [s.feature is None for s in stumps]
+    if any(constant):
+        goes_left[constant] = True
+    return goes_left
 
 
 class _StumpFitter:
-    """Searches every feature's split at once over a cached sort order.
+    """Searches every feature's split of a batch of training sets at once.
 
-    Built once per training matrix, so boosting rounds only redo the
-    weighted prefix sums: per feature (one row each) it keeps the stable
-    sort order, the mask of sorted positions that are not a cut (equal
-    to the next value) and the cut midpoints, all ``(F, n-1)``.  Each
-    row's prefix sum is sequential, so every impurity equals the one a
-    feature-by-feature search computes.  Ties break lexicographically:
-    the first feature wins unless a later one beats it by more than
-    ``_TIE_TOL``, and within a feature the first cut within ``_TIE_TOL``
-    of its minimum wins.
+    Chain ``i`` of the batch trains on the rows ``rows[i]`` of ``x``;
+    by default there is one chain, on every row.  A chain's rows sit in
+    its row of a ``(k, M)`` layout, in the order of ``x``, and the slots
+    past its row count are zero-weight padding.  The fitter is built
+    once per batch, so boosting rounds only redo the weighted prefix
+    sums: per chain and feature it keeps the stable sort order, the mask
+    of sorted positions that are not a cut (equal to the next value, or
+    padding) and the cut midpoints, all ``(k, F, M-1)``.  Every chain's
+    order is filtered from one stable argsort of ``x`` (pass ``order``
+    when it is known): restricted to a subset of the rows, a stable
+    order is that subset's own stable order.
+
+    Both classes' prefix sums run as the real and imaginary parts of one
+    complex ``cumsum``, and each is sequential along its row, so every
+    impurity equals the one a feature-by-feature search of the chain's
+    rows alone computes; the class totals are summed over each chain's
+    own rows, as numpy's pairwise sum rounds by length.  Ties break
+    lexicographically: the first feature wins unless a later one beats
+    it by more than ``_TIE_TOL``, and within a feature the first cut
+    within ``_TIE_TOL`` of its minimum wins.
     """
 
-    def __init__(self, x: np.ndarray):
-        order = np.argsort(x.T, axis=1, kind="stable")
-        sv = np.take_along_axis(x.T, order, axis=1)
-        self.order = order[:, :-1].copy()  # the last position is never a cut
-        self.not_cut = sv[:, :-1] == sv[:, 1:]
-        self.has_cut = np.flatnonzero(~self.not_cut.all(axis=1)).tolist()
-        self.midpoints = (sv[:, :-1] + sv[:, 1:]) / 2.0
+    def __init__(self, x: np.ndarray, rows=None, order=None):
+        n, n_features = x.shape
+        rows = np.ones((1, n), dtype=bool) if rows is None else np.asarray(rows, dtype=bool)
+        if order is None:
+            order = np.argsort(x.T, axis=1, kind="stable")
+        self.lengths = rows.sum(axis=1)
+        k, m = len(rows), int(self.lengths.max(initial=0))
+        self.index = np.zeros((k, m), dtype=np.intp)  # row of x in each slot; padding reads row 0
+        sorted_rows, sorted_values = [], []
+        varies = np.zeros(n_features, dtype=bool)
+        for i, (chain, size) in enumerate(zip(rows, self.lengths)):
+            self.index[i, :size] = np.flatnonzero(chain)
+            sorted_rows.append(order[chain[order]].reshape(n_features, size))
+            sorted_values.append(np.take_along_axis(x.T, sorted_rows[-1], axis=1))
+            if size:
+                varies |= sorted_values[-1][:, 0] != sorted_values[-1][:, -1]
+        self.features = np.flatnonzero(varies).tolist()  # a feature no chain can cut is not searched
+        self.order = np.empty((k, len(self.features), max(m - 1, 0)), dtype=np.intp)
+        self.not_cut = np.ones(self.order.shape, dtype=bool)
+        self.midpoints = np.zeros(self.order.shape)
+        self.has_cut = []  # positions in ``features`` of the features with a cut, per chain
+        for i, (chain, size) in enumerate(zip(rows, self.lengths)):
+            sr, sv = sorted_rows[i][self.features], sorted_values[i][self.features]
+            slot = np.cumsum(chain) - 1 + i * m  # flat slot of each row of the chain
+            # the last sorted position is never a cut; padding points at a zero-weight slot
+            self.order[i] = i * m + m - 1
+            cuts = max(size - 1, 0)
+            self.order[i, :, :cuts] = slot[sr[:, :-1]]
+            self.not_cut[i, :, :cuts] = sv[:, :-1] == sv[:, 1:]
+            self.midpoints[i, :, :cuts] = (sv[:, :-1] + sv[:, 1:]) / 2.0
+            self.has_cut.append(np.flatnonzero(~self.not_cut[i].all(axis=1)).tolist())
+        self._allocate()
+
+    def _allocate(self):
+        k, n_features, width = self.order.shape
+        self.sizes = self.lengths.tolist()
+        # flat position of the first cut of each (chain, feature) row
+        self.starts = np.arange(k * n_features).reshape(k, n_features) * width
         # Work arrays reused by every fit: fresh temporaries of this size
         # cost more in page faults than the arithmetic on them.
-        self.work = np.empty((6,) + self.midpoints.shape)
-        self.mask = np.empty(self.midpoints.shape, dtype=bool)
+        self.weights = np.zeros(self.index.shape, dtype=complex)
+        self.sums = np.empty(self.order.shape, dtype=complex)
+        self.work = np.empty((3, 2) + self.order.shape)
+        self.mask = np.empty((2,) + self.order.shape, dtype=bool)
 
-    def fit(self, y: np.ndarray, w: np.ndarray) -> Stump:
-        w0 = np.where(y == 0, w, 0.0)
-        w1 = np.where(y == 1, w, 0.0)
-        t0, t1 = w0.sum(), w1.sum()
-        total = t0 + t1
-        if total <= 0:
-            raise ValueError("example weights must not all be zero")
-        if t0 == 0.0 or t1 == 0.0:
-            leaf = _leaf(t0, t1)
-            return Stump(feature=None, threshold=0.0, left=leaf, right=leaf)
-        if not self.has_cut:
-            raise DegenerateData("all feature vectors are identical with both classes present")
+    def keep(self, chains) -> None:
+        """Drop every chain but those at the positions ``chains``, in that order."""
+        m = self.index.shape[1]
+        shift = (np.asarray(chains, dtype=np.intp) - np.arange(len(chains))) * m
+        self.order = self.order[chains] - shift[:, None, None]
+        self.not_cut, self.midpoints = self.not_cut[chains], self.midpoints[chains]
+        self.index, self.lengths = self.index[chains], self.lengths[chains]
+        self.has_cut = [self.has_cut[i] for i in chains]
+        self._allocate()
 
-        c0, c1, side, left, right, tmp = self.work
+    def fit(self, y: np.ndarray, w: np.ndarray):
+        """The best stump of each chain, for labels ``y`` and weights ``w`` in the ``(k, M)`` layout.
+
+        One-dimensional ``y`` and ``w`` are a batch of one, and give one stump.
+        """
+        if np.ndim(y) == 1:
+            return self.fit(np.asarray(y)[None], np.asarray(w)[None])[0]
+        w01 = np.where(np.equal(y, _CLASSES), w, 0.0)  # (2, k, M): the weights of class 0, of class 1
+        t0, t1 = zip(*(np.add.reduce(w01[:, i, :size], axis=1).tolist()
+                       for i, size in enumerate(self.sizes)))
+        total = [a + b for a, b in zip(t0, t1)]
+        searched = [a != 0.0 and b != 0.0 for a, b in zip(t0, t1)]
+        for tot, search, has_cut in zip(total, searched, self.has_cut):
+            if tot <= 0:
+                raise ValueError("example weights must not all be zero")
+            if search and not has_cut:
+                raise DegenerateData("all feature vectors are identical with both classes present")
+        if any(searched):
+            c0, c1, best, cut = self._search(w01, np.array([t0, t1, total]))
+        stumps = []
+        for i, (n0, n1, search, has_cut) in enumerate(zip(t0, t1, searched, self.has_cut)):
+            if not search:
+                leaf = _leaf(n0, n1)
+                stumps.append(Stump(feature=None, threshold=0.0, left=leaf, right=leaf))
+                continue
+            row = best[i]
+            f = has_cut[0]
+            for g in has_cut[1:]:
+                if row[g] < row[f] - _TIE_TOL:
+                    f = g
+            j = cut[i][f]
+            l0, l1 = float(c0[i, f, j]), float(c1[i, f, j])
+            stumps.append(Stump(feature=self.features[f], threshold=float(self.midpoints[i, f, j]),
+                                left=_leaf(l0, l1), right=_leaf(n0 - l0, n1 - l1)))
+        return stumps
+
+    def _search(self, w01, totals):
+        """Search every chain and feature for its best cut.
+
+        ``w01`` holds the weights of each class and ``totals`` each chain's
+        class and total weights, ``(3, k)``.  Returns the class prefix
+        sums ``c0``, ``c1`` at every sorted position, and per chain and
+        feature the first cut within ``_TIE_TOL`` of its least impurity
+        and the impurity there, as lists.
+        """
+        self.weights.real, self.weights.imag = w01
         # mode="clip" skips the bounds check that would buffer ``out``
-        np.cumsum(np.take(w0, self.order, out=c0, mode="clip"), axis=1, out=c0)
-        np.cumsum(np.take(w1, self.order, out=c1, mode="clip"), axis=1, out=c1)
+        sums = np.add.accumulate(self.weights.take(self.order, out=self.sums, mode="clip"),
+                                 axis=2, out=self.sums)
+        t0, t1, total = totals[:, :, None, None]
+        # the class weights and total weight left (0) and right (1) of each cut
+        n0, n1, side = self.work
+        np.copyto(n0[0], sums.real)
+        np.copyto(n1[0], sums.imag)
+        np.subtract(t0, n0[0], out=n0[1])
+        np.subtract(t1, n1[0], out=n1[1])
+        np.add(n0[0], n1[0], out=side[0])
+        np.subtract(total, side[0], out=side[1])
+        # both sides' gini terms (n0*n0 + n1*n1) / side, 0 on a side without weight
+        gini = np.multiply(n0, n0, out=n0)
+        gini += np.multiply(n1, n1, out=n1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.add(c0, c1, out=side)
-            _gini_term(c0, c1, side, left, tmp, self.mask)
-            np.subtract(total, side, out=side)
-            _gini_term(np.subtract(t0, c0, out=right), np.subtract(t1, c1, out=tmp),
-                       side, right, tmp, self.mask)
-        impurity = np.subtract(total, left, out=left)
-        impurity -= right
+            gini /= side
+        np.copyto(gini, 0.0, where=np.less_equal(side, 0.0, out=self.mask))
+        impurity = np.subtract(total, gini[0], out=n1[0])
+        impurity -= gini[1]
         impurity /= total
         np.copyto(impurity, np.inf, where=self.not_cut)
-        near_min = np.less_equal(impurity, impurity.min(axis=1, keepdims=True) + _TIE_TOL, out=self.mask)
-        cut = near_min.argmax(axis=1)
-        best = impurity[np.arange(len(cut)), cut].tolist()
-
-        f = self.has_cut[0]
-        for g in self.has_cut[1:]:
-            if best[g] < best[f] - _TIE_TOL:
-                f = g
-        j = cut[f]
-        l0, l1 = c0[f, j], c1[f, j]
-        return Stump(feature=f, threshold=float(self.midpoints[f, j]),
-                     left=_leaf(l0, l1), right=_leaf(t0 - l0, t1 - l1))
+        near_min = np.less_equal(impurity, np.minimum.reduce(impurity, axis=2, keepdims=True) + _TIE_TOL,
+                                 out=self.mask[0])
+        cut = near_min.argmax(axis=2)
+        best = np.take(impurity, self.starts + cut).tolist()
+        return sums.real, sums.imag, best, cut.tolist()
 
 
-def _leaf(n0, n1) -> Leaf:
+def _leaf(n0: float, n1: float) -> Leaf:
     """Leaf of class weights ``n0``, ``n1``; its probabilities stay ``LEAF_EPS`` from 0 and 1."""
     tot = n0 + n1
     p1 = min(max(n1 / tot if tot > 0 else 0.5, LEAF_EPS), 1.0 - LEAF_EPS)
-    return Leaf(1.0 - p1, float(p1))
+    return Leaf(1.0 - p1, p1)
 
 
-def _gini_term(n0, n1, side, out, tmp, mask):
-    """``out = (n0*n0 + n1*n1) / side``, or 0 where ``side <= 0``; ``tmp`` may alias ``n1``."""
-    np.multiply(n0, n0, out=out)
-    out += np.multiply(n1, n1, out=tmp)
-    out /= side
-    np.copyto(out, 0.0, where=np.less_equal(side, 0.0, out=mask))
+def _training_data(features, labels, weights=None):
+    """``features``, ``labels`` and ``weights`` as arrays, or ValueError.
+
+    The features must be a finite matrix, the labels 0 or 1 and the
+    weights finite and nonnegative (default: all 1), one of each per row.
+    """
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels)
+    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"features must be a matrix, got {x.ndim} dimension(s)")
+    if y.shape != (len(x),) or w.shape != (len(x),):
+        raise ValueError(f"{len(x)} feature rows need as many labels and weights, "
+                         f"got {y.shape} and {w.shape}")
+    if not np.all(np.isin(y, (0, 1))):
+        raise ValueError("labels must be 0 or 1")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("example weights must be finite")
+    if np.any(w < 0):
+        raise ValueError("example weights must be nonnegative")
+    return x, y.astype(int), w
 
 
 def train_stump(features, labels, weights=None) -> Stump:
@@ -150,13 +274,10 @@ def train_stump(features, labels, weights=None) -> Stump:
 
     Single-class data yields a constant stump predicting that class;
     identical feature vectors with both classes present raise
-    DegenerateData.
+    DegenerateData.  Inputs outside `_training_data`'s contract raise
+    ValueError.
     """
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("example weights must be nonnegative")
+    x, y, w = _training_data(features, labels, weights)
     return _StumpFitter(x).fit(y, w)
 
 
@@ -175,54 +296,82 @@ class Ensemble:
         return len(self.stumps)
 
 
-def _term(stump: Stump, alpha, mode, x) -> np.ndarray:
-    """One round's addition to the score of each row of ``x``.
-
-    SAMME adds the stump's vote weighted by ``alpha``; the real-valued
-    mode adds the half-log-odds of the leaf the row falls in.
-    """
-    if mode == "samme":
-        return alpha * stump.predict(x)
-    p1 = np.array([stump.left.p1, stump.right.p1])
-    half_log_odds = 0.5 * (np.log(p1) - np.log1p(-p1))
-    return stump.values(x, half_log_odds[0], half_log_odds[1])
+def _half_log_odds(stumps) -> np.ndarray:
+    """``(len(stumps), 2)``: the half-log-odds of each stump's left and right leaf."""
+    p1 = np.array([[s.left.p1, s.right.p1] for s in stumps]).reshape(-1, 2)
+    return 0.5 * (np.log(p1) - np.log1p(-p1))
 
 
 def _prefix_scores(stumps, alphas, mode, x) -> np.ndarray:
     """``(len(stumps) + 1, n)`` scores: row ``r`` sums the first ``r`` rounds' terms.
 
-    The sum runs in round order (``cumsum``), as the rounds were added;
-    a pairwise sum such as ``np.sum(axis=0)`` would round differently.
+    SAMME adds each stump's vote weighted by its ``alpha``; the
+    real-valued mode adds the half-log-odds of the leaf the row falls
+    in.  The sum runs in round order (``cumsum``), as the rounds were
+    added; a pairwise sum such as ``np.sum(axis=0)`` would round
+    differently.
     """
     x = np.atleast_2d(x)
-    if mode != "samme":
-        alphas = [None] * len(stumps)
-    terms = [np.zeros(len(x))] + [_term(s, a, mode, x) for s, a in zip(stumps, alphas)]
-    return np.cumsum(terms, axis=0)
+    if mode == "samme":
+        labels = np.array([[s.left.label, s.right.label] for s in stumps]).reshape(-1, 2)
+        leaves = np.array(alphas, dtype=float).reshape(-1, 1) * labels
+    else:
+        leaves = _half_log_odds(stumps)
+    columns = x.T[[s.feature or 0 for s in stumps]] if x.shape[1] else np.zeros((len(stumps), len(x)))
+    scores = np.zeros((len(stumps) + 1, len(x)))
+    scores[1:] = np.where(_goes_left(stumps, columns), leaves[:, :1], leaves[:, 1:])
+    return np.cumsum(scores, axis=0, out=scores)
 
 
 def _boost(x, y, fitter, rounds, mode):
-    n = len(y)
-    w = np.full(n, 1.0 / n)
+    """Boost every chain of ``fitter`` for up to ``rounds`` rounds in lockstep.
+
+    Returns ``(stumps, alphas)`` for each chain.  Each round is one
+    batched stump search and one array step of the weight update; the
+    sums that score and normalise a chain's weights run over its own
+    rows, so every chain boosts as it would alone.  A SAMME chain ends
+    when a stump other than its first has a weighted error of 0.5 or
+    more: that stump is dropped and the chain leaves the batch.
+    """
+    lengths = fitter.lengths[:, None]
+    valid = np.arange(fitter.index.shape[1]) < lengths
+    columns = np.moveaxis(x[fitter.index], 2, 1)  # (k, F, M): each chain's features in its slots
+    y = np.where(valid, y[fitter.index], 0)
     sign = np.where(y == 1, 1.0, -1.0)
-    stumps: list[Stump] = []
-    alphas: list[float] = []
+    w = np.where(valid, 1.0 / lengths, 0.0)
+    result = [([], []) for _ in fitter.sizes]
+    chains = list(range(len(result)))  # the chain at each position of the batch
+    done = [False] * len(chains)
     for _ in range(rounds):
-        stump = fitter.fit(y, w)
+        if not chains:
+            break
+        stumps = fitter.fit(y, w)
+        goes_left = _goes_left(stumps, columns[range(len(chains)), [s.feature or 0 for s in stumps]])
         if mode == "samme":
-            miss = stump.predict(x) != y
-            err = float(w[miss].sum())
-            if err >= 0.5 and stumps:
-                break
-            err = min(max(err, _ERR_FLOOR), 1.0 - _ERR_FLOOR)
+            votes = np.array([(s.left.label, s.right.label) for s in stumps])
+            miss = np.where(goes_left, votes[:, :1], votes[:, 1:]) != y
+            err = [np.add.reduce(row[:n][hit[:n]]) for row, hit, n in zip(w, miss, fitter.sizes)]
+            done = [e >= 0.5 and bool(result[c][0]) for e, c in zip(err, chains)]
+            err = np.minimum(np.maximum(err, _ERR_FLOOR), 1.0 - _ERR_FLOOR)
             alpha = np.log((1.0 - err) / err)  # + log(K-1) = 0 for two classes
-            alphas.append(float(max(alpha, 0.0)))
-            w = w * np.exp(alpha * miss)
+            for c, a, end in zip(chains, np.maximum(alpha, 0.0).tolist(), done):
+                if not end:
+                    result[c][1].append(a)
+            w = w * np.exp(alpha[:, None] * miss)
         else:
-            w = w * np.exp(-sign * _term(stump, None, mode, x))
-        stumps.append(stump)
-        w = w / w.sum()
-    return stumps, alphas
+            leaves = _half_log_odds(stumps)
+            w = w * np.exp(-sign * np.where(goes_left, leaves[:, :1], leaves[:, 1:]))
+        w /= np.array([np.add.reduce(row[:n]) for row, n in zip(w, fitter.sizes)])[:, None]
+        for c, stump, end in zip(chains, stumps, done):
+            if not end:
+                result[c][0].append(stump)
+        if any(done):
+            keep = [i for i, end in enumerate(done) if not end]
+            fitter.keep(keep)
+            chains = [chains[i] for i in keep]
+            columns, y, sign, w = columns[keep], y[keep], sign[keep], w[keep]
+            done = [False] * len(chains)
+    return result
 
 
 def _prefix_error_curve(stumps, alphas, mode, x, y, rounds):
@@ -239,12 +388,17 @@ def train_adaboost(features, labels, rounds: int = 100, mode: str = "samme.r", k
     """Boost stumps for up to ``rounds`` rounds with cross-validated stopping.
 
     Folds are assigned round-robin within each class (deterministic, no
-    RNG); folds whose training part degenerates to one class are skipped.
+    RNG); folds whose training part degenerates to one class, or whose
+    validation part is empty, are skipped.  The fold chains boost in
+    lockstep, and they and the final chain share one sort order of the
+    features.
 
     Raises
     ------
     SingleClassData
         If the training split contains only one class.
+    ValueError
+        On a bad parameter, or inputs outside `_training_data`'s contract.
     """
     if mode not in MODES:
         raise ValueError(f"unknown boosting mode {mode!r}")
@@ -252,10 +406,10 @@ def train_adaboost(features, labels, rounds: int = 100, mode: str = "samme.r", k
         raise ValueError("rounds must be >= 1")
     if k_folds < 2:
         raise ValueError("k_folds must be >= 2")
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    x, y, _ = _training_data(features, labels)
     if len(np.unique(y)) < 2:
         raise SingleClassData("training split contains a single class")
+    order = np.argsort(x.T, axis=1, kind="stable")
 
     best_rounds = rounds
     if rounds > 1:
@@ -263,19 +417,16 @@ def train_adaboost(features, labels, rounds: int = 100, mode: str = "samme.r", k
         for cls in (0, 1):
             idx = np.flatnonzero(y == cls)
             fold_of[idx] = np.arange(len(idx)) % k_folds
-        curves = []
-        for fold in range(k_folds):
-            tr = fold_of != fold
-            va = ~tr
-            if len(np.unique(y[tr])) < 2 or not va.any():
-                continue
-            stumps, alphas = _boost(x[tr], y[tr], _StumpFitter(x[tr]), rounds, mode)
-            curves.append(_prefix_error_curve(stumps, alphas, mode, x[va], y[va], rounds))
-        if curves:
+        rows = [fold_of != fold for fold in range(k_folds)]
+        rows = [tr for tr in rows if len(np.unique(y[tr])) == 2 and not tr.all()]
+        if rows:
+            chains = _boost(x, y, _StumpFitter(x, rows, order), rounds, mode)
+            curves = [_prefix_error_curve(stumps, alphas, mode, x[~tr], y[~tr], rounds)
+                      for (stumps, alphas), tr in zip(chains, rows)]
             mean_err = np.mean(curves, axis=0)
             best_rounds = int(np.flatnonzero(mean_err <= mean_err.min() + 1e-12)[0]) + 1
 
-    stumps, alphas = _boost(x, y, _StumpFitter(x), best_rounds, mode)
+    [(stumps, alphas)] = _boost(x, y, _StumpFitter(x, order=order), best_rounds, mode)
     return Ensemble(mode=mode, stumps=stumps, weights=alphas if mode == "samme" else None)
 
 
@@ -344,8 +495,7 @@ def _grow(x, y, depth, max_depth):
 
 def train_single_tree(features, labels, max_depth: int = 3) -> TreeNode:
     """Greedy gini CART to ``max_depth``, as its root node; leaves keep class frequencies."""
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    x, y, _ = _training_data(features, labels)
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     return _grow(x, y, 0, max_depth)

@@ -10,7 +10,7 @@ from riskgate import calibration, experiments, learner
 # (``--hypothesis-profile simplex-reference``); they take the larger of
 # their tier-1 budget and its ``max_examples``.
 settings.register_profile("simplex-reference", max_examples=5000)
-# and the three bit-for-bit learner reference properties under this one
+# and the five bit-for-bit learner reference properties under this one
 # (``--hypothesis-profile learner-reference``), likewise.
 settings.register_profile("learner-reference", max_examples=2000)
 # and the file round-trip properties of tests/test_file_formats.py under

@@ -390,6 +390,8 @@ def bad_inputs(tmp_path_factory):
      2, "duplicate line ids"),
     (["experiment", "calibration", "--config", "{string_rounds}"],
      2, "string_rounds.json: bad config field: rounds must be an integer, got '6'"),
+    (["experiment", "sensitivity", "--config", "{negative_alpha}"],
+     2, "negative_alpha.json: bad config field: alpha must be finite and > 0, got -1"),
     (["triage", "--data", "{data}", "--models", "{model6},{line12}", "--contingencies-file", "{lines_6_12}",
       "--budget", "50"], 2, "unknown line id 12"),
     (["triage", "--data", "{unbalanced}", "--models", "{models}", "--contingencies-file", "{contingencies}",
@@ -430,7 +432,8 @@ def bad_inputs(tmp_path_factory):
         "short-weights", "null-contingency", "bool-contingency", "string-contingency", "nan-calibration",
         "nan-weights", "negative-weights", "fractional-feature", "inf-threshold", "nan-leaf", "leaf-above-one", "string-weight", "bool-threshold", "string-leaf", "string-calibration",
         "triage-two-models-of-a-line", "triage-line-listed-twice", "generate-no-contingencies",
-        "generate-duplicate-line-ids", "config-string-rounds", "triage-unknown-line", "triage-unbalanced-condition",
+        "generate-duplicate-line-ids", "config-string-rounds", "config-negative-alpha", "triage-unknown-line",
+        "triage-unbalanced-condition",
         "triage-nan-feature", "evaluate-nan-feature", "train-inf-feature", "train-data-directory",
         "repeated-label-column", "train-out-directory", "float-line-id", "bool-line-id", "string-line-id", "string-p-c", "inf-c-f1",
         "negative-c-f1", "float-network-line-id", "float-generator-bus", "string-reactance", "inf-p-max",
@@ -440,6 +443,8 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unba
     out = tmp_path / "out"
     string_rounds = tmp_path / "string_rounds.json"
     string_rounds.write_text('{"rounds": "6"}\n')
+    negative_alpha = tmp_path / "negative_alpha.json"
+    negative_alpha.write_text('{"alpha": -1}\n')
     lines_6_12 = tmp_path / "lines_6_12.json"
     lines_6_12.write_text(json.dumps([{"line_id": c, "p_c": 0.0001, "cost_ratio": 0.999} for c in (6, 12)]))
     lines_6_6 = tmp_path / "lines_6_6.json"
@@ -452,6 +457,7 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unba
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
     fields = {"data": dataset, "no_test_split": no_test_split, "unbalanced": unbalanced, "string_rounds": string_rounds,
+              "negative_alpha": negative_alpha,
               "lines_6_12": lines_6_12, "lines_6_6": lines_6_6, "two_lines_3": two_lines_3, "a_dir": a_dir,
               "repeated_label": repeated_label, **trained, **non_finite, **bad_models, **bad_inputs}
     argv = [arg.format(**fields) for arg in argv]

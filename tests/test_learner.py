@@ -1,16 +1,21 @@
 """Learner tests: stump fitting, boosting, trees, model serialization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from riskgate import learner
 from riskgate.calibration import CalibratedEnsemble
 from riskgate.errors import DegenerateData, MalformedFile, SingleClassData
 from riskgate.learner import (
+    _ERR_FLOOR,
     _TIE_TOL,
     LEAF_EPS,
+    MODES,
     Ensemble,
     Leaf,
     Stump,
@@ -159,7 +164,7 @@ def stump_problems(draw):
     return x, y, w
 
 
-# The three bit-for-bit reference properties run tier-1's budget, or more
+# The five bit-for-bit reference properties run tier-1's budget, or more
 # under ``--hypothesis-profile learner-reference`` (tests/conftest.py).
 @settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(stump_problems())
@@ -227,6 +232,42 @@ def test_stump_permutation_invariant():
         assert other.threshold == ref.threshold
 
 
+# -- input contract: the padded batch layout relies on 0/1 labels and finite values
+
+CONTRACT_X = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 0.0], [3.0, 1.5], [4.0, 2.0], [5.0, 0.25]])
+CONTRACT_Y = np.array([0, 1, 0, 1, 1, 0])
+
+
+def test_labels_outside_zero_one_rejected():
+    y = np.array([0, 1, 2, 1, 1, 0])
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        train_adaboost(CONTRACT_X, y, rounds=3)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        train_stump(CONTRACT_X, y)
+
+
+def test_non_finite_features_rejected():
+    x = CONTRACT_X.copy()
+    x[2, 1] = np.nan
+    with pytest.raises(ValueError, match="features must be finite"):
+        train_adaboost(x, CONTRACT_Y, rounds=3)
+    x[2, 1] = -np.inf
+    with pytest.raises(ValueError, match="features must be finite"):
+        train_stump(x, CONTRACT_Y)
+
+
+def test_non_finite_weights_rejected():
+    w = np.full(6, np.nan)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        train_stump(CONTRACT_X, CONTRACT_Y, w)
+
+
+def test_length_mismatch_rejected():
+    with pytest.raises(ValueError, match="5 feature rows need as many labels and weights"):
+        train_adaboost(CONTRACT_X[:5], CONTRACT_Y, rounds=3)
+    with pytest.raises(ValueError, match="6 feature rows need as many labels and weights"):
+        train_stump(CONTRACT_X, CONTRACT_Y, np.ones(4))
+
 # -- boosting ------------------------------------------------------------
 
 def test_separable_data_selects_one_round():
@@ -282,6 +323,201 @@ def test_samme_accepted_stumps_beat_chance():
         assert w[miss].sum() < 0.5
         w = w * np.exp(alpha * miss)
         w = w / w.sum()
+
+
+# The per-fold boosting that lockstep cross-validation replaced, kept as
+# written (``Stump.values`` inlined in ``reference_term``) as the reference
+# for ``train_adaboost``: each fold chain boosts alone, on its own fitter.
+# ``reference_train_adaboost`` also returns the round count the folds chose
+# and each fold chain's stumps and alphas.
+
+def reference_term(stump, alpha, mode, x):
+    if mode == "samme":
+        return alpha * stump.predict(x)
+    p1 = np.array([stump.left.p1, stump.right.p1])
+    half_log_odds = 0.5 * (np.log(p1) - np.log1p(-p1))
+    if stump.feature is None:
+        return np.full(len(x), half_log_odds[0])
+    return np.where(x[:, stump.feature] <= stump.threshold, half_log_odds[0], half_log_odds[1])
+
+
+def reference_boost(x, y, fitter, rounds, mode):
+    n = len(y)
+    w = np.full(n, 1.0 / n)
+    sign = np.where(y == 1, 1.0, -1.0)
+    stumps = []
+    alphas = []
+    for _ in range(rounds):
+        stump = fitter.fit(y, w)
+        if mode == "samme":
+            miss = stump.predict(x) != y
+            err = float(w[miss].sum())
+            if err >= 0.5 and stumps:
+                break
+            err = min(max(err, _ERR_FLOOR), 1.0 - _ERR_FLOOR)
+            alpha = np.log((1.0 - err) / err)  # + log(K-1) = 0 for two classes
+            alphas.append(float(max(alpha, 0.0)))
+            w = w * np.exp(alpha * miss)
+        else:
+            w = w * np.exp(-sign * reference_term(stump, None, mode, x))
+        stumps.append(stump)
+        w = w / w.sum()
+    return stumps, alphas
+
+
+def reference_train_adaboost(x, y, rounds, mode, k_folds):
+    if len(np.unique(y)) < 2:
+        raise SingleClassData("training split contains a single class")
+
+    best_rounds = rounds
+    folds = []
+    if rounds > 1:
+        fold_of = np.empty(len(y), dtype=int)
+        for cls in (0, 1):
+            idx = np.flatnonzero(y == cls)
+            fold_of[idx] = np.arange(len(idx)) % k_folds
+        curves = []
+        for fold in range(k_folds):
+            tr = fold_of != fold
+            va = ~tr
+            if len(np.unique(y[tr])) < 2 or not va.any():
+                continue
+            stumps, alphas = reference_boost(x[tr], y[tr], _StumpFitter(x[tr]), rounds, mode)
+            folds.append((stumps, alphas))
+            curves.append(_prefix_error_curve(stumps, alphas, mode, x[va], y[va], rounds))
+        if curves:
+            mean_err = np.mean(curves, axis=0)
+            best_rounds = int(np.flatnonzero(mean_err <= mean_err.min() + 1e-12)[0]) + 1
+
+    stumps, alphas = reference_boost(x, y, _StumpFitter(x), best_rounds, mode)
+    ensemble = Ensemble(mode=mode, stumps=stumps, weights=alphas if mode == "samme" else None)
+    return ensemble, best_rounds, folds
+
+
+def stump_bits(stumps) -> bytes:
+    """Every field of every stump, bit for bit; a constant stump's feature reads -1."""
+    return np.array([[-1.0 if s.feature is None else s.feature, s.threshold, s.left.p0, s.left.p1,
+                      s.right.p0, s.right.p1] for s in stumps]).tobytes()
+
+
+def chain_bits(stumps, alphas) -> tuple:
+    return stump_bits(stumps), np.array(alphas, dtype=float).tobytes()
+
+
+def traced_train_adaboost(x, y, rounds, mode, k_folds):
+    """``train_adaboost``, with the rounds and results of each `_boost` call it made."""
+    calls = []
+    boost = learner._boost
+
+    def recording(*args):
+        result = boost(*args)
+        calls.append((args[3], result))
+        return result
+
+    with mock.patch.object(learner, "_boost", recording):
+        ensemble = train_adaboost(x, y, rounds=rounds, mode=mode, k_folds=k_folds)
+    return ensemble, calls
+
+
+@st.composite
+def adaboost_problems(draw):
+    """Small training splits with ties and constant columns, so folds skip and SAMME chains stop."""
+    n = draw(st.integers(2, 60))
+    f = draw(st.integers(1, 4))
+    values = st.one_of(st.integers(-2, 2).map(float), st.sampled_from([0.1, 0.25, 1.5, -0.7]),
+                       st.floats(-3.0, 3.0))
+    x = draw(arrays(float, (n, f), elements=values))
+    y = draw(arrays(int, n, elements=st.integers(0, 1)))
+    return x, y, draw(st.integers(1, 12)), draw(st.sampled_from(MODES)), draw(st.integers(2, 5))
+
+
+# a SAMME fold chain that stops at an error of 0.5 or more
+STOP = (np.array([[2.0], [1.0], [1.0], [2.0], [2.0]]), np.array([1, 1, 0, 0, 0]))
+# of three folds, one trains on a single class and one validates on no row
+SKIP = (np.array([[1.0], [1.0], [2.0]]), np.array([0, 0, 1]))
+# a constant column, and three of five folds validate on no row
+CONSTANT = (np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 1.0], [0.0, 2.0]]), np.array([0, 1, 1, 0]))
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(adaboost_problems())
+@example((*STOP, 6, "samme", 3))
+@example((*STOP, 6, "samme.r", 3))
+@example((*SKIP, 6, "samme", 3))
+@example((*CONSTANT, 5, "samme.r", 5))
+def test_lockstep_cross_validation_matches_reference(problem):
+    x, y, rounds, mode, k_folds = problem
+    try:
+        expected, best_rounds, folds = reference_train_adaboost(x, y, rounds, mode, k_folds)
+    except (DegenerateData, SingleClassData) as exc:
+        with pytest.raises(type(exc)):
+            train_adaboost(x, y, rounds=rounds, mode=mode, k_folds=k_folds)
+        return
+    got, calls = traced_train_adaboost(x, y, rounds, mode, k_folds)
+    assert stump_bits(got.stumps) == stump_bits(expected.stumps)
+    assert got.weights == expected.weights
+    final_rounds, [final] = calls[-1]
+    assert final_rounds == best_rounds
+    assert chain_bits(*final) == chain_bits(expected.stumps, expected.weights or [])
+    fold_calls = calls[:-1]
+    assert len(fold_calls) == (1 if folds else 0)
+    if folds:
+        assert fold_calls[0][0] == rounds
+        assert [chain_bits(*c) for c in fold_calls[0][1]] == [chain_bits(*c) for c in folds]
+
+
+def test_lockstep_examples_cover_the_cases():
+    _, _, folds = reference_train_adaboost(*STOP, 6, "samme", 3)
+    assert [len(stumps) for stumps, _ in folds] == [6, 6, 1]
+    _, _, folds = reference_train_adaboost(*SKIP, 6, "samme", 3)
+    assert len(folds) == 1
+    _, _, folds = reference_train_adaboost(*CONSTANT, 5, "samme.r", 5)
+    assert len(folds) == 2
+
+
+@st.composite
+def stump_batches(draw):
+    """A matrix, 1-4 row subsets of it and per-chain labels and weights, zero weights included."""
+    x, y, w = draw(stump_problems())
+    rows = draw(arrays(bool, (draw(st.integers(1, 4)), len(y)), elements=st.booleans()))
+    return x, rows, y, w
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(stump_batches())
+def test_batched_stump_fit_matches_reference(batch):
+    x, rows, y, w = batch
+    fitter = _StumpFitter(x, rows)
+    layout = np.zeros(fitter.index.shape)
+    ys, ws = layout.astype(int), layout.copy()
+    for i, tr in enumerate(rows):
+        ys[i, :tr.sum()], ws[i, :tr.sum()] = y[tr], w[tr]
+    expected = []
+    for tr in rows:
+        try:
+            expected.append(reference_stump(x[tr], y[tr], w[tr]))
+        except (ValueError, DegenerateData) as exc:
+            with pytest.raises(type(exc)):
+                fitter.fit(ys, ws)
+            return
+    assert [stump_bits([s]) for s in fitter.fit(ys, ws)] == [stump_bits([s]) for s in expected]
+
+
+def test_fold_order_is_filtered_from_one_argsort():
+    # restricted to a fold's rows, the stable order of the whole split is the fold's own
+    rng = np.random.default_rng(3)
+    x = rng.integers(-2, 3, size=(40, 3)).astype(float)
+    x[:, 1] = 0.5  # a constant column, left out of the search
+    fold_of = np.arange(40) % 3
+    rows = np.array([fold_of != fold for fold in range(3)])
+    fitter = _StumpFitter(x, rows)
+    assert fitter.features == [0, 2]
+    width = fitter.index.shape[1]
+    for i, tr in enumerate(rows):
+        n = tr.sum()
+        assert np.array_equal(fitter.index[i, :n], np.flatnonzero(tr))
+        own = np.argsort(x[tr].T, axis=1, kind="stable")[fitter.features]
+        assert np.array_equal(fitter.order[i, :, :n - 1] - i * width, own[:, :-1])
 
 
 # -- vote / score --------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import brier_score, calibrated_probability, fit_platt, reliability_csv
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_text
 from .experiments import RUNNERS, ExperimentConfig, Study
 from .grid import assess_security, load_grid, six_bus
 from .learner import MODES, load_model, save_model, train_adaboost
@@ -149,12 +149,13 @@ def _cmd_calibrate(args) -> int:
     db = load_database(args.data)
     model = load_model(args.model)
     params = fit_platt(model.score(db.features_matrix("calib")), db.label_vector(model.contingency, "calib"))
+    if args.reliability:  # every check before the first write: without --out, the model file is the input
+        probs = calibrated_probability(params, model.score(db.features_matrix("test")))
+        _, bins = brier_score(probs, db.label_vector(model.contingency, "test"), bins=args.bins)
     out = args.out or args.model
     save_model(out, model.ensemble, contingency=model.contingency, calibration=params)
     print(f"wrote {out}: a={params.a:.4f} b={params.b:.4f} ({params.iterations} iterations)")
     if args.reliability:
-        probs = calibrated_probability(params, model.score(db.features_matrix("test")))
-        _, bins = brier_score(probs, db.label_vector(model.contingency, "test"), bins=args.bins)
         reliability_csv(bins, args.reliability)
         print(f"wrote {args.reliability}")
     return 0
@@ -164,7 +165,7 @@ def _load_condition_probs(path, n):
     """Read ``id,probability`` lines covering test conditions ``0 .. n-1``."""
     probs = np.full(n, np.nan)
     lineno = 0
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip() or line.startswith("id"):
             continue
         parts = line.split(",")
@@ -207,7 +208,7 @@ def _cmd_triage(args) -> int:
         raise DataError(f"{args.data} has no test conditions to triage")
     loads = bus_loads(grid, test.loads)
     for c in params:
-        grid.topology(c)  # an unknown line id is a configuration error, not an oracle failure
+        grid.check_line(c)  # an unknown line id is a configuration error, not an oracle failure
     n = len(test)
     p_cond = (_load_condition_probs(args.condition_probs, n)
               if args.condition_probs else uniform_condition_probabilities(n))

@@ -4,8 +4,9 @@
 bad parameters) and map to CLI exit code 2; ``DataError`` signals
 problems with otherwise well-formed data (degenerate training sets,
 stalled generation) and maps to exit code 3.  The subclasses below exist
-only where some code tells them apart.  `read_json`, `integer` and
-`number` decide what a JSON input file may contain.
+only where some code tells them apart.  `read_text` reads every input
+file as UTF-8; `read_json`, `integer` and `number` decide what a JSON
+input file may contain.
 """
 
 import json
@@ -55,10 +56,26 @@ class MalformedFile(ConfigError):
         self.line = line
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``, with universal newlines as ``open`` reads it.
+
+    A byte that does not decode raises MalformedFile naming the file and
+    the line it is on, counting lines as `str.splitlines` does.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        line = len((before + "?").splitlines())  # the bad byte's line: one past the line breaks before it
+        raise MalformedFile(f"{path}: byte 0x{data[exc.start]:02x} is not UTF-8", line=line) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_json(path):
     """Parse the JSON file at ``path``; a syntax error raises MalformedFile naming the file and line."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"invalid JSON in {path}: {exc.msg} (column {exc.colno})", line=exc.lineno) from exc
 

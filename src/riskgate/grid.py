@@ -4,9 +4,9 @@ This module provides both halves of the data pipeline's physics: the
 economic dispatch that creates pre-fault operating conditions, and the
 exact post-contingency feasibility check that labels them secure or
 insecure.  Everything is deterministic and pure; ``GridModel`` is
-immutable (and hashable), derives every network array it needs once, at
-construction, and exposes them read-only, so models can be shared
-freely across workers.
+immutable (and hashable), derives each network array it needs once (the
+intact network's at construction, an outage's on first use) and exposes
+them read-only, so models can be shared freely across workers.
 
 Conventions
 -----------
@@ -88,7 +88,8 @@ class GridModel:
     Construction derives, read-only and outside the dataclass fields (so
     ``==``, ``hash`` and the JSON form see only the network): the
     bus-by-generator 0/1 ``incidence``, the ``p_min``, ``p_max``, ``cost``
-    and ``line_limits`` vectors, and one `Topology` per outage.
+    and ``line_limits`` vectors, and the intact network's `Topology`; an
+    outage's `Topology` is derived on the first `topology` call for it.
     """
 
     buses: tuple[Bus, ...]
@@ -134,10 +135,11 @@ class GridModel:
             ("line_limits", [ln.limit for ln in self.lines], float),
         ):
             object.__setattr__(self, name, _read_only(np.array(values, dtype=dtype)))
-        topologies = {out: self._derive_topology(out) for out in [None] + [ln.id for ln in self.lines]}
-        if topologies[None].islanded:
+        object.__setattr__(self, "_line_ids", frozenset(ln.id for ln in self.lines))
+        intact = self._derive_topology(None)
+        if intact.islanded:
             raise ValueError("network graph is not connected")
-        object.__setattr__(self, "_topologies", topologies)
+        object.__setattr__(self, "_topologies", {None: intact})
 
     def _derive_topology(self, outaged_line: int | None) -> Topology:
         live = [k for k, ln in enumerate(self.lines) if ln.id != outaged_line]
@@ -180,12 +182,18 @@ class GridModel:
     def bus_position(self, bus_id: int) -> int:
         return self._bus_pos[bus_id]
 
+    def check_line(self, line_id: int) -> None:
+        """Raise ValueError unless the network has a line ``line_id``."""
+        if line_id not in self._line_ids:
+            raise ValueError(f"unknown line id {line_id}")
+
     def topology(self, outaged_line: int | None = None) -> Topology:
-        """Derived arrays with line ``outaged_line`` out (None: intact network)."""
-        try:
-            return self._topologies[outaged_line]
-        except KeyError:
-            raise ValueError(f"unknown line id {outaged_line}") from None
+        """Derived arrays with line ``outaged_line`` out (None: intact network), derived on first use."""
+        top = self._topologies.get(outaged_line)
+        if top is None:
+            self.check_line(outaged_line)
+            top = self._topologies[outaged_line] = self._derive_topology(outaged_line)
+        return top
 
 
 @dataclass(frozen=True)

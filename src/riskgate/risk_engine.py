@@ -232,17 +232,26 @@ def triage(ranked: ScenarioTable, budget: int, oracle, params_by_contingency) ->
 
 
 _TRIAGE_HEADER = "rank,scenario,condition,contingency,p_hat,label_pred,risk,in_high_set,oracle_label\n"
-_TRIAGE_ROW = "%d,%d:%d,%d,%d,%.17g,%d,%.17g,%d,%s\n".__mod__
+
+
+def _texts(column, template: str) -> list[str]:
+    """``template % v`` for every value of ``column``, formatting each distinct bit pattern once."""
+    column = np.asarray(column)
+    bits, index = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    return np.array([template % v for v in bits.view(column.dtype).tolist()], dtype=object)[index].tolist()
 
 
 def triage_csv(report: TriageReport, path) -> None:
+    """Write ``triage.csv``: one row per scenario in rank order, floats with 17 significant digits."""
     table = report.scenarios
     n, n_high = len(table), report.n_high
-    cond, cont = table.condition.tolist(), table.contingency.tolist()
-    rows = zip(range(n), cond, cont, cond, cont, table.probability_estimate.tolist(),
-               table.predicted_label.tolist(), table.risk.tolist(),
-               [1] * n_high + [0] * (n - n_high), report.oracle_labels + [""] * (n - n_high))
-    Path(path).write_text(_TRIAGE_HEADER + "".join(map(_TRIAGE_ROW, rows)))
+    rows = zip(range(n), _texts(table.condition, "%d"), _texts(table.contingency, "%d"),
+               _texts(table.probability_estimate, "%.17g"), _texts(table.predicted_label, "%d"),
+               _texts(table.risk, "%.17g"), ["1"] * n_high + ["0"] * (n - n_high),
+               report.oracle_labels + [""] * (n - n_high))
+    Path(path).write_text(_TRIAGE_HEADER + "".join([
+        f"{rank},{cond}:{cont},{cond},{cont},{p_hat},{label},{risk},{high},{oracle}\n"
+        for rank, cond, cont, p_hat, label, risk, high, oracle in rows]))
 
 
 # -- budget-sweep curves -------------------------------------------------------

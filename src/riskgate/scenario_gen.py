@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import grid as grid_mod
-from .errors import ConfigError, DataError, MalformedFile
+from .errors import ConfigError, DataError, MalformedFile, read_text
 
 SPLIT_NAMES = ("train", "calib", "test")
 
@@ -265,9 +265,10 @@ def load_database(path) -> LabeledDatabase:
     """Parse ``dataset.csv``; raises MalformedFile with the offending line.
 
     The feature widths are the sizes of the header's ``load``, ``gen``,
-    ``angle`` and ``flow`` column groups.
+    ``angle`` and ``flow`` column groups.  A field is read by Python's
+    ``int`` (the id) or ``float`` (a feature); blank lines are skipped.
     """
-    raw = Path(path).read_text().splitlines()
+    raw = read_text(path).splitlines()
     seed = None
     lineno = 0
     if raw and raw[0].startswith("#"):
@@ -302,40 +303,56 @@ def load_database(path) -> LabeledDatabase:
     if not cons:
         raise MalformedFile("no label columns", line=lineno)
 
-    ids, linenos, splits = [], [], []
-    values = np.empty((len(raw) - 1, n_fixed - 2))  # rows left over by blank lines are cut below
-    labels = {c: [] for c in cons}
-    for row_text in raw[1:]:
-        lineno += 1
-        if not row_text.strip():
-            continue
-        parts = row_text.split(",")
-        if len(parts) != len(header):
-            raise MalformedFile(f"expected {len(header)} columns, got {len(parts)}", line=lineno)
-        try:
-            cid = int(parts[0])
-            values[len(ids)] = [float(v) for v in parts[1: n_fixed - 1]]
-        except ValueError as exc:
-            raise MalformedFile(f"unparseable numeric field: {exc}", line=lineno) from exc
-        ids.append(cid)
-        linenos.append(lineno)
-        split = parts[n_fixed - 1]
-        if split not in SPLIT_NAMES:
-            raise MalformedFile(f"unknown split tag {split!r}", line=lineno)
-        splits.append(split)
-        for c, text in zip(cons, parts[n_fixed:]):
-            if text not in ("0", "1"):
-                raise MalformedFile(f"label must be 0 or 1, got {text!r}", line=lineno)
-            labels[c].append(int(text))
+    # the whole data block at once, a column at a time; on a bad field, a line-by-line scan names its line
+    rows = [text for text in raw[1:] if text.strip()]
+    width = len(header)
+    try:
+        if any(text.count(",") != width - 1 for text in rows):
+            raise ValueError("a row has the wrong number of columns")
+        cells = ",".join(rows).split(",") if rows else []
+        columns = [cells[j::width] for j in range(width)]
+        ids = list(map(int, columns[0]))
+        values = np.empty((len(rows), n_fixed - 2))
+        for j, column in enumerate(columns[1:n_fixed - 1]):
+            values[:, j] = list(map(float, column))
+        splits = columns[n_fixed - 1]
+        if not set(splits) <= set(SPLIT_NAMES):
+            raise ValueError("unknown split tag")
+        if not all(set(column) <= {"0", "1"} for column in columns[n_fixed:]):
+            raise ValueError("a label is not 0 or 1")
+    except ValueError:
+        _raise_at_first_bad_row(raw[1:], lineno + 1, width, n_fixed)
+        raise
 
-    values = values[:len(ids)]
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
+        linenos = [k for k, text in enumerate(raw[1:], start=lineno + 1) if text.strip()]
         raise MalformedFile(f"feature {header[1 + j]} is {values[i, j]}, not a finite number", line=linenos[i])
     return LabeledDatabase(
         conditions=Conditions(np.array(ids, dtype=int), *np.split(values, np.cumsum(widths)[:-1], axis=1)),
-        labels={c: np.array(v, dtype=int) for c, v in labels.items()},
+        labels={c: (np.array(column) == "1").astype(int) for c, column in zip(cons, columns[n_fixed:])},
         splits=splits,
         seed=seed,
     )
+
+
+def _raise_at_first_bad_row(lines, lineno, width: int, n_fixed: int) -> None:
+    """Raise MalformedFile for the first of the data ``lines`` (the first one is line ``lineno``) that is bad."""
+    for lineno, row_text in enumerate(lines, start=lineno):
+        if not row_text.strip():
+            continue
+        parts = row_text.split(",")
+        if len(parts) != width:
+            raise MalformedFile(f"expected {width} columns, got {len(parts)}", line=lineno)
+        try:
+            int(parts[0])
+            [float(v) for v in parts[1: n_fixed - 1]]
+        except ValueError as exc:
+            raise MalformedFile(f"unparseable numeric field: {exc}", line=lineno) from exc
+        split = parts[n_fixed - 1]
+        if split not in SPLIT_NAMES:
+            raise MalformedFile(f"unknown split tag {split!r}", line=lineno)
+        for text in parts[n_fixed:]:
+            if text not in ("0", "1"):
+                raise MalformedFile(f"label must be 0 or 1, got {text!r}", line=lineno)

@@ -13,8 +13,8 @@ settings.register_profile("simplex-reference", max_examples=5000)
 # and the five bit-for-bit learner reference properties under this one
 # (``--hypothesis-profile learner-reference``), likewise.
 settings.register_profile("learner-reference", max_examples=2000)
-# and the file round-trip properties of tests/test_file_formats.py under
-# this one (``--hypothesis-profile file-formats``), likewise.
+# and the file round-trip and reference properties of tests/test_file_formats.py
+# under this one (``--hypothesis-profile file-formats``), likewise.
 settings.register_profile("file-formats", max_examples=2000)
 
 

@@ -71,6 +71,19 @@ def test_train_calibrate_evaluate(dataset, tmp_path):
     assert sha256(metrics) == GOLDEN_SHA256["evaluate"]
 
 
+@pytest.mark.parametrize("bins, code, message", [("0", 2, "bins must be >= 1"),
+                                                  ("46", 3, "45 examples cannot fill 46 bins")])
+def test_calibrate_checks_before_it_writes(dataset, tmp_path, capsys, bins, code, message):
+    model, reliability = tmp_path / "model.json", tmp_path / "r.csv"
+    assert main(["train", "--data", str(dataset), "--contingency", "6", "--rounds", "4", "--out", str(model)]) == 0
+    uncalibrated = model.read_bytes()
+    assert main(["calibrate", "--data", str(dataset), "--model", str(model), "--bins", bins,
+                 "--reliability", str(reliability)]) == code
+    assert message in capsys.readouterr().err
+    assert model.read_bytes() == uncalibrated  # without --out, the model file is both input and output
+    assert not reliability.exists()
+
+
 @pytest.fixture(scope="module")
 def trained(dataset, tmp_path_factory):
     """Calibrated models for lines 5 and 6 and their contingencies.json."""
@@ -338,6 +351,27 @@ def bad_inputs(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def not_utf8(dataset, trained, tmp_path_factory):
+    """A copy of each kind of input file with byte 0xE9, which is not UTF-8, at the start of its third line."""
+    tmp = tmp_path_factory.mktemp("not_utf8")
+    texts = {
+        "data_csv": Path(dataset).read_text(),
+        "model_json": json.dumps(json.loads(Path(trained["model6"]).read_text()), indent=1),
+        "contingencies_json": json.dumps(json.loads(Path(trained["contingencies"]).read_text()), indent=1),
+        "network_json": json.dumps(grid_to_dict(six_bus()), indent=1),
+        "config_json": json.dumps({"rounds": 6}, indent=1),
+        "probs_csv": "id,probability\n" + "".join(f"{i},{1 / 45!r}\n" for i in range(45)),
+    }
+    paths = {}
+    for name, text in texts.items():
+        lines = text.encode().split(b"\n")
+        lines[2] = b"\xe9" + lines[2]
+        paths[name] = tmp / name.replace("_", ".")
+        paths[name].write_bytes(b"\n".join(lines))
+    return paths
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["generate", "--n", "7", "--splits", "5,1,1", "--contingencies", "99"], 2, "unknown line id 99"),
     (["generate", "--n", "7", "--splits", "5,1,2"], 2, "must sum to n=7"),
@@ -414,6 +448,17 @@ def bad_inputs(tmp_path_factory):
         ("inf_c_f1", "entry 0 c_f1 must be a finite number, got inf"),
         ("negative_c_f1", "costs must be strictly positive"),
     ]],
+    *[(argv, 2, "line 3: {%s}: byte 0xe9 is not UTF-8" % name) for name, argv in [
+        ("data_csv", ["train", "--data", "{data_csv}", "--contingency", "6"]),
+        ("model_json", ["evaluate", "--data", "{data}", "--model", "{model_json}", "--probability", "0.0001",
+                        "--cost-ratio", "0.9"]),
+        ("contingencies_json", ["triage", "--data", "{data}", "--models", "{models}", "--contingencies-file",
+                                "{contingencies_json}", "--budget", "12"]),
+        ("network_json", ["generate", "--n", "7", "--splits", "5,1,1", "--network", "{network_json}"]),
+        ("config_json", ["experiment", "calibration", "--config", "{config_json}"]),
+        ("probs_csv", ["triage", "--data", "{data}", "--models", "{models}", "--contingencies-file",
+                       "{contingencies}", "--budget", "12", "--condition-probs", "{probs_csv}"]),
+    ]],
     *[(["generate", "--n", "7", "--splits", "5,1,1", "--contingencies", "3", "--network", "{%s}" % name],
        2, f"{name}.json: bad network description: {message}") for name, message in [
         ("float_line", "lines[2].id must be an integer, got 3.9"),
@@ -436,10 +481,13 @@ def bad_inputs(tmp_path_factory):
         "triage-unbalanced-condition",
         "triage-nan-feature", "evaluate-nan-feature", "train-inf-feature", "train-data-directory",
         "repeated-label-column", "train-out-directory", "float-line-id", "bool-line-id", "string-line-id", "string-p-c", "inf-c-f1",
-        "negative-c-f1", "float-network-line-id", "float-generator-bus", "string-reactance", "inf-p-max",
+        "negative-c-f1", "not-utf8-dataset", "not-utf8-model", "not-utf8-contingencies", "not-utf8-network",
+        "not-utf8-config", "not-utf8-condition-probs", "float-network-line-id", "float-generator-bus",
+        "string-reactance", "inf-p-max",
         "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unbalanced, non_finite, bad_models,
-                                           bad_inputs, repeated_label, tmp_path, capsys, argv, code, message):
+                                           bad_inputs, repeated_label, not_utf8, tmp_path, capsys, argv, code,
+                                           message):
     out = tmp_path / "out"
     string_rounds = tmp_path / "string_rounds.json"
     string_rounds.write_text('{"rounds": "6"}\n')
@@ -459,7 +507,7 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unba
     fields = {"data": dataset, "no_test_split": no_test_split, "unbalanced": unbalanced, "string_rounds": string_rounds,
               "negative_alpha": negative_alpha,
               "lines_6_12": lines_6_12, "lines_6_6": lines_6_6, "two_lines_3": two_lines_3, "a_dir": a_dir,
-              "repeated_label": repeated_label, **trained, **non_finite, **bad_models, **bad_inputs}
+              "repeated_label": repeated_label, **trained, **non_finite, **bad_models, **bad_inputs, **not_utf8}
     argv = [arg.format(**fields) for arg in argv]
     assert main(argv if "--out" in argv else argv + ["--out", str(out)]) == code
     assert message.format(**fields) in capsys.readouterr().err

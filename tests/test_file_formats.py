@@ -1,27 +1,41 @@
 """The input contract: the field readers, the exit code of every error class, and file round trips.
 
 Each round-trip property checks that the strict readers accept every
-file riskgate writes.  CI reruns them with more examples under
+file riskgate writes; the two reference properties check that the
+dataset.csv reader and the triage.csv writer match the line-at-a-time
+code they replace.  CI reruns all of them with more examples under
 ``--hypothesis-profile file-formats`` (tests/conftest.py).
 """
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from riskgate import errors
 from riskgate.calibration import CalibratedEnsemble, PlattParams
-from riskgate.errors import ConfigError, DataError, DegenerateData, integer, number
+from riskgate.errors import ConfigError, DataError, DegenerateData, MalformedFile, integer, number
 from riskgate.grid import grid_from_dict, grid_to_dict
 from riskgate.learner import MODES, load_model, save_model, train_adaboost
-from riskgate.risk_engine import ContingencyParams, load_contingency_params
+from riskgate.risk_engine import ContingencyParams, ScenarioTable, TriageReport, load_contingency_params, triage_csv
+from riskgate.scenario_gen import (
+    _FEATURE_GROUPS,
+    SPLIT_NAMES,
+    Conditions,
+    LabeledDatabase,
+    _header,
+    load_database,
+    save_database,
+)
 
 from test_grid import connected_grids
+from test_scenario_gen import databases
 
 ROUND_TRIP = settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 
@@ -140,3 +154,247 @@ def test_contingencies_round_trip(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "round_trip_contingencies.json"
     path.write_text(json.dumps(entries, indent=2))
     assert load_contingency_params(path) == expected
+
+
+# -- dataset.csv: what the reader accepts -------------------------------------
+
+PINNED = LabeledDatabase(Conditions(np.array([3, 4]), np.array([[1.5, 2.0], [-0.0, 7.25]]), np.array([[9.0], [1e300]]),
+                                    np.zeros((2, 0)), np.array([[0.1], [5e-324]])),
+                         {5: np.array([1, 0]), 2: np.array([0, 1])}, ["train", "test"], 11)
+
+
+@pytest.mark.parametrize("edit, row, column, value", [
+    (lambda text: text.replace("\n", "\r\n"), None, None, None),
+    (lambda text: text.replace("\n3,", "\n\n  \n3,").replace("\n4,", "\n\t\n4,") + "\n \n", None, None, None),
+    (lambda text: text.replace("\n4,", "\n 7,"), 1, "id", int(" 7")),
+    (lambda text: text.replace("\n4,-0,", "\n4,1_0.5,"), 1, "load1", float("1_0.5")),
+    (lambda text: text.replace(",9,", ",١٢.٥,"), 0, "gen1", float("١٢.٥")),
+], ids=["crlf", "blank-lines", "spaced-id", "underscore-feature", "arabic-indic-feature"])
+def test_load_database_accepts_what_int_and_float_accept(tmp_path, edit, row, column, value):
+    path = tmp_path / "dataset.csv"
+    save_database(PINNED, path)
+    path.write_bytes(edit(path.read_text()).encode())
+    loaded = load_database(path)
+    ids, features = PINNED.conditions.id.copy(), PINNED.features_matrix()
+    if column == "id":
+        ids[row] = value
+    elif column is not None:
+        features[row, ["load1", "load2", "gen1"].index(column)] = value
+    assert loaded.conditions.id.tolist() == ids.tolist()
+    assert loaded.features_matrix().tobytes() == features.tobytes()
+    assert loaded.splits == PINNED.splits and loaded.seed == 11
+    assert {c: v.tolist() for c, v in loaded.labels.items()} == {c: v.tolist() for c, v in PINNED.labels.items()}
+
+
+def test_load_database_refuses_a_spaced_label_at_its_line(tmp_path):
+    path = tmp_path / "dataset.csv"
+    save_database(PINNED, path)
+    path.write_text(path.read_text().replace(",test,1,0\n", ",test, 1,0\n"))  # label_c2, then label_c5
+    with pytest.raises(MalformedFile, match=r"^line 4: label must be 0 or 1, got ' 1'$"):
+        load_database(path)
+
+
+# -- dataset.csv: the reader against the line-at-a-time one it replaced --------
+
+# The reader as it stood before it parsed the data block a column at a time,
+# kept verbatim: the current reader must accept and refuse the same files,
+# with the same values, exception, message and line.
+def line_scan_load_database(path) -> LabeledDatabase:
+    raw = Path(path).read_text().splitlines()
+    seed = None
+    lineno = 0
+    if raw and raw[0].startswith("#"):
+        lineno = 1
+        meta = raw[0].lstrip("# ").strip()
+        if meta.startswith("seed="):
+            try:
+                seed = int(meta[5:])
+            except ValueError as exc:
+                raise MalformedFile("unparseable seed metadata", line=1) from exc
+        raw = raw[1:]
+    if not raw:
+        raise MalformedFile("empty dataset file", line=1)
+
+    header = raw[0].split(",")
+    lineno += 1
+    widths = [sum(col.rstrip("0123456789") == group for col in header) for group in _FEATURE_GROUPS]
+    expected_fixed = _header(widths)
+    n_fixed = len(expected_fixed)
+    if header[:n_fixed] != expected_fixed:
+        raise MalformedFile("unexpected header columns (missing feature or split column?)", line=lineno)
+    cons = []
+    for col in header[n_fixed:]:
+        if not col.startswith("label_c"):
+            raise MalformedFile(f"unexpected trailing column {col!r}", line=lineno)
+        try:
+            cons.append(int(col[len("label_c"):]))
+        except ValueError as exc:
+            raise MalformedFile(f"bad label column {col!r}", line=lineno) from exc
+        if cons[-1] in cons[:-1]:
+            raise MalformedFile(f"repeated label column {col!r}", line=lineno)
+    if not cons:
+        raise MalformedFile("no label columns", line=lineno)
+
+    ids, linenos, splits = [], [], []
+    values = np.empty((len(raw) - 1, n_fixed - 2))  # rows left over by blank lines are cut below
+    labels = {c: [] for c in cons}
+    for row_text in raw[1:]:
+        lineno += 1
+        if not row_text.strip():
+            continue
+        parts = row_text.split(",")
+        if len(parts) != len(header):
+            raise MalformedFile(f"expected {len(header)} columns, got {len(parts)}", line=lineno)
+        try:
+            cid = int(parts[0])
+            values[len(ids)] = [float(v) for v in parts[1: n_fixed - 1]]
+        except ValueError as exc:
+            raise MalformedFile(f"unparseable numeric field: {exc}", line=lineno) from exc
+        ids.append(cid)
+        linenos.append(lineno)
+        split = parts[n_fixed - 1]
+        if split not in SPLIT_NAMES:
+            raise MalformedFile(f"unknown split tag {split!r}", line=lineno)
+        splits.append(split)
+        for c, text in zip(cons, parts[n_fixed:]):
+            if text not in ("0", "1"):
+                raise MalformedFile(f"label must be 0 or 1, got {text!r}", line=lineno)
+            labels[c].append(int(text))
+
+    values = values[:len(ids)]
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise MalformedFile(f"feature {header[1 + j]} is {values[i, j]}, not a finite number", line=linenos[i])
+    return LabeledDatabase(
+        conditions=Conditions(np.array(ids, dtype=int), *np.split(values, np.cumsum(widths)[:-1], axis=1)),
+        labels={c: np.array(v, dtype=int) for c, v in labels.items()},
+        splits=splits,
+        seed=seed,
+    )
+
+
+# fields a mutation may put in place of another: what int and float accept beyond the writer's output, and
+# what they refuse
+FIELDS = ["", " ", "0", "1", " 1", "1 ", "2", "-1", "+3", "1_0", "1__0", "_1", "0x1f", "1e5", "1.5e-3", "inf", "-Inf",
+          "nan", "NaN", "infinity", "1,0", "١٢", "٣.٥", " 1 ", "\t7", "x", "1e400",
+          "-0", "5e-324", "99999999999999999999", "-99999999999999999999", "train", "calib", "test", "test ",
+          "Test", "seed=4", "#", "label_c1", "é"]
+LINE_ENDS = ["\r\n", "\r", "\n\n", "\n \t\n", "\x0c", "\u2028", " "]  # " " joins two lines
+
+
+@st.composite
+def dataset_texts(draw):
+    """The text of a dataset.csv as `save_database` writes it, then (maybe) mutated field by field or line by line."""
+    db = draw(databases(max_rows=8))  # mutations reach a small file's every line
+    with tempfile.TemporaryDirectory() as tmp:
+        save_database(db, Path(tmp) / "dataset.csv")
+        lines = (Path(tmp) / "dataset.csv").read_text().splitlines()
+    ends = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["field", "pad", "drop-field", "add-field", "drop-line", "copy-line", "end"]))
+        parts = lines[k].split(",")
+        j = draw(st.integers(0, len(parts) - 1))
+        if kind == "field":
+            parts[j] = draw(st.sampled_from(FIELDS) | st.text(max_size=4))
+        elif kind == "pad":  # what int and float strip or skip, around or inside a field
+            pad = st.sampled_from(["", " ", "\t", "\u2007", "_", "0", "+"])
+            parts[j] = draw(pad) + parts[j] + draw(pad)
+        elif kind == "drop-field":
+            del parts[j]
+        elif kind == "add-field":
+            parts.insert(j, draw(st.sampled_from(FIELDS)))
+        if kind == "drop-line":
+            del lines[k], ends[k]
+        elif kind == "copy-line":
+            lines.insert(k, lines[k])
+            ends.insert(k, ends[k])
+        elif kind == "end":
+            ends[k] = draw(st.sampled_from(LINE_ENDS))
+        else:
+            lines[k] = ",".join(parts)
+        if not lines:
+            break
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def outcome(read, path):
+    """What ``read(path)`` gives: the database's bits, or the exception's type, message and line."""
+    try:
+        db = read(path)
+    except Exception as exc:  # whatever the reference raises is what the reader must raise
+        return type(exc), str(exc), getattr(exc, "line", None)
+    c = db.conditions
+    return (c.id.dtype, c.id.tolist(), [(a.shape, a.tobytes()) for a in (c.loads, c.generation, c.angles, c.flows)],
+            db.splits, {k: (v.dtype, v.tolist()) for k, v in db.labels.items()}, db.seed)
+
+
+PINNED_TEXT = ("# seed=11\nid,load1,load2,gen1,flow1,split,label_c2,label_c5\n"
+               "3,1.5,2,9,0.10000000000000001,train,0,1\n4,-0,7.25,1e300,5e-324,test,1,0\n")
+
+
+@ROUND_TRIP
+@given(dataset_texts())
+@example(PINNED_TEXT)
+@example(PINNED_TEXT.replace("\n4,-0,", "\n\n \n4,nan,"))  # the non-finite feature's line counts blank lines
+@example(PINNED_TEXT.replace(",2,9,", ",-inf,9,").replace("4,-0,", "4,-0,x"))  # a bad field before a non-finite one
+@example(PINNED_TEXT.replace("\n4,", "\n99999999999999999999,"))  # past int64: OverflowError, as before
+@example(PINNED_TEXT.replace("\n4,", "\n4.0,"))
+@example(PINNED_TEXT.replace("\n", "\r\n").replace("1.5", "1_5.0"))
+@example(PINNED_TEXT.replace(",train,0,1", ",train,0,1,").replace(",test,1,0", ",test,1"))  # one column moved
+@example(PINNED_TEXT.replace("\n4,", ",4,").replace(",test,1,0", ",test,1\n0"))  # two rows' fields, one per field
+@example(PINNED_TEXT.replace(",train,0,1", ",train, 0,1"))
+@example(PINNED_TEXT.replace(",train,0,1", ", train,0,1"))
+def test_load_database_matches_line_scan_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "reference_dataset.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(load_database, path) == outcome(line_scan_load_database, path)
+
+
+# -- triage.csv: the writer against the row-template one it replaced ----------
+
+_ROW_TEMPLATE = "%d,%d:%d,%d,%d,%.17g,%d,%.17g,%d,%s\n".__mod__
+
+
+# The writer as it stood before it formatted each distinct value once, kept
+# verbatim: the current writer must reproduce its bytes.
+def row_template_triage_csv(report: TriageReport, path) -> None:
+    table = report.scenarios
+    n, n_high = len(table), report.n_high
+    cond, cont = table.condition.tolist(), table.contingency.tolist()
+    rows = zip(range(n), cond, cont, cond, cont, table.probability_estimate.tolist(),
+               table.predicted_label.tolist(), table.risk.tolist(),
+               [1] * n_high + [0] * (n - n_high), report.oracle_labels + [""] * (n - n_high))
+    Path(path).write_text("rank,scenario,condition,contingency,p_hat,label_pred,risk,in_high_set,oracle_label\n"
+                          + "".join(map(_ROW_TEMPLATE, rows)))
+
+
+TABLE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0, 0.1, 1 / 3,
+                float("inf"), float("nan"), -float("nan"), float.fromhex("0x1.8p+1023")]
+
+
+@st.composite
+def triage_reports(draw):
+    """A triage report over a random table whose float columns repeat a few values, special ones among them."""
+    n = draw(st.integers(0, 40))
+    pool = draw(st.lists(st.sampled_from(TABLE_FLOATS) | st.floats(), min_size=1, max_size=6))
+    floats = st.lists(st.sampled_from(pool) | st.floats(), min_size=n, max_size=n)
+    ints = st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(0, 3), min_size=n, max_size=n)
+    n_high = draw(st.integers(0, n))
+    table = ScenarioTable(
+        condition=np.array(draw(ints), dtype=np.int64), contingency=np.array(draw(ints), dtype=np.int64),
+        scenario_probability=np.zeros(n), probability_estimate=np.array(draw(floats), dtype=float),
+        predicted_label=np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64),
+        risk=np.array(draw(floats), dtype=float))
+    oracle = draw(st.lists(st.integers(0, 1), min_size=n_high, max_size=n_high))
+    return TriageReport(table, n_high, n_high / max(n, 1), oracle, 0.0, 0.0, 0.0)
+
+
+@ROUND_TRIP
+@given(triage_reports())
+def test_triage_csv_matches_row_template_reference(tmp_path_factory, report):
+    new, reference = (tmp_path_factory.getbasetemp() / name for name in ("new_triage.csv", "reference_triage.csv"))
+    triage_csv(report, new)
+    row_template_triage_csv(report, reference)
+    assert new.read_bytes() == reference.read_bytes()

@@ -107,6 +107,20 @@ def test_unknown_outage_rejected():
         solve_dc_power_flow(six_bus(), np.zeros(6), outaged_line=99)
 
 
+def test_outage_arrays_are_derived_once_on_first_use(monkeypatch):
+    derived = []
+    derive = GridModel._derive_topology
+    monkeypatch.setattr(GridModel, "_derive_topology", lambda self, out: derived.append(out) or derive(self, out))
+    g = six_bus()
+    assert derived == [None]  # the intact network, so that a disconnected one is refused on construction
+    g.check_line(3)
+    with pytest.raises(ValueError, match="^unknown line id 99$"):
+        g.check_line(99)
+    assert derived == [None]
+    assert g.topology(3) is g.topology(3) and g.topology() is g.topology(None)
+    assert derived == [None, 3]
+
+
 def test_derived_arrays_do_not_change_identity():
     a, b = six_bus(), six_bus()
     assert a == b and hash(a) == hash(b)

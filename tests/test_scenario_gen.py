@@ -286,8 +286,8 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1
 
 
 @st.composite
-def databases(draw):
-    n = draw(st.integers(1, 50))
+def databases(draw, max_rows=50):
+    n = draw(st.integers(1, max_rows))
     widths = draw(st.lists(st.integers(0, 6), min_size=4, max_size=4))
     floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
     values = np.array(draw(st.lists(floats, min_size=n * sum(widths), max_size=n * sum(widths))),

@@ -6,7 +6,10 @@ exact post-contingency feasibility check that labels them secure or
 insecure.  Everything is deterministic and pure; ``GridModel`` is
 immutable (and hashable), derives each network array it needs once (the
 intact network's at construction, an outage's on first use) and exposes
-them read-only, so models can be shared freely across workers.
+them read-only, so models can be shared freely across workers.  Each
+derived `Topology` also owns the simplex's pivot-path memo for its LPs
+(``solve_lp``'s ``paths``), which grows as they are solved and changes
+no result.
 
 Conventions
 -----------
@@ -21,7 +24,7 @@ Conventions
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -79,6 +82,7 @@ class Topology:
     b_inv: np.ndarray | None = None  # inverse of the slack-reduced susceptance matrix (p.u.)
     ptdf: np.ndarray | None = None  # line x bus; flows_mw = ptdf @ balanced injections_mw
     a_ub: np.ndarray | None = None  # redispatch LP flow rows [sens; -sens], sens = ptdf @ incidence
+    paths: dict = field(default_factory=dict, repr=False)  # solve_lp's pivot-path memo for this network's LPs
 
 
 @dataclass(frozen=True)
@@ -245,6 +249,7 @@ def _dispatch_lp(grid, top, loads, cost, lo, hi):
         b_ub=np.concatenate([limits - base_flow, limits + base_flow]),
         lower=lo,
         upper=hi,
+        paths=top.paths,
     )
 
 

@@ -63,11 +63,6 @@ class Stump:
     left: Leaf
     right: Leaf
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.feature is None:
-            return np.full(len(x), self.left.label)
-        return np.where(x[:, self.feature] <= self.threshold, self.left.label, self.right.label)
-
 
 def _goes_left(stumps, columns) -> np.ndarray:
     """``(len(stumps), n)``: whether each row goes left at each stump.

@@ -214,7 +214,7 @@ def test_boosted_stumps_match_reference():
     for _ in range(30):
         stump = fitter.fit(y, w)
         assert stump == reference_stump(x, y, w)
-        miss = stump.predict(x) != y
+        miss = reference_predict(stump, x) != y
         w = w * np.exp(0.7 * miss)
         w = w / w.sum()
 
@@ -286,7 +286,7 @@ def test_single_round_equals_stump():
     ens = train_adaboost(x, y, rounds=1, mode="samme", k_folds=2)
     stump = train_stump(x, y)
     assert ens.rounds == 1
-    assert np.array_equal(ensemble_vote(ens, x), stump.predict(x))
+    assert np.array_equal(ensemble_vote(ens, x), reference_predict(stump, x))
 
 
 def test_single_class_training_rejected():
@@ -305,7 +305,7 @@ def test_samme_exponential_loss_non_increasing():
     margin = np.zeros(len(y))
     losses = []
     for alpha, stump in zip(ens.weights, ens.stumps):
-        margin += 0.5 * alpha * sign * (2.0 * stump.predict(x) - 1.0)
+        margin += 0.5 * alpha * sign * (2.0 * reference_predict(stump, x) - 1.0)
         losses.append(np.exp(-margin).sum())
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
     assert all(w >= 0 for w in ens.weights)
@@ -319,7 +319,7 @@ def test_samme_accepted_stumps_beat_chance():
     # replay the boosting weights to verify every accepted stump's error
     w = np.full(len(y), 1.0 / len(y))
     for alpha, stump in zip(ens.weights, ens.stumps):
-        miss = stump.predict(x) != y
+        miss = reference_predict(stump, x) != y
         assert w[miss].sum() < 0.5
         w = w * np.exp(alpha * miss)
         w = w / w.sum()
@@ -333,7 +333,7 @@ def test_samme_accepted_stumps_beat_chance():
 
 def reference_term(stump, alpha, mode, x):
     if mode == "samme":
-        return alpha * stump.predict(x)
+        return alpha * reference_predict(stump, x)
     p1 = np.array([stump.left.p1, stump.right.p1])
     half_log_odds = 0.5 * (np.log(p1) - np.log1p(-p1))
     if stump.feature is None:
@@ -350,7 +350,7 @@ def reference_boost(x, y, fitter, rounds, mode):
     for _ in range(rounds):
         stump = fitter.fit(y, w)
         if mode == "samme":
-            miss = stump.predict(x) != y
+            miss = reference_predict(stump, x) != y
             err = float(w[miss].sum())
             if err >= 0.5 and stumps:
                 break
@@ -591,7 +591,8 @@ def test_score_vote_consistency_property():
 
 # The round-by-round score loops that the prefix-score path replaced, kept
 # verbatim as references; ``stump.proba`` and ``stump.predict`` are the old
-# split tests, ``reference_proba`` and ``reference_predict``.
+# split tests, ``reference_proba`` and ``reference_predict``.  The package no
+# longer has ``Stump.predict``: the tests above label rows with ``reference_predict``.
 
 def reference_proba(stump, x):
     x = np.atleast_2d(x)
@@ -706,8 +707,6 @@ TEN_STUMPS = [split_stump(k % 2, 0.1 * k - 0.5, 0.9 / (k + 1.3), 0.9 - 0.07 * k)
 @example((Ensemble("samme.r", TEN_STUMPS, None), ONE_ROW, np.array([0])), 0)
 def test_prefix_scores_match_reference_loops(case, pad):
     ens, x, y = case
-    for stump in ens.stumps:
-        assert same_bits(stump.predict(x), reference_predict(stump, x))
     assert same_bits(ensemble_score(ens, x), reference_score(ens, x))
     assert same_as_one_row(ensemble_score(ens, x[0]), ensemble_score(ens, x[:1]))
     if ens.mode == "samme.r":
@@ -740,7 +739,7 @@ def test_tree_beats_stump_on_training_error():
     y = ((x[:, 0] > 0) & (x[:, 1] > 0.3)).astype(int)  # needs depth 2
     stump = train_stump(x, y)
     tree = train_single_tree(x, y, max_depth=3)
-    stump_err = np.mean(stump.predict(x) != y)
+    stump_err = np.mean(reference_predict(stump, x) != y)
     tree_err = np.mean(tree_predict(tree, x) != y)
     assert tree_err <= stump_err
     assert tree_err < 0.05

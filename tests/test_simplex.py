@@ -146,22 +146,34 @@ def test_a_tableau_that_overflows_raises():
         solve_lp([1.0, 1.0], a_eq=[[1e-5, 1e305]], b_eq=[1.0])
 
 
-def test_six_bus_dcopf_pivots_take_the_slack_shortcut(monkeypatch):
-    """Some pivots enter a slack column that is still a unit vector and update only the two cost rows."""
-    rows_updated = []
+def test_an_lp_infeasible_before_its_path_overflows_stays_infeasible():
+    """Phase 1's verdict stands where the steps recorded after it, up to the next ratio test, overflow."""
+    lp = dict(cost=[2e307] * 3, a_eq=[[1e160, -1e160, 2e160]], a_ub=[[2.0, -1.0, -1.0]])
+    paths = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="overflowed"):
+            solve_lp(**lp, b_eq=[-4.0000000000000007e160], b_ub=[3.0], lower=[2.0, 2.0, -2.0], upper=[3.0, 5.0, 0.0],
+                     paths=paths)
+        res = solve_lp(**lp, b_eq=[1e161], b_ub=[-1.0], lower=[0.0, 0.0, 2.0], upper=[3.0, 3.0, 4.0], paths=paths)
+    assert res.status == "infeasible"  # as the solver before the memo found
 
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
 
-        def multiply(self, x, y, out):
-            rows_updated.append(len(out))
-            return np.multiply(x, y, out=out)
-
-    monkeypatch.setattr(simplex, "np", CountingNumpy())
-    assert solve_dcopf(SIX, bus_loads(SIX, [100.0, 100.0, 100.0])).optimal
-    assert rows_updated.count(2) > 0  # shortcut pivots
-    assert any(n > 2 for n in rows_updated)  # pivots that eliminate every row
+def test_six_bus_dcopf_path_records_shortcut_steps_and_full_pivots():
+    """A DC-OPF's recorded path has shortcut steps, which change only the cost rows, and full pivots."""
+    net = six_bus()
+    assert solve_dcopf(net, bus_loads(net, [100.0, 100.0, 100.0])).optimal
+    [(start, node)] = net.topology(None).paths.values()
+    tableau, m = start.copy(), len(start.t) - 2
+    changed_rows = {simplex._SHORTCUT: set(), simplex._PIVOT: set()}
+    while node is not None:
+        for kind, r, col, _, _ in node.steps:
+            before = tableau.t.copy()
+            tableau.step(kind, r, col)
+            if kind in changed_rows:
+                changed_rows[kind] |= set(np.flatnonzero((tableau.t != before).any(axis=1)).tolist())
+        [node] = node.children.values() if node.children else [None]
+    assert changed_rows[simplex._SHORTCUT] and changed_rows[simplex._SHORTCUT] <= {m, m + 1}  # shortcut steps
+    assert min(changed_rows[simplex._PIVOT]) < m  # pivots that eliminate every row
 
 
 def test_equality_constrained_against_oracle():
@@ -417,10 +429,12 @@ def random_lps(draw):
 
 
 def assert_matches_the_reference(*args, **kwargs):
+    """``solve_lp``, given ``kwargs`` as they are, gives the reference's result; the reference gets no ``paths``."""
     outcomes = []
-    for solve in (solve_lp, reference_solve_lp):
+    reference_kwargs = {name: value for name, value in kwargs.items() if name != "paths"}
+    for solve, solve_kwargs in ((solve_lp, kwargs), (reference_solve_lp, reference_kwargs)):
         try:
-            outcomes.append(solve(*args, **kwargs))
+            outcomes.append(solve(*args, **solve_kwargs))
         except UnboundedLP:
             outcomes.append(None)  # both must find the problem unbounded
     res, ref = outcomes
@@ -440,7 +454,7 @@ def lp_example(cost, a_ub, b_ub, lower, upper, a_eq=(), b_eq=()):
         (cost, n), (a_eq, (-1, n)), (b_eq, -1), (a_ub, (-1, n)), (b_ub, -1), (lower, n), (upper, n)])
 
 
-# The two bit-for-bit properties run tier-1's budget, or more under
+# The three bit-for-bit properties run tier-1's budget, or more under
 # ``--hypothesis-profile simplex-reference`` (tests/conftest.py).
 @settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(random_lps())
@@ -457,6 +471,68 @@ def test_matches_the_reference_simplex_bit_for_bit(lp):
     c, a_eq, b_eq, a_ub, b_ub, lower, upper = lp
     rows = lambda a, b: (a, b) if len(b) else (None, None)  # noqa: E731
     assert_matches_the_reference(c, *rows(a_eq, b_eq), *rows(a_ub, b_ub), lower=lower, upper=upper)
+
+
+@st.composite
+def lp_families(draw):
+    """One cost and constraint matrix, with 1-40 members: right-hand sides and bound vectors.
+
+    As in ``random_lps``, half the families are small integers (ties and
+    degenerate vertices) and the rest general floats; the integers include
+    -0.0.  Which variables have an upper bound is the family's, so two
+    members share a memo family unless the signs of their shifted
+    right-hand sides differ: some negate a row that others do not.  Some
+    members are infeasible and, with infinite upper bounds, some unbounded.
+    """
+    if draw(st.booleans()):
+        values = st.integers(-3, 3).map(float) | st.just(-0.0)
+    else:
+        values = st.floats(-50, 50, allow_nan=False, allow_subnormal=False)
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    n = draw(st.integers(1, 4))
+    n_eq, n_ub = draw(st.integers(0, 2)), draw(st.integers(0, 5))
+    unbounded = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    a_eq, a_ub = array(n_eq, n), array(n_ub, n)
+    members = []
+    for _ in range(draw(st.integers(1, 40))):
+        lower = array(n)
+        upper = lower + np.abs(array(n))
+        upper[unbounded] = np.inf
+        point = lower + np.abs(array(n))
+        members.append((a_eq @ point + array(n_eq) * draw(st.booleans()), a_ub @ point + array(n_ub), lower, upper))
+    return array(n), a_eq, a_ub, members
+
+
+def family_example(cost, a_ub, members):
+    """One ``lp_families`` draw without equality rows, written out: members are (b_ub, lower, upper)."""
+    n = len(cost)
+    return (np.array(cost, dtype=float), np.zeros((0, n)), np.array(a_ub, dtype=float).reshape(-1, n),
+            [(np.zeros(0), *(np.array(v, dtype=float) for v in member)) for member in members])
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(lp_families())
+# Row 0 negated for some members only, a -0.0 right-hand side, and an infeasible member.
+@example(family_example([1.0, 1.0], [[-1.0, -1.0], [1.0, 0.0]], [
+    ([-2.0, 3.0], [0.0, 0.0], [np.inf, 4.0]), ([2.0, 3.0], [0.0, 0.0], [np.inf, 4.0]),
+    ([-0.0, -0.0], [-0.0, 0.0], [np.inf, 4.0]), ([-6.0, 1.0], [0.0, 0.0], [np.inf, 4.0]),
+    ([-2.0, 3.0], [1.0, -1.0], [np.inf, 0.0])]))
+# Unbounded members, one with a negated row, beside an infeasible one; and a member
+# with an upper bound on x0, which is bounded and in another family of the same memo.
+@example(family_example([-1.0, 0.0], [[0.0, 1.0], [-1.0, -1.0]], [
+    ([1.0, 0.0], [0.0, 0.0], [np.inf, np.inf]), ([-1.0, 0.0], [0.0, 0.0], [np.inf, np.inf]),
+    ([1.0, 0.0], [0.0, 0.0], [3.0, np.inf]), ([1.0, -2.0], [0.0, 0.0], [np.inf, np.inf])]))
+def test_lp_family_replay_matches_the_reference_simplex_bit_for_bit(family):
+    """Members solved through one memo, cold and then warm in reverse order, each give the reference's result."""
+    c, a_eq, a_ub, members = family
+    rows = lambda a, b: (a, b) if len(b) else (None, None)  # noqa: E731
+    paths = {}
+    for b_eq, b_ub, lower, upper in members + members[::-1]:
+        assert_matches_the_reference(c, *rows(a_eq, b_eq), *rows(a_ub, b_ub), lower=lower, upper=upper, paths=paths)
 
 
 SIX = six_bus()

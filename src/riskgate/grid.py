@@ -7,9 +7,9 @@ insecure.  Everything is deterministic and pure; ``GridModel`` is
 immutable (and hashable), derives each network array it needs once (the
 intact network's at construction, an outage's on first use) and exposes
 them read-only, so models can be shared freely across workers.  Each
-derived `Topology` also owns the simplex's pivot-path memo for its LPs
-(``solve_lp``'s ``paths``), which grows as they are solved and changes
-no result.
+derived `Topology` also owns the simplex's memo for its LPs
+(``solve_lp``'s ``paths``: one prepared record per LP family, with its
+pivot paths), which grows as they are solved and changes no result.
 
 Conventions
 -----------
@@ -38,7 +38,9 @@ CERTIFIED_TOL = 1e-12  # MW; a best vertex violating no row by more than this is
 UNDECIDED_TOL = 1e-6  # MW; best-vertex violations up to this are left to the LP
 CORRECTIVE_RANGE_MW = 20.0  # MW; corrective redispatch moves each output by at most this
 _PARALLEL_TOL = 1e-12  # |sin| of the angle below which two polygon rows are parallel
-_CHUNK_FLOATS = 1 << 13  # 64 KB of float64 per (conditions, pairs) array of certificate vertices
+_ALWAYS_SCORED_SIN = 1e-6  # |sin| at or below which a row pair is scored whatever its rows reach
+_REACH_SLACK = 1e-6  # the reach test widens a box by this share of its largest |coordinate| + 1 MW
+_CHUNK_FLOATS = 1 << 13  # 64 KB of float64 per array of (condition, pair) certificate vertices
 
 NETWORK_SCHEMA_VERSION = 1
 
@@ -74,15 +76,54 @@ def _read_only(a) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class VertexPairs:
+    """The vertex certificate's row pairs on one outage of a three-generator network.
+
+    Substituting ``x3 = total - x1 - x2`` turns each redispatch row into a
+    line ``plane . (x1, x2) = rhs`` whose right-hand side is per condition
+    (see `_best_vertex_violation`); everything else is here, read-only.
+    """
+
+    rows: np.ndarray  # (R, 3): the 2·L flow rows [a_ub], then the bound rows [eye(3); -eye(3)]
+    plane: np.ndarray  # (R, 2): rows[:, :2] - rows[:, 2:]
+    i: np.ndarray  # (P,): the first row of each non-parallel pair, i < j
+    j: np.ndarray  # (P,): its second row
+    inverse: np.ndarray  # (2, 2, P): each pair's 2x2 plane matrix, inverted
+    always: np.ndarray  # (P,) bool: |sin| <= _ALWAYS_SCORED_SIN, scored whatever its rows reach
+
+
+def _vertex_pairs(a_ub) -> VertexPairs:
+    """The certificate's pair data for the flow rows ``a_ub`` of a three-generator network."""
+    rows = np.vstack([a_ub, np.eye(3), -np.eye(3)])
+    plane = rows[:, :2] - rows[:, 2:]  # x3 = total - x1 - x2
+    i, j = np.triu_indices(len(plane), 1)
+    det = plane[i, 0] * plane[j, 1] - plane[i, 1] * plane[j, 0]
+    norms = np.hypot(plane[:, 0], plane[:, 1])
+    keep = np.abs(det) > _PARALLEL_TOL * norms[i] * norms[j]
+    i, j, det = i[keep], j[keep], det[keep]
+    inverse = np.array([[plane[j, 1], -plane[i, 1]], [-plane[j, 0], plane[i, 0]]]) / det
+    always = np.abs(det) <= _ALWAYS_SCORED_SIN * norms[i] * norms[j]
+    return VertexPairs(*map(_read_only, (rows, plane, i, j, inverse, always)))
+
+
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Arrays of the network with one line out (or none); none if islanded."""
+    """Arrays of the network with one line out (or none); none if islanded.
+
+    On a three-generator network it also holds the vertex certificate's
+    `VertexPairs` -- its rows in the first two outputs, every
+    non-parallel pair of them with its inverse, and which pairs are
+    always scored -- derived with the rest, so that a batch of
+    conditions pays only for its own right-hand sides and pairs.
+    """
 
     islanded: bool
     live: np.ndarray | None = None  # positions of the lines in service
     b_inv: np.ndarray | None = None  # inverse of the slack-reduced susceptance matrix (p.u.)
     ptdf: np.ndarray | None = None  # line x bus; flows_mw = ptdf @ balanced injections_mw
     a_ub: np.ndarray | None = None  # redispatch LP flow rows [sens; -sens], sens = ptdf @ incidence
-    paths: dict = field(default_factory=dict, repr=False)  # solve_lp's pivot-path memo for this network's LPs
+    pairs: VertexPairs | None = None  # the vertex certificate's pair data; three generators only
+    paths: dict = field(default_factory=dict, repr=False)  # solve_lp's memo for this network's LPs
 
 
 @dataclass(frozen=True)
@@ -136,6 +177,7 @@ class GridModel:
             ("p_min", [g.p_min for g in self.generators], float),
             ("p_max", [g.p_max for g in self.generators], float),
             ("cost", [g.cost for g in self.generators], float),
+            ("_balance", np.ones((1, len(self.generators))), float),  # the DC-OPF's equality row
             ("line_limits", [ln.limit for ln in self.lines], float),
         ):
             object.__setattr__(self, name, _read_only(np.array(values, dtype=dtype)))
@@ -173,7 +215,9 @@ class GridModel:
         live = np.array(live, dtype=int)
         ptdf[live] = (theta[self._from[live]] - theta[self._to[live]]) / self._x[live, None]
         sens = ptdf @ self.incidence  # line flow per unit of generator output
-        return Topology(False, *map(_read_only, (live, b_inv, ptdf, np.vstack([sens, -sens]))))
+        a_ub = _read_only(np.vstack([sens, -sens]))
+        pairs = _vertex_pairs(a_ub) if len(self.generators) == 3 else None
+        return Topology(False, *map(_read_only, (live, b_inv, ptdf)), a_ub, pairs)
 
     @property
     def n_buses(self) -> int:
@@ -243,7 +287,7 @@ def _dispatch_lp(grid, top, loads, cost, lo, hi):
     limits = grid.line_limits
     return solve_lp(
         cost,
-        a_eq=np.ones((1, len(grid.generators))),
+        a_eq=grid._balance,
         b_eq=[float(loads.sum())],
         a_ub=top.a_ub,
         b_ub=np.concatenate([limits - base_flow, limits + base_flow]),
@@ -287,6 +331,25 @@ def _fixed_order_product(a, b) -> np.ndarray:
     return out
 
 
+def _reaching_pairs(pairs: VertexPairs, rhs, lo, hi):
+    """The ``(condition, pair)`` indices, condition-major, that `_best_vertex_violation` scores.
+
+    A pair is scored unless one of its rows' lines misses the condition's
+    box in ``(x1, x2)`` widened by ``2·UNDECIDED_TOL + _REACH_SLACK·(X +
+    1)`` MW, where ``X`` is the box's largest |coordinate|; bound rows
+    always meet it, and pairs at or below ``_ALWAYS_SCORED_SIN`` are
+    always scored.  A NaN, from an infinite box, counts as meeting.
+    """
+    n_flow = len(pairs.plane) - 6
+    plane = pairs.plane[:n_flow]
+    centre = (lo[:, :2] + hi[:, :2]) / 2
+    reach = (hi[:, :2] - lo[:, :2]) / 2 + 2 * UNDECIDED_TOL + _REACH_SLACK * (
+        np.maximum(np.abs(lo[:, :2]), np.abs(hi[:, :2])).max(axis=1, keepdims=True) + 1.0)
+    meets = np.ones(rhs.shape, dtype=bool)
+    meets[:, :n_flow] = ~(np.abs(rhs[:, :n_flow] - centre @ plane.T) > reach @ np.abs(plane).T)
+    return np.nonzero(meets[:, pairs.i] & meets[:, pairs.j] | pairs.always)
+
+
 def _best_vertex_violation(grid, top, loads, lo, hi) -> np.ndarray:
     """Per condition, the smallest largest row violation (MW) over its redispatch polygon's vertices.
 
@@ -294,48 +357,66 @@ def _best_vertex_violation(grid, top, loads, lo, hi) -> np.ndarray:
     equality leaves a polygon in the first two outputs, cut by the 2·L
     flow rows and the 2·3 bound rows.  The box bounds it, so it is
     nonempty iff the crossing of some non-parallel pair of rows violates
-    no row.  Every pair is inverted once per call.
+    no row.  The pairs and their inverses are the outage's
+    `VertexPairs`, derived once with its `Topology`.
 
     A vertex that breaks one of the six bound rows by more than
     ``UNDECIDED_TOL`` cannot be a condition's best under that tolerance,
-    so only the vertices inside the box (a few percent of them) are
-    scored on every row.  The result is exact where it is at most
-    ``UNDECIDED_TOL``, the same float as scoring every vertex, and above
-    ``UNDECIDED_TOL`` otherwise (``inf`` when no vertex is in the box).
-    The ``(conditions, pairs)`` vertices are built a few conditions at a
-    time, ``_CHUNK_FLOATS`` values per chunk.
-    """
-    rows = np.vstack([top.a_ub, np.eye(3), -np.eye(3)])
-    plane = rows[:, :2] - rows[:, 2:]  # x3 = total - x1 - x2
-    i, j = np.triu_indices(len(plane), 1)
-    det = plane[i, 0] * plane[j, 1] - plane[i, 1] * plane[j, 0]
-    norms = np.hypot(plane[:, 0], plane[:, 1])
-    keep = np.abs(det) > _PARALLEL_TOL * norms[i] * norms[j]
-    i, j, det = i[keep], j[keep], det[keep]
-    inverse = np.array([[plane[j, 1], -plane[i, 1]], [-plane[j, 0], plane[i, 0]]]) / det  # (2, 2, pairs)
+    so only the vertices ``inside`` the box are scored on every row.  The
+    result is exact where it is at most ``UNDECIDED_TOL``, the same float
+    as scoring every vertex, and above ``UNDECIDED_TOL`` otherwise
+    (``inf`` when no vertex is in the box).
 
+    Pruning.  Most flow rows' lines miss a condition's box, and so does
+    every vertex on them, so `_reaching_pairs` drops those pairs before
+    their vertices are built; it never drops one that could pass
+    ``inside``, so the result keeps its bits.  The bound, with ``u =
+    2**-53``: a vertex ``v`` that passes ``inside`` lies within
+    ``UNDECIDED_TOL`` (and an ulp) of the box ``[lo1, hi1] × [lo2, hi2]``.
+    Rounding in the pair's determinant, its inverse and ``inverse @ rhs``
+    leaves ``v`` off each of its two rows ``a . x = r`` by at most
+    ``8·u·|a|·|v| / s`` MW to first order, where ``s`` is the pair's
+    |sin| (its determinant over its rows' norms).  With ``|v| <=
+    sqrt(2)·(X + 1)``, ``X`` the box's largest |coordinate|, and ``s >
+    _ALWAYS_SCORED_SIN = 1e-6`` for every pair that may be dropped, that
+    is under ``1.3e-9·(X + 1)·(|a0| + |a1|)``.  So both rows' lines meet
+    the box widened by ``UNDECIDED_TOL + 1.3e-9·(X + 1)`` (and an ulp),
+    while the reach test widens it by ``2·UNDECIDED_TOL + 1e-6·(X + 1)``:
+    over 700 times the rounding bound, which also covers the reach
+    test's own few ulps.  Nearer-parallel pairs are always scored.
+
+    The surviving ``(condition, pair)`` vertices are built
+    ``_CHUNK_FLOATS`` at a time.
+    """
+    pairs = top.pairs
     base_flow = loads @ -top.ptdf.T
     limits = grid.line_limits
-    rhs = np.hstack([limits - base_flow, limits + base_flow, hi, -lo]) - loads.sum(axis=1)[:, None] * rows[:, 2]
-    best = np.full(len(loads), np.inf)
-    step = max(1, _CHUNK_FLOATS // len(i))
-    for s in range(0, len(loads), step):
-        r = rhs[s:s + step]
-        v0, v1 = (inverse[a, 0] * r[:, i] + inverse[a, 1] * r[:, j] for a in (0, 1))
+    rhs = np.hstack([limits - base_flow, limits + base_flow, hi, -lo]) - loads.sum(axis=1)[:, None] * pairs.rows[:, 2]
+    cond, pair = _reaching_pairs(pairs, rhs, lo, hi)
+    scored, worst = [], []
+    for s in range(0, len(cond), _CHUNK_FLOATS):
+        c, p = cond[s:s + _CHUNK_FLOATS], pair[s:s + _CHUNK_FLOATS]
+        ri, rj = rhs[c, pairs.i[p]], rhs[c, pairs.j[p]]
+        v0, v1 = (pairs.inverse[a, 0, p] * ri + pairs.inverse[a, 1, p] * rj for a in (0, 1))
         # the bound rows' planes are (1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1), so the
         # full product gives them v0, v1 or +-(v0 + v1) exactly: these are its violations, bit for bit
-        box = r[:, -6:, None]
-        inside = ((v0 - box[:, 0] <= UNDECIDED_TOL) & (v1 - box[:, 1] <= UNDECIDED_TOL)
-                  & (-(v0 + v1) - box[:, 2] <= UNDECIDED_TOL) & (-v0 - box[:, 3] <= UNDECIDED_TOL)
-                  & (-v1 - box[:, 4] <= UNDECIDED_TOL) & (v0 + v1 - box[:, 5] <= UNDECIDED_TOL))
-        cond, pair = np.nonzero(inside)
-        if cond.size == 1:  # a one-row product goes to BLAS gemv, whose bits can differ from gemm's
-            cond, pair = np.repeat(cond, 2), np.repeat(pair, 2)
-        if cond.size:
-            violation = np.stack([v0[cond, pair], v1[cond, pair]], axis=-1) @ plane.T
-            violation -= r[cond]
-            first = np.flatnonzero(np.diff(cond, prepend=-1))
-            best[s + cond[first]] = np.minimum.reduceat(violation.max(axis=1), first)
+        box = rhs[c, -6:].T
+        inside = ((v0 - box[0] <= UNDECIDED_TOL) & (v1 - box[1] <= UNDECIDED_TOL)
+                  & (-(v0 + v1) - box[2] <= UNDECIDED_TOL) & (-v0 - box[3] <= UNDECIDED_TOL)
+                  & (-v1 - box[4] <= UNDECIDED_TOL) & (v0 + v1 - box[5] <= UNDECIDED_TOL))
+        keep = np.flatnonzero(inside)
+        if keep.size == 1:  # a one-row product goes to BLAS gemv, whose bits can differ from gemm's
+            keep = np.repeat(keep, 2)
+        if keep.size:
+            violation = np.stack([v0[keep], v1[keep]], axis=-1) @ pairs.plane.T
+            violation -= rhs[c[keep]]
+            scored.append(c[keep])
+            worst.append(violation.max(axis=1))
+    best = np.full(len(loads), np.inf)
+    if scored:
+        cond, worst = np.concatenate(scored), np.concatenate(worst)
+        first = np.flatnonzero(np.diff(cond, prepend=-1))
+        best[cond[first]] = np.minimum.reduceat(worst, first)
     return best
 
 
@@ -387,7 +468,7 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int,
         lo = np.maximum(grid.p_min, dispatch - corrective_range)
         hi = np.minimum(grid.p_max, dispatch + corrective_range)
         rest = np.flatnonzero((labels == 0) & np.all(lo <= hi, axis=1))
-        if not single and len(grid.generators) == 3 and rest.size:
+        if not single and top.pairs is not None and rest.size:
             best = _best_vertex_violation(grid, top, loads[rest], lo[rest], hi[rest])
             labels[rest[best <= CERTIFIED_TOL]] = 1
             rest = rest[(best > CERTIFIED_TOL) & (best <= UNDECIDED_TOL)]

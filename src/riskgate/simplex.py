@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex solver with a memo of pivot paths.
+"""Dense two-phase primal simplex solver with a memo of prepared LPs and their pivot paths.
 
 Solves small linear programs of the form
 
@@ -80,9 +80,20 @@ as overflowing, at the first such point where they are not finite.  A
 solve that reaches that point fails as it would have at its next exit;
 one that stops inside such a segment (at the verdict, or the iteration
 limit) replays the shared columns to where it stopped and checks them.
+That exit check is why the replay carries the phase-2 cost row's entry
+``rhs[m]`` (the negated objective), although the result recomputes the
+objective from ``x``: a full tableau whose only non-finite entry is
+that one raised, and so does the replay.
 
-The memo is the caller's ``paths`` dict (``grid`` keeps one per network
-topology); a call without one starts from an empty memo.
+Prepared records.  The memo is the caller's ``paths`` dict (``grid``
+keeps one per network topology); a call without one starts from an
+empty memo.  It holds one `_Prepared` record per constant-data key: the
+bytes and shapes of ``cost``, ``a_eq`` and ``a_ub`` and which upper
+bounds are finite.  The record holds what those alone decide -- the
+stacked ``[a_eq; a_ub; eye(n)[bounded]]``, whether it and the cost are
+finite, the number of equality rows -- and the family's pivot-path
+trees, one per sign pattern ``b < 0``.  A call converts and checks only
+its right-hand sides and bounds; the first call of a key prepares it.
 """
 
 from __future__ import annotations
@@ -117,6 +128,18 @@ class LPResult:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
+
+
+class _Prepared:
+    """What one constant-data key decides (see Prepared records in the module docstring)."""
+
+    __slots__ = ("a", "n_eq", "finite", "families")
+
+    def __init__(self, c, a_eq, a_ub, bounded):
+        self.a = np.vstack([a_eq, a_ub, np.eye(c.size)[bounded]])
+        self.n_eq = len(a_eq)
+        self.finite = bool(np.isfinite(c).all() and np.isfinite(self.a).all())
+        self.families = {}  # sign pattern (b < 0).tobytes() -> (initial tableau, root _Node)
 
 
 class _Node:
@@ -241,11 +264,13 @@ def solve_lp(
         Variable bounds. ``lower`` defaults to 0 and must be finite;
         ``upper`` defaults to +inf, its one non-finite value.
     paths : dict, optional
-        The pivot-path memo to read and extend (see the module
-        docstring): pass the same dict to calls that share a cost and
-        constraint matrix, so that each replays the paths the others
-        took.  It changes no result.  Without it the call starts from an
-        empty memo.
+        The memo to read and extend (see Prepared records and Pivot
+        paths in the module docstring): pass the same dict to calls
+        that share a cost and constraint matrix, so that each finds
+        their stacked, checked constant data prepared and replays the
+        pivot paths the others took.  One dict may serve several such
+        families.  It changes no result.  Without it the call starts
+        from an empty memo.
 
     Returns
     -------
@@ -273,17 +298,22 @@ def solve_lp(
     bounded = np.isfinite(hi)
     a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
     a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
+    paths = {} if paths is None else paths
+    key = (c.shape, c.tobytes(), a_eq.shape, a_eq.tobytes(), a_ub.shape, a_ub.tobytes(), bounded.tobytes())
+    prepared = paths.get(key)
+    if prepared is None:
+        prepared = paths[key] = _Prepared(c, a_eq, a_ub, bounded)
     b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
     b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
-    a = np.vstack([a_eq, a_ub, np.eye(n)[bounded]])
     b = np.concatenate([b_eq, b_ub, hi[bounded]])
-    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (prepared.finite and np.isfinite(b).all()):
         raise ValueError("cost and constraints must be finite")
     if (hi < lo).any():
         return LPResult("infeasible", None, None)
+    a, n_eq = prepared.a, prepared.n_eq
     b = b - np.vecdot(a, lo)  # one dot per row, as a row @ lo
 
-    m, n_eq = len(a), len(a_eq)
+    m = len(a)
     if m == 0:
         if np.any(c < -PIVOT_TOL):
             raise UnboundedLP("no constraints and a negative cost coefficient")
@@ -298,9 +328,8 @@ def solve_lp(
     rhs = flat.tolist()
 
     k = n + m - n_eq
-    paths = {} if paths is None else paths
-    key = (n_eq, c.tobytes(), a.tobytes(), neg.tobytes())
-    family = paths.get(key)
+    sign = neg.tobytes()
+    family = prepared.families.get(sign)
     tableau = None  # the shared columns where this solve is, once it has needed them
     if family is None:
         # Standard form: equality rows first, then one slack per inequality row.
@@ -313,7 +342,7 @@ def solve_lp(
         t.setflags(write=False)
         start = _Tableau(t, np.arange(k, k + m), ~neg, n, n_eq, m + 1)  # artificials basic
         tableau = start.copy()
-        family = paths[key] = (start, tableau.record())
+        family = prepared.families[sign] = (start, tableau.record())
     start, node = family
 
     # Python floats are IEEE doubles: each step below rounds every entry

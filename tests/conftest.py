@@ -16,6 +16,9 @@ settings.register_profile("learner-reference", max_examples=2000)
 # and the file round-trip and reference properties of tests/test_file_formats.py
 # under this one (``--hypothesis-profile file-formats``), likewise.
 settings.register_profile("file-formats", max_examples=2000)
+# and the certificate and batched-label properties of tests/test_grid.py under
+# this one (``--hypothesis-profile grid-reference``), likewise.
+settings.register_profile("grid-reference", max_examples=2000)
 
 
 @pytest.fixture

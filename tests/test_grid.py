@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from riskgate import grid as grid_mod
 from riskgate.errors import IslandedNetwork, MalformedFile
 from riskgate.grid import (
+    _ALWAYS_SCORED_SIN,
     _PARALLEL_TOL,
+    CERTIFIED_TOL,
     SECURE_TOL,
     UNDECIDED_TOL,
     Bus,
@@ -559,7 +562,9 @@ def scaled_onto_boundary(grid, loads, dispatch, contingency, corrective):
     return np.array([secure * loads, insecure * loads]), np.array([secure * dispatch, insecure * dispatch])
 
 
-@settings(max_examples=300, deadline=None)
+# This property and the certificate's below run tier-1's budget, or more under
+# ``--hypothesis-profile grid-reference`` (tests/conftest.py).
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(condition_batches(), st.data())
 def test_batched_labels_equal_single_condition_labels(case, data):
     grid, loads, dispatch, corrective = case
@@ -675,15 +680,21 @@ def assert_certificate_matches_reference(grid, loads, dispatch, contingency, cor
     lo = np.maximum(grid.p_min, dispatch - corrective)
     hi = np.minimum(grid.p_max, dispatch + corrective)
     box = np.all(lo <= hi, axis=1)  # assess_security certifies only these
-    reference = reference_best_vertex_violation(grid, top, loads[box], lo[box], hi[box])
-    best = _best_vertex_violation(grid, top, loads[box], lo[box], hi[box])
+    best, reference = certificates(grid, top, loads[box], lo[box], hi[box])
+    return int((reference <= UNDECIDED_TOL).sum())
+
+
+def certificates(grid, top, loads, lo, hi):
+    """The certificate and its reference, held to `assert_certificate_matches_reference`'s contract."""
+    reference = reference_best_vertex_violation(grid, top, loads, lo, hi)
+    best = _best_vertex_violation(grid, top, loads, lo, hi)
     decided = reference <= UNDECIDED_TOL
     assert best[decided].tobytes() == reference[decided].tobytes()
     assert np.all(best[~decided] > UNDECIDED_TOL)
-    return int(decided.sum())
+    return best, reference
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(condition_batches(generator_counts=(3,)), st.sampled_from([1, 40, 1 << 13]), st.data())
 def test_certificate_matches_scoring_every_vertex(case, chunk_floats, data):
     grid, loads, dispatch, corrective = case
@@ -698,8 +709,8 @@ def test_certificate_matches_scoring_every_vertex(case, chunk_floats, data):
         assert_certificate_matches_reference(grid, loads, dispatch, c, corrective)
 
 
-def test_certificate_matches_scoring_every_vertex_on_a_six_bus_pool():
-    # about 300 vertex pairs per outage: 240 conditions span about nine chunks of 27
+def six_bus_pool():
+    """The packaged network and at least 200 dispatched conditions from 240 load draws."""
     from test_scenario_gen import sample_loads
 
     g = six_bus()
@@ -709,9 +720,108 @@ def test_certificate_matches_scoring_every_vertex_on_a_six_bus_pool():
     feasible = [k for k, d in enumerate(dispatch) if d.optimal]
     loads, dispatch = loads[feasible], np.array([dispatch[k].x for k in feasible])
     assert len(loads) >= 200
+    return g, loads, dispatch
+
+
+def test_certificate_matches_scoring_every_vertex_on_a_six_bus_pool():
+    # about 300 vertex pairs per outage, of which the certificate builds a few percent per condition
+    g, loads, dispatch = six_bus_pool()
     decided = [assert_certificate_matches_reference(g, loads, dispatch, ln.id, corrective)
                for ln in g.lines for corrective in (5.0, 20.0)]
     assert 0 < sum(decided) < len(decided) * len(loads)  # both sides of the tolerance are compared
+
+
+def scored_pairs(calls):
+    """Patch `_reaching_pairs` to append each call's ``(pairs, {(condition, pair), ...})`` to ``calls``."""
+    reaching = grid_mod._reaching_pairs
+
+    def recording(pairs, rhs, lo, hi):
+        cond, pair = reaching(pairs, rhs, lo, hi)
+        calls.append((pairs, set(zip(cond.tolist(), pair.tolist()))))
+        return cond, pair
+
+    return mock.patch.object(grid_mod, "_reaching_pairs", recording)
+
+
+def test_certificate_scores_under_a_fifth_of_the_pairs_on_a_six_bus_pool():
+    g, loads, dispatch = six_bus_pool()
+    calls = []
+    with scored_pairs(calls):
+        for ln in g.lines:
+            for corrective in (5.0, 20.0):
+                lo = np.maximum(g.p_min, dispatch - corrective)
+                hi = np.minimum(g.p_max, dispatch + corrective)
+                if not g.topology(ln.id).islanded:
+                    _best_vertex_violation(g, g.topology(ln.id), loads, lo, hi)
+    scored = sum(len(found) for _, found in calls)
+    assert 0 < scored < sum(len(pairs.i) * len(loads) for pairs, _ in calls) / 5
+
+
+def crafted_network(planes, limits):
+    """Stand-ins for a three-generator network whose line ``k`` carries ``planes[k] . (x1 - load1, x2)`` MW.
+
+    Units 1-3 sit on buses 1-3 and no line sees bus 3, so with ``loads``
+    ``(load1, 0, load3)`` line ``k``'s rows are ``|planes[k] . (x1 -
+    load1, x2)| <= limits[k]``.
+    """
+    ptdf = np.zeros((len(planes), 3))
+    ptdf[:, :2] = planes
+    a_ub = np.vstack([ptdf, -ptdf])
+    top = grid_mod.Topology(False, ptdf=ptdf, a_ub=a_ub, pairs=grid_mod._vertex_pairs(a_ub))
+    return SimpleNamespace(line_limits=np.array(limits, dtype=float)), top
+
+
+def pair_index(pairs, rows):
+    """The position of the pair of ``rows`` in ``pairs``, or None if they were found parallel."""
+    [k] = np.flatnonzero((pairs.i == min(rows)) & (pairs.j == max(rows))).tolist() or [None]
+    return k
+
+
+def box(n):
+    """``lo`` and ``hi`` of ``n`` conditions whose x1 and x2 may each take 0-100 MW, and x3 0-1000 MW."""
+    return np.zeros((n, 3)), np.tile([100.0, 100.0, 1000.0], (n, 1))
+
+
+def test_certificate_scores_a_row_pair_just_above_the_parallel_tolerance():
+    # line 0 is x1 = +-500, clear of the box; lines 1 and 2 turn by 2e-12 and 0.5e-12 rad through (500, 0)
+    net, top = crafted_network([(1.0, 0.0), (1.0, 2e-12), (1.0, 0.5e-12)], [500.0, 500.0, 500.0])
+    just_above, below = pair_index(top.pairs, (0, 1)), pair_index(top.pairs, (0, 2))
+    assert below is None and top.pairs.always[just_above]
+    calls = []
+    with scored_pairs(calls):
+        best, _ = certificates(net, top, np.array([[0.0, 0.0, 150.0], [0.0, 0.0, 30.0]]), *box(2))
+    assert {(0, just_above), (1, just_above)} <= calls[0][1]
+    assert np.all(best <= CERTIFIED_TOL)  # secure: the whole box lies between every line's rows
+
+
+@pytest.mark.parametrize("turn, scored", [(_ALWAYS_SCORED_SIN * (1 + 1e-6), False),
+                                          (_ALWAYS_SCORED_SIN * (1 - 1e-6), True)])
+def test_certificate_scores_a_row_pair_on_either_side_of_the_always_scored_threshold(turn, scored):
+    # lines 0 and 1 cross at (500, 0), far from the box, at |sin| just above or below the threshold
+    net, top = crafted_network([(1.0, 0.0), (1.0, turn), (0.0, 1.0)], [500.0, 500.0, 500.0])
+    k = pair_index(top.pairs, (0, 1))
+    assert top.pairs.always[k] == scored
+    calls = []
+    with scored_pairs(calls):
+        best, _ = certificates(net, top, np.array([[0.0, 0.0, 150.0]]), *box(1))
+    assert ((0, k) in calls[0][1]) == scored
+    assert best <= CERTIFIED_TOL
+
+
+@pytest.mark.parametrize("chunk_floats", [1, 2, 5, 1 << 13])  # 1: one vertex, or none, per chunk
+def test_certificate_scores_a_flow_row_within_undecided_tol_of_a_box_edge(chunk_floats):
+    # line 0 requires x1 >= load1 - 100, where the box ends at x1 = 100
+    net, top = crafted_network([(1.0, 0.0), (0.0, 1.0)], [100.0, 500.0])
+    gaps = np.array([5e-7, -5e-7, 2e-6])  # just outside the box, just inside it, outside by over UNDECIDED_TOL
+    loads = np.zeros((3, 3))
+    loads[:, 0] = 200.0 + gaps
+    calls = []
+    with scored_pairs(calls), mock.patch.object(grid_mod, "_CHUNK_FLOATS", chunk_floats):
+        best, reference = certificates(net, top, loads, *box(3))
+    on_edge = pair_index(top.pairs, (2, 5))  # line 0's lower row and x2 <= hi2 meet at (load1 - 100, 100)
+    assert {(0, on_edge), (1, on_edge), (2, on_edge)} <= calls[0][1]
+    assert CERTIFIED_TOL < best[0] <= UNDECIDED_TOL and best[0] == reference[0]
+    assert best[1] <= 0.0 and best[2] > UNDECIDED_TOL
 
 
 def test_batched_labels_of_no_conditions():

@@ -158,11 +158,78 @@ def test_an_lp_infeasible_before_its_path_overflows_stays_infeasible():
     assert res.status == "infeasible"  # as the solver before the memo found
 
 
+def test_an_lp_whose_only_overflow_is_its_objective_entry_raises():
+    """The replay carries the phase-2 cost row's right-hand-side entry for the exit's finite check.
+
+    Pivoting ``x`` in overflows that entry, the negated objective, and
+    nothing else: the full tableau's exit check raised on it, and so must
+    a solve that records the path and one that replays it.  The reference
+    below has no exit check and returns the infinite objective.
+    """
+    lp = dict(cost=[1e300], a_eq=[[1.0]], b_eq=[1e10])
+    with np.errstate(over="ignore"):
+        ref = reference_solve_lp(**lp)
+    assert ref.optimal and ref.x.tolist() == [1e10] and ref.objective == np.inf
+    paths = {}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflowed"):
+            solve_lp(**lp, paths=paths)
+
+
+def test_equal_stacked_matrices_split_apart_get_their_own_records():
+    """``[a_eq; a_ub]`` alike, with one row an equality in one LP and an inequality in the other."""
+    rows = [[1.0, 1.0], [1.0, -1.0]]
+    as_split = dict(a_eq=rows[:1], b_eq=[1.0], a_ub=rows[1:], b_ub=[0.5])
+    as_equalities = dict(a_eq=rows, b_eq=[1.0, 0.5])
+    paths = {}
+    for _ in range(2):
+        for lp in (as_split, as_equalities):
+            assert_matches_the_reference([2.0, 1.0], **lp, paths=paths)
+    assert len(paths) == 2
+    assert [(r.n_eq, r.a.tolist()) for r in paths.values()] == [(1, rows), (2, rows)]
+    assert solve_lp([2.0, 1.0], **as_split, paths=paths).x.tolist() == [0.0, 1.0]
+    assert solve_lp([2.0, 1.0], **as_equalities, paths=paths).x.tolist() == [0.75, 0.25]
+
+
+@pytest.mark.parametrize("argument", ["cost", "a_eq", "a_ub"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_constant_data_raises_on_every_call_through_one_memo(argument, value):
+    lp = {name: np.array(v) for name, v in LP.items()}
+    lp[argument].flat[0] = value
+    paths = {}
+    for b_ub in ([0.5], [0.5], [-2.0]):  # prepared, found again, and on another right-hand side
+        with pytest.raises(ValueError, match="^cost and constraints must be finite$"):
+            solve_lp(**{**lp, "b_ub": b_ub}, paths=paths)
+    [prepared] = paths.values()
+    assert not prepared.finite and not prepared.families
+
+
+def test_a_security_lp_and_a_dcopf_share_a_topology_memo_apart():
+    """Both LPs on the intact six-bus network, interleaved through its memo, as each solves alone."""
+    net = six_bus()
+    top = net.topology(None)
+    loads = [bus_loads(net, triple) for triple in ([100.0, 100.0, 100.0], [120.0, 80.0, 70.0], [55.0, 130.0, 90.0])]
+    dispatches = [solve_dcopf(six_bus(), row).x for row in loads]
+    posed = []
+    with mock.patch.object(grid, "solve_lp", lambda *args, **kwargs: posed.append((args, kwargs))):
+        for row, dispatch in zip(loads, dispatches):
+            grid._dispatch_lp(net, top, row, net.cost, net.p_min, net.p_max)  # solve_dcopf's LP
+            grid._dispatch_lp(net, top, row, np.zeros(3), dispatch - 5.0, dispatch + 5.0)  # a security LP's
+    for args, kwargs in posed + posed:
+        assert_matches_the_reference(*args, **kwargs)
+        assert kwargs["paths"] is top.paths
+    opf, security = top.paths.values()
+    assert opf.a.tobytes() == security.a.tobytes() and opf.n_eq == security.n_eq == 1
+    assert opf.families and security.families
+    assert not {id(f) for f in opf.families.values()} & {id(f) for f in security.families.values()}
+
+
 def test_six_bus_dcopf_path_records_shortcut_steps_and_full_pivots():
     """A DC-OPF's recorded path has shortcut steps, which change only the cost rows, and full pivots."""
     net = six_bus()
     assert solve_dcopf(net, bus_loads(net, [100.0, 100.0, 100.0])).optimal
-    [(start, node)] = net.topology(None).paths.values()
+    [prepared] = net.topology(None).paths.values()
+    [(start, node)] = prepared.families.values()
     tableau, m = start.copy(), len(start.t) - 2
     changed_rows = {simplex._SHORTCUT: set(), simplex._PIVOT: set()}
     while node is not None:

@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .grid import (  # noqa: F401
     Bus,
-    FlowSolution,
     Generator,
     GridModel,
     Line,

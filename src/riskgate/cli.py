@@ -45,7 +45,7 @@ def _add_generate(sub):
     p.add_argument("--n", type=int, default=5875)
     p.add_argument("--splits", default="3500,875,1500", help="train,calib,test sizes")
     p.add_argument("--seed", type=int, default=101)
-    p.add_argument("--contingencies", default="1,2,3,4,5,6,7,8,9,10,11", help="line ids to label")
+    p.add_argument("--contingencies", help="line ids to label (default: every line of the network)")
     p.add_argument("--network", help="network.json (defaults to the packaged six-bus system)")
 
 
@@ -128,9 +128,10 @@ def _cmd_generate(args) -> int:
     splits = tuple(_int_list(args.splits, "--splits"))
     if len(splits) != 3:
         raise ConfigError("--splits needs exactly three comma-separated sizes")
-    contingencies = _int_list(args.contingencies, "--contingencies")
-    db = build_database(_grid_from_args(args), n=args.n, contingencies=contingencies,
-                        seed=args.seed, splits=splits)
+    grid = _grid_from_args(args)
+    contingencies = ([ln.id for ln in grid.lines] if args.contingencies is None
+                     else _int_list(args.contingencies, "--contingencies"))
+    db = build_database(grid, n=args.n, contingencies=contingencies, seed=args.seed, splits=splits)
     save_database(db, args.out)
     print(f"wrote {args.out}: {len(db)} conditions, contingencies {db.contingencies}")
     return 0

@@ -244,16 +244,8 @@ class GridModel:
         return top
 
 
-@dataclass(frozen=True)
-class FlowSolution:
-    """Bus angles (rad, slack = 0) and line flows (MW, from->to)."""
-
-    angles: np.ndarray
-    flows: np.ndarray
-
-
-def solve_dc_power_flow(grid: GridModel, injection, outaged_line: int | None = None) -> FlowSolution:
-    """Solve the DC power flow for per-bus net injections (MW).
+def solve_dc_power_flow(grid: GridModel, injection, outaged_line: int | None = None):
+    """Bus angles (rad, slack = 0) and line flows (MW, from->to) for per-bus net injections (MW).
 
     Raises
     ------
@@ -278,7 +270,7 @@ def solve_dc_power_flow(grid: GridModel, injection, outaged_line: int | None = N
     live = top.live
     flows = np.zeros(len(grid.lines))
     flows[live] = grid.base_mva * (angles[grid._from[live]] - angles[grid._to[live]]) / grid._x[live]
-    return FlowSolution(angles=angles, flows=flows)
+    return angles, flows
 
 
 def _dispatch_lp(grid, top, loads, cost, lo, hi):
@@ -385,15 +377,17 @@ def _best_vertex_violation(grid, top, loads, lo, hi) -> np.ndarray:
     over 700 times the rounding bound, which also covers the reach
     test's own few ulps.  Nearer-parallel pairs are always scored.
 
-    The surviving ``(condition, pair)`` vertices are built
-    ``_CHUNK_FLOATS`` at a time.
+    The surviving ``(condition, pair)`` vertices are built ``_CHUNK_FLOATS``
+    at a time, and the inside ones scored ``_CHUNK_FLOATS // rows`` at a
+    time, each slice's worst violations folded into ``best`` in place.
     """
     pairs = top.pairs
     base_flow = loads @ -top.ptdf.T
     limits = grid.line_limits
     rhs = np.hstack([limits - base_flow, limits + base_flow, hi, -lo]) - loads.sum(axis=1)[:, None] * pairs.rows[:, 2]
     cond, pair = _reaching_pairs(pairs, rhs, lo, hi)
-    scored, worst = [], []
+    best = np.full(len(loads), np.inf)
+    step = max(_CHUNK_FLOATS // len(pairs.rows), 1)
     for s in range(0, len(cond), _CHUNK_FLOATS):
         c, p = cond[s:s + _CHUNK_FLOATS], pair[s:s + _CHUNK_FLOATS]
         ri, rj = rhs[c, pairs.i[p]], rhs[c, pairs.j[p]]
@@ -405,18 +399,13 @@ def _best_vertex_violation(grid, top, loads, lo, hi) -> np.ndarray:
                   & (-(v0 + v1) - box[2] <= UNDECIDED_TOL) & (-v0 - box[3] <= UNDECIDED_TOL)
                   & (-v1 - box[4] <= UNDECIDED_TOL) & (v0 + v1 - box[5] <= UNDECIDED_TOL))
         keep = np.flatnonzero(inside)
-        if keep.size == 1:  # a one-row product goes to BLAS gemv, whose bits can differ from gemm's
-            keep = np.repeat(keep, 2)
-        if keep.size:
-            violation = np.stack([v0[keep], v1[keep]], axis=-1) @ pairs.plane.T
-            violation -= rhs[c[keep]]
-            scored.append(c[keep])
-            worst.append(violation.max(axis=1))
-    best = np.full(len(loads), np.inf)
-    if scored:
-        cond, worst = np.concatenate(scored), np.concatenate(worst)
-        first = np.flatnonzero(np.diff(cond, prepend=-1))
-        best[cond[first]] = np.minimum.reduceat(worst, first)
+        for t in range(0, keep.size, step):
+            k = keep[t:t + step]
+            if k.size == 1:  # a one-row product goes to BLAS gemv, whose bits can differ from gemm's
+                k = np.repeat(k, 2)
+            violation = np.stack([v0[k], v1[k]], axis=-1) @ pairs.plane.T
+            violation -= rhs[c[k]]
+            np.minimum.at(best, c[k], violation.max(axis=1))
     return best
 
 

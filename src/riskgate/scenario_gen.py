@@ -159,13 +159,15 @@ def bus_loads(grid: grid_mod.GridModel, loads) -> np.ndarray:
 
     Raises ConfigError naming the load buses the network lacks.
     """
-    missing = [str(b) for b in LOAD_BUSES if b not in {bus.id for bus in grid.buses}]
-    if missing:
+    try:
+        positions = [grid.bus_position(b) for b in LOAD_BUSES]
+    except KeyError:
+        missing = [str(b) for b in LOAD_BUSES if b not in {bus.id for bus in grid.buses}]
         raise ConfigError(f"network has no bus {', '.join(missing)}; loads go on buses "
-                          f"{', '.join(map(str, LOAD_BUSES))}")
+                          f"{', '.join(map(str, LOAD_BUSES))}") from None
     loads = np.asarray(loads, dtype=float)
     out = np.zeros(loads.shape[:-1] + (grid.n_buses,))
-    out[..., [grid.bus_position(b) for b in LOAD_BUSES]] = loads
+    out[..., positions] = loads
     return out
 
 
@@ -221,8 +223,8 @@ def build_database(
         else:
             raise DataError(f"condition {i}: no feasible dispatch in 1000 attempts")
 
-        flow = grid_mod.solve_dc_power_flow(grid, grid.incidence @ dispatch.x - loads)
-        triples[i], outputs[i], angles[i], flows[i] = triple, dispatch.x, flow.angles, flow.flows
+        triples[i], outputs[i] = triple, dispatch.x
+        angles[i], flows[i] = grid_mod.solve_dc_power_flow(grid, grid.incidence @ dispatch.x - loads)
 
     # Label one contingency at a time, for every condition at once.
     loads = bus_loads(grid, triples)
@@ -267,6 +269,8 @@ def load_database(path) -> LabeledDatabase:
     The feature widths are the sizes of the header's ``load``, ``gen``,
     ``angle`` and ``flow`` column groups.  A field is read by Python's
     ``int`` (the id) or ``float`` (a feature); blank lines are skipped.
+    The rows follow `_parse_rows`; then every feature must be finite and
+    every id must fit a signed 64-bit integer.
     """
     raw = read_text(path).splitlines()
     seed = None
@@ -303,56 +307,62 @@ def load_database(path) -> LabeledDatabase:
     if not cons:
         raise MalformedFile("no label columns", line=lineno)
 
-    # the whole data block at once, a column at a time; on a bad field, a line-by-line scan names its line
+    # the data block a column at a time; on a bad row, the same parse of one row at a time finds it
     rows = [text for text in raw[1:] if text.strip()]
     width = len(header)
+
+    def line(i: int) -> int:  # the line number of rows[i]
+        return [k for k, text in enumerate(raw[1:], start=lineno + 1) if text.strip()][i]
+
     try:
-        if any(text.count(",") != width - 1 for text in rows):
-            raise ValueError("a row has the wrong number of columns")
-        cells = ",".join(rows).split(",") if rows else []
-        columns = [cells[j::width] for j in range(width)]
-        ids = list(map(int, columns[0]))
-        values = np.empty((len(rows), n_fixed - 2))
-        for j, column in enumerate(columns[1:n_fixed - 1]):
-            values[:, j] = list(map(float, column))
-        splits = columns[n_fixed - 1]
-        if not set(splits) <= set(SPLIT_NAMES):
-            raise ValueError("unknown split tag")
-        if not all(set(column) <= {"0", "1"} for column in columns[n_fixed:]):
-            raise ValueError("a label is not 0 or 1")
+        ids, values, splits, label_columns = _parse_rows(rows, width, n_fixed)
     except ValueError:
-        _raise_at_first_bad_row(raw[1:], lineno + 1, width, n_fixed)
+        for i, text in enumerate(rows):
+            try:
+                _parse_rows([text], width, n_fixed)
+            except ValueError as exc:
+                raise MalformedFile(str(exc), line=line(i)) from exc
         raise
 
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
-        linenos = [k for k, text in enumerate(raw[1:], start=lineno + 1) if text.strip()]
-        raise MalformedFile(f"feature {header[1 + j]} is {values[i, j]}, not a finite number", line=linenos[i])
+        raise MalformedFile(f"feature {header[1 + j]} is {values[i, j]}, not a finite number", line=line(i))
+    try:
+        id_column = np.array(ids, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, cid in enumerate(ids) if not -2**63 <= cid < 2**63)
+        raise MalformedFile(f"id {ids[i]} does not fit a signed 64-bit integer", line=line(i)) from None
     return LabeledDatabase(
-        conditions=Conditions(np.array(ids, dtype=int), *np.split(values, np.cumsum(widths)[:-1], axis=1)),
-        labels={c: (np.array(column) == "1").astype(int) for c, column in zip(cons, columns[n_fixed:])},
+        conditions=Conditions(id_column, *np.split(values, np.cumsum(widths)[:-1], axis=1)),
+        labels={c: (np.array(column) == "1").astype(int) for c, column in zip(cons, label_columns)},
         splits=splits,
         seed=seed,
     )
 
 
-def _raise_at_first_bad_row(lines, lineno, width: int, n_fixed: int) -> None:
-    """Raise MalformedFile for the first of the data ``lines`` (the first one is line ``lineno``) that is bad."""
-    for lineno, row_text in enumerate(lines, start=lineno):
-        if not row_text.strip():
-            continue
-        parts = row_text.split(",")
-        if len(parts) != width:
-            raise MalformedFile(f"expected {width} columns, got {len(parts)}", line=lineno)
-        try:
-            int(parts[0])
-            [float(v) for v in parts[1: n_fixed - 1]]
-        except ValueError as exc:
-            raise MalformedFile(f"unparseable numeric field: {exc}", line=lineno) from exc
-        split = parts[n_fixed - 1]
-        if split not in SPLIT_NAMES:
-            raise MalformedFile(f"unknown split tag {split!r}", line=lineno)
-        for text in parts[n_fixed:]:
-            if text not in ("0", "1"):
-                raise MalformedFile(f"label must be 0 or 1, got {text!r}", line=lineno)
+def _parse_rows(rows, width: int, n_fixed: int):
+    """The ids, feature matrix, split tags and label columns of data ``rows``, parsed a column at a time.
+
+    A row holds ``width`` fields, an id, the features, a split tag and the labels, and is checked in that
+    order after its column count; ValueError carries the message for the first bad field of a one-row block.
+    """
+    for text in rows:
+        if text.count(",") != width - 1:
+            raise ValueError(f"expected {width} columns, got {text.count(',') + 1}")
+    cells = ",".join(rows).split(",") if rows else []
+    columns = [cells[j::width] for j in range(width)]
+    values = np.empty((len(rows), n_fixed - 2))
+    try:
+        ids = list(map(int, columns[0]))
+        for j, column in enumerate(columns[1:n_fixed - 1]):
+            values[:, j] = list(map(float, column))
+    except ValueError as exc:
+        raise ValueError(f"unparseable numeric field: {exc}") from exc
+    splits = columns[n_fixed - 1]
+    if not set(splits) <= set(SPLIT_NAMES):
+        raise ValueError(f"unknown split tag {next(s for s in splits if s not in SPLIT_NAMES)!r}")
+    for column in columns[n_fixed:]:
+        if not set(column) <= {"0", "1"}:
+            raise ValueError(f"label must be 0 or 1, got {next(v for v in column if v not in ('0', '1'))!r}")
+    return ids, values, splits, columns[n_fixed:]

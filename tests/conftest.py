@@ -10,15 +10,11 @@ from riskgate import calibration, experiments, learner
 # (``--hypothesis-profile simplex-reference``); they take the larger of
 # their tier-1 budget and its ``max_examples``.
 settings.register_profile("simplex-reference", max_examples=5000)
-# and the five bit-for-bit learner reference properties under this one
-# (``--hypothesis-profile learner-reference``), likewise.
-settings.register_profile("learner-reference", max_examples=2000)
-# and the file round-trip and reference properties of tests/test_file_formats.py
-# under this one (``--hypothesis-profile file-formats``), likewise.
-settings.register_profile("file-formats", max_examples=2000)
-# and the certificate and batched-label properties of tests/test_grid.py under
-# this one (``--hypothesis-profile grid-reference``), likewise.
-settings.register_profile("grid-reference", max_examples=2000)
+# and, likewise, under this one (``--hypothesis-profile reference``): the
+# five bit-for-bit learner reference properties of tests/test_learner.py,
+# the file round-trip and reference properties of tests/test_file_formats.py,
+# and the certificate and batched-label properties of tests/test_grid.py.
+settings.register_profile("reference", max_examples=2000)
 
 
 @pytest.fixture

@@ -193,6 +193,16 @@ def test_network_without_load_buses_is_config_error(triage_inputs, tmp_path, cap
     assert not out.exists()
 
 
+def test_generate_labels_every_line_of_its_network_by_default(tmp_path):
+    network = grid_to_dict(six_bus())
+    network["lines"] = [dict(line, limit=200.0) for line in network["lines"] if line["id"] not in (3, 6, 8, 11)]
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(network))
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--out", str(data), "--n", "7", "--splits", "5,1,1", "--network", str(path)]) == 0
+    assert load_database(data).contingencies == [1, 2, 4, 5, 7, 9, 10]
+
+
 def test_experiment_command(tmp_path):
     out = tmp_path / "exp"
     config = tmp_path / "config.json"
@@ -261,16 +271,18 @@ def repeated_label(dataset, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def non_finite(dataset, tmp_path_factory):
-    """Copies of the dataset with one feature of the first test row replaced: ``load1`` by nan, ``flow2`` by -inf.
+def bad_fields(dataset, tmp_path_factory):
+    """Copies of the dataset with one field of the first test row replaced.
 
-    Also gives that row's line number.
+    ``load1`` by nan, ``flow2`` by -inf, and the id by 99999999999999999999,
+    past int64.  Also gives that row's line number.
     """
     lines = Path(dataset).read_text().splitlines()  # a seed comment, the header, then the rows
     header = lines[1].split(",")
     lineno = next(i for i in range(2, len(lines)) if lines[i].split(",")[header.index("split")] == "test")
-    files = {"nan_line": str(lineno + 1)}
-    for name, column, value in [("nan_load", "load1", "nan"), ("inf_flow", "flow2", "-inf")]:
+    files = {"bad_line": str(lineno + 1)}
+    for name, column, value in [("nan_load", "load1", "nan"), ("inf_flow", "flow2", "-inf"),
+                                ("huge_id", "id", "99999999999999999999")]:
         edited = list(lines)
         parts = edited[lineno].split(",")
         parts[header.index(column)] = value
@@ -431,10 +443,14 @@ def not_utf8(dataset, trained, tmp_path_factory):
     (["triage", "--data", "{unbalanced}", "--models", "{models}", "--contingencies-file", "{contingencies}",
       "--budget", "90"], 3, "oracle failed on scenario 3:5 (rank 41): pre-fault condition is not balanced"),
     (["triage", "--data", "{nan_load}", "--models", "{models}", "--contingencies-file", "{contingencies}",
-      "--budget", "12"], 2, "line {nan_line}: feature load1 is nan, not a finite number"),
+      "--budget", "12"], 2, "line {bad_line}: feature load1 is nan, not a finite number"),
     (["evaluate", "--data", "{nan_load}", "--model", "{model6}", "--probability", "0.0001", "--cost-ratio", "0.9"],
-     2, "line {nan_line}: feature load1 is nan, not a finite number"),
-    (["train", "--data", "{inf_flow}", "--contingency", "6"], 2, "line {nan_line}: feature flow2 is -inf"),
+     2, "line {bad_line}: feature load1 is nan, not a finite number"),
+    (["train", "--data", "{inf_flow}", "--contingency", "6"], 2, "line {bad_line}: feature flow2 is -inf"),
+    (["train", "--data", "{huge_id}", "--contingency", "6"],
+     2, "line {bad_line}: id 99999999999999999999 does not fit a signed 64-bit integer"),
+    (["triage", "--data", "{huge_id}", "--models", "{models}", "--contingencies-file", "{contingencies}",
+      "--budget", "12"], 2, "line {bad_line}: id 99999999999999999999 does not fit a signed 64-bit integer"),
     (["train", "--data", "{a_dir}", "--contingency", "6"], 2, "Is a directory: '{a_dir}'"),
     (["train", "--data", "{repeated_label}", "--contingency", "5"], 2, "line 2: repeated label column 'label_c5'"),
     (["train", "--data", "{data}", "--contingency", "6", "--rounds", "2", "--out", "{a_dir}"],
@@ -479,13 +495,14 @@ def not_utf8(dataset, trained, tmp_path_factory):
         "triage-two-models-of-a-line", "triage-line-listed-twice", "generate-no-contingencies",
         "generate-duplicate-line-ids", "config-string-rounds", "config-negative-alpha", "triage-unknown-line",
         "triage-unbalanced-condition",
-        "triage-nan-feature", "evaluate-nan-feature", "train-inf-feature", "train-data-directory",
+        "triage-nan-feature", "evaluate-nan-feature", "train-inf-feature", "train-id-past-int64",
+        "triage-id-past-int64", "train-data-directory",
         "repeated-label-column", "train-out-directory", "float-line-id", "bool-line-id", "string-line-id", "string-p-c", "inf-c-f1",
         "negative-c-f1", "not-utf8-dataset", "not-utf8-model", "not-utf8-contingencies", "not-utf8-network",
         "not-utf8-config", "not-utf8-condition-probs", "float-network-line-id", "float-generator-bus",
         "string-reactance", "inf-p-max",
         "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack"])
-def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unbalanced, non_finite, bad_models,
+def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unbalanced, bad_fields, bad_models,
                                            bad_inputs, repeated_label, not_utf8, tmp_path, capsys, argv, code,
                                            message):
     out = tmp_path / "out"
@@ -507,7 +524,7 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unba
     fields = {"data": dataset, "no_test_split": no_test_split, "unbalanced": unbalanced, "string_rounds": string_rounds,
               "negative_alpha": negative_alpha,
               "lines_6_12": lines_6_12, "lines_6_6": lines_6_6, "two_lines_3": two_lines_3, "a_dir": a_dir,
-              "repeated_label": repeated_label, **trained, **non_finite, **bad_models, **bad_inputs, **not_utf8}
+              "repeated_label": repeated_label, **trained, **bad_fields, **bad_models, **bad_inputs, **not_utf8}
     argv = [arg.format(**fields) for arg in argv]
     assert main(argv if "--out" in argv else argv + ["--out", str(out)]) == code
     assert message.format(**fields) in capsys.readouterr().err

@@ -165,7 +165,7 @@ def stump_problems(draw):
 
 
 # The five bit-for-bit reference properties run tier-1's budget, or more
-# under ``--hypothesis-profile learner-reference`` (tests/conftest.py).
+# under ``--hypothesis-profile reference`` (tests/conftest.py).
 @settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(stump_problems())
 def test_stump_fitter_matches_reference(problem):

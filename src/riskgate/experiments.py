@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import CalibratedEnsemble, brier_score, calibrated_probability, fit_platt, reliability_csv
-from .errors import MalformedFile, SingleClassCalibration, SingleClassData, integer, number, read_json
+from .errors import ConfigError, MalformedFile, SingleClassCalibration, SingleClassData, integer, number, read_json
 from .grid import six_bus
 from .learner import (
     MODES,
@@ -306,8 +306,12 @@ def run_calibration_study(study: Study, out_dir) -> Path:
     (``CALIBRATION_SCORE_MODE``), whose compression away from 0/1 is
     exactly the distortion calibration exists to repair; the real-valued
     mode's logistic margin is already near-calibrated and shows no effect.
+    ``bins`` above the test split's size is a ConfigError, raised before
+    the pool is built or ``out_dir`` is made.
     """
     config = study.config
+    if config.bins > config.splits[2]:
+        raise ConfigError(f"bins must be <= the test split's {config.splits[2]} conditions, got {config.bins}")
     out = _output_dir(out_dir)
     contingency = CALIBRATION_CONTINGENCY
     db = study.pool

@@ -15,20 +15,23 @@ The ensemble size is chosen by k-fold cross-validation: the final model
 is retrained on the full split with the round count that minimised the
 mean fold error (ties go to fewer rounds).  The k fold chains boost in
 lockstep, one batched stump search per round for all of them, and each
-chain's stumps and weights are bit for bit those it would get alone.
+chain's stumps and weights are bit for bit those it would get alone.  A
+batch keeps its chains for its whole life: a SAMME chain that ends steps
+on with the others, and its later stumps and weights are dropped.
 
 There is one stump search, `_StumpFitter`, and a single training matrix
-is a batch of one: the final chain, `train_stump` and the tree baseline
-use it too.  Every chain's sort order is filtered from one stable
-argsort of the training split, and both classes' prefix sums run as the
-real and imaginary parts of one complex ``cumsum``.  Training inputs
+is a batch of one: the final chain, `train_stump` and each node of the
+tree baseline use it too.  Every chain's sort order is filtered from one
+stable argsort of the training split, so `train_adaboost` and
+`train_single_tree` each sort once, and both classes' prefix sums run as
+the real and imaginary parts of one complex ``cumsum``.  Training inputs
 must be a finite matrix with 0/1 labels (`_training_data`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,13 +87,15 @@ class _StumpFitter:
     by default there is one chain, on every row.  A chain's rows sit in
     its row of a ``(k, M)`` layout, in the order of ``x``, and the slots
     past its row count are zero-weight padding.  The fitter is built
-    once per batch, so boosting rounds only redo the weighted prefix
-    sums: per chain and feature it keeps the stable sort order, the mask
-    of sorted positions that are not a cut (equal to the next value, or
-    padding) and the cut midpoints, all ``(k, F, M-1)``.  Every chain's
-    order is filtered from one stable argsort of ``x`` (pass ``order``
-    when it is known): restricted to a subset of the rows, a stable
-    order is that subset's own stable order.
+    once per batch, in one pass over its chains, and boosting rounds
+    only redo the weighted prefix sums: per chain and searched feature
+    it keeps the stable sort order, the mask of sorted positions that
+    are not a cut (equal to the next value, or padding) and the cut
+    midpoints, all ``(k, F, M-1)``.  Every chain's order is filtered
+    from one stable argsort of ``x`` (pass ``order`` when it is known):
+    restricted to a subset of the rows, a stable order is that subset's
+    own stable order.  A feature not constant over ``x`` is searched,
+    and left out of ``has_cut`` by each chain that cannot cut it.
 
     Both classes' prefix sums run as the real and imaginary parts of one
     complex ``cumsum``, and each is sequential along its row, so every
@@ -107,24 +112,20 @@ class _StumpFitter:
         rows = np.ones((1, n), dtype=bool) if rows is None else np.asarray(rows, dtype=bool)
         if order is None:
             order = np.argsort(x.T, axis=1, kind="stable")
-        self.lengths = rows.sum(axis=1)
-        k, m = len(rows), int(self.lengths.max(initial=0))
+        ends = np.take_along_axis(x.T, order[:, [0, -1]], axis=1) if n else np.zeros((n_features, 2))
+        self.features = np.flatnonzero(ends[:, 0] != ends[:, 1]).tolist()
+        order, xt = order[self.features], x.T[self.features]
+        self.sizes = rows.sum(axis=1).tolist()
+        k, m, f = len(rows), max(self.sizes, default=0), len(self.features)
         self.index = np.zeros((k, m), dtype=np.intp)  # row of x in each slot; padding reads row 0
-        sorted_rows, sorted_values = [], []
-        varies = np.zeros(n_features, dtype=bool)
-        for i, (chain, size) in enumerate(zip(rows, self.lengths)):
-            self.index[i, :size] = np.flatnonzero(chain)
-            sorted_rows.append(order[chain[order]].reshape(n_features, size))
-            sorted_values.append(np.take_along_axis(x.T, sorted_rows[-1], axis=1))
-            if size:
-                varies |= sorted_values[-1][:, 0] != sorted_values[-1][:, -1]
-        self.features = np.flatnonzero(varies).tolist()  # a feature no chain can cut is not searched
-        self.order = np.empty((k, len(self.features), max(m - 1, 0)), dtype=np.intp)
+        self.order = np.empty((k, f, max(m - 1, 0)), dtype=np.intp)
         self.not_cut = np.ones(self.order.shape, dtype=bool)
         self.midpoints = np.zeros(self.order.shape)
         self.has_cut = []  # positions in ``features`` of the features with a cut, per chain
-        for i, (chain, size) in enumerate(zip(rows, self.lengths)):
-            sr, sv = sorted_rows[i][self.features], sorted_values[i][self.features]
+        for i, (chain, size) in enumerate(zip(rows, self.sizes)):
+            self.index[i, :size] = np.flatnonzero(chain)
+            sr = order[chain[order]].reshape(f, size)
+            sv = np.take_along_axis(xt, sr, axis=1)
             slot = np.cumsum(chain) - 1 + i * m  # flat slot of each row of the chain
             # the last sorted position is never a cut; padding points at a zero-weight slot
             self.order[i] = i * m + m - 1
@@ -133,29 +134,14 @@ class _StumpFitter:
             self.not_cut[i, :, :cuts] = sv[:, :-1] == sv[:, 1:]
             self.midpoints[i, :, :cuts] = (sv[:, :-1] + sv[:, 1:]) / 2.0
             self.has_cut.append(np.flatnonzero(~self.not_cut[i].all(axis=1)).tolist())
-        self._allocate()
-
-    def _allocate(self):
-        k, n_features, width = self.order.shape
-        self.sizes = self.lengths.tolist()
         # flat position of the first cut of each (chain, feature) row
-        self.starts = np.arange(k * n_features).reshape(k, n_features) * width
+        self.starts = np.arange(k * f).reshape(k, f) * self.order.shape[2]
         # Work arrays reused by every fit: fresh temporaries of this size
         # cost more in page faults than the arithmetic on them.
         self.weights = np.zeros(self.index.shape, dtype=complex)
         self.sums = np.empty(self.order.shape, dtype=complex)
         self.work = np.empty((3, 2) + self.order.shape)
         self.mask = np.empty((2,) + self.order.shape, dtype=bool)
-
-    def keep(self, chains) -> None:
-        """Drop every chain but those at the positions ``chains``, in that order."""
-        m = self.index.shape[1]
-        shift = (np.asarray(chains, dtype=np.intp) - np.arange(len(chains))) * m
-        self.order = self.order[chains] - shift[:, None, None]
-        self.not_cut, self.midpoints = self.not_cut[chains], self.midpoints[chains]
-        self.index, self.lengths = self.index[chains], self.lengths[chains]
-        self.has_cut = [self.has_cut[i] for i in chains]
-        self._allocate()
 
     def fit(self, y: np.ndarray, w: np.ndarray):
         """The best stump of each chain, for labels ``y`` and weights ``w`` in the ``(k, M)`` layout.
@@ -326,46 +312,41 @@ def _boost(x, y, fitter, rounds, mode):
     sums that score and normalise a chain's weights run over its own
     rows, so every chain boosts as it would alone.  A SAMME chain ends
     when a stump other than its first has a weighted error of 0.5 or
-    more: that stump is dropped and the chain leaves the batch.
+    more: that stump and every later one are dropped with their weights,
+    but the chain steps on in the batch, which stops once every chain
+    has ended.
     """
-    lengths = fitter.lengths[:, None]
+    lengths = np.array(fitter.sizes)[:, None]
     valid = np.arange(fitter.index.shape[1]) < lengths
     columns = np.moveaxis(x[fitter.index], 2, 1)  # (k, F, M): each chain's features in its slots
     y = np.where(valid, y[fitter.index], 0)
     sign = np.where(y == 1, 1.0, -1.0)
     w = np.where(valid, 1.0 / lengths, 0.0)
     result = [([], []) for _ in fitter.sizes]
-    chains = list(range(len(result)))  # the chain at each position of the batch
-    done = [False] * len(chains)
+    ended = [False] * len(result)
     for _ in range(rounds):
-        if not chains:
-            break
         stumps = fitter.fit(y, w)
-        goes_left = _goes_left(stumps, columns[range(len(chains)), [s.feature or 0 for s in stumps]])
+        goes_left = _goes_left(stumps, columns[range(len(stumps)), [s.feature or 0 for s in stumps]])
         if mode == "samme":
             votes = np.array([(s.left.label, s.right.label) for s in stumps])
             miss = np.where(goes_left, votes[:, :1], votes[:, 1:]) != y
             err = [np.add.reduce(row[:n][hit[:n]]) for row, hit, n in zip(w, miss, fitter.sizes)]
-            done = [e >= 0.5 and bool(result[c][0]) for e, c in zip(err, chains)]
+            ended = [end or (e >= 0.5 and bool(chain)) for end, e, (chain, _) in zip(ended, err, result)]
             err = np.minimum(np.maximum(err, _ERR_FLOOR), 1.0 - _ERR_FLOOR)
             alpha = np.log((1.0 - err) / err)  # + log(K-1) = 0 for two classes
-            for c, a, end in zip(chains, np.maximum(alpha, 0.0).tolist(), done):
+            for (_, alphas), a, end in zip(result, np.maximum(alpha, 0.0).tolist(), ended):
                 if not end:
-                    result[c][1].append(a)
+                    alphas.append(a)
             w = w * np.exp(alpha[:, None] * miss)
         else:
             leaves = _half_log_odds(stumps)
             w = w * np.exp(-sign * np.where(goes_left, leaves[:, :1], leaves[:, 1:]))
         w /= np.array([np.add.reduce(row[:n]) for row, n in zip(w, fitter.sizes)])[:, None]
-        for c, stump, end in zip(chains, stumps, done):
+        for (chain, _), stump, end in zip(result, stumps, ended):
             if not end:
-                result[c][0].append(stump)
-        if any(done):
-            keep = [i for i, end in enumerate(done) if not end]
-            fitter.keep(keep)
-            chains = [chains[i] for i in keep]
-            columns, y, sign, w = columns[keep], y[keep], sign[keep], w[keep]
-            done = [False] * len(chains)
+                chain.append(stump)
+        if all(ended):
+            break
     return result
 
 
@@ -466,34 +447,35 @@ class TreeNode:
         return self.feature is None
 
 
-def _grow(x, y, depth, max_depth):
-    n1 = int(np.sum(y == 1))
-    n0 = len(y) - n1
+def _grow(x, y, order, rows, depth, max_depth):
+    """The subtree grown on the rows ``rows`` (a mask over ``x``), searched through the split's ``order``."""
+    n = int(rows.sum())
+    n1 = int(np.sum(y[rows] == 1))
+    n0 = n - n1
+    leaf = TreeNode(None, 0.0, None, None, n0 / n, n1 / n)
     if depth >= max_depth or n0 == 0 or n1 == 0:
-        return TreeNode(None, 0.0, None, None, n0 / len(y), n1 / len(y))
-    try:
-        stump = _StumpFitter(x).fit(y, np.ones(len(y)))
+        return leaf
+    try:  # unit weights with both classes present always search
+        stump = _StumpFitter(x, rows[None], order).fit(y[rows], np.ones(n))
     except DegenerateData:
-        return TreeNode(None, 0.0, None, None, n0 / len(y), n1 / len(y))
-    if stump.feature is None:
-        return TreeNode(None, 0.0, None, None, n0 / len(y), n1 / len(y))
-    mask = x[:, stump.feature] <= stump.threshold
-    return TreeNode(
-        feature=stump.feature,
-        threshold=stump.threshold,
-        left=_grow(x[mask], y[mask], depth + 1, max_depth),
-        right=_grow(x[~mask], y[~mask], depth + 1, max_depth),
-        p0=n0 / len(y),
-        p1=n1 / len(y),
-    )
+        return leaf
+    left = x[:, stump.feature] <= stump.threshold
+    return replace(leaf, feature=stump.feature, threshold=stump.threshold,
+                   left=_grow(x, y, order, rows & left, depth + 1, max_depth),
+                   right=_grow(x, y, order, rows & ~left, depth + 1, max_depth))
 
 
 def train_single_tree(features, labels, max_depth: int = 3) -> TreeNode:
-    """Greedy gini CART to ``max_depth``, as its root node; leaves keep class frequencies."""
+    """Greedy gini CART to ``max_depth``, as its root node; leaves keep class frequencies.
+
+    Every node searches through one argsort of the split.  No rows raise ValueError.
+    """
     x, y, _ = _training_data(features, labels)
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    return _grow(x, y, 0, max_depth)
+    if not len(y):
+        raise ValueError("a tree needs at least one training row")
+    return _grow(x, y, np.argsort(x.T, axis=1, kind="stable"), np.ones(len(y), dtype=bool), 0, max_depth)
 
 
 def _tree_leaf(node: TreeNode, row: np.ndarray) -> TreeNode:

@@ -234,6 +234,7 @@ def test_experiment_rejects_bad_alpha_before_generating(tmp_path, capsys, monkey
         ("imbalance", {"splits": [0, 150, 150]}, [], "the train split needs at least one condition"),
         ("imbalance", {"splits": [200, 100, 0]}, [], "the test split needs at least one condition"),
         ("triage", {"splits": [200, 100, 0]}, [], "the test split needs at least one condition"),
+        ("calibration", {"bins": 80}, [], "bins must be <= the test split's 50 conditions, got 80"),
     ]:
         config.write_text(json.dumps({"n": 300, "splits": [200, 50, 50], **fields}))
         assert main(["experiment", name, "--config", str(config), "--out", str(out)] + flags) == 2

@@ -19,6 +19,7 @@ from riskgate.learner import (
     Ensemble,
     Leaf,
     Stump,
+    TreeNode,
     _StumpFitter,
     _prefix_error_curve,
     _prefix_scores,
@@ -164,7 +165,7 @@ def stump_problems(draw):
     return x, y, w
 
 
-# The five bit-for-bit reference properties run tier-1's budget, or more
+# The six bit-for-bit reference properties run tier-1's budget, or more
 # under ``--hypothesis-profile reference`` (tests/conftest.py).
 @settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(stump_problems())
@@ -475,6 +476,18 @@ def test_lockstep_examples_cover_the_cases():
     assert len(folds) == 2
 
 
+def test_an_ended_chain_steps_on_without_recording():
+    # chain 1 ends at its second stump; stepping on in the batch, it later
+    # finds stumps that beat chance again, and must record none of them
+    x = np.array([[1.0], [0.0], [0.0], [0.0], [0.0], [1.0], [1.0], [1.0], [0.0]])
+    y = np.array([0, 1, 1, 1, 1, 1, 1, 1, 0])
+    rows = [np.arange(9) % 3 != k for k in range(3)]
+    got = learner._boost(x, y, _StumpFitter(x, rows), 8, "samme")
+    expected = [reference_boost(x[tr], y[tr], _StumpFitter(x[tr]), 8, "samme") for tr in rows]
+    assert [len(stumps) for stumps, _ in expected] == [8, 1, 8]
+    assert [chain_bits(*c) for c in got] == [chain_bits(*c) for c in expected]
+
+
 @st.composite
 def stump_batches(draw):
     """A matrix, 1-4 row subsets of it and per-chain labels and weights, zero weights included."""
@@ -777,6 +790,68 @@ def test_tree_predict_matches_leaf_label_reference(problem, max_depth):
     expected = np.array([reference_tree_label(_tree_leaf(tree, row)) for row in x])
     assert same_bits(tree_predict(tree, x), expected)
     assert same_as_one_row(tree_predict(tree, x[0]), tree_predict(tree, x[:1]))
+
+
+# The tree grower before every node searched through the split's one sort
+# order, kept verbatim as the reference (recursion renamed): each node
+# builds a fitter on its own rows, which argsorts them again.
+def reference_grow(x, y, depth, max_depth):
+    n1 = int(np.sum(y == 1))
+    n0 = len(y) - n1
+    if depth >= max_depth or n0 == 0 or n1 == 0:
+        return TreeNode(None, 0.0, None, None, n0 / len(y), n1 / len(y))
+    try:
+        stump = _StumpFitter(x).fit(y, np.ones(len(y)))
+    except DegenerateData:
+        return TreeNode(None, 0.0, None, None, n0 / len(y), n1 / len(y))
+    if stump.feature is None:
+        return TreeNode(None, 0.0, None, None, n0 / len(y), n1 / len(y))
+    mask = x[:, stump.feature] <= stump.threshold
+    return TreeNode(
+        feature=stump.feature,
+        threshold=stump.threshold,
+        left=reference_grow(x[mask], y[mask], depth + 1, max_depth),
+        right=reference_grow(x[~mask], y[~mask], depth + 1, max_depth),
+        p0=n0 / len(y),
+        p1=n1 / len(y),
+    )
+
+
+def tree_bits(node) -> list:
+    """Each node's feature, threshold and class frequencies, bit for bit, in preorder."""
+    if node is None:
+        return []
+    bits = (node.feature, np.array([node.threshold, node.p0, node.p1]).tobytes())
+    return [bits] + tree_bits(node.left) + tree_bits(node.right)
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(stump_problems(), st.integers(0, 3))
+@example((np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 1.0], [1.0, 2.0], [2.0, 1.0]]), np.array([0, 1, 1, 0, 1]), None), 3)
+def test_tree_grown_through_one_sort_matches_reference(problem, max_depth):
+    # the example's second column varies over the split but not in every node
+    x, y, _ = problem
+    got = train_single_tree(x, y, max_depth=max_depth)
+    assert tree_bits(got) == tree_bits(reference_grow(x, y, 0, max_depth))
+
+
+def test_one_sort_per_training_split():
+    # cross-validation and the final fit share one argsort, and so do all of a tree's nodes
+    rng = np.random.default_rng(8)
+    x = np.round(rng.normal(size=(90, 4)), 1)
+    y = (x[:, 0] + x[:, 1] + 0.5 * rng.normal(size=90) > 0).astype(int)
+    with mock.patch.object(learner.np, "argsort", wraps=np.argsort) as argsort:
+        train_adaboost(x, y, rounds=8, mode="samme", k_folds=3)
+    assert argsort.call_count == 1
+    with mock.patch.object(learner.np, "argsort", wraps=np.argsort) as argsort:
+        tree = train_single_tree(x, y, max_depth=3)
+    assert argsort.call_count == 1
+    assert sum(feature is not None for feature, _ in tree_bits(tree)) > 3  # more than two levels split
+
+
+def test_tree_on_no_rows_rejected():
+    with pytest.raises(ValueError, match="a tree needs at least one training row"):
+        train_single_tree(np.zeros((0, 2)), [])
 
 
 # -- model files ------------------------------------------------------------

@@ -269,8 +269,6 @@ def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     overrides = {name: getattr(args, name) for name in ("seed", "out_dir", "bins", "rounds", "mode")}
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    if config.splits[2] < 1:  # every study scores the test split; the config alone may leave it empty
-        raise ConfigError("the test split needs at least one condition")
     out = RUNNERS[args.name](Study(config), config.out_dir)
     print(f"experiment {args.name} complete: outputs in {out}")
     return 0

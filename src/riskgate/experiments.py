@@ -164,6 +164,8 @@ class Study:
     """One config's pool, built on first use, its repetition splits, and its models, each fitted once."""
 
     def __init__(self, config: ExperimentConfig):
+        if config.splits[2] < 1:  # every study scores the test split; the config alone may leave it empty
+            raise ConfigError("the test split needs at least one condition")
         self.config = config
         self._models: dict[tuple[int, int, str], CalibratedEnsemble] = {}
 

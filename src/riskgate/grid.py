@@ -433,6 +433,16 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int,
     between, where the LP's verdict turns on where its phase 1 stops, and
     every remaining condition when G != 3, goes to the LP.
 
+    Wherever the LP decides -- the one-condition form, the band, and
+    every condition when G != 3 -- its policy is phase 1 of
+    `simplex.solve_lp`: Bland's rule stops once no reduced cost is below
+    ``-PIVOT_TOL``, and an artificial sum then above ``FEAS_TOL`` (1e-7)
+    means insecure.  So a condition whose true infeasibility is below
+    ``FEAS_TOL`` can still be labelled insecure;
+    `test_batched_label_matches_single_label_where_the_lp_stops_short_of_secure_tol`
+    in tests/test_grid.py pins one, whose best vertex violates a row by
+    5.2e-10 MW.
+
     Raises ``ValueError`` if ``corrective_range`` is negative or NaN, or
     if ``loads`` or ``dispatch`` holds a NaN or an infinity.
     """

@@ -73,17 +73,17 @@ tree has not seen, it rebuilds the shared columns by replaying the
 recorded steps from the family's initial tableau, pivots them and
 records the new segments as it goes on.  No node keeps a tableau.
 
-A non-finite entry never turns finite again, and every exit checks the
-whole tableau, so recording checks the shared columns where a solve
-can stop (a ratio test, the verdict, the optimum) and ends a segment,
-as overflowing, at the first such point where they are not finite.  A
-solve that reaches that point fails as it would have at its next exit;
-one that stops inside such a segment (at the verdict, or the iteration
-limit) replays the shared columns to where it stopped and checks them.
-That exit check is why the replay carries the phase-2 cost row's entry
-``rhs[m]`` (the negated objective), although the result recomputes the
-objective from ``x``: a full tableau whose only non-finite entry is
-that one raised, and so does the replay.
+How a solve ends.  A non-finite entry never turns finite again, so
+recording checks the shared columns where a solve can stop (a ratio
+test, the optimum, just before the phase-1 verdict, which changes no
+column) and ends a segment, as overflowing, at the first such point
+where they are not finite.  Short of the optimum, a solve ends
+infeasible at the verdict (artificial sum above ``FEAS_TOL``); with
+`UnboundedLP` at a ratio test; with ``RuntimeError`` at ``_MAX_ITER``
+iterations; or with the overflow ``ValueError`` where it completes an
+overflowing segment, or its own right-hand side is not finite on any
+exit.  That check is why the replay carries ``rhs[m]``, the negated
+objective: a full tableau whose only non-finite entry is that one raised.
 
 Prepared records.  The memo is the caller's ``paths`` dict (``grid``
 keeps one per network topology); a call without one starts from an
@@ -110,6 +110,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 
 _MAX_ITER = 100_000
+_OVERFLOWED = "simplex tableau overflowed: the LP's coefficients are too large"
 
 # Kinds of a recorded step ``(kind, row, entering column, p, f)``.  ``p`` and
 # ``f`` are what a right-hand side needs of the shared columns, as floats.
@@ -283,7 +284,9 @@ def solve_lp(
         If the objective is unbounded below on the feasible set.
     ValueError
         If an input is NaN or infinite (other than +inf in ``upper``),
-        or the tableau overflows.
+        or the tableau overflows (see How a solve ends).
+    RuntimeError
+        At the iteration limit.
     """
     c = np.asarray(cost, dtype=float)
     n = c.size
@@ -348,10 +351,10 @@ def solve_lp(
     # Python floats are IEEE doubles: each step below rounds every entry
     # once, with the same operation as numpy's elementwise one in
     # `_Tableau.step`, so the right-hand side gets the full elimination's bits.
-    path, done, iterations = [], 0, 0
+    path, iterations = [], 0
     try:
         while True:
-            for done, (kind, r, _, p, f) in enumerate(node.steps, 1):
+            for kind, r, _, p, f in node.steps:
                 if kind == _SHORTCUT:
                     v = rhs[r]
                     rhs[m] -= p * v
@@ -370,7 +373,7 @@ def solve_lp(
                 if iterations == _MAX_ITER:
                     raise RuntimeError("simplex iteration limit exceeded")
             if node.overflows:
-                return None  # not returned: the check in `finally` raises
+                raise ValueError(_OVERFLOWED)
             if node.children is None:
                 break
             # The ratio test, as numpy's minimum would make it: a NaN ratio, or no
@@ -388,15 +391,11 @@ def solve_lp(
                 if tableau is None:
                     tableau = _replay(start, (step for seen in path for step in seen.steps))
                 child = node.children[r] = tableau.record((r, node.entering))
-            node, done = child, 0
+            node = child
     finally:
-        # On every exit: a non-finite entry never turns finite again, so a
-        # finite tableau now was finite at every pivot.  An overflowing
-        # segment is not finite at its end, and may not be before it.
-        overflowed = node.overflows and (done == len(node.steps) or not np.isfinite(
-            _replay(start, [step for seen in path for step in seen.steps] + node.steps[:done]).t).all())
-        if overflowed or not all(map(math.isfinite, rhs)):
-            raise ValueError("simplex tableau overflowed: the LP's coefficients are too large")
+        # The right-hand side's check on every exit (see How a solve ends).
+        if not all(map(math.isfinite, rhs)):
+            raise ValueError(_OVERFLOWED)
 
     xfull = np.zeros(k + m)
     xfull[node.basis] = rhs[:m]

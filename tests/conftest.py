@@ -11,9 +11,7 @@ from riskgate import calibration, experiments, learner
 # their tier-1 budget and its ``max_examples``.
 settings.register_profile("simplex-reference", max_examples=5000)
 # and, likewise, under this one (``--hypothesis-profile reference``): the
-# six bit-for-bit learner reference properties of tests/test_learner.py,
-# the file round-trip and reference properties of tests/test_file_formats.py,
-# and the certificate and batched-label properties of tests/test_grid.py.
+# tests marked ``reference`` (``pytest -m reference``).
 settings.register_profile("reference", max_examples=2000)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from riskgate import experiments
+from riskgate.errors import ConfigError
 from riskgate.experiments import (
     ALL_LINES,
     RUNNERS,
@@ -100,6 +101,12 @@ def test_config_fields_accept_their_own_kinds(tmp_path):
 def test_config_accepts_empty_calibration_and_test_splits():
     assert ExperimentConfig(n=300, splits=(200, 100, 0)).splits == (200, 100, 0)
     assert ExperimentConfig(n=300, splits=(300, 0, 0)).splits == (300, 0, 0)
+
+
+def test_study_without_test_conditions_rejected():
+    """Every study scores the test split, so a study refuses to start without one: no pool, no models."""
+    with pytest.raises(ConfigError, match="the test split needs at least one condition"):
+        Study(ExperimentConfig(n=200, splits=(150, 50, 0)))
 
 
 def test_drawn_params_are_from_choice_sets():

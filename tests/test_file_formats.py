@@ -85,6 +85,7 @@ def test_number_bounds_are_inclusive():
             number(value, "x", lo=0.0, hi=1.0)
 
 
+@pytest.mark.reference
 @ROUND_TRIP
 @given(connected_grids())
 def test_network_round_trips(case):
@@ -112,6 +113,7 @@ def calibrated_models(draw):
     return CalibratedEnsemble(ensemble, draw(st.integers(-(2**63), 2**63)), params)
 
 
+@pytest.mark.reference
 @ROUND_TRIP
 @given(calibrated_models())
 def test_model_round_trips(tmp_path_factory, model):
@@ -147,6 +149,7 @@ def contingency_entries(draw):
     return entries, expected
 
 
+@pytest.mark.reference
 @ROUND_TRIP
 @given(contingency_entries())
 def test_contingencies_round_trip(tmp_path_factory, case):
@@ -334,6 +337,7 @@ PINNED_TEXT = ("# seed=11\nid,load1,load2,gen1,flow1,split,label_c2,label_c5\n"
                "3,1.5,2,9,0.10000000000000001,train,0,1\n4,-0,7.25,1e300,5e-324,test,1,0\n")
 
 
+@pytest.mark.reference
 @ROUND_TRIP
 @given(dataset_texts())
 @example(PINNED_TEXT)
@@ -398,6 +402,7 @@ def triage_reports(draw):
     return TriageReport(table, n_high, n_high / max(n, 1), oracle, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.reference
 @ROUND_TRIP
 @given(triage_reports())
 def test_triage_csv_matches_row_template_reference(tmp_path_factory, report):

@@ -283,7 +283,8 @@ def test_six_bus_arrays_match_reference():
     check_against_reference(six_bus(), inj)
 
 
-@settings(max_examples=300, deadline=None)
+@pytest.mark.reference
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(connected_grids())
 def test_derived_arrays_match_reference(case):
     check_against_reference(*case)
@@ -564,6 +565,7 @@ def scaled_onto_boundary(grid, loads, dispatch, contingency, corrective):
 
 # This property and the certificate's below run tier-1's budget, or more under
 # ``--hypothesis-profile reference`` (tests/conftest.py).
+@pytest.mark.reference
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(condition_batches(), st.data())
 def test_batched_labels_equal_single_condition_labels(case, data):
@@ -694,6 +696,7 @@ def certificates(grid, top, loads, lo, hi):
     return best, reference
 
 
+@pytest.mark.reference
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(condition_batches(generator_counts=(3,)), st.sampled_from([1, 40, 70, 1 << 13]), st.data())
 def test_certificate_matches_scoring_every_vertex(case, chunk_floats, data):
@@ -724,6 +727,7 @@ def six_bus_pool():
     return g, loads, dispatch
 
 
+@pytest.mark.reference
 def test_certificate_matches_scoring_every_vertex_on_a_six_bus_pool():
     # about 300 vertex pairs per outage, of which the certificate builds a few percent per condition
     g, loads, dispatch = six_bus_pool()

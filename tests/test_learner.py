@@ -167,6 +167,7 @@ def stump_problems(draw):
 
 # The six bit-for-bit reference properties run tier-1's budget, or more
 # under ``--hypothesis-profile reference`` (tests/conftest.py).
+@pytest.mark.reference
 @settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(stump_problems())
 def test_stump_fitter_matches_reference(problem):
@@ -440,6 +441,7 @@ SKIP = (np.array([[1.0], [1.0], [2.0]]), np.array([0, 0, 1]))
 CONSTANT = (np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 1.0], [0.0, 2.0]]), np.array([0, 1, 1, 0]))
 
 
+@pytest.mark.reference
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(adaboost_problems())
 @example((*STOP, 6, "samme", 3))
@@ -496,6 +498,7 @@ def stump_batches(draw):
     return x, rows, y, w
 
 
+@pytest.mark.reference
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(stump_batches())
 def test_batched_stump_fit_matches_reference(batch):
@@ -712,6 +715,7 @@ ONE_ROW = np.array([[0.3, -0.2]])
 TEN_STUMPS = [split_stump(k % 2, 0.1 * k - 0.5, 0.9 / (k + 1.3), 0.9 - 0.07 * k) for k in range(10)]
 
 
+@pytest.mark.reference
 @settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(random_ensembles(), st.integers(0, 3))
 @example((Ensemble("samme.r", [], None), ONE_ROW, np.array([1])), 2)
@@ -782,6 +786,7 @@ def test_tree_proba_in_unit_interval():
     assert np.array_equal(tree_predict(tree, x), (p >= 0.5).astype(int))
 
 
+@pytest.mark.reference
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(stump_problems(), st.integers(0, 3))
 def test_tree_predict_matches_leaf_label_reference(problem, max_depth):
@@ -825,6 +830,7 @@ def tree_bits(node) -> list:
     return [bits] + tree_bits(node.left) + tree_bits(node.right)
 
 
+@pytest.mark.reference
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(stump_problems(), st.integers(0, 3))
 @example((np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 1.0], [1.0, 2.0], [2.0, 1.0]]), np.array([0, 1, 1, 0, 1]), None), 3)

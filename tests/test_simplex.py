@@ -176,6 +176,24 @@ def test_an_lp_whose_only_overflow_is_its_objective_entry_raises():
             solve_lp(**lp, paths=paths)
 
 
+def test_the_iteration_limit_raises_unless_the_right_hand_side_overflowed(monkeypatch):
+    """At ``_MAX_ITER`` a solve raises ``RuntimeError``, as the reference does.
+
+    The first LP's one pivot overflows its shared columns but not its
+    right-hand side; the second's overflows the negated objective, so its
+    exit check raises the overflow error instead.
+    """
+    monkeypatch.setattr(simplex, "_MAX_ITER", 1)
+    monkeypatch.setitem(globals(), "_MAX_ITER", 1)  # the copy `reference_solve_lp` reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        lp = dict(cost=[1.0, 1.0], a_eq=[[1e-5, 1e305]], b_eq=[1.0])
+        for solve in (reference_solve_lp, solve_lp):
+            with pytest.raises(RuntimeError, match="iteration limit"):
+                solve(**lp)
+        with pytest.raises(ValueError, match="overflowed"):
+            solve_lp([1e300], a_eq=[[1.0]], b_eq=[1e10])
+
+
 def test_equal_stacked_matrices_split_apart_get_their_own_records():
     """``[a_eq; a_ub]`` alike, with one row an equality in one LP and an inequality in the other."""
     rows = [[1.0, 1.0], [1.0, -1.0]]

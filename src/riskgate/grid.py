@@ -30,7 +30,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataError, IslandedNetwork, MalformedFile, integer, number, read_json
-from .simplex import LPResult, solve_lp
+from .simplex import LPResult, solve_batch, solve_lp
 
 BALANCE_TOL = 1e-6  # MW; residual beyond this is an error, never absorbed
 SECURE_TOL = 1e-9  # MW; a flow violated by at most this holds without redispatch
@@ -273,39 +273,66 @@ def solve_dc_power_flow(grid: GridModel, injection, outaged_line: int | None = N
     return angles, flows
 
 
-def _dispatch_lp(grid, top, loads, cost, lo, hi):
-    """Shared LP: find dispatch meeting balance, bounds and flow limits."""
-    base_flow = top.ptdf @ (-loads)  # flows due to loads alone
+def _dispatch_rhs(grid, top, loads):
+    """The dispatch LP's ``b_eq`` and ``b_ub`` for one condition's loads, or for ``(m, n_buses)`` loads, a row each."""
+    if loads.ndim == 1:
+        base_flow = top.ptdf @ (-loads)  # flows due to loads alone
+    else:  # one product per row: a matrix product's bits could differ
+        base_flow = np.array([top.ptdf @ -row for row in loads]).reshape(len(loads), len(grid.lines))
     limits = grid.line_limits
-    return solve_lp(
-        cost,
-        a_eq=grid._balance,
-        b_eq=[float(loads.sum())],
-        a_ub=top.a_ub,
-        b_ub=np.concatenate([limits - base_flow, limits + base_flow]),
-        lower=lo,
-        upper=hi,
-        paths=top.paths,
-    )
+    return loads.sum(axis=-1)[..., None], np.concatenate([limits - base_flow, limits + base_flow], axis=-1)
 
 
-def solve_dcopf(grid: GridModel, loads) -> LPResult:
+def _dispatch_lp(grid, top, loads, cost, lo, hi):
+    """Shared LP: find dispatch meeting balance, bounds and flow limits; for ``(m, n_buses)`` loads, a batch."""
+    b_eq, b_ub = _dispatch_rhs(grid, top, loads)
+    if loads.ndim == 1:
+        return solve_lp(cost, grid._balance, b_eq, top.a_ub, b_ub, lo, hi, paths=top.paths)
+    # the solves that record go through this module's solve_lp, as the single LPs do
+    return solve_batch(cost, grid._balance, b_eq, top.a_ub, b_ub, lo, hi, paths=top.paths, solve=solve_lp)
+
+
+def solve_dcopf(grid: GridModel, loads) -> LPResult | list:
     """Cost-minimal dispatch under power balance, generator and flow limits.
 
     Parameters
     ----------
-    loads : array (n_buses,)
-        Per-bus load in MW, all >= 0.
+    loads : array (n_buses,) or (m, n_buses)
+        Per-bus load in MW, all finite and >= 0; a 2-D array holds one
+        condition per row.
 
-    Returns the simplex's `LPResult`: ``x`` holds the per-generator
-    outputs (MW) and ``objective`` the cost ($); both are None, and
-    ``optimal`` False, when no dispatch satisfies the constraints.
+    Returns
+    -------
+    LPResult, for one condition
+        The simplex's result: ``x`` holds the per-generator outputs (MW)
+        and ``objective`` the cost ($); both are None, and ``optimal``
+        False, when no dispatch satisfies the constraints.
+    list, for ``m`` conditions
+        One outcome per row, from one `simplex.solve_batch`: the
+        `LPResult` of a call with that row alone, with its bits, or, in
+        its place, the error such a call raises.  A row that fails stops
+        no other.
+
+    Raises
+    ------
+    ValueError
+        Before any LP, if the loads have the wrong width, or a row (the
+        first such, named) holds a negative value, a NaN or an infinity.
+
+    A single condition's LP raises `simplex.solve_lp`'s errors.
     """
     loads = np.asarray(loads, dtype=float)
-    if loads.shape != (grid.n_buses,):
-        raise ValueError(f"loads must have length {grid.n_buses}")
-    if not np.all(loads >= 0):  # NaN fails this too
-        raise ValueError("loads must be nonnegative")
+    single = loads.ndim == 1
+    rows = loads[None] if single else loads
+    if rows.ndim != 2 or rows.shape[1] != grid.n_buses:
+        raise ValueError(f"loads must have length {grid.n_buses}" if single else
+                         f"loads must have shape (m, {grid.n_buses})")
+    negative = ~(rows >= 0).all(axis=1)  # NaN fails this too
+    bad = negative | np.isinf(rows).any(axis=1)
+    if bad.any():
+        j = int(bad.argmax())
+        where = "loads" if single else f"loads row {j}"
+        raise ValueError(f"{where} must be {'nonnegative' if negative[j] else 'finite'}")
     return _dispatch_lp(grid, grid.topology(None), loads, grid.cost, grid.p_min, grid.p_max)
 
 

@@ -147,11 +147,15 @@ def kumaraswamy_ppf(u):
     return (1.0 - (1.0 - u) ** (1.0 / KUMARASWAMY_B)) ** (1.0 / KUMARASWAMY_A)
 
 
-def _draw_load_triple(rng, chol, dim: int) -> np.ndarray:
-    z = chol @ rng.standard_normal(dim)
-    u = ndtr(z)
+def _draw_loads(seed: int, draws, chol) -> np.ndarray:
+    """Load triples (MW), one row per ``(index, attempt)`` of ``draws``, from stream ``(seed, index, attempt)``.
+
+    The Gaussian draw is one product per row; the marginal map takes all rows at once, with the same bits.
+    """
+    z = np.array([chol @ np.random.default_rng([seed, i, attempt]).standard_normal(len(chol))
+                  for i, attempt in draws]).reshape(-1, len(chol))
     low, high = LOAD_RANGE
-    return low + (high - low) * kumaraswamy_ppf(u)
+    return low + (high - low) * kumaraswamy_ppf(ndtr(z))
 
 
 def bus_loads(grid: grid_mod.GridModel, loads) -> np.ndarray:
@@ -183,14 +187,26 @@ def build_database(
     Conditions whose loads admit no feasible pre-fault dispatch are
     resampled from the same per-condition stream (attempt counter bumps),
     keeping the load distribution unbiased within the feasible region.
-    Once every condition is dispatched, each contingency labels all of
-    them in one `grid.assess_security` call.
+    The conditions are dispatched in rounds: a round draws the next
+    attempt of every condition not yet dispatched and solves their DC-OPFs
+    in one `grid.solve_dcopf` call.  Once every condition is dispatched,
+    each contingency labels all of them in one `grid.assess_security`
+    call.
+
+    The rounds' outcomes are replayed in condition order, attempt by
+    attempt, as a build that dispatched one condition at a time would
+    meet them; so which error is raised, and its message, are that
+    build's.  While the replay has counted more rejects than half its
+    attempts, a round draws only the condition the replay waits on, so a
+    network that stalls costs one full round and then about the LPs the
+    one-at-a-time build made.
 
     Raises
     ------
     DataError
         If more than half of all sampled load tuples are pre-fault
-        infeasible, which signals bad network data.
+        infeasible (checked from the 50th on), which signals bad network
+        data, or a condition finds no feasible dispatch in 1000 attempts.
     """
     contingencies = list(contingencies)
     for c in contingencies:
@@ -205,26 +221,44 @@ def build_database(
 
     triples, outputs, angles, flows = (np.empty((n, width)) for width in (
         len(LOAD_BUSES), len(grid.generators), grid.n_buses, len(grid.lines)))
-    attempts = 0
-    rejects = 0
-    for i in range(n):
-        for attempt in range(1000):
-            attempts += 1
-            triple = _draw_load_triple(np.random.default_rng([seed, i, attempt]), chol, len(LOAD_BUSES))
-            loads = bus_loads(grid, triple)
-            dispatch = grid_mod.solve_dcopf(grid, loads)
-            if dispatch.optimal:
-                break
-            rejects += 1
-            if attempts >= 50 and rejects > 0.5 * attempts:
-                raise DataError(
-                    f"{rejects}/{attempts} sampled conditions are pre-fault infeasible"
-                )
-        else:
-            raise DataError(f"condition {i}: no feasible dispatch in 1000 attempts")
+    tries = [0] * n  # attempts drawn, per condition
+    pending = list(range(n))
+    ends = {}  # condition -> (its last attempt, the error it raised or None)
+    done = counted = attempts = rejects = 0  # the replay: conditions passed, attempts of the next one counted
+    while pending:
+        # While more than half of the attempts counted are rejects, as when the
+        # build is about to stall, a round draws only the condition the replay waits on.
+        draws = [(i, tries[i]) for i in (pending if 2 * rejects <= attempts else [done])]
+        drawn = _draw_loads(seed, draws, chol)
+        loads = bus_loads(grid, drawn)
+        for (i, attempt), triple, row, result in zip(draws, drawn, loads, grid_mod.solve_dcopf(grid, loads)):
+            tries[i] += 1
+            if isinstance(result, Exception):
+                ends[i] = attempt, result
+            elif result.optimal:
+                ends[i] = attempt, None
+                triples[i], outputs[i] = triple, result.x
+                angles[i], flows[i] = grid_mod.solve_dc_power_flow(grid, grid.incidence @ result.x - row)
+        pending = [i for i in pending if i not in ends and tries[i] < 1000]
 
-        triples[i], outputs[i] = triple, dispatch.x
-        angles[i], flows[i] = grid_mod.solve_dc_power_flow(grid, grid.incidence @ dispatch.x - loads)
+        # Count the attempts known so far in condition order, as a build that
+        # dispatched one condition at a time would meet them, and raise its error.
+        while done < n:
+            last, error = ends.get(done, (None, None))
+            for _ in range(counted, tries[done] if last is None else last):
+                attempts += 1
+                rejects += 1
+                if attempts >= 50 and rejects > 0.5 * attempts:
+                    raise DataError(f"{rejects}/{attempts} sampled conditions are pre-fault infeasible")
+            if last is None:
+                if tries[done] == 1000:
+                    raise DataError(f"condition {done}: no feasible dispatch in 1000 attempts")
+                counted = tries[done]
+                break
+            attempts += 1
+            if error is not None:
+                raise error
+            done, counted = done + 1, 0
 
     # Label one contingency at a time, for every condition at once.
     loads = bus_loads(grid, triples)

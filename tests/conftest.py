@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from riskgate import calibration, experiments, learner
 
-# CI reruns the three bit-for-bit simplex properties under this profile
+# CI reruns the bit-for-bit simplex properties (``-k bit_for_bit``) under this profile
 # (``--hypothesis-profile simplex-reference``); they take the larger of
 # their tier-1 budget and its ``max_examples``.
 settings.register_profile("simplex-reference", max_examples=5000)

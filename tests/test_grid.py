@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskgate import grid as grid_mod
-from riskgate.errors import IslandedNetwork, MalformedFile
+from riskgate.errors import DataError, IslandedNetwork, MalformedFile
 from riskgate.grid import (
     _ALWAYS_SCORED_SIN,
     _PARALLEL_TOL,
@@ -418,6 +418,89 @@ def test_infeasible_load_returns_flag():
 def test_nan_load_rejected_before_the_lp():
     with pytest.raises(ValueError, match="loads must be nonnegative"):
         solve_dcopf(six_bus(), np.array([0, 0, 0, 120.0, np.nan, 70.0]))
+
+
+@pytest.mark.parametrize("loads, message", [
+    ([0, 0, 0, 120.0, np.inf, 70.0], "^loads must be finite$"),
+    ([0, 0, 0, 120.0, 70.0], r"^loads must have length 6$"),
+    ([[0, 0, 0, 1.0, 2.0, 3.0], [0, 0, 0, 1.0, np.inf, 3.0], [0, 0, 0, -1.0, 2.0, 3.0]],
+     "^loads row 1 must be finite$"),
+    ([[0, 0, 0, 1.0, 2.0, 3.0], [0, 0, 0, -np.inf, 2.0, 3.0], [0, 0, 0, 1.0, np.inf, 3.0]],
+     "^loads row 1 must be nonnegative$"),
+    ([[0, 0, 0, 1.0, 2.0, 3.0], [0, 0, np.nan, 1.0, 2.0, 3.0]], "^loads row 1 must be nonnegative$"),
+    ([[0, 0, 0, 1.0, 2.0, 3.0, 4.0]], r"^loads must have shape \(m, 6\)$"),
+    (np.zeros((2, 2, 6)), r"^loads must have shape \(m, 6\)$"),
+])
+def test_dcopf_checks_every_row_before_any_lp(monkeypatch, loads, message):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was posed")
+
+    monkeypatch.setattr(grid_mod, "solve_lp", no_lp)
+    monkeypatch.setattr(grid_mod, "solve_batch", no_lp)
+    with pytest.raises(ValueError, match=message):
+        solve_dcopf(six_bus(), np.array(loads, dtype=float))
+
+
+def test_dcopf_of_a_batch_gives_each_failing_rows_error_in_its_place():
+    """A row whose cost overflows fails as it would alone, and the rows around it solve."""
+    g = GridModel(buses=(Bus(1, True),), lines=(), generators=(Generator(1, 1, 0.0, 1e6, 1e307),))
+    assert solve_dcopf(g, [1.0]).objective == 1e307
+    with pytest.raises(ValueError, match="^simplex tableau overflowed"):
+        solve_dcopf(g, [500.0])
+    first, failed, last = solve_dcopf(g, [[1.0], [500.0], [2.0]])
+    assert first.objective == 1e307 and last.objective == 2e307
+    assert type(failed) is ValueError and str(failed).startswith("simplex tableau overflowed")
+
+
+def test_dcopf_of_no_rows_is_no_results():
+    assert solve_dcopf(six_bus(), np.zeros((0, 6))) == []
+
+
+@st.composite
+def dispatch_batches(draw):
+    """A network and 1-60 rows of loads, some with no feasible dispatch.
+
+    Either the packaged network with loads from the sampling range, or a
+    random one with 1-4 generators of random costs, whose rows share out
+    totals from below the units' minimum to above their maximum.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        from riskgate.scenario_gen import LOAD_RANGE, bus_loads
+
+        grid = six_bus()
+        return grid, bus_loads(grid, rng.uniform(*LOAD_RANGE, (m, 3)))
+    grid, _ = draw(connected_grids())
+    bus_ids = [b.id for b in grid.buses]
+    gens = []
+    for j in range(draw(st.integers(1, 4))):
+        p_min = draw(st.sampled_from([0.0, 10.0, 45.0]))
+        p_max = p_min + draw(st.sampled_from([0.0, 30.0, 200.0]))
+        cost = draw(st.sampled_from([1.0, 2.0, 8.0]))
+        gens.append(Generator(j + 1, draw(st.sampled_from(bus_ids)), p_min, p_max, cost))
+    grid = dataclasses.replace(grid, generators=tuple(gens))
+    totals = rng.uniform(0.9 * grid.p_min.sum(), 1.1 * grid.p_max.sum() + 1.0, m)
+    shares = rng.uniform(0.0, 1.0, (m, grid.n_buses)) ** 3 + 1e-3
+    return grid, totals[:, None] * shares / shares.sum(axis=1)[:, None]
+
+
+@pytest.mark.reference
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(dispatch_batches())
+def test_dcopf_of_a_batch_matches_row_by_row_calls_bit_for_bit(case):
+    grid, loads = case
+    batch = solve_dcopf(grid, loads)
+    alone = dataclasses.replace(grid)  # the same network with an empty memo
+    for res, row in zip(batch, loads, strict=True):
+        try:
+            ref = solve_dcopf(alone, row)
+        except (ValueError, RuntimeError, DataError) as exc:
+            assert type(res) is type(exc) and str(res) == str(exc)
+            continue
+        assert res.status == ref.status and (res.x is None) == (ref.x is None)
+        if ref.optimal:
+            assert res.x.tobytes() == ref.x.tobytes() and res.objective == ref.objective
 
 
 # -- security assessment ------------------------------------------------------

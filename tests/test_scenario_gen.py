@@ -1,6 +1,10 @@
 """Database generation tests: copula sampling, labeling, CSV round-trip."""
 
+import dataclasses
+import hashlib
+import inspect
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,16 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from riskgate import grid, scenario_gen
+from riskgate import grid, scenario_gen, simplex
 from riskgate.errors import ConfigError, DataError, MalformedFile
 from riskgate.grid import six_bus
+from riskgate.simplex import LPResult
 from riskgate.scenario_gen import (
     LOAD_CORRELATION,
     SPLIT_NAMES,
     Conditions,
     LabeledDatabase,
     _copula_cholesky,
-    _draw_load_triple,
+    _draw_loads,
     build_database,
     kumaraswamy_ppf,
     load_database,
@@ -27,8 +32,7 @@ from riskgate.scenario_gen import (
 
 def sample_loads(n, seed, correlation=LOAD_CORRELATION, dim=3):
     """``n`` correlated load tuples (MW), row ``i`` from the stream ``build_database`` draws first."""
-    chol = _copula_cholesky(correlation, dim)
-    return np.array([_draw_load_triple(np.random.default_rng([seed, i, 0]), chol, dim) for i in range(n)])
+    return _draw_loads(seed, [(i, 0) for i in range(n)], _copula_cholesky(correlation, dim))
 
 
 # -- marginal transform ---------------------------------------------------
@@ -191,8 +195,142 @@ def test_generation_stalls_on_hopeless_network():
         generators=g.generators,
         base_mva=g.base_mva,
     )
-    with pytest.raises(DataError, match="sampled conditions are pre-fault infeasible"):
+    # condition 0 fails its first 50 attempts, where a one-at-a-time build stops
+    with pytest.raises(DataError, match="^50/50 sampled conditions are pre-fault infeasible$"):
         build_database(bad, n=30, contingencies=[5], seed=1, splits=(20, 5, 5))
+
+
+def test_a_build_that_stalls_draws_one_condition_a_round_after_the_first(monkeypatch):
+    """With more rejects than half the counted attempts, rounds draw only the condition the replay waits on."""
+    g = six_bus()
+    rows = []
+    solve_dcopf = grid.solve_dcopf
+    monkeypatch.setattr(grid, "solve_dcopf", lambda net, loads: rows.append(len(loads)) or solve_dcopf(net, loads))
+    hopeless = dataclasses.replace(g, lines=(g.lines[0], dataclasses.replace(g.lines[1], limit=1.0)) + g.lines[2:])
+    with pytest.raises(DataError, match="^50/50 sampled"):
+        build_database(hopeless, n=300, contingencies=[5], seed=1, splits=(300, 0, 0))
+    assert rows == [300] + [1] * 49
+
+
+ALL_LINES = [ln.id for ln in six_bus().lines]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 101])
+def test_a_pool_begins_with_the_smaller_pool_of_the_same_seed(seed):
+    full = build_database(six_bus(), n=40, contingencies=ALL_LINES, seed=seed, splits=(40, 0, 0))
+    for k in (0, 1, 7):
+        part = build_database(six_bus(), n=k, contingencies=ALL_LINES, seed=seed, splits=(k, 0, 0))
+        assert part.features_matrix().shape == (k, 23)
+        assert np.array_equal(part.features_matrix(), full.features_matrix()[:k])
+        assert all(np.array_equal(part.labels[c], full.labels[c][:k]) for c in ALL_LINES)
+
+
+def test_the_build_solves_single_lps_and_records_only_inside_them(monkeypatch):
+    """What bench/tracing.py counts: ``grid.solve_lp`` calls, with 1-D right-hand sides; no recording outside them."""
+    solve_lp, record = grid.solve_lp, simplex._Tableau.record
+    signature = inspect.signature(simplex.solve_lp)
+    depth, posed = [0], []
+
+    def counting_solve_lp(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        posed.append((np.ndim(bound.get("b_eq")), np.ndim(bound.get("b_ub"))))
+        depth[0] += 1
+        try:
+            return solve_lp(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def checked_record(self, *args, **kwargs):
+        assert depth[0] == 1, "a pivot path was recorded outside solve_lp"
+        return record(self, *args, **kwargs)
+
+    monkeypatch.setattr(grid, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(simplex._Tableau, "record", checked_record)
+    build_database(six_bus(), n=60, contingencies=ALL_LINES, seed=1, splits=(60, 0, 0))
+    assert posed and set(posed) == {(1, 1)}
+
+
+def dispatch_one_at_a_time(g, n, seed):
+    """Load triples and dispatch as the build made them before it went in rounds, one condition at a time."""
+    chol = _copula_cholesky(LOAD_CORRELATION, 3)
+    triples, outputs = [], []
+    attempts = rejects = 0
+    for i in range(n):
+        for attempt in range(1000):
+            attempts += 1
+            triple = _draw_loads(seed, [(i, attempt)], chol)[0]
+            dispatch = grid.solve_dcopf(g, scenario_gen.bus_loads(g, triple))
+            if dispatch.optimal:
+                break
+            rejects += 1
+            if attempts >= 50 and rejects > 0.5 * attempts:
+                raise DataError(f"{rejects}/{attempts} sampled conditions are pre-fault infeasible")
+        else:
+            raise DataError(f"condition {i}: no feasible dispatch in 1000 attempts")
+        triples.append(triple)
+        outputs.append(dispatch.x)
+    return np.array(triples).reshape(n, 3), np.array(outputs).reshape(n, 3)
+
+
+def scripted_dcopf(p_infeasible, p_failing, never=frozenset()):
+    """A `solve_dcopf` whose outcome for a row of loads is a function of its bits.
+
+    A row is infeasible with probability ``p_infeasible``, or if its bytes
+    are in ``never``, and raises with probability ``p_failing``; otherwise
+    one unit covers the load.  A batch gives one outcome per row, with a
+    failing row's error in its place, as `grid.solve_dcopf` does.
+    """
+    def solve(g, loads):
+        loads = np.asarray(loads, dtype=float)
+        if loads.ndim == 2:
+            outcomes = []
+            for row in loads:
+                try:
+                    outcomes.append(solve(g, row))
+                except ValueError as exc:
+                    outcomes.append(exc)
+            return outcomes
+        u = int.from_bytes(hashlib.blake2b(loads.tobytes(), digest_size=8).digest()) / 2**64
+        if u < p_infeasible or loads.tobytes() in never:
+            return LPResult("infeasible", None, None)
+        if u < p_infeasible + p_failing:
+            raise ValueError(f"row failed at u={u!r}")
+        return LPResult("optimal", np.array([loads.sum(), 0.0, 0.0]), 0.0)
+
+    return solve
+
+
+def assert_builds_like_one_at_a_time(n, seed):
+    try:
+        expected = dispatch_one_at_a_time(six_bus(), n, seed)
+    except (DataError, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            build_database(six_bus(), n=n, contingencies=[5], seed=seed, splits=(n, 0, 0))
+        return str(exc)
+    db = build_database(six_bus(), n=n, contingencies=[5], seed=seed, splits=(n, 0, 0))
+    assert np.array_equal(db.conditions.loads, expected[0])
+    assert np.array_equal(db.conditions.generation, expected[1])
+    return None
+
+
+# On seeds 0-2 these build, stall after 50-65 attempts, or raise a row's error, each at least once.
+@pytest.mark.parametrize("p_infeasible, p_failing", [(0.3, 0.0), (0.55, 0.0), (0.2, 0.04), (0.45, 0.01),
+                                                     (0.48, 0.0), (0.52, 0.002)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rounds_raise_what_a_one_at_a_time_build_raises(monkeypatch, p_infeasible, p_failing, seed):
+    """The stall, a row's LP error or the pool, each as the build made it before it went in rounds."""
+    monkeypatch.setattr(grid, "solve_dcopf", scripted_dcopf(p_infeasible, p_failing))
+    assert_builds_like_one_at_a_time(80, seed)
+
+
+@pytest.mark.parametrize("failures", [999, 1000])
+def test_a_condition_has_1000_attempts(monkeypatch, failures):
+    n = 1100  # enough feasible conditions before it that the stall never triggers
+    chol = _copula_cholesky(LOAD_CORRELATION, 3)
+    hopeless = scenario_gen.bus_loads(six_bus(), _draw_loads(7, [(n - 2, a) for a in range(failures)], chol))
+    monkeypatch.setattr(grid, "solve_dcopf", scripted_dcopf(0.0, 0.0, {row.tobytes() for row in hopeless}))
+    error = assert_builds_like_one_at_a_time(n, 7)
+    assert error == (f"condition {n - 2}: no feasible dispatch in 1000 attempts" if failures == 1000 else None)
 
 
 # -- dataset.csv ----------------------------------------------------------

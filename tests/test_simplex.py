@@ -539,8 +539,8 @@ def lp_example(cost, a_ub, b_ub, lower, upper, a_eq=(), b_eq=()):
         (cost, n), (a_eq, (-1, n)), (b_eq, -1), (a_ub, (-1, n)), (b_ub, -1), (lower, n), (upper, n)])
 
 
-# The three bit-for-bit properties run tier-1's budget, or more under
-# ``--hypothesis-profile simplex-reference`` (tests/conftest.py).
+# These three bit-for-bit properties, and the batch ones below, run tier-1's
+# budget, or more under ``--hypothesis-profile simplex-reference`` (tests/conftest.py).
 @settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(random_lps())
 # Zero and -0.0 right-hand sides, with a -0.0 lower bound on the variable basic at zero.
@@ -655,3 +655,214 @@ def six_bus_lps(draw):
 def test_matches_the_reference_simplex_bit_for_bit_on_six_bus_lps(lp):
     args, kwargs = lp
     assert_matches_the_reference(*args, **kwargs)
+
+
+# -- batches -------------------------------------------------------------------
+
+@st.composite
+def lp_batches(draw):
+    """One cost, constraint matrix and bound vectors, with 1-300 members that differ in ``b_eq`` and ``b_ub``.
+
+    As in ``lp_families``, half the batches are small integers (ties and
+    degenerate vertices, and -0.0) and the rest general floats.  Members
+    are drawn around points in the box by a generator the draw seeds; some
+    are offset off their point (infeasible members, or signs that negate a
+    row for some members only), and infinite upper bounds make some
+    unbounded.  ``warm`` members are solved alone through the memo before
+    the batch, so that the rest find some branches recorded and reach
+    others the memo lacks.
+    """
+    integers = draw(st.booleans())
+    if integers:
+        values = st.integers(-3, 3).map(float) | st.just(-0.0)
+    else:
+        values = st.floats(-50, 50, allow_nan=False, allow_subnormal=False)
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    n = draw(st.integers(1, 4))
+    n_eq, n_ub = draw(st.integers(0, 2)), draw(st.integers(0, 5))
+    cost, a_eq, a_ub = array(n), array(n_eq, n), array(n_ub, n)
+    lower = array(n)
+    upper = lower + np.abs(array(n))
+    upper[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = np.inf
+    size = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.0, 1.0, 5.0]))
+    points = lower + rng.uniform(0.0, 4.0, (size, n))
+    offsets = rng.normal(0.0, spread, (size, n_eq + n_ub)) * (rng.random((size, 1)) < 0.3)
+    b = np.hstack([points @ a_eq.T, points @ a_ub.T]) + offsets
+    if integers:
+        b = np.rint(b) * np.where(rng.random(b.shape) < 0.1, 0.0, 1.0)  # ties, and 0.0 or -0.0 entries
+    return cost, a_eq, b[:, :n_eq], a_ub, b[:, n_eq:], lower, upper, draw(st.integers(0, size))
+
+
+def solve_alone(solve):
+    try:
+        return solve()
+    except (ValueError, RuntimeError, UnboundedLP) as exc:
+        return exc
+
+
+def assert_same_outcome(res, ref):
+    """Bit for bit in status, ``x`` and ``objective``, or the same exception type and message."""
+    if isinstance(ref, Exception):
+        assert type(res) is type(ref) and str(res) == str(ref)
+        return
+    assert isinstance(res, LPResult) and res.status == ref.status
+    assert (res.x is None) == (ref.x is None)
+    if ref.optimal:
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert np.float64(res.objective).tobytes() == np.float64(ref.objective).tobytes()
+
+
+def assert_batch_matches_solve_lp(cost, a_eq, b_eq, a_ub, b_ub, lower, upper, warm=0):
+    """Each member of ``solve_batch`` is ``solve_lp`` alone, and only the ``solve_lp`` calls it makes record."""
+    paths = {}
+
+    def member(j, memo):
+        row = lambda b: None if b is None else b[j]  # noqa: E731
+        return lambda: solve_lp(cost, a_eq, row(b_eq), a_ub, row(b_ub), lower, upper, paths=memo)
+
+    for j in range(warm):
+        solve_alone(member(j, paths))
+    solving, record = [False], simplex._Tableau.record
+
+    def solve(*args, **kwargs):
+        solving[0] = True
+        try:
+            return solve_lp(*args, **kwargs)
+        finally:
+            solving[0] = False
+
+    def checked_record(self, *args, **kwargs):
+        assert solving[0], "a pivot path was recorded outside solve_lp"
+        return record(self, *args, **kwargs)
+
+    with mock.patch.object(simplex._Tableau, "record", checked_record):
+        outcomes = simplex.solve_batch(cost, a_eq, b_eq, a_ub, b_ub, lower, upper, paths=paths, solve=solve)
+    alone = {}  # a memo apart from the batch's; a memo changes no result (test_lp_family_replay_...)
+    for j, outcome in enumerate(outcomes):
+        assert_same_outcome(outcome, solve_alone(member(j, alone)))
+
+
+def batch_example(cost, a_ub, b_ub, lower, upper, a_eq=(), b_eq=None, warm=0):
+    """One ``lp_batches`` draw, written out: ``b_ub`` (and ``b_eq``) hold one row per member."""
+    n = len(cost)
+    b_ub = np.array(b_ub, dtype=float).reshape(len(b_ub), -1)
+    b_eq = np.zeros((len(b_ub), 0)) if b_eq is None else np.array(b_eq, dtype=float).reshape(len(b_ub), -1)
+    return (np.array(cost, dtype=float), np.array(a_eq, dtype=float).reshape(-1, n), b_eq,
+            np.array(a_ub, dtype=float).reshape(-1, n), b_ub, np.array(lower, dtype=float),
+            np.array(upper, dtype=float), warm)
+
+
+# CI reruns the batch properties with the three above (``-k bit_for_bit``) and
+# with the ``reference`` ones (``-m reference``).
+@pytest.mark.reference
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(lp_batches())
+# Row 0 negated for some members only, a -0.0 right-hand side, an infeasible and an unbounded member,
+# five of a kind (the array walk) and, warm, a recorded member beside ones that reach branches it lacks.
+@example(batch_example([-1.0, 1.0], [[-1.0, -1.0], [1.0, 0.0]], [[-2.0, 3.0], [2.0, 3.0], [-0.0, -0.0], [-6.0, 1.0],
+                                                                 [2.0, 3.0], [2.0, 3.0], [2.0, 3.0], [2.0, 3.0]],
+                       [0.0, 0.0], [np.inf, 4.0]))
+@example(batch_example([-1.0, 0.0], [[0.0, 1.0], [-1.0, -1.0]], [[1.0, 0.0], [-1.0, 0.0], [1.0, -2.0], [1.0, 0.0],
+                                                                 [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                       [0.0, 0.0], [np.inf, np.inf], warm=1))
+def test_solve_batch_matches_solve_lp_bit_for_bit(batch):
+    assert_batch_matches_solve_lp(*batch)
+
+
+SPIKES = [1.7e308, -1.7e308, 1e300, -1e300, 1e-300, -1e-300, -0.0]
+
+
+@pytest.mark.reference
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(lp_batches(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.01, 0.2]))
+def test_array_walk_matches_solve_lp_bit_for_bit(batch, seed, p_spike):
+    """With every group in the array walk, even of one member, each member is ``solve_lp`` alone.
+
+    Some right-hand-side entries are huge or tiny, so that some members
+    overflow part way down a path or meet non-finite ratios.
+    """
+    cost, a_eq, b_eq, a_ub, b_ub, lower, upper, warm = batch
+    rng = np.random.default_rng(seed)
+    for b in (b_eq, b_ub):
+        spiked = rng.random(b.shape) < p_spike
+        b[spiked] = rng.choice(SPIKES, spiked.sum())
+    with np.errstate(all="ignore"), mock.patch.object(simplex, "_SCALAR_BELOW", 1):  # huge entries overflow
+        assert_batch_matches_solve_lp(cost, a_eq, b_eq, a_ub, b_ub, lower, upper, warm)
+
+
+def assert_starts_as_its_rows(b):
+    """``_start`` of rows ``b`` has each row's own bits: the phase-1 entry is a pairwise sum, a row's as a vector's."""
+    neg, rhs = simplex._start(b)
+    for j, row in enumerate(b):
+        neg_j, rhs_j = simplex._start(row)
+        assert np.array_equal(neg[j], neg_j) and rhs[j].tobytes() == rhs_j.tobytes()
+
+
+@settings(max_examples=200, deadline=None)  # also under the 5000-example profile: a cheap start, not a walk
+@given(st.integers(1, 40).flatmap(lambda m: st.lists(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False) | st.just(-0.0), min_size=m, max_size=m),
+    min_size=1, max_size=30)))
+def test_a_batch_starts_from_solve_lps_right_hand_sides_bit_for_bit(b):
+    assert_starts_as_its_rows(np.array(b))
+
+
+def test_a_dcopf_batch_starts_from_solve_lps_right_hand_sides_bit_for_bit():
+    """26 rows (balance, 2 x 11 flow limits, 3 upper bounds), past the pairwise sum's unrolled block."""
+    net = six_bus()
+    loads = bus_loads(net, np.random.default_rng(8).uniform(*LOAD_RANGE, (300, len(LOAD_BUSES))))
+    b_eq, b_ub = grid._dispatch_rhs(net, net.topology(None), loads)
+    *_, prepared = simplex._shared_data(net.cost, net._balance, net.topology(None).a_ub, net.p_min, net.p_max, {})
+    b = np.hstack([b_eq, b_ub, np.broadcast_to(net.p_max, (len(loads), 3))]) - np.vecdot(prepared.a, net.p_min)
+    assert b.shape == (300, 26)
+    assert_starts_as_its_rows(b)
+
+
+def test_batch_members_at_the_feasibility_tolerance_pass_the_verdict_as_solve_lp_does():
+    """Phase 1 ends with an artificial sum of exactly ``FEAS_TOL`` for the first member: feasible, as alone."""
+    b_eq = np.array([[FEAS_TOL], [2 * FEAS_TOL], [0.0]] * 3)
+    for warm in (0, 1):
+        assert_batch_matches_solve_lp(np.array([1.0]), np.array([[1.0]]), b_eq, None, None, [0.0], [0.0], warm=warm)
+    assert solve_lp([1.0], [[1.0]], [FEAS_TOL], lower=[0.0], upper=[0.0]).optimal
+
+
+def test_batch_members_that_overflow_fail_as_solve_lp_does():
+    """Members whose objective entry overflows, and a family whose shared columns do, fail as alone, in both walks."""
+    with np.errstate(over="ignore"):
+        for size in (1, 2 * simplex._SCALAR_BELOW):  # the member-by-member walk and the array walk
+            b_eq = np.array([[1e10], [1.0]] * size)
+            assert_batch_matches_solve_lp(np.array([1e300]), np.array([[1.0]]), b_eq, None, None, None, None)
+            assert_batch_matches_solve_lp(np.array([1e300]), np.array([[1.0]]), b_eq, None, None, None, None,
+                                          warm=1)
+        with np.errstate(invalid="ignore"):
+            tableau = np.array([[1e-5, 1e305]])  # shared columns that overflow
+            assert_batch_matches_solve_lp(np.array([1.0, 1.0]), tableau, np.ones((6, 1)), None, None, None, None,
+                                          warm=2)
+
+
+def test_batch_members_reach_the_iteration_limit_as_solve_lp_does(monkeypatch):
+    """At ``_MAX_ITER`` (patched small) each member raises, part way down a path and in a run of shortcuts."""
+    net = six_bus()
+    loads = bus_loads(net, np.random.default_rng(4).uniform(*LOAD_RANGE, (12, len(LOAD_BUSES))))
+    b_eq, b_ub = grid._dispatch_rhs(net, net.topology(None), loads)
+    lp = (net.cost, net._balance, b_eq, net.topology(None).a_ub, b_ub, net.p_min, net.p_max)
+    for limit in (1, 2, 5, 9, 20):
+        monkeypatch.setattr(simplex, "_MAX_ITER", limit)
+        for warm in (0, 3):
+            assert_batch_matches_solve_lp(*lp, warm=warm)
+
+
+def test_a_batch_with_no_members_or_shared_bounds_that_fail():
+    assert simplex.solve_batch([1.0], b_ub=np.zeros((0, 1)), a_ub=[[1.0]], paths={}) == []
+    with pytest.raises(ValueError, match="lower bounds must be finite"):
+        simplex.solve_batch([1.0], a_ub=[[1.0]], b_ub=[[1.0]], lower=[np.nan], paths={})
+    with pytest.raises(ValueError, match="one row per member"):
+        simplex.solve_batch([1.0], a_ub=[[1.0]], b_ub=[1.0], paths={})
+    outcomes = simplex.solve_batch([1.0], a_ub=[[1.0]], b_ub=[[1.0], [np.inf]], lower=[1.0], upper=[0.0], paths={})
+    assert outcomes[0] == LPResult("infeasible", None, None)
+    assert str(outcomes[1]) == "cost and constraints must be finite"

@@ -194,6 +194,15 @@ def _load_condition_probs(path, n):
 def _cmd_triage(args) -> int:
     db = load_database(args.data)
     grid = _grid_from_args(args)
+    test = db.conditions[db.split_indices("test")]
+    if not len(test):
+        raise DataError(f"{args.data} has no test conditions to triage")
+    loads = bus_loads(grid, test.loads)
+    for group, columns, count, what in (("gen", test.generation, len(grid.generators), "generators"),
+                                        ("angle", test.angles, grid.n_buses, "buses"),
+                                        ("flow", test.flows, len(grid.lines), "lines")):
+        if columns.shape[1] != count:  # the oracle reads the dataset's dispatch on the network
+            raise ConfigError(f"{args.data} has {columns.shape[1]} {group} columns, but the network has {count} {what}")
     params = load_contingency_params(args.contingencies_file)
     models, paths = {}, {}
     for path in args.models.split(","):
@@ -205,10 +214,6 @@ def _cmd_triage(args) -> int:
     if missing:
         raise ConfigError(f"no model supplied for contingencies {missing}")
 
-    test = db.conditions[db.split_indices("test")]
-    if not len(test):
-        raise DataError(f"{args.data} has no test conditions to triage")
-    loads = bus_loads(grid, test.loads)
     for c in params:
         grid.check_line(c)  # an unknown line id is a configuration error, not an oracle failure
     n = len(test)

@@ -23,10 +23,6 @@ class DataError(Exception):
     """Well-formed input whose content cannot be processed."""
 
 
-class IslandedNetwork(DataError):
-    """A line outage (or bad topology) disconnects the network graph."""
-
-
 class UnboundedLP(DataError):
     """The linear program has an unbounded objective (malformed model)."""
 

@@ -29,7 +29,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DataError, IslandedNetwork, MalformedFile, integer, number, read_json
+from .errors import DataError, MalformedFile, integer, number, read_json
 from .simplex import LPResult, solve_batch, solve_lp
 
 BALANCE_TOL = 1e-6  # MW; residual beyond this is an error, never absorbed
@@ -244,33 +244,25 @@ class GridModel:
         return top
 
 
-def solve_dc_power_flow(grid: GridModel, injection, outaged_line: int | None = None):
-    """Bus angles (rad, slack = 0) and line flows (MW, from->to) for per-bus net injections (MW).
+def solve_dc_power_flow(grid: GridModel, injection):
+    """Bus angles (rad, slack = 0) and line flows (MW, from->to) of the intact network for net injections (MW).
 
     Raises
     ------
-    IslandedNetwork
-        If the outage disconnects the network.
     ValueError
         If the injection vector is the wrong length or does not balance
-        to zero within ``BALANCE_TOL``, or the line id is unknown.
+        to zero within ``BALANCE_TOL``.
     """
     inj = np.asarray(injection, dtype=float)
     if inj.shape != (grid.n_buses,):
         raise ValueError(f"injection must have length {grid.n_buses}")
     if abs(inj.sum()) > BALANCE_TOL:
         raise ValueError(f"injections do not balance (residual {inj.sum():.3e} MW)")
-    top = grid.topology(outaged_line)
-    if top.islanded:
-        raise IslandedNetwork(f"outage of line {outaged_line} islands the network")
 
     keep = grid._keep
     angles = np.zeros(grid.n_buses)
-    angles[keep] = top.b_inv @ (inj[keep] / grid.base_mva)
-    live = top.live
-    flows = np.zeros(len(grid.lines))
-    flows[live] = grid.base_mva * (angles[grid._from[live]] - angles[grid._to[live]]) / grid._x[live]
-    return angles, flows
+    angles[keep] = grid.topology().b_inv @ (inj[keep] / grid.base_mva)
+    return angles, grid.base_mva * (angles[grid._from] - angles[grid._to]) / grid._x
 
 
 def _dispatch_rhs(grid, top, loads):
@@ -470,8 +462,9 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int,
     in tests/test_grid.py pins one, whose best vertex violates a row by
     5.2e-10 MW.
 
-    Raises ``ValueError`` if ``corrective_range`` is negative or NaN, or
-    if ``loads`` or ``dispatch`` holds a NaN or an infinity.
+    Raises ``ValueError`` if ``corrective_range`` is negative or NaN, if
+    ``loads`` or ``dispatch`` holds a NaN or an infinity, or if they are
+    not ``n_buses`` and ``G`` wide.
     """
     loads = np.asarray(loads, dtype=float)
     dispatch = np.asarray(dispatch, dtype=float)
@@ -480,10 +473,13 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int,
     for name, values in (("loads", loads), ("dispatch", dispatch)):
         if not np.isfinite(values).all():  # the balance check passes NaN
             raise ValueError(f"{name} must be finite")
-    single = loads.ndim == 1
+    single, shapes = loads.ndim == 1, (loads.shape, dispatch.shape)
     loads, dispatch = np.atleast_2d(loads), np.atleast_2d(dispatch)
     if loads.ndim != 2 or len(loads) != len(dispatch):
         raise ValueError("loads and dispatch must describe the same conditions")
+    if loads.shape[1] != grid.n_buses or dispatch.shape[1] != len(grid.generators):
+        raise ValueError(f"loads of shape {shapes[0]} and dispatch of shape {shapes[1]} do not fit a network of "
+                         f"{grid.n_buses} buses and {len(grid.generators)} generators")
     if np.any(np.abs(dispatch.sum(axis=1) - loads.sum(axis=1)) > BALANCE_TOL):
         raise ValueError("pre-fault condition is not balanced")
     labels = np.zeros(len(loads), dtype=int)

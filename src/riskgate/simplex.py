@@ -84,6 +84,9 @@ iterations; or with the overflow ``ValueError`` where it completes an
 overflowing segment, or its own right-hand side is not finite on any
 exit.  That check is why the replay carries ``rhs[m]``, the negated
 objective: a full tableau whose only non-finite entry is that one raised.
+`solve_lp` owns these edge cases and those of its inputs (non-finite
+data, ``upper < lower``, no constraint rows); a batch hands every member
+that meets one to it.
 
 Prepared records.  The memo is the caller's ``paths`` dict (``grid``
 keeps one per network topology); a call without one starts from an
@@ -101,13 +104,15 @@ Batches.  `solve_batch` solves many LPs of one key that differ only in
 Every recorded step is the same elementwise divide, multiply and
 subtract on a row of it (a run of shortcuts forms its products first,
 then subtracts them in step order), and a group splits at each ratio
-test by leaving row.  Each member keeps its own bits and its own ratio
-test (where one of its ratios is not finite, it takes `solve_lp`'s rule
-as it is), ``FEAS_TOL`` verdict and exit check; the iteration count
-depends only on the path, so a group shares it.  The walk never
-records: where a group reaches a leaving row the tree has no child
-for, one of its members is solved alone with `solve_lp`, which records
-the child as it always does, and the rest go on below it.  So
+test by leaving row.  A member goes along the regular path only: the
+recorded steps, the ``FEAS_TOL`` verdict, a ratio test whose ratios are
+all finite (there numpy's minimum is `solve_lp`'s) and an optimum whose
+right-hand side is finite; the iteration count depends only on the
+path, so a group shares it.  Any other member is solved alone with
+`solve_lp`, whose result or exception is then the member's by
+construction.  The walk never records: where a group reaches a leaving
+row the tree has no child for, its members are solved alone until one
+has recorded the child, and the rest go on below it.  So
 `solve_lp` stays the one place that builds a tableau, and every branch
 is recorded by one LP.  Arrays pay per step: on a known six-bus DC-OPF
 path one member takes about 210 µs in the array walk against about 80
@@ -490,12 +495,14 @@ _SCALAR_BELOW = 4  # a group smaller than this walks member by member, as solve_
 
 
 def _program(node: _Node) -> tuple:
-    """``node``'s steps and ratio test as `_walk` runs them, built on the node's first batch.
+    """``node``'s steps, ratio test and iteration counts as `_walk` runs them, built on the node's first batch.
 
     A run of shortcuts is one step ``(_SHORTCUT, rows, pf, None)``: they
     change only the two cost rows, so every product ``[p, f] * rhs[row]``
     can be formed at once and then subtracted in step order.  Another step
-    is ``(kind, row, p, f)``, with ``f`` a column.
+    is ``(kind, row, p, f)``, with ``f`` a column.  The counts are the
+    iterations before the node's verdict (all of them, without one) and
+    after it (None without one).
     """
     if node.program is None:
         steps = []
@@ -510,38 +517,39 @@ def _program(node: _Node) -> tuple:
         test = None
         if node.children is not None:
             test = np.array(node.rows, dtype=np.intp), np.array(node.col)[:, None], np.array(node.labels)[:, None]
-        node.program = steps, test
+        counted = [step[0] for step in node.steps if step[0] != _DRIVE_OUT]
+        verdict = counted.index(_VERDICT) if _VERDICT in counted else None
+        counts = (len(counted), None) if verdict is None else (verdict, len(counted) - verdict - 1)
+        node.program = steps, test, counts
     return node.program
 
 
-def _end(out, idx, rhs, outcome) -> None:
-    """Members ``idx`` end with ``outcome()``, or the overflow error where their right-hand side is not finite."""
-    for j, finite in zip(idx.tolist(), np.isfinite(rhs).all(axis=0).tolist()):
-        out[j] = outcome() if finite else _overflowed()
-
-
 def _follow_member(node: _Node, rhs: list, iterations: int, optimal):
-    """A member's outcome down the tree from the start of ``node``, by `_follow`; None at a branch the tree lacks."""
+    """A member's outcome down the tree from the start of ``node``, by `_follow`; None off the regular path."""
     try:
         node, rhs, _, r = _follow(node, rhs, iterations)
-    except (ValueError, RuntimeError, UnboundedLP) as exc:
-        return exc
+    except (ValueError, RuntimeError, UnboundedLP):
+        return None
     if node is None:
         return _infeasible()
     return None if r is not None else optimal(node.basis, rhs)
 
 
 def _walk(node: _Node, idx, rhs, iterations: int, out: list, optimal, alone) -> None:
-    """Carry members ``idx`` down the tree from the start of ``node``.
+    """Carry members ``idx`` down the tree from the start of ``node``, along the regular path only.
 
     Column ``j`` of ``rhs`` is member ``idx[j]``'s right-hand side.  Each
     step is `solve_lp`'s, on a row of ``rhs`` instead of a float; each
-    member's outcome goes to ``out[member]``, ``optimal(basis, rhs)`` at
-    the optimum.  A group under ``_SCALAR_BELOW`` goes on member by member
-    with `_follow`.  Where a group, or such a member, reaches a leaving row
-    the tree has no child for, ``alone(member)`` solves its first member
-    with `solve_lp`, which records the child, and the rest go on below it.
-    Call under ``np.errstate(all="ignore")``.
+    member's outcome goes to ``out[member]``: `_infeasible` at the verdict
+    or ``optimal(basis, rhs)`` at the optimum, where its right-hand side
+    is finite.  A group under ``_SCALAR_BELOW`` goes on member by member
+    with `_follow`.  Every other member is solved by ``alone(member)``
+    (`solve_lp`): a whole group at an overflowing node, where it would
+    reach ``_MAX_ITER`` or at a ratio test with no rows; a member whose
+    ratios are not all finite, or whose right-hand side is not finite
+    where it would end; and, at a leaving row the tree has no child for,
+    members one by one until a solve has recorded the child, the rest
+    going on below it.  Call under ``np.errstate(all="ignore")``.
     """
     m = len(rhs) - 2
     work = [(node, idx, rhs, iterations)]
@@ -552,87 +560,64 @@ def _walk(node: _Node, idx, rhs, iterations: int, out: list, optimal, alone) -> 
                 outcome = _follow_member(node, column, iterations, optimal)
                 out[j] = alone(j) if outcome is None else outcome
             continue
-        steps, test = node.program or _program(node)
-        outcome = _overflowed if node.overflows else None
+        steps, test, (before, after) = node.program or _program(node)
+        # The iteration count depends only on the path, so the limit is the whole group's.
+        ended = iterations + before if after is None else after
+        if node.overflows or max(iterations + before, ended) >= _MAX_ITER:
+            for j in idx.tolist():
+                out[j] = alone(j)
+            continue
         for kind, r, p, f in steps:
             if kind == _SHORTCUT:
-                runs = min(len(r), _MAX_ITER - iterations)
-                if runs == 1:
+                if len(r) == 1:
                     cost = rhs[m:]
                     cost -= p[0] * rhs[r[0]]
                 else:  # the products at once, then subtracted in step order, as solve_lp does
-                    products = np.empty((runs + 1, 2, len(idx)))
+                    products = np.empty((len(r) + 1, 2, len(idx)))
                     products[0] = rhs[m:]
-                    np.multiply(p[:runs], rhs[r[:runs], None], out=products[1:])
+                    np.multiply(p, rhs[r, None], out=products[1:])
                     np.subtract.reduce(products, axis=0, out=rhs[m:])
-                iterations += runs
             elif kind == _VERDICT:
                 infeasible = -rhs[m + 1] > FEAS_TOL
                 if infeasible.any():
-                    _end(out, idx[infeasible], rhs[:, infeasible], _infeasible)
+                    finite = np.isfinite(rhs).all(axis=0)
+                    for j, ok in zip(idx[infeasible].tolist(), finite[infeasible].tolist()):
+                        out[j] = _infeasible() if ok else alone(j)
                     idx, rhs = idx[~infeasible], rhs[:, ~infeasible]
-                iterations = 0
-                continue
             else:
                 row = rhs[r]
                 row /= p
                 rhs -= f * row
-                if kind == _DRIVE_OUT:
-                    continue
-                iterations += 1
-            if iterations == _MAX_ITER:
-                outcome = _iteration_limit
-                break
         if not idx.size:
-            continue
-        if outcome is not None:
-            _end(out, idx, rhs, outcome)
             continue
         if test is None:  # the optimum
             for j, column in zip(idx.tolist(), rhs.T.tolist()):
-                out[j] = optimal(node.basis, column) if all(map(math.isfinite, column)) else _overflowed()
+                out[j] = optimal(node.basis, column) if all(map(math.isfinite, column)) else alone(j)
             continue
-        # The ratio test.  Where a member's ratios are all finite, solve_lp's NaN rule
-        # holds and its minimum is the plain one; elsewhere it runs as solve_lp's.
+        # The ratio test.  Where a member has ratios and all are finite, solve_lp's
+        # NaN rule holds and its minimum is the plain one.
         rows, col, labels = test
-        if not rows.size:
-            _end(out, idx, rhs, _unbounded)
-            continue
         ratios = rhs[rows] / col
-        tied = ratios <= ratios.min(axis=0) + PIVOT_TOL
-        leave = rows[np.where(tied, labels, _NO_LABEL).argmin(axis=0)]
-        regular = np.isfinite(ratios).all(axis=0)
+        regular = np.isfinite(ratios).all(axis=0) & bool(rows.size)
         if not regular.all():
-            for j in np.flatnonzero(~regular).tolist():
-                q = ratios[:, j].tolist()
-                best = min(q)
-                leave[j] = -1  # unbounded
-                if math.isfinite(best) and not math.isnan(sum(q)):
-                    leave[j] = min((label, i) for qi, label, i in zip(q, node.labels, node.rows)
-                                   if qi <= best + PIVOT_TOL)[1]
-            unbounded = leave < 0
-            _end(out, idx[unbounded], rhs[:, unbounded], _unbounded)
-            idx, rhs, leave = idx[~unbounded], rhs[:, ~unbounded], leave[~unbounded]
+            for j in idx[~regular].tolist():
+                out[j] = alone(j)
+            idx, rhs, ratios = idx[regular], rhs[:, regular], ratios[:, regular]
             if not idx.size:
                 continue
+        tied = ratios <= ratios.min(axis=0) + PIVOT_TOL
+        leave = rows[np.where(tied, labels, _NO_LABEL).argmin(axis=0)]
         if (leave == leave[0]).all():
             branches = [(int(leave[0]), slice(None))]
         else:
             branches = [(r, leave == r) for r in np.unique(leave).tolist()]
         for r, sel in branches:
             child, members, columns = node.children.get(r), idx[sel], rhs[:, sel]
-            if child is None:
-                # A member whose right-hand side is not finite can only end so.
-                finite = np.isfinite(columns).all(axis=0)
-                if not finite.all():
-                    for j in members[~finite].tolist():
-                        out[j] = _overflowed()
-                    members, columns = members[finite], columns[:, finite]
-                if not members.size:
-                    continue
-                out[members[0]] = alone(int(members[0]))  # its path is the group's, so it records the child
-                child, members, columns = node.children[r], members[1:], columns[:, 1:]
-            work.append((child, members, columns, iterations))
+            while child is None and members.size:  # its path is the group's, so its solve records the child
+                out[members[0]] = alone(int(members[0]))
+                child, members, columns = node.children.get(r), members[1:], columns[:, 1:]
+            if members.size:
+                work.append((child, members, columns, ended))
 
 
 def solve_batch(
@@ -657,9 +642,12 @@ def solve_batch(
 
     Returns one outcome per member: the `LPResult` `solve_lp` returns for
     that member alone, with its bits, or, in its place, the exception it
-    raises.  Raises only what `solve_lp` raises for the shared bounds, or
-    ValueError if ``b_eq`` and ``b_ub`` are not 2-D with one row per
-    member.  The batch, with the members it solves alone, runs under
+    raises.  A member off the regular path is solved alone: one whose
+    ``b`` is not finite, every member where the shared data are not
+    finite, ``upper < lower`` or there are no constraint rows, and those
+    `_walk` hands over.  Raises only what `solve_lp` raises for the shared
+    bounds, or ValueError if ``b_eq`` and ``b_ub`` are not 2-D with one row
+    per member.  The batch, with the members it solves alone, runs under
     ``np.errstate(all="ignore")``, so it never warns.
     """
     c, lo, hi, bounded, prepared = _shared_data(cost, a_eq, a_ub, lower, upper, paths)
@@ -669,24 +657,12 @@ def solve_batch(
         raise ValueError("b_eq and b_ub must have one row per member, and one of them must be given")
     members = len(given[0])
     b = np.hstack(given + [np.broadcast_to(hi[bounded], (members, int(bounded.sum())))])
-    out = [None] * members
-    failed = ~np.isfinite(b).all(axis=1) if prepared.finite else np.ones(members, dtype=bool)
-    for j in np.flatnonzero(failed).tolist():
-        out[j] = ValueError("cost and constraints must be finite")
-    live = np.flatnonzero(~failed)
-    if (hi < lo).any():
-        for j in live.tolist():
-            out[j] = _infeasible()
-        return out
     a, n_eq = prepared.a, prepared.n_eq
-    b = b[live] - np.vecdot(a, lo)  # one dot per row, as a row @ lo
-
     n, m = c.size, len(a)
-    if m == 0:
-        for j in live.tolist():
-            out[j] = (UnboundedLP("no constraints and a negative cost coefficient") if np.any(c < -PIVOT_TOL)
-                      else LPResult("optimal", lo.copy(), float(c @ lo)))
-        return out
+    solvable = prepared.finite and not (hi < lo).any() and m > 0
+    regular = np.isfinite(b).all(axis=1) & solvable
+    live = np.flatnonzero(regular)
+    out = [None] * members
 
     def alone(j):
         row = lambda v: None if v is None else v[j]  # noqa: E731
@@ -695,13 +671,15 @@ def solve_batch(
         except (ValueError, RuntimeError, UnboundedLP) as exc:
             return exc
 
-    # Each member's right-hand side, grouped by sign pattern as columns.
-    neg, rhs = _start(b)
-    groups = {}
-    for row, sign in enumerate(map(np.ndarray.tobytes, neg)):
-        groups.setdefault(sign, []).append(row)
     optimal = partial(_optimal, c, lo, n + m - n_eq)
     with np.errstate(all="ignore"):
+        for j in np.flatnonzero(~regular).tolist():
+            out[j] = alone(j)
+        # Each member's right-hand side, grouped by sign pattern as columns.
+        neg, rhs = _start(b[live] - np.vecdot(a, lo))  # one dot per row, as a row @ lo
+        groups = {}
+        for row, sign in enumerate(map(np.ndarray.tobytes, neg)):
+            groups.setdefault(sign, []).append(row)
         for sign, rows in groups.items():
             if sign not in prepared.families:  # the first member's solve starts the family's tree
                 out[live[rows[0]]] = alone(int(live[rows[0]]))

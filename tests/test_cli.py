@@ -435,6 +435,9 @@ def not_utf8(dataset, trained, tmp_path_factory):
     (["generate", "--n", "7", "--splits", "5,1,1", "--contingencies", ""], 2, "no contingencies to label"),
     (["generate", "--n", "7", "--splits", "5,1,1", "--contingencies", "3", "--network", "{two_lines_3}"],
      2, "duplicate line ids"),
+    *[(["triage", "--data", "{data}", "--models", "{models}", "--contingencies-file", "{contingencies}",
+        "--budget", "12", "--network", "{%s}" % name], 2, "{data} has 3 gen columns, but the network has %d generators"
+       % count) for name, count in [("two_generators", 2), ("four_generators", 4)]],
     (["experiment", "calibration", "--config", "{string_rounds}"],
      2, "string_rounds.json: bad config field: rounds must be an integer, got '6'"),
     (["experiment", "sensitivity", "--config", "{negative_alpha}"],
@@ -494,7 +497,8 @@ def not_utf8(dataset, trained, tmp_path_factory):
         "short-weights", "null-contingency", "bool-contingency", "string-contingency", "nan-calibration",
         "nan-weights", "negative-weights", "fractional-feature", "inf-threshold", "nan-leaf", "leaf-above-one", "string-weight", "bool-threshold", "string-leaf", "string-calibration",
         "triage-two-models-of-a-line", "triage-line-listed-twice", "generate-no-contingencies",
-        "generate-duplicate-line-ids", "config-string-rounds", "config-negative-alpha", "triage-unknown-line",
+        "generate-duplicate-line-ids", "triage-two-generator-network", "triage-four-generator-network",
+        "config-string-rounds", "config-negative-alpha", "triage-unknown-line",
         "triage-unbalanced-condition",
         "triage-nan-feature", "evaluate-nan-feature", "train-inf-feature", "train-id-past-int64",
         "triage-id-past-int64", "train-data-directory",
@@ -520,11 +524,17 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unba
     network["lines"].append(dict(network["lines"][3], id=3))  # a second line 3, in parallel with line 4
     two_lines_3 = tmp_path / "two_lines_3.json"
     two_lines_3.write_text(json.dumps(network))
+    network = grid_to_dict(six_bus())
+    generators = {"two_generators": network["generators"][:2],
+                  "four_generators": network["generators"] + [dict(network["generators"][0], id=4, bus=4)]}
+    for name, listed in generators.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(network, generators=listed)))
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
     fields = {"data": dataset, "no_test_split": no_test_split, "unbalanced": unbalanced, "string_rounds": string_rounds,
               "negative_alpha": negative_alpha,
               "lines_6_12": lines_6_12, "lines_6_6": lines_6_6, "two_lines_3": two_lines_3, "a_dir": a_dir,
+              **{name: tmp_path / f"{name}.json" for name in generators},
               "repeated_label": repeated_label, **trained, **bad_fields, **bad_models, **bad_inputs, **not_utf8}
     argv = [arg.format(**fields) for arg in argv]
     assert main(argv if "--out" in argv else argv + ["--out", str(out)]) == code

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskgate import grid as grid_mod
-from riskgate.errors import DataError, IslandedNetwork, MalformedFile
+from riskgate.errors import DataError, MalformedFile
 from riskgate.grid import (
     _ALWAYS_SCORED_SIN,
     _PARALLEL_TOL,
@@ -107,7 +108,7 @@ def test_unknown_outage_rejected():
     with pytest.raises(ValueError):
         six_bus().topology(99)
     with pytest.raises(ValueError):
-        solve_dc_power_flow(six_bus(), np.zeros(6), outaged_line=99)
+        post_outage_flow(six_bus(), np.zeros(6), 99)
 
 
 def test_outage_arrays_are_derived_once_on_first_use(monkeypatch):
@@ -225,6 +226,18 @@ def _power_flow(grid, inj, outaged_line):
     return angles, flows
 
 
+def post_outage_flow(grid, inj, outage):
+    """Bus angles and line flows (MW) with line ``outage`` out, from its `Topology` (``b_inv``, ``live``)."""
+    top = grid.topology(outage)
+    inj = np.asarray(inj, dtype=float)
+    angles = np.zeros(grid.n_buses)
+    angles[grid._keep] = top.b_inv @ (inj[grid._keep] / grid.base_mva)
+    flows = np.zeros(len(grid.lines))
+    live = top.live
+    flows[live] = grid.base_mva * (angles[grid._from[live]] - angles[grid._to[live]]) / grid._x[live]
+    return angles, flows
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -237,14 +250,12 @@ def check_against_reference(grid, inj):
         top = grid.topology(outage)
         assert top.islanded == (not _connected(grid, outage))
         if top.islanded:
-            with pytest.raises(IslandedNetwork):
-                solve_dc_power_flow(grid, inj, outaged_line=outage)
             continue
         ptdf = _ptdf(grid, outage)
         assert same_bits(top.b_inv, _reduced_susceptance_inverse(grid, outage))
         assert same_bits(top.ptdf, ptdf)
         assert same_bits(top.a_ub, np.vstack([ptdf @ inc, -(ptdf @ inc)]))
-        angles, flows = solve_dc_power_flow(grid, inj, outaged_line=outage)
+        angles, flows = solve_dc_power_flow(grid, inj) if outage is None else post_outage_flow(grid, inj, outage)
         ref_angles, ref_flows = _power_flow(grid, inj, outage)
         assert same_bits(angles, ref_angles)
         assert same_bits(flows, ref_flows)
@@ -335,9 +346,8 @@ def test_unbalanced_injection_rejected():
         solve_dc_power_flow(two_bus(), [50.0, -49.0])
 
 
-def test_islanding_outage_raises():
-    with pytest.raises(IslandedNetwork):
-        solve_dc_power_flow(two_bus(), [50.0, -50.0], outaged_line=1)
+def test_islanding_outage_is_marked():
+    assert two_bus().topology(1).islanded
 
 
 def test_power_flow_deterministic():
@@ -547,7 +557,7 @@ def test_redispatch_rescues_overload():
         d2 = 100 - d1
         if not (20 <= d2 <= 60):
             continue
-        _, flows = solve_dc_power_flow(g, np.array([d1, d2, -100.0]), outaged_line=1)
+        _, flows = post_outage_flow(g, np.array([d1, d2, -100.0]), 1)
         if np.all(np.abs(flows) <= g.line_limits + 1e-9):
             found = True
             break
@@ -605,6 +615,23 @@ def test_nan_condition_rejected(name, batched):
     if batched:
         condition = {k: v[None] for k, v in condition.items()}
     with pytest.raises(ValueError, match=f"{name} must be finite"):
+        assess_security(g, condition["loads"], condition["dispatch"], 5)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["one-condition", "batch"])
+@pytest.mark.parametrize("name, width", [("dispatch", 2), ("dispatch", 4), ("loads", 5), ("loads", 7)])
+def test_condition_of_the_wrong_width_rejected(name, width, batched):
+    """A dispatch not one entry per generator, or loads not one per bus, is refused with both shapes."""
+    g = six_bus()
+    loads = np.zeros(6)
+    loads[3:] = [120.0, 95.0, 70.0]
+    condition = {"loads": loads, "dispatch": solve_dcopf(g, loads).x}
+    condition[name] = np.resize(condition[name], width)
+    if batched:
+        condition = {k: v[None] for k, v in condition.items()}
+    message = (f"loads of shape {condition['loads'].shape} and dispatch of shape {condition['dispatch'].shape} "
+               "do not fit a network of 6 buses and 3 generators")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         assess_security(g, condition["loads"], condition["dispatch"], 5)
 
 

@@ -226,14 +226,20 @@ def test_a_pool_begins_with_the_smaller_pool_of_the_same_seed(seed):
 
 
 def test_the_build_solves_single_lps_and_records_only_inside_them(monkeypatch):
-    """What bench/tracing.py counts: ``grid.solve_lp`` calls, with 1-D right-hand sides; no recording outside them."""
+    """What bench/tracing.py counts: ``grid.solve_lp`` calls, with 1-D right-hand sides; no recording outside them.
+
+    Each call records at least one path segment, so the batches hand
+    `solve_lp` only members on paths the memo lacks, and a second build
+    of the same pool on the same network makes no call.
+    """
     solve_lp, record = grid.solve_lp, simplex._Tableau.record
     signature = inspect.signature(simplex.solve_lp)
-    depth, posed = [0], []
+    depth, posed, recorded = [0], [], []
 
     def counting_solve_lp(*args, **kwargs):
         bound = signature.bind(*args, **kwargs).arguments
         posed.append((np.ndim(bound.get("b_eq")), np.ndim(bound.get("b_ub"))))
+        recorded.append(0)
         depth[0] += 1
         try:
             return solve_lp(*args, **kwargs)
@@ -242,12 +248,18 @@ def test_the_build_solves_single_lps_and_records_only_inside_them(monkeypatch):
 
     def checked_record(self, *args, **kwargs):
         assert depth[0] == 1, "a pivot path was recorded outside solve_lp"
+        recorded[-1] += 1
         return record(self, *args, **kwargs)
 
     monkeypatch.setattr(grid, "solve_lp", counting_solve_lp)
     monkeypatch.setattr(simplex._Tableau, "record", checked_record)
-    build_database(six_bus(), n=60, contingencies=ALL_LINES, seed=1, splits=(60, 0, 0))
+    net = six_bus()
+    first = build_database(net, n=60, contingencies=ALL_LINES, seed=1, splits=(60, 0, 0))
     assert posed and set(posed) == {(1, 1)}
+    assert min(recorded) >= 1
+    calls = len(posed)
+    assert build_database(net, n=60, contingencies=ALL_LINES, seed=1, splits=(60, 0, 0)) == first
+    assert len(posed) == calls
 
 
 def dispatch_one_at_a_time(g, n, seed):

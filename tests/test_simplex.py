@@ -781,6 +781,10 @@ SPIKES = [1.7e308, -1.7e308, 1e300, -1e300, 1e-300, -1e-300, -0.0]
 @pytest.mark.reference
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(lp_batches(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.01, 0.2]))
+# Members whose b is not finite, and a family whose cost is not: each member as solve_lp refuses it.
+@example(batch_example([1.0, 1.0], [[1.0, 1.0]], [[2.0], [np.inf], [np.nan], [-np.inf], [2.0]],
+                       [0.0, 0.0], [np.inf, np.inf]), 0, 0.0)
+@example(batch_example([1.0, np.nan], [[1.0, 1.0]], [[2.0], [3.0], [1.0]], [0.0, 0.0], [np.inf, 1.0]), 0, 0.0)
 def test_array_walk_matches_solve_lp_bit_for_bit(batch, seed, p_spike):
     """With every group in the array walk, even of one member, each member is ``solve_lp`` alone.
 

@@ -61,12 +61,20 @@ def _nll(a, b, s, t):
 def fit_platt(scores, labels) -> PlattParams:
     """Fit sigmoid parameters by Newton iteration on regularised targets.
 
-    Raises SingleClassCalibration when the calibration set has one class;
-    warns (and returns the best iterate) if the step tolerance is not
-    reached within the iteration budget.
+    Raises ValueError unless the scores are finite and the labels, one
+    per score, are 0 or 1, and SingleClassCalibration when the
+    calibration set has one class; warns (and returns the best iterate)
+    if the step tolerance is not reached within the iteration budget.
     """
     s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    y = np.asarray(labels)
+    if y.shape != s.shape:
+        raise ValueError(f"{y.size} labels for {s.size} scores")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError(f"labels must be 0 or 1, got {y[~np.isin(y, (0, 1))][0].item()!r}")
+    y = y.astype(int)
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
@@ -115,12 +123,14 @@ def calibrated_probability(params: PlattParams | None, score):
 
 
 def brier_score(values, labels, bins: int = 10) -> tuple[float, ReliabilityBins]:
-    """Binned Brier score plus the reliability-diagram data behind it."""
+    """Binned Brier score plus the reliability-diagram data behind it; the values must be finite."""
     v = np.asarray(values, dtype=float)
     y = np.asarray(labels, dtype=int)
     n = len(v)
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
     if n < bins:
         raise DataError(f"{n} examples cannot fill {bins} bins")
     order = np.lexsort((y, v))  # label as tiebreak keeps bins canonical

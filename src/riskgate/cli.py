@@ -124,6 +124,14 @@ def _int_list(text, flag):
         raise ConfigError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
+def _load_database(path, split: str, purpose: str):
+    """The dataset at ``path``; a DataError, naming the file, if its ``split`` split has no conditions."""
+    db = load_database(path)
+    if not len(db.split_indices(split)):
+        raise DataError(f"{path} has no {split} conditions to {purpose}")
+    return db
+
+
 def _cmd_generate(args) -> int:
     splits = tuple(_int_list(args.splits, "--splits"))
     if len(splits) != 3:
@@ -138,7 +146,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    db = load_database(args.data)
+    db = _load_database(args.data, "train", "train on")
     x = db.features_matrix("train")
     y = db.label_vector(args.contingency, "train")
     ens = train_adaboost(x, y, rounds=args.rounds, mode=args.mode, k_folds=args.k_folds)
@@ -148,7 +156,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    db = load_database(args.data)
+    db = _load_database(args.data, "calib", "calibrate on")
     model = load_model(args.model)
     params = fit_platt(model.score(db.features_matrix("calib")), db.label_vector(model.contingency, "calib"))
     if args.reliability:  # every check before the first write: without --out, the model file is the input
@@ -192,11 +200,9 @@ def _load_condition_probs(path, n):
 
 
 def _cmd_triage(args) -> int:
-    db = load_database(args.data)
+    db = _load_database(args.data, "test", "triage")
     grid = _grid_from_args(args)
     test = db.conditions[db.split_indices("test")]
-    if not len(test):
-        raise DataError(f"{args.data} has no test conditions to triage")
     loads = bus_loads(grid, test.loads)
     for group, columns, count, what in (("gen", test.generation, len(grid.generators), "generators"),
                                         ("angle", test.angles, grid.n_buses, "buses"),
@@ -239,7 +245,7 @@ def _cmd_triage(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    db = load_database(args.data)
+    db = _load_database(args.data, "test", "evaluate")
     model = load_model(args.model)
     contingency = model.contingency
     x = db.features_matrix("test")

@@ -125,7 +125,7 @@ class ExperimentConfig:
             raise ValueError("the train split needs at least one condition")
         if self.mode not in MODES:
             raise ValueError(f"unknown boosting mode {self.mode!r}")
-        for name, least in (("rounds", 1), ("k_folds", 2), ("max_tree_depth", 0), ("bins", 1),
+        for name, least in (("seed", 0), ("rounds", 1), ("k_folds", 2), ("max_tree_depth", 0), ("bins", 1),
                             ("repetitions", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")

@@ -30,8 +30,8 @@ PROBABILITY_SUM_TOL = 1e-9  # condition probabilities must sum to 1 within this
 
 def cost_ratio(miss_cost: float, false_alarm_cost: float) -> float:
     """Skew between miss and false-alarm costs, in (0, 1)."""
-    if miss_cost <= 0 or false_alarm_cost <= 0:
-        raise ValueError("costs must be strictly positive")
+    if not (0 < miss_cost < np.inf and 0 < false_alarm_cost < np.inf):  # NaN fails both
+        raise ValueError(f"costs must be strictly positive and finite, got {miss_cost} and {false_alarm_cost}")
     return miss_cost / (miss_cost + false_alarm_cost)
 
 
@@ -45,8 +45,7 @@ class ContingencyParams:
     def __post_init__(self):
         if not 0.0 < self.probability < 1.0:
             raise ValueError("contingency probability must be strictly inside (0, 1)")
-        if self.miss_cost <= 0 or self.false_alarm_cost <= 0:
-            raise ValueError("costs must be strictly positive")
+        cost_ratio(self.miss_cost, self.false_alarm_cost)  # checks the costs
 
     @classmethod
     def from_cost_ratio(cls, contingency: int, probability: float, ratio: float) -> "ContingencyParams":
@@ -113,8 +112,8 @@ def perturb_params(params: ContingencyParams, alpha: float, target: str) -> Cont
     Returns a new object; callers keep the original for truth evaluation.
     The scaled probability is clamped to stay inside (0, 1).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if target not in ("costs", "probabilities", "both"):
         raise ValueError(f"unknown perturbation target {target!r}")
     miss = params.miss_cost * alpha if target in ("costs", "both") else params.miss_cost
@@ -152,6 +151,8 @@ def rank_scenarios(probabilities, condition_probabilities, params_by_contingency
     fully deterministic.
     """
     p_cond = np.asarray(condition_probabilities, dtype=float)
+    if not np.all(p_cond >= 0):  # NaN passes the sum check
+        raise ValueError(f"condition probabilities must be >= 0, got {float(p_cond[~(p_cond >= 0)][0])}")
     if abs(p_cond.sum() - 1.0) > PROBABILITY_SUM_TOL:
         raise ValueError("condition probabilities must sum to 1")
 

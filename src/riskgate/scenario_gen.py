@@ -6,7 +6,9 @@ range, dispatched by DC-OPF, and labeled per contingency by the exact
 security oracle.  Every condition owns an independent RNG stream derived
 from ``(seed, index, attempt)``, so generation is reproducible no matter
 how the work is partitioned, and rejected (pre-fault infeasible) samples
-never perturb the streams of other conditions.  The pool is one
+never perturb the streams of other conditions.  The build takes each
+condition's attempts in condition order; their DC-OPFs are drawn ahead
+in rounds, one `grid.solve_dcopf` call each.  The pool is one
 `Conditions` table: a read-only array per feature group, aligned by row.
 """
 
@@ -187,19 +189,17 @@ def build_database(
     Conditions whose loads admit no feasible pre-fault dispatch are
     resampled from the same per-condition stream (attempt counter bumps),
     keeping the load distribution unbiased within the feasible region.
-    The conditions are dispatched in rounds: a round draws the next
-    attempt of every condition not yet dispatched and solves their DC-OPFs
-    in one `grid.solve_dcopf` call.  Once every condition is dispatched,
+    The build takes the conditions in order, and each one's attempts in
+    order until one is feasible, counting every attempt it takes.  The
+    DC-OPFs are drawn ahead in rounds: when the build needs an attempt not
+    drawn yet, one `grid.solve_dcopf` call dispatches the next attempt of
+    every open condition, or only the awaited one while more than half of
+    the attempts counted are rejects; so the errors, and the attempts
+    counted before them, are those of a build that dispatched one
+    condition at a time, and a network that stalls costs one full round
+    and then one DC-OPF per attempt.  Once every condition is dispatched,
     each contingency labels all of them in one `grid.assess_security`
     call.
-
-    The rounds' outcomes are replayed in condition order, attempt by
-    attempt, as a build that dispatched one condition at a time would
-    meet them; so which error is raised, and its message, are that
-    build's.  While the replay has counted more rejects than half its
-    attempts, a round draws only the condition the replay waits on, so a
-    network that stalls costs one full round and then about the LPs the
-    one-at-a-time build made.
 
     Raises
     ------
@@ -215,50 +215,44 @@ def build_database(
         raise ValueError(f"n and split sizes must be >= 0, got n={n} and splits {tuple(splits)}")
     if sum(splits) != n:
         raise ValueError(f"splits {splits} must sum to n={n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not contingencies:
         raise ValueError("no contingencies to label")
     chol = _copula_cholesky(LOAD_CORRELATION, len(LOAD_BUSES))
 
     triples, outputs, angles, flows = (np.empty((n, width)) for width in (
         len(LOAD_BUSES), len(grid.generators), grid.n_buses, len(grid.lines)))
-    tries = [0] * n  # attempts drawn, per condition
-    pending = list(range(n))
-    ends = {}  # condition -> (its last attempt, the error it raised or None)
-    done = counted = attempts = rejects = 0  # the replay: conditions passed, attempts of the next one counted
-    while pending:
-        # While more than half of the attempts counted are rejects, as when the
-        # build is about to stall, a round draws only the condition the replay waits on.
-        draws = [(i, tries[i]) for i in (pending if 2 * rejects <= attempts else [done])]
-        drawn = _draw_loads(seed, draws, chol)
-        loads = bus_loads(grid, drawn)
-        for (i, attempt), triple, row, result in zip(draws, drawn, loads, grid_mod.solve_dcopf(grid, loads)):
-            tries[i] += 1
-            if isinstance(result, Exception):
-                ends[i] = attempt, result
-            elif result.optimal:
-                ends[i] = attempt, None
-                triples[i], outputs[i] = triple, result.x
-                angles[i], flows[i] = grid_mod.solve_dc_power_flow(grid, grid.incidence @ result.x - row)
-        pending = [i for i in pending if i not in ends and tries[i] < 1000]
-
-        # Count the attempts known so far in condition order, as a build that
-        # dispatched one condition at a time would meet them, and raise its error.
-        while done < n:
-            last, error = ends.get(done, (None, None))
-            for _ in range(counted, tries[done] if last is None else last):
-                attempts += 1
-                rejects += 1
-                if attempts >= 50 and rejects > 0.5 * attempts:
-                    raise DataError(f"{rejects}/{attempts} sampled conditions are pre-fault infeasible")
-            if last is None:
-                if tries[done] == 1000:
-                    raise DataError(f"condition {done}: no feasible dispatch in 1000 attempts")
-                counted = tries[done]
-                break
+    tries = dict.fromkeys(range(n), 0)  # open condition -> its attempts drawn
+    outcomes = {}  # (condition, attempt) -> its load triple, bus loads and DC-OPF outcome, until taken
+    attempts = rejects = 0
+    for i in range(n):
+        for attempt in range(1000):
+            if (i, attempt) not in outcomes:
+                # A round draws the next attempt of every open condition, or only this one
+                # while more than half of the attempts counted are rejects, as when the build is about to stall.
+                draws = list(tries.items()) if 2 * rejects <= attempts else [(i, attempt)]
+                drawn = _draw_loads(seed, draws, chol)
+                loads = bus_loads(grid, drawn)
+                for (k, a), triple, row, result in zip(draws, drawn, loads, grid_mod.solve_dcopf(grid, loads)):
+                    outcomes[k, a] = triple, row, result
+                    if isinstance(result, Exception) or result.optimal or a == 999:
+                        del tries[k]
+                    else:
+                        tries[k] = a + 1
+            triple, row, result = outcomes.pop((i, attempt))
             attempts += 1
-            if error is not None:
-                raise error
-            done, counted = done + 1, 0
+            if isinstance(result, Exception):
+                raise result
+            if result.optimal:
+                break
+            rejects += 1
+            if attempts >= 50 and rejects > 0.5 * attempts:
+                raise DataError(f"{rejects}/{attempts} sampled conditions are pre-fault infeasible")
+        else:
+            raise DataError(f"condition {i}: no feasible dispatch in 1000 attempts")
+        triples[i], outputs[i] = triple, result.x
+        angles[i], flows[i] = grid_mod.solve_dc_power_flow(grid, grid.incidence @ result.x - row)
 
     # Label one contingency at a time, for every condition at once.
     loads = bus_loads(grid, triples)

@@ -106,6 +106,18 @@ def test_single_class_calibration_rejected():
         fit_platt([0.1, 0.9], [1, 1])
 
 
+@pytest.mark.parametrize("scores, labels, message", [
+    ([0.1, np.nan, 0.9], [0, 1, 1], "^scores must be finite$"),
+    ([0.1, 0.5, np.inf], [0, 1, 1], "^scores must be finite$"),
+    ([0.1, 0.5, 0.9], [0, 1, 2], "^labels must be 0 or 1, got 2$"),
+    ([0.1, 0.5, 0.9], [0, 0.5, 1], r"^labels must be 0 or 1, got 0\.5$"),
+    ([0.1, 0.5, 0.9], [0, 1], "^2 labels for 3 scores$"),
+])
+def test_fit_platt_refuses_bad_input(scores, labels, message):
+    with pytest.raises(ValueError, match=message):
+        fit_platt(scores, labels)
+
+
 # -- probability map -----------------------------------------------------
 
 def test_flat_sigmoid():
@@ -179,6 +191,9 @@ def test_brier_bounds_and_errors():
     assert 0.0 <= score <= 1.0
     with pytest.raises(DataError, match="5 examples cannot fill 6 bins"):
         brier_score(values[:5], labels[:5], bins=6)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            brier_score(np.append(values, bad), np.append(labels, 1), bins=7)
 
 
 def test_reliability_csv_roundtrip(tmp_path):

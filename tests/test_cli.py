@@ -226,6 +226,8 @@ def test_experiment_rejects_bad_alpha_before_generating(tmp_path, capsys, monkey
     out = tmp_path / "exp"
     for name, fields, flags, message in [
         ("sensitivity", {"alpha": -1.0}, [], "alpha must be finite and > 0, got -1.0"),
+        ("imbalance", {"seed": -1}, [], "seed must be >= 0"),
+        ("imbalance", {}, ["--seed", "-1"], "seed must be >= 0"),
         ("calibration", {}, ["--bins", "0"], "bins must be >= 1"),
         ("multi", {}, ["--rounds", "0"], "rounds must be >= 1"),
         ("triage", {"k_folds": 1}, [], "k_folds must be >= 2"),
@@ -249,6 +251,18 @@ def no_test_split(dataset, tmp_path_factory):
     path = tmp_path_factory.mktemp("no_test") / "data.csv"
     save_database(db, path)
     return path
+
+
+@pytest.fixture(scope="module")
+def no_train_or_calib_split(dataset, tmp_path_factory):
+    """The dataset with its train rows, or its calib rows, tagged test."""
+    paths = {}
+    for split in ("train", "calib"):
+        db = load_database(dataset)
+        db.splits = ["test" if tag == split else tag for tag in db.splits]
+        paths[f"no_{split}_split"] = tmp_path_factory.mktemp(f"no_{split}") / "data.csv"
+        save_database(db, paths[f"no_{split}_split"])
+    return paths
 
 
 @pytest.fixture(scope="module")
@@ -398,6 +412,13 @@ def not_utf8(dataset, trained, tmp_path_factory):
      2, "probability must be strictly inside (0, 1)"),
     (["triage", "--data", "{no_test_split}", "--models", "{models}", "--contingencies-file", "{contingencies}",
       "--budget", "12"], 3, "has no test conditions"),
+    (["evaluate", "--data", "{no_test_split}", "--model", "{model6}", "--probability", "0.0001", "--cost-ratio", "0.9"],
+     3, "{no_test_split} has no test conditions to evaluate"),
+    (["train", "--data", "{no_train_split}", "--contingency", "6"],
+     3, "{no_train_split} has no train conditions to train on"),
+    (["calibrate", "--data", "{no_calib_split}", "--model", "{model6}"],
+     3, "{no_calib_split} has no calib conditions to calibrate on"),
+    (["generate", "--n", "7", "--splits", "5,1,1", "--seed", "-1"], 2, "seed must be >= 0, got -1"),
     (["evaluate", "--data", "{data}", "--model", "{feature40}", "--probability", "0.0001", "--cost-ratio", "0.9"],
      2, "model reads feature 40, but the features have 23 columns"),
     (["evaluate", "--data", "{data}", "--model", "{negative_feature}", "--probability", "0.0001",
@@ -492,7 +513,9 @@ def not_utf8(dataset, trained, tmp_path_factory):
         ("string_slack", "buses[0].slack must be true or false, got 'false'"),
     ]],
 ], ids=["unknown-line", "splits-sum", "no-conditions", "negative-split", "negative-n", "zero-rounds", "one-fold",
-        "unlabelled-line", "probability-above-one", "empty-test-split", "feature-past-width", "negative-feature",
+        "unlabelled-line", "probability-above-one", "empty-test-split", "evaluate-empty-test-split",
+        "train-empty-train-split", "calibrate-empty-calib-split", "generate-negative-seed", "feature-past-width",
+        "negative-feature",
         "calibrate-feature-past-width", "triage-feature-past-width", "unknown-mode", "null-weights",
         "short-weights", "null-contingency", "bool-contingency", "string-contingency", "nan-calibration",
         "nan-weights", "negative-weights", "fractional-feature", "inf-threshold", "nan-leaf", "leaf-above-one", "string-weight", "bool-threshold", "string-leaf", "string-calibration",
@@ -507,9 +530,9 @@ def not_utf8(dataset, trained, tmp_path_factory):
         "not-utf8-config", "not-utf8-condition-probs", "float-network-line-id", "float-generator-bus",
         "string-reactance", "inf-p-max",
         "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack"])
-def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unbalanced, bad_fields, bad_models,
-                                           bad_inputs, repeated_label, not_utf8, tmp_path, capsys, argv, code,
-                                           message):
+def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_train_or_calib_split, unbalanced,
+                                           bad_fields, bad_models, bad_inputs, repeated_label, not_utf8, tmp_path,
+                                           capsys, argv, code, message):
     out = tmp_path / "out"
     string_rounds = tmp_path / "string_rounds.json"
     string_rounds.write_text('{"rounds": "6"}\n')
@@ -531,7 +554,8 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, unba
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(network, generators=listed)))
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
-    fields = {"data": dataset, "no_test_split": no_test_split, "unbalanced": unbalanced, "string_rounds": string_rounds,
+    fields = {"data": dataset, "no_test_split": no_test_split, **no_train_or_calib_split, "unbalanced": unbalanced,
+              "string_rounds": string_rounds,
               "negative_alpha": negative_alpha,
               "lines_6_12": lines_6_12, "lines_6_6": lines_6_6, "two_lines_3": two_lines_3, "a_dir": a_dir,
               **{name: tmp_path / f"{name}.json" for name in generators},

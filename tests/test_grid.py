@@ -755,6 +755,28 @@ def test_batched_label_matches_single_label_where_the_lp_stops_short_of_secure_t
     assert assess_security(g, pair_loads, pair_dispatch, 2, 5.0).tolist() == [1, 0]
 
 
+def test_without_three_generators_the_lp_decides_at_feas_tol(monkeypatch):
+    """Two generators: no certificate, so every condition the fast paths leave goes to the LP in both forms.
+
+    With line 3 out, line 2 carries the whole load at bus 3 and no redispatch
+    moves it; a load over line 2's limit by at most FEAS_TOL (1e-7) is secure.
+    """
+    g = GridModel(
+        buses=(Bus(1, True), Bus(2), Bus(3)),
+        lines=(Line(1, 1, 2, 1.0, 500.0), Line(2, 2, 3, 1.0, 100.0), Line(3, 1, 3, 1.0, 500.0)),
+        generators=(Generator(1, 1, 0.0, 300.0, 1.0), Generator(2, 2, 0.0, 300.0, 1.0)),
+    )
+    loads = np.zeros((3, 3))
+    loads[:, 2] = 100.0 + np.array([5e-8, 1.1e-7, 5e-7])
+    dispatch = np.column_stack([loads[:, 2] / 2, loads[:, 2] / 2])
+    solved = []
+    dispatch_lp = grid_mod._dispatch_lp
+    monkeypatch.setattr(grid_mod, "_dispatch_lp", lambda *args: solved.append(1) or dispatch_lp(*args))
+    assert [assess_security(g, loads[k], dispatch[k], 3) for k in range(3)] == [1, 0, 0]
+    assert assess_security(g, loads, dispatch, 3).tolist() == [1, 0, 0]
+    assert len(solved) == 6
+
+
 _CHUNK_FLOATS = 1 << 15  # the reference's chunk size
 
 

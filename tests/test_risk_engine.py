@@ -47,6 +47,14 @@ def test_cost_ratio_values():
         cost_ratio(0.0, 1.0)
 
 
+@pytest.mark.parametrize("miss, false_alarm", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+def test_costs_must_be_finite(miss, false_alarm):
+    with pytest.raises(ValueError, match="costs must be strictly positive and finite"):
+        cost_ratio(miss, false_alarm)
+    with pytest.raises(ValueError, match="costs must be strictly positive and finite"):
+        ContingencyParams(3, 0.0002, miss, false_alarm)
+
+
 def test_decision_threshold_values():
     assert decision_threshold(ContingencyParams(1, 0.5, 2.0, 2.0)) == pytest.approx(0.5)
     z = decision_threshold(ContingencyParams(3, 0.0002, 10000.0, 1.0))
@@ -132,6 +140,13 @@ def test_perturbation():
     assert clamped.probability < 1.0
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+def test_perturbation_needs_a_finite_positive_alpha(alpha):
+    for target in ("costs", "probabilities", "both"):
+        with pytest.raises(ValueError, match=f"^alpha must be finite and > 0, got {alpha}$"):
+            perturb_params(ContingencyParams(4, 0.5, 1.0, 1.0), alpha, target)
+
+
 # -- ranking ----------------------------------------------------------------
 
 def test_rank_single_scenario():
@@ -190,6 +205,12 @@ def test_missing_model_raises():
 def test_probabilities_must_sum_to_one():
     with pytest.raises(ValueError):
         rank_scenarios({3: [0.5, 0.5]}, [0.7, 0.7], {3: params_for()})
+
+
+@pytest.mark.parametrize("p_cond, shown", [([np.nan, 1.0], "nan"), ([1.5, -0.5], "-0.5"), ([-np.inf, np.inf], "-inf")])
+def test_condition_probabilities_must_be_non_negative(p_cond, shown):
+    with pytest.raises(ValueError, match=f"^condition probabilities must be >= 0, got {shown}$"):
+        rank_scenarios({3: [0.5, 0.5]}, p_cond, {3: params_for()})
 
 
 def test_probability_column_must_cover_every_condition():

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from riskgate import grid, scenario_gen, simplex
+from riskgate import grid, grid as grid_mod, scenario_gen, simplex
 from riskgate.errors import ConfigError, DataError, MalformedFile
 from riskgate.grid import six_bus
 from riskgate.simplex import LPResult
 from riskgate.scenario_gen import (
+    LOAD_BUSES,
     LOAD_CORRELATION,
     SPLIT_NAMES,
     Conditions,
@@ -24,6 +25,7 @@ from riskgate.scenario_gen import (
     _copula_cholesky,
     _draw_loads,
     build_database,
+    bus_loads,
     kumaraswamy_ppf,
     load_database,
     save_database,
@@ -182,6 +184,15 @@ def test_negative_sizes_rejected_before_sampling(monkeypatch, n, splits):
     monkeypatch.setattr(grid, "solve_dcopf", solve_dcopf)
     with pytest.raises(ValueError, match=rf"must be >= 0, got n={n} and splits \({splits[0]}, "):
         build_database(six_bus(), n=n, contingencies=[5], seed=0, splits=splits)
+
+
+def test_negative_seed_rejected_before_sampling(monkeypatch):
+    def solve_dcopf(*args):
+        raise AssertionError("a condition was dispatched")
+
+    monkeypatch.setattr(grid, "solve_dcopf", solve_dcopf)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        build_database(six_bus(), n=3, contingencies=[5], seed=-1, splits=(3, 0, 0))
 
 
 def test_generation_stalls_on_hopeless_network():
@@ -343,6 +354,106 @@ def test_a_condition_has_1000_attempts(monkeypatch, failures):
     monkeypatch.setattr(grid, "solve_dcopf", scripted_dcopf(0.0, 0.0, {row.tobytes() for row in hopeless}))
     error = assert_builds_like_one_at_a_time(n, 7)
     assert error == (f"condition {n - 2}: no feasible dispatch in 1000 attempts" if failures == 1000 else None)
+
+
+# The build as it stood while it replayed its rounds' outcomes in condition
+# order, kept verbatim but for its docstring: the loop that takes each
+# attempt as it comes must make its `solve_dcopf` calls and end as it did.
+def reference_build_database(
+    grid: grid_mod.GridModel,
+    n: int,
+    contingencies,
+    seed: int,
+    splits: tuple[int, int, int],
+) -> LabeledDatabase:
+    contingencies = list(contingencies)
+    for c in contingencies:
+        grid.topology(c)
+    if n < 0 or min(splits) < 0:
+        raise ValueError(f"n and split sizes must be >= 0, got n={n} and splits {tuple(splits)}")
+    if sum(splits) != n:
+        raise ValueError(f"splits {splits} must sum to n={n}")
+    if not contingencies:
+        raise ValueError("no contingencies to label")
+    chol = _copula_cholesky(LOAD_CORRELATION, len(LOAD_BUSES))
+
+    triples, outputs, angles, flows = (np.empty((n, width)) for width in (
+        len(LOAD_BUSES), len(grid.generators), grid.n_buses, len(grid.lines)))
+    tries = [0] * n  # attempts drawn, per condition
+    pending = list(range(n))
+    ends = {}  # condition -> (its last attempt, the error it raised or None)
+    done = counted = attempts = rejects = 0  # the replay: conditions passed, attempts of the next one counted
+    while pending:
+        # While more than half of the attempts counted are rejects, as when the
+        # build is about to stall, a round draws only the condition the replay waits on.
+        draws = [(i, tries[i]) for i in (pending if 2 * rejects <= attempts else [done])]
+        drawn = _draw_loads(seed, draws, chol)
+        loads = bus_loads(grid, drawn)
+        for (i, attempt), triple, row, result in zip(draws, drawn, loads, grid_mod.solve_dcopf(grid, loads)):
+            tries[i] += 1
+            if isinstance(result, Exception):
+                ends[i] = attempt, result
+            elif result.optimal:
+                ends[i] = attempt, None
+                triples[i], outputs[i] = triple, result.x
+                angles[i], flows[i] = grid_mod.solve_dc_power_flow(grid, grid.incidence @ result.x - row)
+        pending = [i for i in pending if i not in ends and tries[i] < 1000]
+
+        # Count the attempts known so far in condition order, as a build that
+        # dispatched one condition at a time would meet them, and raise its error.
+        while done < n:
+            last, error = ends.get(done, (None, None))
+            for _ in range(counted, tries[done] if last is None else last):
+                attempts += 1
+                rejects += 1
+                if attempts >= 50 and rejects > 0.5 * attempts:
+                    raise DataError(f"{rejects}/{attempts} sampled conditions are pre-fault infeasible")
+            if last is None:
+                if tries[done] == 1000:
+                    raise DataError(f"condition {done}: no feasible dispatch in 1000 attempts")
+                counted = tries[done]
+                break
+            attempts += 1
+            if error is not None:
+                raise error
+            done, counted = done + 1, 0
+
+    # Label one contingency at a time, for every condition at once.
+    loads = bus_loads(grid, triples)
+    labels = {c: grid_mod.assess_security(grid, loads, outputs, c) for c in contingencies}
+    tags = [SPLIT_NAMES[0]] * splits[0] + [SPLIT_NAMES[1]] * splits[1] + [SPLIT_NAMES[2]] * splits[2]
+    return LabeledDatabase(Conditions(np.arange(n), triples, outputs, angles, flows), labels, tags, seed)
+
+
+def calls_and_end(build, net, n, seed, solve):
+    """The shape and bytes of the loads of each `solve_dcopf` call ``build`` makes, and its pool's bits or error."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid, "solve_dcopf",
+                      lambda g, loads: calls.append((loads.shape, loads.tobytes())) or solve(g, loads))
+        try:
+            db = build(net, n=n, contingencies=[5], seed=seed, splits=(n, 0, 0))
+        except (DataError, ValueError) as exc:
+            return calls, (type(exc), str(exc))
+    return calls, (db.conditions.id.tobytes(), db.features_matrix().tobytes(), db.labels[5].tobytes())
+
+
+@pytest.mark.reference
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(st.integers(1, 150), st.integers(0, 2**32 - 1), st.floats(0.0, 0.7), st.floats(0.0, 0.05),
+       st.integers(0, 1000))
+# the last condition but one fails its first 999 attempts and builds, or all 1000 and raises (no stall: n = 1100)
+@example(1100, 7, 0.0, 0.0, 999)
+@example(1100, 7, 0.0, 0.0, 1000)
+def test_the_build_makes_the_calls_and_ends_of_the_round_and_replay_build(n, seed, p_infeasible, p_failing,
+                                                                          failures):
+    """Rows infeasible or failing at random, and the first ``failures`` attempts of condition n - 2 infeasible."""
+    stuck = bus_loads(six_bus(), _draw_loads(seed, [(max(n - 2, 0), a) for a in range(failures)],
+                                             _copula_cholesky(LOAD_CORRELATION, 3)))
+    solve = scripted_dcopf(p_infeasible, p_failing, {row.tobytes() for row in stuck})
+    net = six_bus()
+    assert calls_and_end(build_database, net, n, seed, solve) == calls_and_end(reference_build_database, net, n,
+                                                                               seed, solve)
 
 
 # -- dataset.csv ----------------------------------------------------------

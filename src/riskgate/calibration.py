@@ -58,6 +58,15 @@ def _nll(a, b, s, t):
     return float(np.sum(np.logaddexp(0.0, -f) + t * f))
 
 
+def _binary_labels(labels) -> np.ndarray:
+    """``labels`` as ints; ValueError, checked before the cast, unless every label is 0 or 1."""
+    y = np.asarray(labels)
+    bad = ~np.isin(y, (0, 1))
+    if bad.any():
+        raise ValueError(f"labels must be 0 or 1, got {y[bad][0].item()!r}")
+    return y.astype(int)
+
+
 def fit_platt(scores, labels) -> PlattParams:
     """Fit sigmoid parameters by Newton iteration on regularised targets.
 
@@ -72,9 +81,7 @@ def fit_platt(scores, labels) -> PlattParams:
         raise ValueError(f"{y.size} labels for {s.size} scores")
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError(f"labels must be 0 or 1, got {y[~np.isin(y, (0, 1))][0].item()!r}")
-    y = y.astype(int)
+    y = _binary_labels(y)
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
@@ -123,14 +130,14 @@ def calibrated_probability(params: PlattParams | None, score):
 
 
 def brier_score(values, labels, bins: int = 10) -> tuple[float, ReliabilityBins]:
-    """Binned Brier score plus the reliability-diagram data behind it; the values must be finite."""
+    """Binned Brier score plus the reliability-diagram data behind it; the values must be finite, the labels 0 or 1."""
     v = np.asarray(values, dtype=float)
-    y = np.asarray(labels, dtype=int)
     n = len(v)
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if not np.isfinite(v).all():
         raise ValueError("values must be finite")
+    y = _binary_labels(labels)
     if n < bins:
         raise DataError(f"{n} examples cannot fill {bins} bins")
     order = np.lexsort((y, v))  # label as tiebreak keeps bins canonical

@@ -157,6 +157,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     db = _load_database(args.data, "calib", "calibrate on")
+    if args.reliability and not len(db.split_indices("test")):
+        raise DataError(f"{args.data} has no test conditions to bin for --reliability")
     model = load_model(args.model)
     params = fit_platt(model.score(db.features_matrix("calib")), db.label_vector(model.contingency, "calib"))
     if args.reliability:  # every check before the first write: without --out, the model file is the input

@@ -3,7 +3,12 @@
 This module provides both halves of the data pipeline's physics: the
 economic dispatch that creates pre-fault operating conditions, and the
 exact post-contingency feasibility check that labels them secure or
-insecure.  Everything is deterministic and pure; ``GridModel`` is
+insecure.  Both are one LP family per network, posed in one place
+(`_dispatch_rhs`, a row of right-hand sides per condition): `solve_dcopf`
+takes ``(m, n_buses)`` loads and solves their dispatch LPs as one
+`simplex.solve_batch`, and `assess_security` solves the redispatch LP of
+each condition its fast paths leave with `simplex.solve_lp`.
+Everything is deterministic and pure; ``GridModel`` is
 immutable (and hashable), derives each network array it needs once (the
 intact network's at construction, an outage's on first use) and exposes
 them read-only, so models can be shared freely across workers.  Each
@@ -30,7 +35,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataError, MalformedFile, integer, number, read_json
-from .simplex import LPResult, solve_batch, solve_lp
+from .simplex import solve_batch, solve_lp
 
 BALANCE_TOL = 1e-6  # MW; residual beyond this is an error, never absorbed
 SECURE_TOL = 1e-9  # MW; a flow violated by at most this holds without redispatch
@@ -266,66 +271,51 @@ def solve_dc_power_flow(grid: GridModel, injection):
 
 
 def _dispatch_rhs(grid, top, loads):
-    """The dispatch LP's ``b_eq`` and ``b_ub`` for one condition's loads, or for ``(m, n_buses)`` loads, a row each."""
-    if loads.ndim == 1:
-        base_flow = top.ptdf @ (-loads)  # flows due to loads alone
-    else:  # one product per row: a matrix product's bits could differ
-        base_flow = np.array([top.ptdf @ -row for row in loads]).reshape(len(loads), len(grid.lines))
+    """The dispatch LP's ``b_eq`` and ``b_ub`` for ``(m, n_buses)`` loads, a row each."""
+    # one product per row: a matrix product's bits could differ
+    base_flow = np.array([top.ptdf @ -row for row in loads]).reshape(len(loads), len(grid.lines))
     limits = grid.line_limits
-    return loads.sum(axis=-1)[..., None], np.concatenate([limits - base_flow, limits + base_flow], axis=-1)
+    return loads.sum(axis=1)[:, None], np.concatenate([limits - base_flow, limits + base_flow], axis=1)
 
 
-def _dispatch_lp(grid, top, loads, cost, lo, hi):
-    """Shared LP: find dispatch meeting balance, bounds and flow limits; for ``(m, n_buses)`` loads, a batch."""
-    b_eq, b_ub = _dispatch_rhs(grid, top, loads)
-    if loads.ndim == 1:
-        return solve_lp(cost, grid._balance, b_eq, top.a_ub, b_ub, lo, hi, paths=top.paths)
-    # the solves that record go through this module's solve_lp, as the single LPs do
-    return solve_batch(cost, grid._balance, b_eq, top.a_ub, b_ub, lo, hi, paths=top.paths, solve=solve_lp)
-
-
-def solve_dcopf(grid: GridModel, loads) -> LPResult | list:
-    """Cost-minimal dispatch under power balance, generator and flow limits.
+def solve_dcopf(grid: GridModel, loads) -> list:
+    """Cost-minimal dispatch under power balance, generator and flow limits, one condition per row.
 
     Parameters
     ----------
-    loads : array (n_buses,) or (m, n_buses)
-        Per-bus load in MW, all finite and >= 0; a 2-D array holds one
-        condition per row.
+    loads : array (m, n_buses)
+        Per-bus load in MW, all finite and >= 0, one condition per row.
 
     Returns
     -------
-    LPResult, for one condition
-        The simplex's result: ``x`` holds the per-generator outputs (MW)
-        and ``objective`` the cost ($); both are None, and ``optimal``
-        False, when no dispatch satisfies the constraints.
-    list, for ``m`` conditions
+    list
         One outcome per row, from one `simplex.solve_batch`: the
-        `LPResult` of a call with that row alone, with its bits, or, in
-        its place, the error such a call raises.  A row that fails stops
-        no other.
+        `LPResult` that `simplex.solve_lp` gives that row alone, with its
+        bits (``x`` the per-generator outputs in MW, ``objective`` the
+        cost in $; both None, and ``optimal`` False, when no dispatch
+        satisfies the constraints), or, in its place, the error such a
+        call raises.  A row that fails stops no other.
 
     Raises
     ------
     ValueError
-        Before any LP, if the loads have the wrong width, or a row (the
-        first such, named) holds a negative value, a NaN or an infinity.
-
-    A single condition's LP raises `simplex.solve_lp`'s errors.
+        Before any LP, if the loads are not ``(m, n_buses)``, or a row
+        (the first such, named) holds a negative value, a NaN or an
+        infinity.
     """
     loads = np.asarray(loads, dtype=float)
-    single = loads.ndim == 1
-    rows = loads[None] if single else loads
-    if rows.ndim != 2 or rows.shape[1] != grid.n_buses:
-        raise ValueError(f"loads must have length {grid.n_buses}" if single else
-                         f"loads must have shape (m, {grid.n_buses})")
-    negative = ~(rows >= 0).all(axis=1)  # NaN fails this too
-    bad = negative | np.isinf(rows).any(axis=1)
+    if loads.ndim != 2 or loads.shape[1] != grid.n_buses:
+        raise ValueError(f"loads must have shape (m, {grid.n_buses})")
+    negative = ~(loads >= 0).all(axis=1)  # NaN fails this too
+    bad = negative | np.isinf(loads).any(axis=1)
     if bad.any():
         j = int(bad.argmax())
-        where = "loads" if single else f"loads row {j}"
-        raise ValueError(f"{where} must be {'nonnegative' if negative[j] else 'finite'}")
-    return _dispatch_lp(grid, grid.topology(None), loads, grid.cost, grid.p_min, grid.p_max)
+        raise ValueError(f"loads row {j} must be {'nonnegative' if negative[j] else 'finite'}")
+    top = grid.topology(None)
+    b_eq, b_ub = _dispatch_rhs(grid, top, loads)
+    # the solves that record go through this module's solve_lp, as the security LPs do
+    return solve_batch(grid.cost, grid._balance, b_eq, top.a_ub, b_ub, grid.p_min, grid.p_max,
+                       paths=top.paths, solve=solve_lp)
 
 
 def _fixed_order_product(a, b) -> np.ndarray:
@@ -495,8 +485,10 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int,
             labels[rest[best <= CERTIFIED_TOL]] = 1
             rest = rest[(best > CERTIFIED_TOL) & (best <= UNDECIDED_TOL)]
         zero_cost = np.zeros(len(grid.generators))
-        for k in rest:
-            labels[k] = int(_dispatch_lp(grid, top, loads[k], zero_cost, lo[k], hi[k]).optimal)
+        b_eq, b_ub = _dispatch_rhs(grid, top, loads[rest])
+        for k, row_eq, row_ub in zip(rest, b_eq, b_ub):
+            labels[k] = int(solve_lp(zero_cost, grid._balance, row_eq, top.a_ub, row_ub, lo[k], hi[k],
+                                     paths=top.paths).optimal)
     return int(labels[0]) if single else labels
 
 

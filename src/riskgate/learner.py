@@ -523,12 +523,22 @@ def save_model(path, ensemble: Ensemble, contingency: int, calibration=None) -> 
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _leaf_from_dict(leaf, what) -> Leaf:
+    """A leaf as training writes it (`_leaf`): ``p1`` within ``LEAF_EPS`` of 0 and 1, so its log-odds are finite."""
+    p0, p1 = (number(leaf[p], f"{what} {p}", 0.0, 1.0) for p in ("p0", "p1"))
+    if not LEAF_EPS <= p1 <= 1.0 - LEAF_EPS:
+        raise ValueError(f"{what} p1 must lie in [LEAF_EPS, 1 - LEAF_EPS] = [{LEAF_EPS:g}, {1.0 - LEAF_EPS:g}], "
+                         f"got {p1!r}")
+    if abs(p0 - (1.0 - p1)) > 1e-9:  # training writes p0 = 1 - p1 exactly
+        raise ValueError(f"{what} p0 must be 1 - p1 = {1.0 - p1!r}, got {p0!r}")
+    return Leaf(p0, p1)
+
+
 def _stump_from_dict(s, what) -> Stump:
     feature = s["feature"]
     if feature is not None and integer(feature, f"{what} feature") < 0:
         raise ValueError(f"stump feature {feature} is negative")
-    leaves = [Leaf(*(number(s[side][p], f"{what} {side} leaf {p}", 0.0, 1.0) for p in ("p0", "p1")))
-              for side in ("left", "right")]
+    leaves = [_leaf_from_dict(s[side], f"{what} {side} leaf") for side in ("left", "right")]
     return Stump(feature, number(s["threshold"], f"{what} threshold"), *leaves)
 
 
@@ -539,9 +549,10 @@ def load_model(path):
     ``MODES``, with one finite nonnegative weight per stump in
     ``"samme"`` and null weights in ``"samme.r"``.  Stump features are
     null or nonnegative integers, thresholds and sigmoid parameters
-    finite, leaf probabilities in [0, 1].  A stump feature past the
-    data's width is rejected when the model is scored.  Every rejection
-    is a MalformedFile naming ``path``.
+    finite.  A leaf's ``p1`` lies in [``LEAF_EPS``, 1 - ``LEAF_EPS``], the
+    range training writes, and its ``p0`` within 1e-9 of 1 - ``p1``.  A
+    stump feature past the data's width is rejected when the model is
+    scored.  Every rejection is a MalformedFile naming ``path``.
     """
     from .calibration import CalibratedEnsemble, PlattParams
 

@@ -196,6 +196,13 @@ def test_brier_bounds_and_errors():
             brier_score(np.append(values, bad), np.append(labels, 1), bins=7)
 
 
+def test_brier_score_refuses_labels_other_than_0_or_1():
+    """Checked before the int cast, which would count a 2 as secure and read 0.5 as 0."""
+    for labels, got in (([0, 2], "2"), ([0.5, 1], "0.5")):
+        with pytest.raises(ValueError, match=f"^labels must be 0 or 1, got {got}$"):
+            brier_score([0.2, 0.7], labels, bins=1)
+
+
 def test_reliability_csv_roundtrip(tmp_path):
     bins = ReliabilityBins(
         mean_value=np.array([0.2, 0.8]),

@@ -333,6 +333,11 @@ def bad_models(trained, tmp_path_factory):
         "bool_threshold": lambda doc: doc["stumps"][0].update(threshold=True),
         "string_leaf": lambda doc: doc["stumps"][0]["left"].update(p1="0.5"),
         "string_calibration": lambda doc: doc["calibration"].update(a="-3"),
+        # samme.r takes each leaf's log-odds, so p1 of 0 or 1 would be infinite and 1e-320 overflows exp
+        **{name: lambda doc, p1=p1: doc.update(mode="samme.r", weights=None)
+           or doc["stumps"][0]["right"].update(p0=1.0 - p1, p1=p1)
+           for name, p1 in [("leaf_p1_zero", 0.0), ("leaf_p1_one", 1.0), ("leaf_p1_tiny", 1e-320)]},
+        "leaf_p0_off": lambda doc: doc["stumps"][0]["left"].update(p0=doc["stumps"][0]["left"]["p0"] + 1e-8),
     }
     paths = {}
     for name, defect in defects.items():
@@ -448,6 +453,9 @@ def not_utf8(dataset, trained, tmp_path_factory):
         ("bool_threshold", "stump 0 threshold must be a number, got True"),
         ("string_leaf", "stump 0 left leaf p1 must be a number, got '0.5'"),
         ("string_calibration", "calibration a must be a number, got '-3'"),
+        *[(name, f"stump 0 right leaf p1 must lie in [LEAF_EPS, 1 - LEAF_EPS] = [1e-06, 0.999999], got {p1}")
+          for name, p1 in [("leaf_p1_zero", "0.0"), ("leaf_p1_one", "1.0"), ("leaf_p1_tiny", "1e-320")]],
+        ("leaf_p0_off", "stump 0 left leaf p0 must be 1 - p1 = "),
     ]],
     (["triage", "--data", "{data}", "--models", "{models},{copy6}", "--contingencies-file", "{contingencies}",
       "--budget", "12"], 2, "{model6} and {copy6} are both models of line 6"),
@@ -512,6 +520,8 @@ def not_utf8(dataset, trained, tmp_path_factory):
         ("inf_limit", "lines[10].limit must be a finite number, got inf"),
         ("string_slack", "buses[0].slack must be true or false, got 'false'"),
     ]],
+    (["calibrate", "--data", "{no_test_split}", "--model", "{model6}", "--reliability", "{a_dir}/reliability.csv"],
+     3, "{no_test_split} has no test conditions to bin for --reliability"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "negative-split", "negative-n", "zero-rounds", "one-fold",
         "unlabelled-line", "probability-above-one", "empty-test-split", "evaluate-empty-test-split",
         "train-empty-train-split", "calibrate-empty-calib-split", "generate-negative-seed", "feature-past-width",
@@ -519,6 +529,7 @@ def not_utf8(dataset, trained, tmp_path_factory):
         "calibrate-feature-past-width", "triage-feature-past-width", "unknown-mode", "null-weights",
         "short-weights", "null-contingency", "bool-contingency", "string-contingency", "nan-calibration",
         "nan-weights", "negative-weights", "fractional-feature", "inf-threshold", "nan-leaf", "leaf-above-one", "string-weight", "bool-threshold", "string-leaf", "string-calibration",
+        "leaf-p1-zero", "leaf-p1-one", "leaf-p1-tiny", "leaf-p0-off",
         "triage-two-models-of-a-line", "triage-line-listed-twice", "generate-no-contingencies",
         "generate-duplicate-line-ids", "triage-two-generator-network", "triage-four-generator-network",
         "config-string-rounds", "config-negative-alpha", "triage-unknown-line",
@@ -529,7 +540,8 @@ def not_utf8(dataset, trained, tmp_path_factory):
         "negative-c-f1", "not-utf8-dataset", "not-utf8-model", "not-utf8-contingencies", "not-utf8-network",
         "not-utf8-config", "not-utf8-condition-probs", "float-network-line-id", "float-generator-bus",
         "string-reactance", "inf-p-max",
-        "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack"])
+        "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack",
+        "calibrate-reliability-empty-test-split"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_train_or_calib_split, unbalanced,
                                            bad_fields, bad_models, bad_inputs, repeated_label, not_utf8, tmp_path,
                                            capsys, argv, code, message):

@@ -32,7 +32,7 @@ from riskgate.grid import (
     solve_dc_power_flow,
     solve_dcopf,
 )
-from riskgate.simplex import LPResult
+from riskgate.simplex import LPResult, solve_lp
 
 
 def two_bus(limit=100.0):
@@ -361,7 +361,7 @@ def test_power_flow_deterministic():
 # -- DC-OPF ---------------------------------------------------------------
 
 def test_zero_load_zero_cost():
-    sol = solve_dcopf(six_bus_relaxed(), np.zeros(6))
+    [sol] = solve_dcopf(six_bus_relaxed(), np.zeros((1, 6)))
     assert sol.optimal
     assert sol.x == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
@@ -374,7 +374,7 @@ def test_single_bus_two_generator_dispatch():
         lines=(),
         generators=(Generator(1, 1, 0.0, 60.0, 1.0), Generator(2, 1, 0.0, 60.0, 2.0)),
     )
-    sol = solve_dcopf(g, [100.0])
+    [sol] = solve_dcopf(g, [[100.0]])
     assert sol.optimal
     assert sol.x == pytest.approx([60.0, 40.0], abs=1e-8)
     assert sol.objective == pytest.approx(140.0, abs=1e-7)
@@ -385,7 +385,7 @@ def test_merit_order_when_nothing_binds():
     g = six_bus_relaxed()
     loads = np.zeros(6)
     loads[3:] = 50.0
-    sol = solve_dcopf(g, loads)
+    [sol] = solve_dcopf(g, loads[None])
     assert sol.optimal
     assert sol.x == pytest.approx([0.0, 0.0, 150.0], abs=1e-7)
     assert sol.objective == pytest.approx(8.0 * 150.0, abs=1e-6)
@@ -395,7 +395,7 @@ def test_dispatch_balances_load():
     g = six_bus()
     loads = np.zeros(6)
     loads[3:] = [90.0, 80.0, 100.0]
-    sol = solve_dcopf(g, loads)
+    [sol] = solve_dcopf(g, loads[None])
     assert sol.optimal
     assert abs(sol.x.sum() - loads.sum()) < 1e-6
     lo = [gen.p_min for gen in g.generators]
@@ -408,7 +408,7 @@ def test_dispatch_respects_line_limits():
     g = six_bus()
     loads = np.zeros(6)
     loads[3:] = [100.0, 90.0, 95.0]
-    sol = solve_dcopf(g, loads)
+    [sol] = solve_dcopf(g, loads[None])
     assert sol.optimal
     inj = np.zeros(6)
     for out, gen in zip(sol.x, g.generators):
@@ -419,20 +419,20 @@ def test_dispatch_respects_line_limits():
 
 
 def test_infeasible_load_returns_flag():
-    sol = solve_dcopf(six_bus(), np.array([0, 0, 0, 150.0, 150.0, 150.0]))
+    [sol] = solve_dcopf(six_bus(), np.array([[0, 0, 0, 150.0, 150.0, 150.0]]))
     assert isinstance(sol, LPResult)
     assert not sol.optimal
     assert sol.x is None and sol.objective is None
 
 
 def test_nan_load_rejected_before_the_lp():
-    with pytest.raises(ValueError, match="loads must be nonnegative"):
-        solve_dcopf(six_bus(), np.array([0, 0, 0, 120.0, np.nan, 70.0]))
+    with pytest.raises(ValueError, match="loads row 0 must be nonnegative"):
+        solve_dcopf(six_bus(), np.array([[0, 0, 0, 120.0, np.nan, 70.0]]))
 
 
 @pytest.mark.parametrize("loads, message", [
-    ([0, 0, 0, 120.0, np.inf, 70.0], "^loads must be finite$"),
-    ([0, 0, 0, 120.0, 70.0], r"^loads must have length 6$"),
+    ([0, 0, 0, 120.0, 95.0, 70.0], r"^loads must have shape \(m, 6\)$"),
+    ([0, 0, 0, 120.0, np.inf, 70.0], r"^loads must have shape \(m, 6\)$"),
     ([[0, 0, 0, 1.0, 2.0, 3.0], [0, 0, 0, 1.0, np.inf, 3.0], [0, 0, 0, -1.0, 2.0, 3.0]],
      "^loads row 1 must be finite$"),
     ([[0, 0, 0, 1.0, 2.0, 3.0], [0, 0, 0, -np.inf, 2.0, 3.0], [0, 0, 0, 1.0, np.inf, 3.0]],
@@ -454,9 +454,7 @@ def test_dcopf_checks_every_row_before_any_lp(monkeypatch, loads, message):
 def test_dcopf_of_a_batch_gives_each_failing_rows_error_in_its_place():
     """A row whose cost overflows fails as it would alone, and the rows around it solve."""
     g = GridModel(buses=(Bus(1, True),), lines=(), generators=(Generator(1, 1, 0.0, 1e6, 1e307),))
-    assert solve_dcopf(g, [1.0]).objective == 1e307
-    with pytest.raises(ValueError, match="^simplex tableau overflowed"):
-        solve_dcopf(g, [500.0])
+    assert solve_dcopf(g, [[1.0]])[0].objective == 1e307
     first, failed, last = solve_dcopf(g, [[1.0], [500.0], [2.0]])
     assert first.objective == 1e307 and last.objective == 2e307
     assert type(failed) is ValueError and str(failed).startswith("simplex tableau overflowed")
@@ -501,10 +499,11 @@ def dispatch_batches(draw):
 def test_dcopf_of_a_batch_matches_row_by_row_calls_bit_for_bit(case):
     grid, loads = case
     batch = solve_dcopf(grid, loads)
-    alone = dataclasses.replace(grid)  # the same network with an empty memo
-    for res, row in zip(batch, loads, strict=True):
+    top, paths = grid.topology(None), {}  # the reference's memo starts empty
+    b_eq, b_ub = grid_mod._dispatch_rhs(grid, top, loads)
+    for res, row_eq, row_ub in zip(batch, b_eq, b_ub, strict=True):
         try:
-            ref = solve_dcopf(alone, row)
+            ref = solve_lp(grid.cost, grid._balance, row_eq, top.a_ub, row_ub, grid.p_min, grid.p_max, paths=paths)
         except (ValueError, RuntimeError, DataError) as exc:
             assert type(res) is type(exc) and str(res) == str(exc)
             continue
@@ -524,7 +523,7 @@ def test_secure_without_redispatch():
 def assess(grid, loads3, contingency, corrective=20.0):
     loads = np.zeros(6)
     loads[3:] = loads3
-    d = solve_dcopf(grid, loads)
+    [d] = solve_dcopf(grid, loads[None])
     assert d.optimal
     return assess_security(grid, loads, d.x, contingency, corrective)
 
@@ -573,7 +572,7 @@ def test_monotone_in_corrective_range():
     for triple in triples:
         loads = np.zeros(6)
         loads[3:] = triple
-        d = solve_dcopf(g, loads)
+        [d] = solve_dcopf(g, loads[None])
         if not d.optimal:
             continue
         for c in (3, 5, 6):
@@ -586,7 +585,7 @@ def test_assessment_deterministic():
     g = six_bus()
     loads = np.zeros(6)
     loads[3:] = [120.0, 95.0, 70.0]
-    d = solve_dcopf(g, loads)
+    [d] = solve_dcopf(g, loads[None])
     assert d.optimal
     labels = {assess_security(g, loads, d.x, c, 20.0) for _ in range(3) for c in (5,)}
     assert len(labels) == 1
@@ -597,7 +596,7 @@ def test_negative_or_nan_corrective_range_rejected(corrective):
     g = six_bus()
     loads = np.zeros(6)
     loads[3:] = [120.0, 95.0, 70.0]
-    d = solve_dcopf(g, loads)
+    [d] = solve_dcopf(g, loads[None])
     with pytest.raises(ValueError, match="corrective_range must be >= 0"):
         assess_security(g, loads, d.x, 5, corrective)
     with pytest.raises(ValueError, match="corrective_range must be >= 0"):
@@ -610,7 +609,7 @@ def test_nan_condition_rejected(name, batched):
     g = six_bus()
     loads = np.zeros(6)
     loads[3:] = [120.0, 95.0, 70.0]
-    condition = {"loads": loads, "dispatch": solve_dcopf(g, loads).x.copy()}
+    condition = {"loads": loads, "dispatch": solve_dcopf(g, loads[None])[0].x.copy()}
     condition[name][-1] = np.nan
     if batched:
         condition = {k: v[None] for k, v in condition.items()}
@@ -625,7 +624,7 @@ def test_condition_of_the_wrong_width_rejected(name, width, batched):
     g = six_bus()
     loads = np.zeros(6)
     loads[3:] = [120.0, 95.0, 70.0]
-    condition = {"loads": loads, "dispatch": solve_dcopf(g, loads).x}
+    condition = {"loads": loads, "dispatch": solve_dcopf(g, loads[None])[0].x}
     condition[name] = np.resize(condition[name], width)
     if batched:
         condition = {k: v[None] for k, v in condition.items()}
@@ -770,8 +769,8 @@ def test_without_three_generators_the_lp_decides_at_feas_tol(monkeypatch):
     loads[:, 2] = 100.0 + np.array([5e-8, 1.1e-7, 5e-7])
     dispatch = np.column_stack([loads[:, 2] / 2, loads[:, 2] / 2])
     solved = []
-    dispatch_lp = grid_mod._dispatch_lp
-    monkeypatch.setattr(grid_mod, "_dispatch_lp", lambda *args: solved.append(1) or dispatch_lp(*args))
+    solve_lp = grid_mod.solve_lp
+    monkeypatch.setattr(grid_mod, "solve_lp", lambda *args, **kwargs: solved.append(1) or solve_lp(*args, **kwargs))
     assert [assess_security(g, loads[k], dispatch[k], 3) for k in range(3)] == [1, 0, 0]
     assert assess_security(g, loads, dispatch, 3).tolist() == [1, 0, 0]
     assert len(solved) == 6
@@ -852,7 +851,7 @@ def six_bus_pool():
     g = six_bus()
     loads = np.zeros((240, 6))
     loads[:, 3:] = sample_loads(240, seed=13)
-    dispatch = [solve_dcopf(g, row) for row in loads]
+    dispatch = solve_dcopf(g, loads)
     feasible = [k for k, d in enumerate(dispatch) if d.optimal]
     loads, dispatch = loads[feasible], np.array([dispatch[k].x for k in feasible])
     assert len(loads) >= 200

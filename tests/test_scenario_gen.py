@@ -282,7 +282,9 @@ def dispatch_one_at_a_time(g, n, seed):
         for attempt in range(1000):
             attempts += 1
             triple = _draw_loads(seed, [(i, attempt)], chol)[0]
-            dispatch = grid.solve_dcopf(g, scenario_gen.bus_loads(g, triple))
+            [dispatch] = grid.solve_dcopf(g, scenario_gen.bus_loads(g, triple)[None])
+            if isinstance(dispatch, Exception):
+                raise dispatch
             if dispatch.optimal:
                 break
             rejects += 1
@@ -299,28 +301,19 @@ def scripted_dcopf(p_infeasible, p_failing, never=frozenset()):
     """A `solve_dcopf` whose outcome for a row of loads is a function of its bits.
 
     A row is infeasible with probability ``p_infeasible``, or if its bytes
-    are in ``never``, and raises with probability ``p_failing``; otherwise
-    one unit covers the load.  A batch gives one outcome per row, with a
+    are in ``never``, and fails with probability ``p_failing``; otherwise
+    one unit covers the load.  It gives one outcome per row, with a
     failing row's error in its place, as `grid.solve_dcopf` does.
     """
-    def solve(g, loads):
-        loads = np.asarray(loads, dtype=float)
-        if loads.ndim == 2:
-            outcomes = []
-            for row in loads:
-                try:
-                    outcomes.append(solve(g, row))
-                except ValueError as exc:
-                    outcomes.append(exc)
-            return outcomes
-        u = int.from_bytes(hashlib.blake2b(loads.tobytes(), digest_size=8).digest()) / 2**64
-        if u < p_infeasible or loads.tobytes() in never:
+    def outcome(row):
+        u = int.from_bytes(hashlib.blake2b(row.tobytes(), digest_size=8).digest()) / 2**64
+        if u < p_infeasible or row.tobytes() in never:
             return LPResult("infeasible", None, None)
         if u < p_infeasible + p_failing:
-            raise ValueError(f"row failed at u={u!r}")
-        return LPResult("optimal", np.array([loads.sum(), 0.0, 0.0]), 0.0)
+            return ValueError(f"row failed at u={u!r}")
+        return LPResult("optimal", np.array([row.sum(), 0.0, 0.0]), 0.0)
 
-    return solve
+    return lambda g, loads: [outcome(row) for row in np.asarray(loads, dtype=float)]
 
 
 def assert_builds_like_one_at_a_time(n, seed):

@@ -222,17 +222,23 @@ def test_non_finite_constant_data_raises_on_every_call_through_one_memo(argument
     assert not prepared.finite and not prepared.families
 
 
+def grid_lp(net, outage, loads, cost, lower, upper):
+    """The ``solve_lp`` arguments and keywords of one condition's LP on ``outage``, as ``grid`` poses it."""
+    top = net.topology(outage)
+    (b_eq,), (b_ub,) = grid._dispatch_rhs(net, top, np.asarray(loads)[None])
+    return (cost, net._balance, b_eq, top.a_ub, b_ub, lower, upper), {"paths": top.paths}
+
+
 def test_a_security_lp_and_a_dcopf_share_a_topology_memo_apart():
     """Both LPs on the intact six-bus network, interleaved through its memo, as each solves alone."""
     net = six_bus()
     top = net.topology(None)
     loads = [bus_loads(net, triple) for triple in ([100.0, 100.0, 100.0], [120.0, 80.0, 70.0], [55.0, 130.0, 90.0])]
-    dispatches = [solve_dcopf(six_bus(), row).x for row in loads]
+    dispatches = [d.x for d in solve_dcopf(six_bus(), loads)]
     posed = []
-    with mock.patch.object(grid, "solve_lp", lambda *args, **kwargs: posed.append((args, kwargs))):
-        for row, dispatch in zip(loads, dispatches):
-            grid._dispatch_lp(net, top, row, net.cost, net.p_min, net.p_max)  # solve_dcopf's LP
-            grid._dispatch_lp(net, top, row, np.zeros(3), dispatch - 5.0, dispatch + 5.0)  # a security LP's
+    for row, dispatch in zip(loads, dispatches):
+        posed.append(grid_lp(net, None, row, net.cost, net.p_min, net.p_max))  # solve_dcopf's LP
+        posed.append(grid_lp(net, None, row, np.zeros(3), dispatch - 5.0, dispatch + 5.0))  # a security LP's
     for args, kwargs in posed + posed:
         assert_matches_the_reference(*args, **kwargs)
         assert kwargs["paths"] is top.paths
@@ -245,7 +251,7 @@ def test_a_security_lp_and_a_dcopf_share_a_topology_memo_apart():
 def test_six_bus_dcopf_path_records_shortcut_steps_and_full_pivots():
     """A DC-OPF's recorded path has shortcut steps, which change only the cost rows, and full pivots."""
     net = six_bus()
-    assert solve_dcopf(net, bus_loads(net, [100.0, 100.0, 100.0])).optimal
+    assert solve_dcopf(net, bus_loads(net, [[100.0, 100.0, 100.0]]))[0].optimal
     [prepared] = net.topology(None).paths.values()
     [(start, node)] = prepared.families.values()
     tableau, m = start.copy(), len(start.t) - 2
@@ -638,16 +644,13 @@ def six_bus_lps(draw):
         outage, cost, lo, hi = None, SIX.cost, SIX.p_min, SIX.p_max
     else:
         outage = draw(st.sampled_from(OUTAGES))
-        pre_fault = solve_dcopf(SIX, loads)
+        [pre_fault] = solve_dcopf(SIX, loads[None])
         centre = pre_fault.x if pre_fault.optimal else np.array(
             [draw(st.floats(g.p_min, g.p_max)) for g in SIX.generators])
         reach = draw(st.floats(0.0, 2 * CORRECTIVE_RANGE_MW))
         cost = np.zeros(len(SIX.generators))
         lo, hi = np.maximum(SIX.p_min, centre - reach), np.minimum(SIX.p_max, centre + reach)
-    posed = []
-    with mock.patch.object(grid, "solve_lp", lambda *args, **kwargs: posed.append((args, kwargs))):
-        grid._dispatch_lp(SIX, SIX.topology(outage), loads, cost, lo, hi)
-    return posed[0]
+    return grid_lp(SIX, outage, loads, cost, lo, hi)
 
 
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)

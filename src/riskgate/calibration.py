@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -157,11 +156,12 @@ def brier_score(values, labels, bins: int = 10) -> tuple[float, ReliabilityBins]
     return score, ReliabilityBins(mean_value=mean_value, secure_fraction=frac, count=sizes)
 
 
-def reliability_csv(bins: ReliabilityBins, path) -> None:
+def reliability_text(bins: ReliabilityBins) -> str:
+    """The reliability-diagram CSV of ``bins``."""
     lines = ["bin,mean_value,secure_fraction,count"]
     for k in range(len(bins)):
         lines.append(f"{k},{bins.mean_value[k]:.17g},{bins.secure_fraction[k]:.17g},{int(bins.count[k])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import brier_score, calibrated_probability, fit_platt, reliability_csv
+from .calibration import brier_score, calibrated_probability, fit_platt, reliability_text
 from .errors import ConfigError, DataError, read_text
-from .experiments import RUNNERS, ExperimentConfig, Study
+from .experiments import RUNNERS, ExperimentConfig, Study, run_study
 from .grid import assess_security, load_grid, six_bus
 from .learner import MODES, load_model, save_model, train_adaboost
 from .risk_engine import (
@@ -161,14 +161,14 @@ def _cmd_calibrate(args) -> int:
         raise DataError(f"{args.data} has no test conditions to bin for --reliability")
     model = load_model(args.model)
     params = fit_platt(model.score(db.features_matrix("calib")), db.label_vector(model.contingency, "calib"))
-    if args.reliability:  # every check before the first write: without --out, the model file is the input
+    if args.reliability:  # every check first, and the model last: without --out, the model file is the input
         probs = calibrated_probability(params, model.score(db.features_matrix("test")))
         _, bins = brier_score(probs, db.label_vector(model.contingency, "test"), bins=args.bins)
+        Path(args.reliability).write_text(reliability_text(bins))
     out = args.out or args.model
     save_model(out, model.ensemble, contingency=model.contingency, calibration=params)
     print(f"wrote {out}: a={params.a:.4f} b={params.b:.4f} ({params.iterations} iterations)")
     if args.reliability:
-        reliability_csv(bins, args.reliability)
         print(f"wrote {args.reliability}")
     return 0
 
@@ -282,7 +282,7 @@ def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     overrides = {name: getattr(args, name) for name in ("seed", "out_dir", "bins", "rounds", "mode")}
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    out = RUNNERS[args.name](Study(config), config.out_dir)
+    out = run_study(args.name, Study(config), config.out_dir)
     print(f"experiment {args.name} complete: outputs in {out}")
     return 0
 

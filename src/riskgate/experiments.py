@@ -1,11 +1,13 @@
-"""Configuration-driven experiment runners.
+"""Configuration-driven experiment studies.
 
-Each runner reads a ``Study`` -- one config's labeled pool, built on
+Each study reads a ``Study`` -- one config's labeled pool, built on
 first use, and its calibrated per-contingency models, each fitted once
--- and writes machine-readable CSVs plus a ``manifest.json`` (config
-hash, seed, version, measured extras) into the output directory it is
-given.  All randomness flows from the config seed through named
-substreams, so a rerun with the same config is byte-identical.
+-- and computes its CSVs as text, plus its measured extras.  Only
+``run_study`` writes: once the study has finished, it makes the output
+directory and writes the CSVs and a ``manifest.json`` (config hash,
+seed, version, numpy and scipy versions, extras), so a failed study
+writes nothing.  All randomness flows from the config seed through
+named substreams, so a rerun with the same config is byte-identical.
 
 Repetitions are implemented as seeded re-splits of one generated pool:
 repetition ``r`` permutes the pool with stream ``(seed, 7000 + r)`` and
@@ -23,9 +25,10 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .calibration import CalibratedEnsemble, brier_score, calibrated_probability, fit_platt, reliability_csv
+from .calibration import CalibratedEnsemble, brier_score, calibrated_probability, fit_platt, reliability_text
 from .errors import ConfigError, MalformedFile, SingleClassCalibration, SingleClassData, integer, number, read_json
 from .grid import six_bus
 from .learner import (
@@ -230,12 +233,6 @@ def draw_contingency_params(contingencies, seed: int) -> dict[int, ContingencyPa
     return out
 
 
-def _output_dir(out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_manifest(config: ExperimentConfig, experiment: str, out_dir, extras: dict) -> None:
     """Write ``manifest.json`` into ``out_dir``, which it records as the config's ``out_dir``."""
     doc = {**config.to_dict(), "out_dir": str(out_dir)}
@@ -243,6 +240,7 @@ def _write_manifest(config: ExperimentConfig, experiment: str, out_dir, extras: 
     payload = {
         "experiment": experiment,
         "version": __version__,
+        "environment": {"numpy": np.__version__, "scipy": scipy.__version__},
         "seed": config.seed,
         "config": doc,
         "config_hash": hashlib.sha256(json.dumps(study, sort_keys=True).encode()).hexdigest(),
@@ -251,8 +249,8 @@ def _write_manifest(config: ExperimentConfig, experiment: str, out_dir, extras: 
     (Path(out_dir) / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    path.write_text("\n".join([header] + [",".join(str(v) for v in row) for row in rows]) + "\n")
+def _csv(header: str, rows) -> str:
+    return "\n".join([header] + [",".join(str(v) for v in row) for row in rows]) + "\n"
 
 
 def _error_rates(pred, truth):
@@ -268,10 +266,9 @@ def _error_rates(pred, truth):
 
 # -- study 1: class imbalance --------------------------------------------------
 
-def run_imbalance_study(study: Study, out_dir) -> Path:
+def _imbalance(study: Study):
     """Per-class test errors of a depth-limited tree on lines 5 and 6."""
     config = study.config
-    out = _output_dir(out_dir)
     db = study.pool
     x = db.features_matrix()
     contingencies = (5, 6)
@@ -290,18 +287,16 @@ def run_imbalance_study(study: Study, out_dir) -> Path:
         mean = sums[c] / config.repetitions
         rows.append(("mean", c, f"{mean[0]:.17g}", f"{mean[1]:.17g}", f"{mean[2]:.17g}"))
 
-    _write_csv(out / "imbalance.csv", "repetition,contingency,test_error,false_alarm_rate,missed_alarm_rate", rows)
-    extras = {
+    files = {"imbalance.csv": _csv("repetition,contingency,test_error,false_alarm_rate,missed_alarm_rate", rows)}
+    return files, {
         "pool_priors": {str(c): {"insecure": db.priors(c)[0], "secure": db.priors(c)[1]} for c in contingencies},
         "mean_rates": {str(c): list(sums[c] / config.repetitions) for c in contingencies},
     }
-    _write_manifest(config, "imbalance", out_dir, extras)
-    return out
 
 
 # -- study 2: calibration -------------------------------------------------
 
-def run_calibration_study(study: Study, out_dir) -> Path:
+def _calibration(study: Study):
     """Brier score of raw scores vs calibrated probabilities on the test set.
 
     The uncalibrated score here is the discrete weighted-vote share
@@ -309,12 +304,11 @@ def run_calibration_study(study: Study, out_dir) -> Path:
     exactly the distortion calibration exists to repair; the real-valued
     mode's logistic margin is already near-calibrated and shows no effect.
     ``bins`` above the test split's size is a ConfigError, raised before
-    the pool is built or ``out_dir`` is made.
+    the pool is built.
     """
     config = study.config
     if config.bins > config.splits[2]:
         raise ConfigError(f"bins must be <= the test split's {config.splits[2]} conditions, got {config.bins}")
-    out = _output_dir(out_dir)
     contingency = CALIBRATION_CONTINGENCY
     db = study.pool
     x = db.features_matrix()
@@ -332,31 +326,25 @@ def run_calibration_study(study: Study, out_dir) -> Path:
         total += (b_raw, b_cal)
         rows.append((rep, f"{b_raw:.17g}", f"{b_cal:.17g}"))
         if rep == 0:
-            reliability_csv(bins_raw, out / "reliability_uncalibrated.csv")
-            reliability_csv(bins_cal, out / "reliability_calibrated.csv")
+            files = {"reliability_uncalibrated.csv": reliability_text(bins_raw),
+                     "reliability_calibrated.csv": reliability_text(bins_cal)}
     mean = total / config.repetitions
     rows.append(("mean", f"{mean[0]:.17g}", f"{mean[1]:.17g}"))
 
-    _write_csv(out / "brier.csv", "repetition,uncalibrated,calibrated", rows)
-    _write_manifest(config, "calibration", out_dir, {
-        "contingency": contingency,
-        "mean_uncalibrated": mean[0],
-        "mean_calibrated": mean[1],
-    })
-    return out
+    files["brier.csv"] = _csv("repetition,uncalibrated,calibrated", rows)
+    return files, {"contingency": contingency, "mean_uncalibrated": mean[0], "mean_calibrated": mean[1]}
 
 
 # -- study 3: decision threshold --------------------------------------------
 
-def run_threshold_study(study: Study, out_dir) -> Path:
+def _threshold(study: Study):
     """Residual-risk grid over cost ratios for five classifier variants.
 
     The contingency probability is identified with the insecure-class
-    prior of the training split, and the whole test set stays on machine
-    learning (no conventional assessments).
+    prior of the training split, which must hold both classes, and the
+    whole test set stays on machine learning (no conventional assessments).
     """
     config = study.config
-    out = _output_dir(out_dir)
     contingency = THRESHOLD_CONTINGENCY
     db = study.pool
     x = db.features_matrix()
@@ -368,6 +356,9 @@ def run_threshold_study(study: Study, out_dir) -> Path:
         train_idx, _, test_idx = study.split(rep)
         # contingency probability identified with the insecure-class prior
         prior_insecure = float(np.mean(y[train_idx] == 0))
+        if prior_insecure in (0.0, 1.0):
+            raise SingleClassData(f"repetition {rep}: the training split's insecure share on line {contingency} is"
+                                  f" {prior_insecure:g}; the contingency probability must be strictly inside (0, 1)")
         tree = train_single_tree(x[train_idx], y[train_idx], max_depth=config.max_tree_depth)
         leaf_p1 = tree_proba(tree, x[test_idx])
         model = study.model(rep, contingency, config.mode)
@@ -393,13 +384,11 @@ def run_threshold_study(study: Study, out_dir) -> Path:
         (variant, f"{ratio:.17g}", f"{totals[(variant, ratio)] / config.repetitions:.17g}")
         for variant in variants for ratio in COST_RATIO_GRID
     ]
-    _write_csv(out / "threshold_risk.csv", "variant,cost_ratio,mean_risk", rows)
-    _write_manifest(config, "threshold", out_dir, {
+    return {"threshold_risk.csv": _csv("variant,cost_ratio,mean_risk", rows)}, {
         "contingency": contingency,
         "cost_ratios": [f"{r:.17g}" for r in COST_RATIO_GRID],
         "variants": list(variants),
-    })
-    return out
+    }
 
 
 # -- budget-sweep curves shared by studies 4-6 -----------------------------------
@@ -438,22 +427,21 @@ def _budget_curves(study, true_params, rankings):
     return curves
 
 
-def _write_curve(path: Path, curve, name: str) -> dict:
-    """Write a curve as budget CSV; return its zero-budget summary extras."""
+def _curve_csv(curve, name: str):
+    """A curve's budget CSV text, and its zero-budget summary extras."""
     bud, missed, false, risk = curve
     rows = [(int(s), int(m), int(f), f"{r:.17g}") for s, m, f, r in zip(bud, missed, false, risk)]
-    _write_csv(path, "budget,missed_alarms,false_alarms,residual_risk", rows)
     errors = missed + false
     zero = np.flatnonzero(errors == 0)
-    return {f"{name}_errors_at_zero": int(errors[0]),
-            f"{name}_first_zero_budget": int(bud[zero[0]]) if len(zero) else None}
+    extras = {f"{name}_errors_at_zero": int(errors[0]),
+              f"{name}_first_zero_budget": int(bud[zero[0]]) if len(zero) else None}
+    return _csv("budget,missed_alarms,false_alarms,residual_risk", rows), extras
 
 
 # -- study 4: single-contingency triage -----------------------------------------
 
-def run_triage_study(study: Study, out_dir) -> Path:
+def _triage(study: Study):
     """Budgeted verification curves for the three assessment strategies."""
-    out = _output_dir(out_dir)
     c = TRIAGE_CONTINGENCY
     params_by_c = {c: TRIAGE_PARAMS}
     curves = _budget_curves(study, params_by_c, {"proposed": params_by_c})
@@ -466,20 +454,19 @@ def run_triage_study(study: Study, out_dir) -> Path:
     curves["no_ml"] = residual_error_curves(np.full(n_test, c), np.full(n_test, majority), y[test_idx][order],
                                             params_by_c, n_test, budget_sweep(n_test))
 
-    extras = {"contingency": c, "n_test": n_test}
+    files, extras = {}, {"contingency": c, "n_test": n_test}
     for name, curve in curves.items():
-        extras.update(_write_curve(out / f"triage_{name}.csv", curve, name))
-    _write_manifest(study.config, "triage", out_dir, extras)
-    return out
+        files[f"triage_{name}.csv"], summary = _curve_csv(curve, name)
+        extras.update(summary)
+    return files, extras
 
 
 # -- study 5: several contingencies ---------------------------------------------
 
-def run_multi_contingency_study(study: Study, out_dir) -> Path:
+def _multi_contingency(study: Study):
     """Joint triage across two contingencies and across all eleven lines."""
-    out = _output_dir(out_dir)
     drawn = draw_contingency_params(ALL_LINES, study.config.seed)
-    extras = {
+    files, extras = {}, {
         "pair_contingencies": sorted(PAIR_PARAMS),
         "drawn_params": {
             str(c): {"p_c": p.probability, "cost_ratio": p.ratio} for c, p in sorted(drawn.items())
@@ -487,18 +474,17 @@ def run_multi_contingency_study(study: Study, out_dir) -> Path:
     }
     for prefix, params_by_c in (("multi2", PAIR_PARAMS), ("multi11", drawn)):
         curves = _budget_curves(study, params_by_c, {"proposed": params_by_c})
-        _write_curve(out / f"{prefix}_standard.csv", curves["standard"], prefix)
-        extras.update(_write_curve(out / f"{prefix}_proposed.csv", curves["proposed"], prefix))
+        files[f"{prefix}_standard.csv"], _ = _curve_csv(curves["standard"], prefix)
+        files[f"{prefix}_proposed.csv"], summary = _curve_csv(curves["proposed"], prefix)
+        extras.update(summary)
         extras[f"{prefix}_risk_at_zero"] = float(curves["proposed"][3][0])
-    _write_manifest(study.config, "multi", out_dir, extras)
-    return out
+    return files, extras
 
 
 # -- study 6: parameter sensitivity ---------------------------------------------
 
-def run_sensitivity_study(study: Study, out_dir) -> Path:
+def _sensitivity(study: Study):
     """True-risk curves when ranking uses distorted costs/probabilities."""
-    out = _output_dir(out_dir)
     true_params = draw_contingency_params(ALL_LINES, study.config.seed)
     alpha = study.config.alpha
     rankings = {
@@ -516,17 +502,30 @@ def run_sensitivity_study(study: Study, out_dir) -> Path:
     for name, (bud, _, _, risk) in curves.items():
         rows += [(name, int(s), f"{r:.17g}") for s, r in zip(bud, risk)]
         extras[f"{name}_risk_at_zero"] = float(risk[0])
-
-    _write_csv(out / "sensitivity.csv", "curve,budget,residual_risk", rows)
-    _write_manifest(study.config, "sensitivity", out_dir, extras)
-    return out
+    return {"sensitivity.csv": _csv("curve,budget,residual_risk", rows)}, extras
 
 
+# Each study computes ``(files, extras)``: CSV name -> text, and the manifest's extras.
 RUNNERS = {
-    "imbalance": run_imbalance_study,
-    "calibration": run_calibration_study,
-    "threshold": run_threshold_study,
-    "triage": run_triage_study,
-    "multi": run_multi_contingency_study,
-    "sensitivity": run_sensitivity_study,
+    "imbalance": _imbalance,
+    "calibration": _calibration,
+    "threshold": _threshold,
+    "triage": _triage,
+    "multi": _multi_contingency,
+    "sensitivity": _sensitivity,
 }
+
+
+def run_study(name: str, study: Study, out_dir) -> Path:
+    """Run study ``name``, and only once it has finished make ``out_dir`` and write its CSVs and manifest."""
+    if name not in RUNNERS:
+        raise ConfigError(f"unknown study {name!r}; the studies are {', '.join(RUNNERS)}")
+    out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"{out} exists and is not a directory")
+    files, extras = RUNNERS[name](study)
+    out.mkdir(parents=True, exist_ok=True)
+    for file_name, text in files.items():
+        (out / file_name).write_text(text)
+    _write_manifest(study.config, name, out_dir, extras)
+    return out

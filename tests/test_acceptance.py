@@ -15,15 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from riskgate.experiments import (
-    ExperimentConfig,
-    Study,
-    run_calibration_study,
-    run_imbalance_study,
-    run_multi_contingency_study,
-    run_sensitivity_study,
-    run_triage_study,
-)
+from riskgate.experiments import ExperimentConfig, Study, run_study
 from riskgate.learner import ensemble_score, ensemble_vote, train_adaboost
 from riskgate.risk_engine import (
     ContingencyParams,
@@ -53,30 +45,30 @@ def pool(study):
 @pytest.fixture(scope="session")
 def calibration_outputs(study, pool, tmp_path_factory):
     start = time.perf_counter()
-    out = run_calibration_study(study, tmp_path_factory.mktemp("cal"))
+    out = run_study("calibration", study, tmp_path_factory.mktemp("cal"))
     return out, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
 def imbalance_outputs(study, tmp_path_factory):
-    return run_imbalance_study(study, tmp_path_factory.mktemp("imb"))
+    return run_study("imbalance", study, tmp_path_factory.mktemp("imb"))
 
 
 @pytest.fixture(scope="session")
 def triage_outputs(study, pool, tmp_path_factory):
     start = time.perf_counter()
-    out = run_triage_study(study, tmp_path_factory.mktemp("triage"))
+    out = run_study("triage", study, tmp_path_factory.mktemp("triage"))
     return out, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
 def multi_outputs(study, tmp_path_factory):
-    return run_multi_contingency_study(study, tmp_path_factory.mktemp("multi"))
+    return run_study("multi", study, tmp_path_factory.mktemp("multi"))
 
 
 @pytest.fixture(scope="session")
 def sensitivity_outputs(study, tmp_path_factory):
-    return run_sensitivity_study(study, tmp_path_factory.mktemp("sens"))
+    return run_study("sensitivity", study, tmp_path_factory.mktemp("sens"))
 
 
 def read_curve(path, value="residual_risk", curve=None):

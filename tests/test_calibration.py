@@ -12,7 +12,7 @@ from riskgate.calibration import (
     brier_score,
     calibrated_probability,
     fit_platt,
-    reliability_csv,
+    reliability_text,
 )
 from riskgate.errors import DataError, SingleClassCalibration
 
@@ -203,15 +203,13 @@ def test_brier_score_refuses_labels_other_than_0_or_1():
             brier_score([0.2, 0.7], labels, bins=1)
 
 
-def test_reliability_csv_roundtrip(tmp_path):
+def test_reliability_csv_roundtrip():
     bins = ReliabilityBins(
         mean_value=np.array([0.2, 0.8]),
         secure_fraction=np.array([0.25, 0.75]),
         count=np.array([5, 5]),
     )
-    path = tmp_path / "reliability.csv"
-    reliability_csv(bins, path)
-    lines = path.read_text().splitlines()
+    lines = reliability_text(bins).splitlines()
     assert lines[0] == "bin,mean_value,secure_fraction,count"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "0"

@@ -84,6 +84,16 @@ def test_calibrate_checks_before_it_writes(dataset, tmp_path, capsys, bins, code
     assert not reliability.exists()
 
 
+def test_calibrate_that_cannot_write_its_reliability_csv_leaves_the_model(dataset, tmp_path, capsys):
+    model, reliability = tmp_path / "model.json", tmp_path / "no_dir" / "r.csv"
+    assert main(["train", "--data", str(dataset), "--contingency", "6", "--rounds", "4", "--out", str(model)]) == 0
+    uncalibrated = model.read_bytes()
+    assert main(["calibrate", "--data", str(dataset), "--model", str(model), "--reliability", str(reliability)]) == 2
+    assert f"No such file or directory: '{reliability}'" in capsys.readouterr().err
+    assert model.read_bytes() == uncalibrated  # the model is written last
+    assert not reliability.parent.exists()
+
+
 @pytest.fixture(scope="module")
 def trained(dataset, tmp_path_factory):
     """Calibrated models for lines 5 and 6 and their contingencies.json."""
@@ -522,6 +532,9 @@ def not_utf8(dataset, trained, tmp_path_factory):
     ]],
     (["calibrate", "--data", "{no_test_split}", "--model", "{model6}", "--reliability", "{a_dir}/reliability.csv"],
      3, "{no_test_split} has no test conditions to bin for --reliability"),
+    (["experiment", "threshold", "--config", "{single_class}"], 3,
+     "repetition 1: the training split's insecure share on line 6 is 0; the contingency probability must be"
+     " strictly inside (0, 1)"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "negative-split", "negative-n", "zero-rounds", "one-fold",
         "unlabelled-line", "probability-above-one", "empty-test-split", "evaluate-empty-test-split",
         "train-empty-train-split", "calibrate-empty-calib-split", "generate-negative-seed", "feature-past-width",
@@ -541,7 +554,7 @@ def not_utf8(dataset, trained, tmp_path_factory):
         "not-utf8-config", "not-utf8-condition-probs", "float-network-line-id", "float-generator-bus",
         "string-reactance", "inf-p-max",
         "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack",
-        "calibrate-reliability-empty-test-split"])
+        "calibrate-reliability-empty-test-split", "threshold-single-class-training-split"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_train_or_calib_split, unbalanced,
                                            bad_fields, bad_models, bad_inputs, repeated_label, not_utf8, tmp_path,
                                            capsys, argv, code, message):
@@ -550,6 +563,8 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_t
     string_rounds.write_text('{"rounds": "6"}\n')
     negative_alpha = tmp_path / "negative_alpha.json"
     negative_alpha.write_text('{"alpha": -1}\n')
+    single_class = tmp_path / "single_class.json"  # repetition 1 trains on two secure conditions of line 6
+    single_class.write_text('{"n": 6, "splits": [2, 2, 2], "rounds": 2, "repetitions": 3, "seed": 1}\n')
     lines_6_12 = tmp_path / "lines_6_12.json"
     lines_6_12.write_text(json.dumps([{"line_id": c, "p_c": 0.0001, "cost_ratio": 0.999} for c in (6, 12)]))
     lines_6_6 = tmp_path / "lines_6_6.json"
@@ -568,7 +583,7 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_t
     a_dir.mkdir()
     fields = {"data": dataset, "no_test_split": no_test_split, **no_train_or_calib_split, "unbalanced": unbalanced,
               "string_rounds": string_rounds,
-              "negative_alpha": negative_alpha,
+              "negative_alpha": negative_alpha, "single_class": single_class,
               "lines_6_12": lines_6_12, "lines_6_6": lines_6_6, "two_lines_3": two_lines_3, "a_dir": a_dir,
               **{name: tmp_path / f"{name}.json" for name in generators},
               "repeated_label": repeated_label, **trained, **bad_fields, **bad_models, **bad_inputs, **not_utf8}

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from riskgate import experiments
 from riskgate.errors import ConfigError
@@ -23,12 +24,7 @@ from riskgate.experiments import (
     budget_sweep,
     draw_contingency_params,
     fit_contingency_model,
-    run_calibration_study,
-    run_imbalance_study,
-    run_multi_contingency_study,
-    run_sensitivity_study,
-    run_threshold_study,
-    run_triage_study,
+    run_study,
 )
 
 SMALL = dict(n=320, splits=(200, 60, 60), seed=5, rounds=8, repetitions=2)
@@ -129,7 +125,7 @@ def test_pool_cached_and_deterministic(study):
 # -- runners -----------------------------------------------------------------
 
 def test_imbalance_study_structure(study, tmp_path):
-    out = run_imbalance_study(study, tmp_path / "a")
+    out = run_study("imbalance", study, tmp_path / "a")
     rows = read_csv(out / "imbalance.csv")
     assert len(rows) == 2 * SMALL["repetitions"] + 2
     mean_rows = [r for r in rows if r["repetition"] == "mean"]
@@ -139,11 +135,12 @@ def test_imbalance_study_structure(study, tmp_path):
     assert manifest["seed"] == SMALL["seed"]
     assert "pool_priors" in manifest["extras"]
     assert len(manifest["config_hash"]) == 64
+    assert manifest["environment"] == {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def test_imbalance_study_deterministic(study, tmp_path):
-    out_a = run_imbalance_study(study, tmp_path / "a")
-    out_b = run_imbalance_study(Study(ExperimentConfig(**SMALL)), tmp_path / "b")
+    out_a = run_study("imbalance", study, tmp_path / "a")
+    out_b = run_study("imbalance", Study(ExperimentConfig(**SMALL)), tmp_path / "b")
     assert (out_a / "imbalance.csv").read_bytes() == (out_b / "imbalance.csv").read_bytes()
 
 
@@ -161,7 +158,7 @@ def test_config_hash_ignores_out_dir_but_not_seed(tmp_path):
 
 def test_calibration_study_outputs(tmp_path):
     cfg = small_config(tmp_path, bins=6)
-    out = run_calibration_study(Study(cfg), tmp_path)
+    out = run_study("calibration", Study(cfg), tmp_path)
     rows = read_csv(out / "brier.csv")
     assert len(rows) == SMALL["repetitions"] + 1
     assert rows[-1]["repetition"] == "mean"
@@ -174,7 +171,7 @@ def test_calibration_study_outputs(tmp_path):
 
 
 def test_threshold_study_grid(study, tmp_path):
-    out = run_threshold_study(study, tmp_path)
+    out = run_study("threshold", study, tmp_path)
     rows = read_csv(out / "threshold_risk.csv")
     assert len(rows) == 35  # 5 variants x 7 cost ratios
     assert all(float(r["mean_risk"]) >= 0.0 for r in rows)
@@ -182,16 +179,16 @@ def test_threshold_study_grid(study, tmp_path):
     assert variants == {"dt", "dt_threshold", "adaboost", "adaboost_threshold", "calibrated_threshold"}
 
 
-@pytest.mark.parametrize("run", [run_calibration_study, run_threshold_study])
-def test_each_repetition_scores_its_model_once(study, tmp_path, times_scored, run):
-    run(study, tmp_path)
+@pytest.mark.parametrize("name", ["calibration", "threshold"])
+def test_each_repetition_scores_its_model_once(study, tmp_path, times_scored, name):
+    run_study(name, study, tmp_path)
     for rep in range(study.config.repetitions):
         _, _, test_idx = study.split(rep)
         assert times_scored(study.pool.features_matrix()[test_idx]) == 1
 
 
 def test_triage_study_curves(study, tmp_path):
-    out = run_triage_study(study, tmp_path)
+    out = run_study("triage", study, tmp_path)
     n_test = study.config.splits[2]
     for name in ("proposed", "standard", "no_ml"):
         rows = read_csv(out / f"triage_{name}.csv")
@@ -204,7 +201,7 @@ def test_triage_study_curves(study, tmp_path):
 
 
 def test_multi_study_scenario_counts(study, tmp_path):
-    out = run_multi_contingency_study(study, tmp_path)
+    out = run_study("multi", study, tmp_path)
     n_test = study.config.splits[2]
     rows2 = read_csv(out / "multi2_proposed.csv")
     assert int(rows2[-1]["budget"]) == 2 * n_test
@@ -217,7 +214,7 @@ def test_multi_study_scenario_counts(study, tmp_path):
 
 
 def test_sensitivity_identity_at_alpha_one(tmp_path):
-    out = run_sensitivity_study(Study(small_config(tmp_path, alpha=1.0)), tmp_path)
+    out = run_study("sensitivity", Study(small_config(tmp_path, alpha=1.0)), tmp_path)
     rows = read_csv(out / "sensitivity.csv")
     curves = {}
     for r in rows:
@@ -233,7 +230,7 @@ def test_sensitivity_identity_at_alpha_one(tmp_path):
 
 def test_sensitivity_curves_differ_when_distorted(study, tmp_path):
     assert study.config.alpha == 10.0
-    out = run_sensitivity_study(study, tmp_path)
+    out = run_study("sensitivity", study, tmp_path)
     rows = read_csv(out / "sensitivity.csv")
     by_curve = {}
     for r in rows:
@@ -243,24 +240,53 @@ def test_sensitivity_curves_differ_when_distorted(study, tmp_path):
 
 def test_sensitivity_scores_each_model_once(study, tmp_path, times_scored):
     # six ranked curves and the standard one share one score per model
-    run_sensitivity_study(study, tmp_path)
+    run_study("sensitivity", study, tmp_path)
     _, _, test_idx = study.split(0)
     assert times_scored(study.pool.features_matrix()[test_idx]) == len(ALL_LINES)
 
 
 def test_runner_isolation(study, tmp_path):
-    out_a = run_imbalance_study(study, tmp_path / "imb")
-    out_b = run_calibration_study(study, tmp_path / "cal")
+    out_a = run_study("imbalance", study, tmp_path / "imb")
+    out_b = run_study("calibration", study, tmp_path / "cal")
     assert out_a != out_b
     assert not (Path(out_a) / "brier.csv").exists()
     assert not (Path(out_b) / "imbalance.csv").exists()
+
+
+def test_a_study_that_raises_writes_nothing(study, tmp_path, monkeypatch):
+    """The third Brier score is repetition 1's: repetition 0's reliability CSVs are computed by then."""
+    calls, real = [], experiments.brier_score
+
+    def brier_score(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("brier score failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "brier_score", brier_score)
+    with pytest.raises(RuntimeError, match="brier score failed"):
+        run_study("calibration", study, tmp_path / "out")
+    assert len(calls) == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_study_refuses_an_unknown_name_or_a_file_as_out_dir_before_any_work(tmp_path):
+    study = Study(ExperimentConfig(**SMALL))
+    with pytest.raises(ConfigError, match="unknown study 'all'; the studies are imbalance, calibration, "):
+        run_study("all", study, tmp_path / "out")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    with pytest.raises(ConfigError, match="a_file exists and is not a directory"):
+        run_study("imbalance", study, a_file)
+    assert "pool" not in vars(study)  # the pool was never built
+    assert not (tmp_path / "out").exists() and a_file.read_text() == ""
 
 
 def test_emitted_dataset_reparses(study, tmp_path):
     # every CSV the package emits must be loadable by its own tooling;
     # the dataset writer round-trip is checked in the scenario tests, and
     # runner CSVs must parse as plain CSV with stable headers.
-    out = run_triage_study(study, tmp_path)
+    out = run_study("triage", study, tmp_path)
     rows = read_csv(out / "triage_proposed.csv")
     assert set(rows[0]) == {"budget", "missed_alarms", "false_alarms", "residual_risk"}
 
@@ -344,8 +370,8 @@ def test_runner_outputs_match_golden_digests(tmp_path, monkeypatch, mode):
     monkeypatch.setattr(experiments, "fit_contingency_model", counting_fit)
     study = Study(ExperimentConfig(**SMALL, mode=mode))
     digests = {}
-    for name, run in RUNNERS.items():
-        out = run(study, tmp_path / name)
+    for name in RUNNERS:
+        out = run_study(name, study, tmp_path / name)
         for path in sorted(out.glob("*.csv")):
             digests[f"{mode}/{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == {k: v for k, v in GOLDEN_SHA256.items() if k.startswith(f"{mode}/")}

@@ -521,8 +521,9 @@ def run_study(name: str, study: Study, out_dir) -> Path:
     if name not in RUNNERS:
         raise ConfigError(f"unknown study {name!r}; the studies are {', '.join(RUNNERS)}")
     out = Path(out_dir)
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"{out} exists and is not a directory")
+    existing = next(p for p in (out, *out.parents) if p.exists())  # mkdir would stop here
+    if not existing.is_dir():
+        raise ConfigError(f"cannot make {out}: {existing} exists and is not a directory")
     files, extras = RUNNERS[name](study)
     out.mkdir(parents=True, exist_ok=True)
     for file_name, text in files.items():

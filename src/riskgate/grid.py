@@ -28,6 +28,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -484,11 +485,12 @@ def assess_security(grid: GridModel, loads, dispatch, contingency: int,
             best = _best_vertex_violation(grid, top, loads[rest], lo[rest], hi[rest])
             labels[rest[best <= CERTIFIED_TOL]] = 1
             rest = rest[(best > CERTIFIED_TOL) & (best <= UNDECIDED_TOL)]
-        zero_cost = np.zeros(len(grid.generators))
-        b_eq, b_ub = _dispatch_rhs(grid, top, loads[rest])
-        for k, row_eq, row_ub in zip(rest, b_eq, b_ub):
-            labels[k] = int(solve_lp(zero_cost, grid._balance, row_eq, top.a_ub, row_ub, lo[k], hi[k],
-                                     paths=top.paths).optimal)
+        if rest.size:  # the fast paths and the certificate often leave nothing to the LP
+            zero_cost = np.zeros(len(grid.generators))
+            b_eq, b_ub = _dispatch_rhs(grid, top, loads[rest])
+            for k, row_eq, row_ub in zip(rest, b_eq, b_ub):
+                labels[k] = int(solve_lp(zero_cost, grid._balance, row_eq, top.a_ub, row_ub, lo[k], hi[k],
+                                         paths=top.paths).optimal)
     return int(labels[0]) if single else labels
 
 
@@ -552,7 +554,14 @@ def load_grid(path) -> GridModel:
         raise MalformedFile(f"{path}: {exc}") from exc
 
 
+@functools.cache
 def six_bus() -> GridModel:
-    """The packaged six-bus test network used by all experiments."""
+    """The packaged six-bus test network used by all experiments: one object per process.
+
+    It is built on the first call, so its outages' `Topology` arrays and
+    their ``paths`` memos carry over to every later command, study and
+    call in the process; the memo changes no result, only how much of an
+    LP is solved afresh.  A `load_grid` network is a new object per call.
+    """
     data = json.loads(resources.files("riskgate.data").joinpath("network.json").read_text())
     return grid_from_dict(data)

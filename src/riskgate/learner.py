@@ -510,8 +510,8 @@ def _stump_to_dict(stump: Stump) -> dict:
     }
 
 
-def save_model(path, ensemble: Ensemble, contingency: int, calibration=None) -> None:
-    """Write ``model.json``: the line id, stumps, weights, optional sigmoid parameters."""
+def model_text(ensemble: Ensemble, contingency: int, calibration=None) -> str:
+    """The text of ``model.json``: the line id, stumps, weights, optional sigmoid parameters."""
     doc = {
         "version": MODEL_SCHEMA_VERSION,
         "mode": ensemble.mode,
@@ -520,7 +520,12 @@ def save_model(path, ensemble: Ensemble, contingency: int, calibration=None) -> 
         "weights": ensemble.weights,
         "calibration": None if calibration is None else {"a": calibration.a, "b": calibration.b},
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def save_model(path, ensemble: Ensemble, contingency: int, calibration=None) -> None:
+    """Write `model_text` to ``path``."""
+    Path(path).write_text(model_text(ensemble, contingency, calibration))
 
 
 def _leaf_from_dict(leaf, what) -> Leaf:

@@ -90,8 +90,36 @@ def test_calibrate_that_cannot_write_its_reliability_csv_leaves_the_model(datase
     uncalibrated = model.read_bytes()
     assert main(["calibrate", "--data", str(dataset), "--model", str(model), "--reliability", str(reliability)]) == 2
     assert f"No such file or directory: '{reliability}'" in capsys.readouterr().err
-    assert model.read_bytes() == uncalibrated  # the model is written last
+    assert model.read_bytes() == uncalibrated  # nothing is written until every output can be
     assert not reliability.parent.exists()
+
+
+@pytest.mark.parametrize("failing", ["--out", "--reliability"])
+def test_calibrate_that_cannot_write_an_output_leaves_no_file(dataset, tmp_path, capsys, failing):
+    """A write that fails, second or first, leaves the directory as it was: no output and no temporary file."""
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(dataset), "--contingency", "6", "--rounds", "4", "--out", str(model)]) == 0
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    outputs = {"--out": tmp_path / "m2.json", "--reliability": tmp_path / "r.csv", failing: tmp_path / "a_dir"}
+    outputs[failing].mkdir()
+    before[outputs[failing]] = None
+    argv = [arg for flag, path in outputs.items() for arg in (flag, str(path))]
+    assert main(["calibrate", "--data", str(dataset), "--model", str(model), *argv]) == 2
+    assert f"Is a directory: '{outputs[failing]}'" in capsys.readouterr().err
+    assert {p: None if p.is_dir() else p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert main(["calibrate", "--data", str(dataset), "--model", str(model),
+                 "--out", str(tmp_path / "m2.json"), "--reliability", str(tmp_path / "r.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "m2.json", "model.json", "r.csv"]
+
+
+def test_calibrate_in_place_through_a_symbolic_link_rewrites_the_file_it_names_with_its_mode(dataset, tmp_path):
+    model, link = tmp_path / "model.json", tmp_path / "link.json"
+    assert main(["train", "--data", str(dataset), "--contingency", "6", "--rounds", "4", "--out", str(model)]) == 0
+    link.symlink_to(model.name)
+    model.chmod(0o600)
+    assert main(["calibrate", "--data", str(dataset), "--model", str(link)]) == 0
+    assert link.is_symlink() and load_model(model).params is not None and model.stat().st_mode & 0o777 == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "model.json"]
 
 
 @pytest.fixture(scope="module")
@@ -535,6 +563,12 @@ def not_utf8(dataset, trained, tmp_path_factory):
     (["experiment", "threshold", "--config", "{single_class}"], 3,
      "repetition 1: the training split's insecure share on line 6 is 0; the contingency probability must be"
      " strictly inside (0, 1)"),
+    (["experiment", "multi", "--out", "{data}/sub"], 2, "cannot make {data}/sub: {data} exists and is not a directory"),
+    # each failed write, the second and the first, leaves no file: here no reliability CSV at {out}
+    (["calibrate", "--data", "{data}", "--model", "{model6}", "--out", "{a_dir}/nodir/m2.json", "--reliability",
+      "{out}"], 2, "No such file or directory: '{a_dir}/nodir/m2.json'"),
+    (["calibrate", "--data", "{data}", "--model", "{model6}", "--reliability", "{a_dir}/nodir/r.csv", "--out",
+      "{out}"], 2, "No such file or directory: '{a_dir}/nodir/r.csv'"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "negative-split", "negative-n", "zero-rounds", "one-fold",
         "unlabelled-line", "probability-above-one", "empty-test-split", "evaluate-empty-test-split",
         "train-empty-train-split", "calibrate-empty-calib-split", "generate-negative-seed", "feature-past-width",
@@ -554,7 +588,8 @@ def not_utf8(dataset, trained, tmp_path_factory):
         "not-utf8-config", "not-utf8-condition-probs", "float-network-line-id", "float-generator-bus",
         "string-reactance", "inf-p-max",
         "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack",
-        "calibrate-reliability-empty-test-split", "threshold-single-class-training-split"])
+        "calibrate-reliability-empty-test-split", "threshold-single-class-training-split",
+        "experiment-out-under-a-file", "calibrate-unwritable-out", "calibrate-unwritable-reliability"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_train_or_calib_split, unbalanced,
                                            bad_fields, bad_models, bad_inputs, repeated_label, not_utf8, tmp_path,
                                            capsys, argv, code, message):
@@ -581,8 +616,8 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_t
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(network, generators=listed)))
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
-    fields = {"data": dataset, "no_test_split": no_test_split, **no_train_or_calib_split, "unbalanced": unbalanced,
-              "string_rounds": string_rounds,
+    fields = {"out": out, "data": dataset, "no_test_split": no_test_split, **no_train_or_calib_split,
+              "unbalanced": unbalanced, "string_rounds": string_rounds,
               "negative_alpha": negative_alpha, "single_class": single_class,
               "lines_6_12": lines_6_12, "lines_6_6": lines_6_6, "two_lines_3": two_lines_3, "a_dir": a_dir,
               **{name: tmp_path / f"{name}.json" for name in generators},

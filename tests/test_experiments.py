@@ -270,7 +270,9 @@ def test_a_study_that_raises_writes_nothing(study, tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_study_refuses_an_unknown_name_or_a_file_as_out_dir_before_any_work(tmp_path):
+def test_run_study_refuses_an_unknown_name_or_a_file_as_out_dir_before_any_work(tmp_path, monkeypatch):
+    fits = []
+    monkeypatch.setattr(experiments, "fit_contingency_model", lambda *args: fits.append(args))
     study = Study(ExperimentConfig(**SMALL))
     with pytest.raises(ConfigError, match="unknown study 'all'; the studies are imbalance, calibration, "):
         run_study("all", study, tmp_path / "out")
@@ -278,7 +280,9 @@ def test_run_study_refuses_an_unknown_name_or_a_file_as_out_dir_before_any_work(
     a_file.write_text("")
     with pytest.raises(ConfigError, match="a_file exists and is not a directory"):
         run_study("imbalance", study, a_file)
-    assert "pool" not in vars(study)  # the pool was never built
+    with pytest.raises(ConfigError, match=f"^cannot make {a_file}/sub/out: {a_file} exists and is not a directory$"):
+        run_study("multi", study, a_file / "sub" / "out")  # mkdir would fail at a_file
+    assert "pool" not in vars(study) and fits == []  # the pool was never built, and no model fitted
     assert not (tmp_path / "out").exists() and a_file.read_text() == ""
 
 

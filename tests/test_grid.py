@@ -51,6 +51,11 @@ def triangle():
     )
 
 
+def fresh_six_bus():
+    """The packaged network as a new object, whose memos start empty: `six_bus` returns one object per process."""
+    return six_bus.__wrapped__()
+
+
 def six_bus_relaxed():
     """Packaged network with free generators and non-binding line limits."""
     g = six_bus()
@@ -115,7 +120,7 @@ def test_outage_arrays_are_derived_once_on_first_use(monkeypatch):
     derived = []
     derive = GridModel._derive_topology
     monkeypatch.setattr(GridModel, "_derive_topology", lambda self, out: derived.append(out) or derive(self, out))
-    g = six_bus()
+    g = fresh_six_bus()
     assert derived == [None]  # the intact network, so that a disconnected one is refused on construction
     g.check_line(3)
     with pytest.raises(ValueError, match="^unknown line id 99$"):
@@ -125,8 +130,12 @@ def test_outage_arrays_are_derived_once_on_first_use(monkeypatch):
     assert derived == [None, 3]
 
 
+def test_the_packaged_network_is_one_object_per_process():
+    assert six_bus() is six_bus() and fresh_six_bus() is not six_bus()
+
+
 def test_derived_arrays_do_not_change_identity():
-    a, b = six_bus(), six_bus()
+    a, b = six_bus(), fresh_six_bus()
     assert a == b and hash(a) == hash(b)
     assert [f.name for f in dataclasses.fields(GridModel)] == ["buses", "lines", "generators", "base_mva"]
     assert dataclasses.replace(a, base_mva=50.0) != a

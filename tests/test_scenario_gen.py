@@ -30,6 +30,7 @@ from riskgate.scenario_gen import (
     load_database,
     save_database,
 )
+from test_grid import fresh_six_bus
 
 
 def sample_loads(n, seed, correlation=LOAD_CORRELATION, dim=3):
@@ -264,13 +265,41 @@ def test_the_build_solves_single_lps_and_records_only_inside_them(monkeypatch):
 
     monkeypatch.setattr(grid, "solve_lp", counting_solve_lp)
     monkeypatch.setattr(simplex._Tableau, "record", checked_record)
-    net = six_bus()
+    net = fresh_six_bus()
     first = build_database(net, n=60, contingencies=ALL_LINES, seed=1, splits=(60, 0, 0))
     assert posed and set(posed) == {(1, 1)}
     assert min(recorded) >= 1
     calls = len(posed)
     assert build_database(net, n=60, contingencies=ALL_LINES, seed=1, splits=(60, 0, 0)) == first
     assert len(posed) == calls
+
+
+def pool_bytes(db) -> bytes:
+    """A pool's condition ids, features and labels, bit for bit."""
+    return b"".join([db.conditions.id.tobytes(), db.features_matrix().tobytes(),
+                     *(db.labels[c].tobytes() for c in sorted(db.labels))])
+
+
+@pytest.mark.reference
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 30)), min_size=1, max_size=3), st.data())
+def test_the_shared_network_builds_and_labels_as_a_fresh_one(builds, data):
+    """`six_bus`'s memos, grown by every earlier build and check in the process, change no pool byte and no label.
+
+    The labels are the triage oracle's: one condition at a time, through
+    the LP unless a fast path decides it.
+    """
+    shared = six_bus()
+    for seed, n in builds:
+        pool = build_database(shared, n=n, contingencies=ALL_LINES, seed=seed, splits=(n, 0, 0))
+        fresh = grid_mod.grid_from_dict(grid_mod.grid_to_dict(shared))
+        assert pool_bytes(pool) == pool_bytes(build_database(fresh, n=n, contingencies=ALL_LINES, seed=seed,
+                                                             splits=(n, 0, 0)))
+        fresh = grid_mod.grid_from_dict(grid_mod.grid_to_dict(shared))
+        loads, dispatch = bus_loads(shared, pool.conditions.loads), pool.conditions.generation
+        for i, c in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(ALL_LINES)), max_size=6)):
+            assert (grid_mod.assess_security(shared, loads[i], dispatch[i], c)
+                    == grid_mod.assess_security(fresh, loads[i], dispatch[i], c))
 
 
 def dispatch_one_at_a_time(g, n, seed):

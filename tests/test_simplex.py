@@ -19,6 +19,7 @@ from riskgate.errors import UnboundedLP
 from riskgate.grid import CORRECTIVE_RANGE_MW, six_bus, solve_dcopf
 from riskgate.scenario_gen import LOAD_BUSES, LOAD_RANGE, bus_loads
 from riskgate.simplex import _MAX_ITER, FEAS_TOL, PIVOT_TOL, LPResult, solve_lp
+from test_grid import fresh_six_bus
 
 
 def enumerate_optimum(c, a_eq, b_eq, a_ub, b_ub, lower, upper, tol=1e-7):
@@ -231,7 +232,7 @@ def grid_lp(net, outage, loads, cost, lower, upper):
 
 def test_a_security_lp_and_a_dcopf_share_a_topology_memo_apart():
     """Both LPs on the intact six-bus network, interleaved through its memo, as each solves alone."""
-    net = six_bus()
+    net = fresh_six_bus()
     top = net.topology(None)
     loads = [bus_loads(net, triple) for triple in ([100.0, 100.0, 100.0], [120.0, 80.0, 70.0], [55.0, 130.0, 90.0])]
     dispatches = [d.x for d in solve_dcopf(six_bus(), loads)]
@@ -250,7 +251,7 @@ def test_a_security_lp_and_a_dcopf_share_a_topology_memo_apart():
 
 def test_six_bus_dcopf_path_records_shortcut_steps_and_full_pivots():
     """A DC-OPF's recorded path has shortcut steps, which change only the cost rows, and full pivots."""
-    net = six_bus()
+    net = fresh_six_bus()
     assert solve_dcopf(net, bus_loads(net, [[100.0, 100.0, 100.0]]))[0].optimal
     [prepared] = net.topology(None).paths.values()
     [(start, node)] = prepared.families.values()

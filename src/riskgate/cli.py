@@ -349,6 +349,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # an input too large for this machine
+        print(f"configuration error: out of memory: {' '.join(str(exc).split()) or 'MemoryError'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

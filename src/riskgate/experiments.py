@@ -5,7 +5,7 @@ first use, and its calibrated per-contingency models, each fitted once
 -- and computes its CSVs as text, plus its measured extras.  Only
 ``run_study`` writes: once the study has finished, it makes the output
 directory and writes the CSVs and a ``manifest.json`` (config hash,
-seed, version, numpy and scipy versions, extras), so a failed study
+seed, version, numpy and scipy versions and OpenBLAS core, extras), so a failed study
 writes nothing.  All randomness flows from the config seed through
 named substreams, so a rerun with the same config is byte-identical.
 
@@ -16,12 +16,14 @@ re-cuts train/calibration/test at the configured sizes.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from .calibration import CalibratedEnsemble, brier_score, calibrated_probability
 from .errors import ConfigError, MalformedFile, SingleClassCalibration, SingleClassData, integer, number, read_json
 from .grid import six_bus
 from .learner import (
+    MAX_ROUNDS,
     MODES,
     Ensemble,
     ensemble_score,
@@ -97,6 +100,9 @@ _FIELD_KINDS = {
 }
 
 
+MAX_REPETITIONS = 10_000  # ample for the studies' 10 repetitions
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int = 5875
@@ -132,6 +138,9 @@ class ExperimentConfig:
                             ("repetitions", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
+        for name, most in (("rounds", MAX_ROUNDS), ("repetitions", MAX_REPETITIONS)):
+            if getattr(self, name) > most:
+                raise ValueError(f"{name} must be <= {most}, got {getattr(self, name)}")
         if not 0 < self.alpha < float("inf"):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
 
@@ -233,6 +242,25 @@ def draw_contingency_params(contingencies, seed: int) -> dict[int, ContingencyPa
     return out
 
 
+@cache
+def openblas_core() -> str | None:
+    """The core (kernel) name that numpy's bundled OpenBLAS chose for this CPU, such as ``SkylakeX``.
+
+    Read with ``scipy_openblas_get_corename64_`` from numpy's
+    ``libscipy_openblas64_*.so``; None where that library or symbol is
+    missing.  The BLAS kernel sets the low bits of the network arrays and
+    so of every digest, which is why manifests record it.
+    """
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                         "libscipy_openblas64_*.so")))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def _write_manifest(config: ExperimentConfig, experiment: str, out_dir, extras: dict) -> None:
     """Write ``manifest.json`` into ``out_dir``, which it records as the config's ``out_dir``."""
     doc = {**config.to_dict(), "out_dir": str(out_dir)}
@@ -240,7 +268,7 @@ def _write_manifest(config: ExperimentConfig, experiment: str, out_dir, extras: 
     payload = {
         "experiment": experiment,
         "version": __version__,
-        "environment": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "environment": {"numpy": np.__version__, "scipy": scipy.__version__, "openblas_core": openblas_core()},
         "seed": config.seed,
         "config": doc,
         "config_hash": hashlib.sha256(json.dumps(study, sort_keys=True).encode()).hexdigest(),

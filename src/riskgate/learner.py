@@ -45,6 +45,7 @@ _CLASSES = np.array([0, 1]).reshape(2, 1, 1)
 
 MODEL_SCHEMA_VERSION = 1
 MODES = ("samme", "samme.r")  # discrete vote weights, real-valued half-log-odds
+MAX_ROUNDS = 10_000  # ample for the studies' 100-round ensembles
 
 
 @dataclass(frozen=True)
@@ -380,6 +381,8 @@ def train_adaboost(features, labels, rounds: int = 100, mode: str = "samme.r", k
         raise ValueError(f"unknown boosting mode {mode!r}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if rounds > MAX_ROUNDS:
+        raise ValueError(f"rounds must be <= {MAX_ROUNDS}, got {rounds}")
     if k_folds < 2:
         raise ValueError("k_folds must be >= 2")
     x, y, _ = _training_data(features, labels)

@@ -6,7 +6,11 @@ range, dispatched by DC-OPF, and labeled per contingency by the exact
 security oracle.  Every condition owns an independent RNG stream derived
 from ``(seed, index, attempt)``, so generation is reproducible no matter
 how the work is partitioned, and rejected (pre-fault infeasible) samples
-never perturb the streams of other conditions.  The build takes each
+never perturb the streams of other conditions.  A stream is numpy's
+``default_rng([seed, index, attempt])``, bit for bit; the `SeedSequence`
+hash that seeds it is run here for a whole round of draws at once
+(`_stream_words`), and a `reference` property in the tests pins it to
+numpy's.  The build takes each
 condition's attempts in condition order; their DC-OPFs are drawn ahead
 in rounds, one `grid.solve_dcopf` call each.  The pool is one
 `Conditions` table: a read-only array per feature group, aligned by row.
@@ -14,11 +18,14 @@ in rounds, one `grid.solve_dcopf` call each.  The pool is one
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.random import PCG64
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtr
 
 from . import grid as grid_mod
@@ -149,13 +156,97 @@ def kumaraswamy_ppf(u):
     return (1.0 - (1.0 - u) ** (1.0 / KUMARASWAMY_B)) ** (1.0 / KUMARASWAMY_A)
 
 
+# numpy's SeedSequence hash (NEP 19), in uint32 arithmetic: the entropy words enter a pool of four
+# words by `hashmix`, every pool word is mixed into every other, and `generate_state` hashes the
+# pool's words out again.  Each hash steps its own running constant by its multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+_OTHERS = [[d for d in range(_POOL_SIZE) if d != src] for src in range(_POOL_SIZE)]
+
+
+@cache
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``count`` successive hashes' xor and multiplier: the running constant before and after its step."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)
+    consts.setflags(write=False)
+    return consts[:-1], consts[1:]
+
+
+def _hash(words, xor, mul):
+    words = (words ^ xor) * mul
+    return words ^ words >> _XSHIFT
+
+
+def _mix(x, y):
+    words = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return words ^ words >> _XSHIFT
+
+
+def _stream_words(seed: int, draws) -> np.ndarray:
+    """``SeedSequence([seed, index, attempt]).generate_state(4, np.uint64)`` for every draw, as ``(m, 4)`` rows.
+
+    The entropy is the little-endian uint32 words of ``seed`` (0 gives
+    one word), then ``index`` and ``attempt``, which must each fit one
+    word.  A seed of 2**64 or more gives more entropy words than the pool
+    holds, and each extra word is mixed into every pool word.
+    """
+    seed = operator.index(seed)
+    entropy = np.empty((len(draws), max(1, -(-seed.bit_length() // 32)) + 2), dtype=np.uint32)
+    entropy[:, :-2] = [seed >> 32 * k & 0xFFFFFFFF for k in range(entropy.shape[1] - 2)]
+    entropy[:, -2:] = np.reshape(draws, (-1, 2))
+    width = entropy.shape[1]
+    # hashes: one per pool word as the entropy enters, one per ordered pair of pool words, and one per
+    # pool word for each entropy word past the pool, 4 + 12 + 4 * (width - 4) = 4 * max(4, width) in all
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(_POOL_SIZE, width))
+    pool = np.zeros((len(draws), _POOL_SIZE), dtype=np.uint32)  # a pool longer than the entropy hashes zeros
+    pool[:, :width] = entropy[:, :_POOL_SIZE]
+    pool = _hash(pool, xor[:_POOL_SIZE], mul[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src, others in enumerate(_OTHERS):
+        pool[:, others] = _mix(pool[:, others], _hash(pool[:, src, None], xor[k:k + len(others)],
+                                                      mul[k:k + len(others)]))
+        k += len(others)
+    for src in range(_POOL_SIZE, width):
+        pool = _mix(pool, _hash(entropy[:, src, None], xor[k:k + _POOL_SIZE], mul[k:k + _POOL_SIZE]))
+        k += _POOL_SIZE
+    # generate_state: two passes over the pool give eight words, paired little-endian into four uint64
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hash(pool[:, None], xor.reshape(2, _POOL_SIZE), mul.reshape(2, _POOL_SIZE))
+    pairs = state.reshape(len(draws), _POOL_SIZE, 2).astype(np.uint64)
+    return pairs[..., 0] | pairs[..., 1] << np.uint64(32)
+
+
+class _StreamSeed(ISeedSequence):
+    """Hands `PCG64` the state words of one stream, as ``SeedSequence`` would generate them.
+
+    `PCG64` asks for exactly those: ``generate_state(4, np.uint64)``.
+    """
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _draw_loads(seed: int, draws, chol) -> np.ndarray:
     """Load triples (MW), one row per ``(index, attempt)`` of ``draws``, from stream ``(seed, index, attempt)``.
 
+    A stream is ``np.random.default_rng([seed, index, attempt])``: its
+    `PCG64` state words come from `_stream_words`, a copy of numpy's
+    `SeedSequence` hash run for all draws at once, and ``index`` and
+    ``attempt`` must each be below 2**32.  The property
+    ``test_draw_loads_matches_numpy_default_rng`` pins the rows to numpy's.
     The Gaussian draw is one product per row; the marginal map takes all rows at once, with the same bits.
     """
-    z = np.array([chol @ np.random.default_rng([seed, i, attempt]).standard_normal(len(chol))
-                  for i, attempt in draws]).reshape(-1, len(chol))
+    z = np.array([chol @ np.random.Generator(PCG64(_StreamSeed(words))).standard_normal(len(chol))
+                  for words in _stream_words(seed, draws)]).reshape(-1, len(chol))
     low, high = LOAD_RANGE
     return low + (high - low) * kumaraswamy_ppf(ndtr(z))
 
@@ -201,8 +292,14 @@ def build_database(
     each contingency labels all of them in one `grid.assess_security`
     call.
 
+    ``n`` must be below 2**32, checked before anything is allocated: a
+    condition's index is then one uint32 word of its stream's entropy
+    (see `_draw_loads`).
+
     Raises
     ------
+    ValueError
+        On a bad size, split or seed.
     DataError
         If more than half of all sampled load tuples are pre-fault
         infeasible (checked from the 50th on), which signals bad network
@@ -215,6 +312,8 @@ def build_database(
         raise ValueError(f"n and split sizes must be >= 0, got n={n} and splits {tuple(splits)}")
     if sum(splits) != n:
         raise ValueError(f"splits {splits} must sum to n={n}")
+    if n >= 2**32:
+        raise ValueError(f"n must be < 2**32 = {2**32}, got {n}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not contingencies:

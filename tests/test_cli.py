@@ -275,6 +275,9 @@ def test_experiment_rejects_bad_alpha_before_generating(tmp_path, capsys, monkey
         ("imbalance", {"splits": [200, 100, 0]}, [], "the test split needs at least one condition"),
         ("triage", {"splits": [200, 100, 0]}, [], "the test split needs at least one condition"),
         ("calibration", {"bins": 80}, [], "bins must be <= the test split's 50 conditions, got 80"),
+        ("multi", {"rounds": 10**30}, [], f"rounds must be <= 10000, got {10**30}"),
+        ("calibration", {}, ["--rounds", "10001"], "rounds must be <= 10000, got 10001"),
+        ("imbalance", {"repetitions": 10**30}, [], f"repetitions must be <= 10000, got {10**30}"),
     ]:
         config.write_text(json.dumps({"n": 300, "splits": [200, 50, 50], **fields}))
         assert main(["experiment", name, "--config", str(config), "--out", str(out)] + flags) == 2
@@ -569,6 +572,13 @@ def not_utf8(dataset, trained, tmp_path_factory):
       "{out}"], 2, "No such file or directory: '{a_dir}/nodir/m2.json'"),
     (["calibrate", "--data", "{data}", "--model", "{model6}", "--reliability", "{a_dir}/nodir/r.csv", "--out",
       "{out}"], 2, "No such file or directory: '{a_dir}/nodir/r.csv'"),
+    # a pool too large to allocate is refused before any array is made
+    (["generate", "--n", "1000000000000", "--splits", "999999999970,10,20"],
+     2, "n must be < 2**32 = 4294967296, got 1000000000000"),
+    (["experiment", "imbalance", "--config", "{huge_n}"], 2, "n must be < 2**32 = 4294967296, got 1000000000000"),
+    # --k-folds 1, checked after the rounds, keeps a build without the bound from boosting 10001 rounds
+    (["train", "--data", "{data}", "--contingency", "6", "--rounds", "10001", "--k-folds", "1"],
+     2, "rounds must be <= 10000, got 10001"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "negative-split", "negative-n", "zero-rounds", "one-fold",
         "unlabelled-line", "probability-above-one", "empty-test-split", "evaluate-empty-test-split",
         "train-empty-train-split", "calibrate-empty-calib-split", "generate-negative-seed", "feature-past-width",
@@ -589,7 +599,8 @@ def not_utf8(dataset, trained, tmp_path_factory):
         "string-reactance", "inf-p-max",
         "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack",
         "calibrate-reliability-empty-test-split", "threshold-single-class-training-split",
-        "experiment-out-under-a-file", "calibrate-unwritable-out", "calibrate-unwritable-reliability"])
+        "experiment-out-under-a-file", "calibrate-unwritable-out", "calibrate-unwritable-reliability",
+        "generate-huge-n", "experiment-huge-n", "train-rounds-past-bound"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_train_or_calib_split, unbalanced,
                                            bad_fields, bad_models, bad_inputs, repeated_label, not_utf8, tmp_path,
                                            capsys, argv, code, message):
@@ -600,6 +611,8 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_t
     negative_alpha.write_text('{"alpha": -1}\n')
     single_class = tmp_path / "single_class.json"  # repetition 1 trains on two secure conditions of line 6
     single_class.write_text('{"n": 6, "splits": [2, 2, 2], "rounds": 2, "repetitions": 3, "seed": 1}\n')
+    huge_n = tmp_path / "huge_n.json"
+    huge_n.write_text('{"n": 1000000000000, "splits": [999999999970, 10, 20]}\n')
     lines_6_12 = tmp_path / "lines_6_12.json"
     lines_6_12.write_text(json.dumps([{"line_id": c, "p_c": 0.0001, "cost_ratio": 0.999} for c in (6, 12)]))
     lines_6_6 = tmp_path / "lines_6_6.json"
@@ -618,7 +631,7 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_t
     a_dir.mkdir()
     fields = {"out": out, "data": dataset, "no_test_split": no_test_split, **no_train_or_calib_split,
               "unbalanced": unbalanced, "string_rounds": string_rounds,
-              "negative_alpha": negative_alpha, "single_class": single_class,
+              "negative_alpha": negative_alpha, "single_class": single_class, "huge_n": huge_n,
               "lines_6_12": lines_6_12, "lines_6_6": lines_6_6, "two_lines_3": two_lines_3, "a_dir": a_dir,
               **{name: tmp_path / f"{name}.json" for name in generators},
               "repeated_label": repeated_label, **trained, **bad_fields, **bad_models, **bad_inputs, **not_utf8}
@@ -693,6 +706,23 @@ def test_exit_code_config_error(tmp_path):
     bad.write_text("not,a,dataset\n")
     assert main(["train", "--data", str(bad), "--contingency", "6",
                  "--out", str(tmp_path / "m.json")]) == 2
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 21.8 TiB for an array with shape (1000000000000, 3) and data type float64"),
+    MemoryError(), MemoryError("two\nlines"),
+])
+def test_out_of_memory_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, error):
+    def build_database(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "build_database", build_database)
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--out", str(out), "--n", "7", "--splits", "5,1,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: out of memory: ") and err.count("\n") == 1
+    assert " ".join(str(error).split()) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--splits", "5,2,x"), ("--splits", "5,2"),

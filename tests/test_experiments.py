@@ -74,6 +74,14 @@ def test_config_without_repetitions_rejected(repetitions):
         ExperimentConfig(repetitions=repetitions)
 
 
+@pytest.mark.parametrize("field", ["rounds", "repetitions"])
+def test_config_rounds_and_repetitions_have_an_upper_bound(field):
+    assert getattr(ExperimentConfig(**{field: 10_000}), field) == 10_000
+    for value in (10_001, 10**30):
+        with pytest.raises(ValueError, match=f"^{field} must be <= 10000, got {value}$"):
+            ExperimentConfig(**{field: value})
+
+
 @pytest.mark.parametrize("alpha", [0, -1.0, float("inf"), float("nan")])
 def test_config_alpha_must_be_finite_and_positive(alpha):
     with pytest.raises(ValueError, match="alpha must be finite and > 0"):
@@ -135,7 +143,21 @@ def test_imbalance_study_structure(study, tmp_path):
     assert manifest["seed"] == SMALL["seed"]
     assert "pool_priors" in manifest["extras"]
     assert len(manifest["config_hash"]) == 64
-    assert manifest["environment"] == {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert manifest["environment"] == {"numpy": np.__version__, "scipy": scipy.__version__,
+                                       "openblas_core": experiments.openblas_core()}
+
+
+def test_openblas_core_names_the_kernel_or_none(monkeypatch):
+    assert isinstance(experiments.openblas_core(), str) and experiments.openblas_core()
+    try:
+        for module, name, stand_in in [(experiments.ctypes, "CDLL", lambda path: object()),  # no symbol
+                                       (experiments.glob, "glob", lambda pattern: [])]:  # no library
+            monkeypatch.setattr(module, name, stand_in)
+            experiments.openblas_core.cache_clear()
+            assert experiments.openblas_core() is None
+    finally:
+        monkeypatch.undo()
+        experiments.openblas_core.cache_clear()
 
 
 def test_imbalance_study_deterministic(study, tmp_path):

@@ -270,6 +270,13 @@ def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="6 feature rows need as many labels and weights"):
         train_stump(CONTRACT_X, CONTRACT_Y, np.ones(4))
 
+
+@pytest.mark.parametrize("rounds", [10_001, 10**30])
+def test_rounds_past_the_bound_rejected_before_the_data(rounds):
+    # single-class labels, checked after the bound, keep a build without it from boosting
+    with pytest.raises(ValueError, match=f"^rounds must be <= 10000, got {rounds}$"):
+        train_adaboost(CONTRACT_X, np.zeros(6, dtype=int), rounds=rounds)
+
 # -- boosting ------------------------------------------------------------
 
 def test_separable_data_selects_one_round():

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtr
 
 from riskgate import grid, grid as grid_mod, scenario_gen, simplex
 from riskgate.errors import ConfigError, DataError, MalformedFile
@@ -19,6 +20,7 @@ from riskgate.simplex import LPResult
 from riskgate.scenario_gen import (
     LOAD_BUSES,
     LOAD_CORRELATION,
+    LOAD_RANGE,
     SPLIT_NAMES,
     Conditions,
     LabeledDatabase,
@@ -36,6 +38,14 @@ from test_grid import fresh_six_bus
 def sample_loads(n, seed, correlation=LOAD_CORRELATION, dim=3):
     """``n`` correlated load tuples (MW), row ``i`` from the stream ``build_database`` draws first."""
     return _draw_loads(seed, [(i, 0) for i in range(n)], _copula_cholesky(correlation, dim))
+
+
+def reference_draw_loads(seed, draws, chol):
+    """`_draw_loads` with each row's normals drawn from a new ``np.random.default_rng([seed, index, attempt])``."""
+    z = np.array([chol @ np.random.default_rng([seed, i, attempt]).standard_normal(len(chol))
+                  for i, attempt in draws]).reshape(-1, len(chol))
+    low, high = LOAD_RANGE
+    return low + (high - low) * kumaraswamy_ppf(ndtr(z))
 
 
 # -- marginal transform ---------------------------------------------------
@@ -71,6 +81,30 @@ def test_sampling_deterministic_and_prefix_stable():
     a = sample_loads(50, seed=42)
     b = sample_loads(80, seed=42)
     assert np.array_equal(a, b[:50])
+
+
+@pytest.mark.reference
+@settings(deadline=None)
+@given(st.integers(0, 2**80 - 1), st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 999)), max_size=8))
+@example(0, [(0, 0), (1, 0)])
+@example(2**32 - 1, [(2**32 - 1, 999)])
+@example(2**32, [(5, 1), (2**32 - 1, 0)])
+@example(2**64 + 5, [(0, 3), (2**32 - 1, 2)])
+@example(7, [])
+def test_draw_loads_matches_numpy_default_rng(seed, draws):
+    """Each stream's state words are ``SeedSequence``'s and its loads those of numpy's ``default_rng``, bit for bit.
+
+    `reference_build_database` draws through `_draw_loads` too, so this
+    property alone ties the pool's streams to numpy's.
+    """
+    chol = _copula_cholesky(LOAD_CORRELATION, len(LOAD_BUSES))
+    words = scenario_gen._stream_words(seed, draws)
+    assert words.dtype == np.uint64 and words.shape == (len(draws), 4)
+    for (i, attempt), row in zip(draws, words):
+        assert np.array_equal(row, np.random.SeedSequence([seed, i, attempt]).generate_state(4, np.uint64))
+    loads = _draw_loads(seed, draws, chol)
+    assert loads.shape == (len(draws), 3)
+    assert loads.tobytes() == reference_draw_loads(seed, draws, chol).tobytes()
 
 
 def test_invalid_correlation_rejected():
@@ -175,6 +209,15 @@ def test_generation_deterministic():
 def test_bad_splits_rejected():
     with pytest.raises(ValueError):
         build_database(six_bus(), n=10, contingencies=[5], seed=0, splits=(5, 3, 3))
+
+
+def test_a_pool_of_2_32_conditions_rejected_before_allocating(monkeypatch):
+    def empty(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    monkeypatch.setattr(scenario_gen.np, "empty", empty)
+    with pytest.raises(ValueError, match=r"^n must be < 2\*\*32 = 4294967296, got 4294967296$"):
+        build_database(six_bus(), n=2**32, contingencies=[5], seed=0, splits=(2**32, 0, 0))
 
 
 @pytest.mark.parametrize("n, splits", [(3, (5, -1, -1)), (-3, (-3, 0, 0))])

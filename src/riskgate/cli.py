@@ -11,19 +11,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import functools
 import json
-import os
-import shutil
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .calibration import brier_score, calibrated_probability, fit_platt, reliability_text
-from .errors import ConfigError, DataError, read_text
+from .errors import ConfigError, DataError, read_text, write_texts
 from .experiments import RUNNERS, ExperimentConfig, Study, run_study
 from .grid import assess_security, load_grid, six_bus
 from .learner import MODES, load_model, model_text, save_model, train_adaboost
@@ -158,36 +154,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _write_all(texts: dict) -> None:
-    """Write each ``path: text``, or, if any write fails, leave every file as it was.
-
-    Each text goes to a temporary file beside its path (beside the file a
-    symbolic link names), and the temporary files are renamed into place
-    only once all are written.  An error names the path, not its
-    temporary file.
-    """
-    temps = []
-    try:
-        for path, text in texts.items():
-            target = Path(path).resolve()
-            if target.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-            temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-            try:
-                with open(temp, "w") as fh:
-                    temps.append((temp, target))
-                    fh.write(text)
-                if target.exists():  # a file rewritten in place keeps its permissions
-                    shutil.copymode(target, temp)
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, str(path)) from exc
-        for temp, target in temps:
-            os.replace(temp, target)
-    finally:
-        for temp, _ in temps:
-            temp.unlink(missing_ok=True)
-
-
 def _cmd_calibrate(args) -> int:
     db = _load_database(args.data, "calib", "calibrate on")
     if args.reliability and not len(db.split_indices("test")):
@@ -201,7 +167,7 @@ def _cmd_calibrate(args) -> int:
         texts[args.reliability] = reliability_text(bins)
     out = args.out or args.model  # without --out, the model file is both input and output
     texts[out] = model_text(model.ensemble, contingency=model.contingency, calibration=params)
-    _write_all(texts)
+    write_texts(texts)
     print(f"wrote {out}: a={params.a:.4f} b={params.b:.4f} ({params.iterations} iterations)")
     if args.reliability:
         print(f"wrote {args.reliability}")
@@ -306,7 +272,7 @@ def _cmd_evaluate(args) -> int:
     }
     text = json.dumps(metrics, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_texts({args.out: text + "\n"})
         print(f"wrote {args.out}")
     else:
         print(text)

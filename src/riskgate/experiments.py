@@ -31,7 +31,9 @@ import scipy
 
 from . import __version__
 from .calibration import CalibratedEnsemble, brier_score, calibrated_probability, fit_platt, reliability_text
-from .errors import ConfigError, MalformedFile, SingleClassCalibration, SingleClassData, integer, number, read_json
+from .errors import (
+    ConfigError, MalformedFile, SingleClassCalibration, SingleClassData, integer, number, read_json, write_texts,
+)
 from .grid import six_bus
 from .learner import (
     MAX_ROUNDS,
@@ -261,8 +263,8 @@ def openblas_core() -> str | None:
     return corename().decode()
 
 
-def _write_manifest(config: ExperimentConfig, experiment: str, out_dir, extras: dict) -> None:
-    """Write ``manifest.json`` into ``out_dir``, which it records as the config's ``out_dir``."""
+def _manifest_text(config: ExperimentConfig, experiment: str, out_dir, extras: dict) -> str:
+    """The text of ``manifest.json``, which records ``out_dir`` as the config's ``out_dir``."""
     doc = {**config.to_dict(), "out_dir": str(out_dir)}
     study = {k: v for k, v in doc.items() if k != "out_dir"}  # the output directory is not part of the study
     payload = {
@@ -274,7 +276,7 @@ def _write_manifest(config: ExperimentConfig, experiment: str, out_dir, extras: 
         "config_hash": hashlib.sha256(json.dumps(study, sort_keys=True).encode()).hexdigest(),
         "extras": extras,
     }
-    (Path(out_dir) / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _csv(header: str, rows) -> str:
@@ -554,7 +556,6 @@ def run_study(name: str, study: Study, out_dir) -> Path:
         raise ConfigError(f"cannot make {out}: {existing} exists and is not a directory")
     files, extras = RUNNERS[name](study)
     out.mkdir(parents=True, exist_ok=True)
-    for file_name, text in files.items():
-        (out / file_name).write_text(text)
-    _write_manifest(study.config, name, out_dir, extras)
+    write_texts({**{out / file_name: text for file_name, text in files.items()},
+                 out / "manifest.json": _manifest_text(study.config, name, out_dir, extras)})
     return out

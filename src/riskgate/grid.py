@@ -43,6 +43,7 @@ SECURE_TOL = 1e-9  # MW; a flow violated by at most this holds without redispatc
 CERTIFIED_TOL = 1e-12  # MW; a best vertex violating no row by more than this is feasible up to rounding
 UNDECIDED_TOL = 1e-6  # MW; best-vertex violations up to this are left to the LP
 CORRECTIVE_RANGE_MW = 20.0  # MW; corrective redispatch moves each output by at most this
+REACTANCE_RANGE = (1e-4, 1e4)  # p.u.; wider ratios of reactances overflow the network arrays
 _PARALLEL_TOL = 1e-12  # |sin| of the angle below which two polygon rows are parallel
 _ALWAYS_SCORED_SIN = 1e-6  # |sin| at or below which a row pair is scored whatever its rows reach
 _REACH_SLACK = 1e-6  # the reach test widens a box by this share of its largest |coordinate| + 1 MW
@@ -159,6 +160,9 @@ class GridModel:
         for ln in self.lines:
             if ln.reactance <= 0:
                 raise ValueError(f"line {ln.id}: reactance must be > 0")
+            if not REACTANCE_RANGE[0] <= ln.reactance <= REACTANCE_RANGE[1]:
+                raise ValueError(f"line {ln.id}: reactance must lie in [{REACTANCE_RANGE[0]:g}, {REACTANCE_RANGE[1]:g}]"
+                                 f" p.u., got {ln.reactance!r}")
             if ln.limit <= 0:
                 raise ValueError(f"line {ln.id}: flow limit must be > 0")
             if ln.from_bus not in known or ln.to_bus not in known:

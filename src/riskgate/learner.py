@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateData, MalformedFile, SingleClassData, integer, number, read_json
+from .errors import DegenerateData, MalformedFile, SingleClassData, integer, number, read_json, write_texts
 
 LEAF_EPS = 1e-6  # probability clamp applied before any logarithm
 _TIE_TOL = 1e-12  # impurity window treated as a tie (lexicographic winner)
@@ -528,7 +527,7 @@ def model_text(ensemble: Ensemble, contingency: int, calibration=None) -> str:
 
 def save_model(path, ensemble: Ensemble, contingency: int, calibration=None) -> None:
     """Write `model_text` to ``path``."""
-    Path(path).write_text(model_text(ensemble, contingency, calibration))
+    write_texts({path: model_text(ensemble, contingency, calibration)})
 
 
 def _leaf_from_dict(leaf, what) -> Leaf:

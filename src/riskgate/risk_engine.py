@@ -18,11 +18,10 @@ residual-risk estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MalformedFile, integer, number, read_json
+from .errors import ConfigError, DataError, MalformedFile, integer, number, read_json, write_texts
 
 _PROB_CEIL = 1.0 - 1e-9
 PROBABILITY_SUM_TOL = 1e-9  # condition probabilities must sum to 1 within this
@@ -250,9 +249,9 @@ def triage_csv(report: TriageReport, path) -> None:
                _texts(table.probability_estimate, "%.17g"), _texts(table.predicted_label, "%d"),
                _texts(table.risk, "%.17g"), ["1"] * n_high + ["0"] * (n - n_high),
                report.oracle_labels + [""] * (n - n_high))
-    Path(path).write_text(_TRIAGE_HEADER + "".join([
+    write_texts({path: _TRIAGE_HEADER + "".join([
         f"{rank},{cond}:{cont},{cond},{cont},{p_hat},{label},{risk},{high},{oracle}\n"
-        for rank, cond, cont, p_hat, label, risk, high, oracle in rows]))
+        for rank, cond, cont, p_hat, label, risk, high, oracle in rows])})
 
 
 # -- budget-sweep curves -------------------------------------------------------

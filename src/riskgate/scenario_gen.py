@@ -21,7 +21,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from pathlib import Path
 
 import numpy as np
 from numpy.random import PCG64
@@ -29,7 +28,7 @@ from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtr
 
 from . import grid as grid_mod
-from .errors import ConfigError, DataError, MalformedFile, read_text
+from .errors import ConfigError, DataError, MalformedFile, read_text, write_texts
 
 SPLIT_NAMES = ("train", "calib", "test")
 
@@ -387,7 +386,7 @@ def save_database(db: LabeledDatabase, path) -> None:
     head.append(",".join(_header(widths) + [f"label_c{c}" for c in cons]) + "\n")
     row = ",".join(["%d"] + ["%.17g"] * sum(widths) + ["%s"] + ["%d"] * len(cons)) + "\n"
     rows = zip(table.id.tolist(), *db._features.T.tolist(), db.splits, *(db.label_vector(c).tolist() for c in cons))
-    Path(path).write_text("".join(head) + "".join(map(row.__mod__, rows)))
+    write_texts({path: "".join(head) + "".join(map(row.__mod__, rows))})
 
 
 def load_database(path) -> LabeledDatabase:

@@ -445,15 +445,14 @@ def solve_lp(
     if (hi < lo).any():
         return LPResult("infeasible", None, None)
     a, n_eq = prepared.a, prepared.n_eq
-    b = b - np.vecdot(a, lo)  # one dot per row, as a row @ lo
-
     m = len(a)
     if m == 0:
         if np.any(c < -PIVOT_TOL):
             raise UnboundedLP("no constraints and a negative cost coefficient")
         return LPResult("optimal", lo.copy(), float(c @ lo))
 
-    neg, flat = _start(b)
+    with np.errstate(all="ignore"):  # as in solve_batch: a right-hand side that overflows ends the solve below
+        neg, flat = _start(b - np.vecdot(a, lo))  # one dot per row, as a row @ lo
     rhs = flat.tolist()
 
     k = n + m - n_eq

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,46 @@ def test_calibrate_in_place_through_a_symbolic_link_rewrites_the_file_it_names_w
     assert main(["calibrate", "--data", str(dataset), "--model", str(link)]) == 0
     assert link.is_symlink() and load_model(model).params is not None and model.stat().st_mode & 0o777 == 0o600
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "model.json"]
+
+
+_CALIBRATE = ["calibrate", "--data", "{data}", "--model", "{model6}", "--out", "{work}/model.json",
+              "--reliability", "{work}/reliability.csv"]
+_EXPERIMENT = ["experiment", "imbalance", "--config", "{config}", "--out", "{work}"]
+WRITERS = {  # a command's argv, all of whose outputs go into {work}, and the output put in the way
+    "generate": (["generate", "--n", "7", "--splits", "5,1,1", "--out", "{work}/data.csv"], "data.csv"),
+    "train": (["train", "--data", "{data}", "--contingency", "6", "--rounds", "2", "--out", "{work}/model.json"],
+              "model.json"),
+    "calibrate-out": (_CALIBRATE, "model.json"),
+    "calibrate-reliability": (_CALIBRATE, "reliability.csv"),
+    "triage": (["triage", "--data", "{data}", "--models", "{models}", "--contingencies-file", "{contingencies}",
+                "--budget", "12", "--out", "{work}/triage.csv"], "triage.csv"),
+    "evaluate": (["evaluate", "--data", "{data}", "--model", "{model6}", "--probability", "0.0001",
+                  "--cost-ratio", "0.9", "--out", "{work}/metrics.json"], "metrics.json"),
+    "experiment-csv": (_EXPERIMENT, "imbalance.csv"),
+    "experiment-manifest": (_EXPERIMENT, "manifest.json"),
+}
+
+
+@pytest.mark.parametrize("obstacle", ["directory", "fifo"])
+@pytest.mark.parametrize("writer", WRITERS)
+def test_an_output_that_is_not_a_regular_file_exits_2_and_nothing_is_written(dataset, trained, tmp_path, capsys,
+                                                                              writer, obstacle):
+    """A directory or a FIFO where an output goes is refused, naming it; no output and no temporary file appear."""
+    work = tmp_path / "work"
+    work.mkdir()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 240, "splits": [150, 45, 45], "seed": 11, "rounds": 2, "repetitions": 1}))
+    argv, output = WRITERS[writer]
+    target = work / output
+    if obstacle == "directory":
+        target.mkdir()
+    else:
+        os.mkfifo(target)
+    assert main([arg.format(work=work, data=dataset, config=config, **trained) for arg in argv]) == 2
+    reason = "Is a directory" if obstacle == "directory" else "exists and is not a regular file"
+    assert f"{reason}: '{target}'" in capsys.readouterr().err
+    assert [p.name for p in work.iterdir()] == [output]
+    assert target.is_dir() if obstacle == "directory" else target.is_fifo()
 
 
 @pytest.fixture(scope="module")
@@ -391,7 +432,10 @@ def bad_models(trained, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
-    """One-entry contingencies.json files and copies of the six-bus network.json, each with one defect."""
+    """One-entry contingencies.json files and copies of the six-bus network.json, each with one defect.
+
+    Also ``deep``, a JSON array nested too deeply for the parser, which every kind of JSON input file refuses.
+    """
     tmp = tmp_path_factory.mktemp("bad_inputs")
     ratio_entry = {"line_id": 6, "p_c": 0.0001, "cost_ratio": 0.999}
     cost_entry = {"line_id": 6, "p_c": 0.0001, "c_f1": 999.0, "c_f0": 1.0}
@@ -413,6 +457,9 @@ def bad_inputs(tmp_path_factory):
         "nan_reactance": ("lines", 4, "reactance", float("nan")),
         "inf_limit": ("lines", 10, "limit", float("inf")),
         "string_slack": ("buses", 0, "slack", "false"),
+        "huge_reactance": ("lines", 0, "reactance", 1e308),
+        "tiny_reactance": ("lines", 0, "reactance", 1e-308),
+        "huge_limit": ("lines", 0, "limit", 1e308),
     }.items():
         network = grid_to_dict(six_bus())
         network[kind][k][field] = value
@@ -421,6 +468,8 @@ def bad_inputs(tmp_path_factory):
     for name, doc in documents.items():
         paths[name] = tmp / f"{name}.json"
         paths[name].write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    paths["deep"] = tmp / "deep.json"
+    paths["deep"].write_text("[" * 200000 + "]" * 200000)
     return paths
 
 
@@ -560,6 +609,21 @@ def not_utf8(dataset, trained, tmp_path_factory):
         ("nan_reactance", "lines[4].reactance must be a finite number, got nan"),
         ("inf_limit", "lines[10].limit must be a finite number, got inf"),
         ("string_slack", "buses[0].slack must be true or false, got 'false'"),
+        ("huge_reactance", "line 1: reactance must lie in [0.0001, 10000] p.u., got 1e+308"),
+        ("tiny_reactance", "line 1: reactance must lie in [0.0001, 10000] p.u., got 1e-308"),
+    ]],
+    *[(["triage", "--data", "{data}", "--models", "{models}", "--contingencies-file", "{contingencies}",
+        "--budget", "12", "--network", "{%s}" % name], code, message) for name, code, message in [
+        ("huge_reactance", 2, "huge_reactance.json: bad network description: line 1: reactance must lie in"),
+        ("tiny_reactance", 2, "tiny_reactance.json: bad network description: line 1: reactance must lie in"),
+        # the security LP's right-hand side overflows as it is posed: no numpy warning, the oracle's error
+        ("huge_limit", 3, "simplex tableau overflowed: the LP's coefficients are too large"),
+    ]],
+    *[(argv, 2, "invalid JSON in {deep}: nested too deeply") for argv in [
+        ["evaluate", "--data", "{data}", "--model", "{deep}", "--probability", "0.0001", "--cost-ratio", "0.9"],
+        ["experiment", "calibration", "--config", "{deep}"],
+        ["triage", "--data", "{data}", "--models", "{models}", "--contingencies-file", "{deep}", "--budget", "12"],
+        ["generate", "--n", "7", "--splits", "5,1,1", "--network", "{deep}"],
     ]],
     (["calibrate", "--data", "{no_test_split}", "--model", "{model6}", "--reliability", "{a_dir}/reliability.csv"],
      3, "{no_test_split} has no test conditions to bin for --reliability"),
@@ -597,7 +661,9 @@ def not_utf8(dataset, trained, tmp_path_factory):
         "negative-c-f1", "not-utf8-dataset", "not-utf8-model", "not-utf8-contingencies", "not-utf8-network",
         "not-utf8-config", "not-utf8-condition-probs", "float-network-line-id", "float-generator-bus",
         "string-reactance", "inf-p-max",
-        "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack",
+        "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack", "generate-huge-reactance",
+        "generate-tiny-reactance", "triage-huge-reactance", "triage-tiny-reactance", "triage-huge-limit",
+        "deep-json-model", "deep-json-config", "deep-json-contingencies", "deep-json-network",
         "calibrate-reliability-empty-test-split", "threshold-single-class-training-split",
         "experiment-out-under-a-file", "calibrate-unwritable-out", "calibrate-unwritable-reliability",
         "generate-huge-n", "experiment-huge-n", "train-rounds-past-bound"])

@@ -20,7 +20,7 @@ from riskgate.experiments import (
     RUNNERS,
     ExperimentConfig,
     Study,
-    _write_manifest,
+    _manifest_text,
     budget_sweep,
     draw_contingency_params,
     fit_contingency_model,
@@ -168,10 +168,7 @@ def test_imbalance_study_deterministic(study, tmp_path):
 
 def test_config_hash_ignores_out_dir_but_not_seed(tmp_path):
     def config_hash(cfg):
-        out = Path(cfg.out_dir)
-        out.mkdir()
-        _write_manifest(cfg, "imbalance", out, {})
-        return json.loads((out / "manifest.json").read_text())["config_hash"]
+        return json.loads(_manifest_text(cfg, "imbalance", cfg.out_dir, {}))["config_hash"]
 
     same = config_hash(small_config(tmp_path / "a")), config_hash(small_config(tmp_path / "b"))
     assert same[0] == same[1]

@@ -1,16 +1,20 @@
-"""The input contract: the field readers, the exit code of every error class, and file round trips.
+"""The file contract: the field readers, the exit code of every error class, file round trips and the writer.
 
 Each round-trip property checks that the strict readers accept every
 file riskgate writes; the two reference properties check that the
 dataset.csv reader and the triage.csv writer match the line-at-a-time
-code they replace.  CI reruns all of them with more examples under
+code they replace; and the writer's property checks that `write_texts`
+writes all of its files or none.  CI reruns all of them with more examples under
 ``--hypothesis-profile reference`` (tests/conftest.py).
 """
 
+import errno
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -410,3 +414,88 @@ def test_triage_csv_matches_row_template_reference(tmp_path_factory, report):
     triage_csv(report, new)
     row_template_triage_csv(report, reference)
     assert new.read_bytes() == reference.read_bytes()
+
+
+# -- the output writer ---------------------------------------------------------
+
+@st.composite
+def text_writes(draw):
+    """``(targets, failing)`` for one `write_texts` call: ``(kind, old, new)`` per target, and the write that fails.
+
+    A target is a new file, an existing one with its own text and mode
+    (``old``, None for a new file), or a symbolic link to either.
+    ``failing`` is the index of the target whose write raises, or None.
+    """
+    targets = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["new", "existing", "link to new", "link to existing"]))
+        old = draw(st.tuples(st.text(max_size=30), st.sampled_from([0o600, 0o640, 0o644, 0o700, 0o755])))
+        targets.append((kind, old if kind.endswith("existing") else None, draw(st.text(max_size=30))))
+    return targets, draw(st.none() | st.integers(0, len(targets) - 1))
+
+
+class _FailingWrite:
+    """A file that writes half of what it is given, then raises ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.reference
+@ROUND_TRIP
+@given(text_writes())
+def test_write_texts_writes_every_file_or_none(case):
+    targets, failing = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths, files = [], []  # the path written, and the file it names
+        for k, (kind, old, _) in enumerate(targets):
+            paths.append(tmp / f"t{k}")
+            files.append(tmp / f"f{k}" if kind.startswith("link") else paths[-1])
+            if kind.startswith("link"):
+                paths[-1].symlink_to(files[-1].name)
+            if old is not None:
+                files[-1].write_text(old[0], encoding="utf-8")
+                files[-1].chmod(old[1])
+        opened = []
+
+        def open_failing(file, *args, **kwargs):
+            opened.append(file)
+            fh = open(file, *args, **kwargs)
+            return _FailingWrite(fh) if len(opened) - 1 == failing else fh
+
+        texts = {str(path): new for path, (_, _, new) in zip(paths, targets)}
+        with mock.patch.object(errors, "open", open_failing, create=True):
+            if failing is None:
+                errors.write_texts(texts)
+            else:
+                with pytest.raises(OSError, match=f"No space left on device: '{re.escape(str(paths[failing]))}'$"):
+                    errors.write_texts(texts)
+        expected = set()
+        for path, file, (kind, old, new) in zip(paths, files, targets):
+            if kind.startswith("link"):
+                assert path.is_symlink()
+                expected.add(path.name)
+            if failing is None or old is not None:
+                assert file.read_bytes() == (new if failing is None else old[0]).encode()
+                expected.add(file.name)
+            if old is not None:
+                assert file.stat().st_mode & 0o7777 == old[1]
+        assert {p.name for p in tmp.iterdir()} == expected  # no new file on failure, and no temporary file
+
+
+def test_write_texts_through_two_paths_to_one_file_writes_the_last_text(tmp_path):
+    (tmp_path / "link").symlink_to("file")
+    errors.write_texts({tmp_path / "file": "first", tmp_path / "link": "last"})
+    assert (tmp_path / "file").read_text() == "last" and (tmp_path / "link").is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "link"]

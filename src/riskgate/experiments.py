@@ -5,7 +5,7 @@ first use, and its calibrated per-contingency models, each fitted once
 -- and computes its CSVs as text, plus its measured extras.  Only
 ``run_study`` writes: once the study has finished, it makes the output
 directory and writes the CSVs and a ``manifest.json`` (config hash,
-seed, version, numpy and scipy versions and OpenBLAS core, extras), so a failed study
+seed, version, numpy version, scipy's if installed, OpenBLAS core, extras), so a failed study
 writes nothing.  All randomness flows from the config seed through
 named substreams, so a rerun with the same config is byte-identical.
 
@@ -24,10 +24,10 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .calibration import CalibratedEnsemble, brier_score, calibrated_probability, fit_platt, reliability_text
@@ -263,6 +263,14 @@ def openblas_core() -> str | None:
     return corename().decode()
 
 
+def _installed_version(distribution: str) -> str | None:
+    """The installed version of ``distribution``, read from its metadata without importing it; None if absent."""
+    try:
+        return metadata.version(distribution)
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def _manifest_text(config: ExperimentConfig, experiment: str, out_dir, extras: dict) -> str:
     """The text of ``manifest.json``, which records ``out_dir`` as the config's ``out_dir``."""
     doc = {**config.to_dict(), "out_dir": str(out_dir)}
@@ -270,7 +278,7 @@ def _manifest_text(config: ExperimentConfig, experiment: str, out_dir, extras: d
     payload = {
         "experiment": experiment,
         "version": __version__,
-        "environment": {"numpy": np.__version__, "scipy": scipy.__version__, "openblas_core": openblas_core()},
+        "environment": {"numpy": np.__version__, "scipy": _installed_version("scipy"), "openblas_core": openblas_core()},
         "seed": config.seed,
         "config": doc,
         "config_hash": hashlib.sha256(json.dumps(study, sort_keys=True).encode()).hexdigest(),

@@ -44,6 +44,8 @@ CERTIFIED_TOL = 1e-12  # MW; a best vertex violating no row by more than this is
 UNDECIDED_TOL = 1e-6  # MW; best-vertex violations up to this are left to the LP
 CORRECTIVE_RANGE_MW = 20.0  # MW; corrective redispatch moves each output by at most this
 REACTANCE_RANGE = (1e-4, 1e4)  # p.u.; wider ratios of reactances overflow the network arrays
+LIMIT_RANGE = (1e-3, 1e6)  # MW; near the LP tolerances (1e-6 MW) a limit means nothing, past 1e6 MW it is no limit
+COST_RANGE = (-1e6, 1e6)  # $/MWh; a negative cost (a unit paid to run) is allowed, every output being bounded
 _PARALLEL_TOL = 1e-12  # |sin| of the angle below which two polygon rows are parallel
 _ALWAYS_SCORED_SIN = 1e-6  # |sin| at or below which a row pair is scored whatever its rows reach
 _REACH_SLACK = 1e-6  # the reach test widens a box by this share of its largest |coordinate| + 1 MW
@@ -163,11 +165,15 @@ class GridModel:
             if not REACTANCE_RANGE[0] <= ln.reactance <= REACTANCE_RANGE[1]:
                 raise ValueError(f"line {ln.id}: reactance must lie in [{REACTANCE_RANGE[0]:g}, {REACTANCE_RANGE[1]:g}]"
                                  f" p.u., got {ln.reactance!r}")
-            if ln.limit <= 0:
-                raise ValueError(f"line {ln.id}: flow limit must be > 0")
+            if not LIMIT_RANGE[0] <= ln.limit <= LIMIT_RANGE[1]:
+                raise ValueError(f"line {ln.id}: flow limit must lie in [{LIMIT_RANGE[0]:g}, {LIMIT_RANGE[1]:g}] MW,"
+                                 f" got {ln.limit!r}")
             if ln.from_bus not in known or ln.to_bus not in known:
                 raise ValueError(f"line {ln.id}: unknown endpoint")
         for g in self.generators:
+            if not COST_RANGE[0] <= g.cost <= COST_RANGE[1]:
+                raise ValueError(f"generator {g.id}: cost must lie in [{COST_RANGE[0]:g}, {COST_RANGE[1]:g}] $/MWh,"
+                                 f" got {g.cost!r}")
             if g.p_min > g.p_max:
                 raise ValueError(f"generator {g.id}: p_min > p_max")
             if g.bus not in known:
@@ -396,7 +402,7 @@ def _best_vertex_violation(grid, top, loads, lo, hi) -> np.ndarray:
     time, each slice's worst violations folded into ``best`` in place.
     """
     pairs = top.pairs
-    base_flow = loads @ -top.ptdf.T
+    base_flow = _fixed_order_product(loads, -top.ptdf)  # a condition's bits whatever its batch
     limits = grid.line_limits
     rhs = np.hstack([limits - base_flow, limits + base_flow, hi, -lo]) - loads.sum(axis=1)[:, None] * pairs.rows[:, 2]
     cond, pair = _reaching_pairs(pairs, rhs, lo, hi)

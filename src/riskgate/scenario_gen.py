@@ -18,6 +18,7 @@ in rounds, one `grid.solve_dcopf` call each.  The pool is one
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
@@ -25,7 +26,6 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.random import PCG64
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import ndtr
 
 from . import grid as grid_mod
 from .errors import ConfigError, DataError, MalformedFile, read_text, write_texts
@@ -155,6 +155,65 @@ def kumaraswamy_ppf(u):
     return (1.0 - (1.0 - u) ** (1.0 / KUMARASWAMY_B)) ** (1.0 / KUMARASWAMY_A)
 
 
+# The standard normal CDF as Cephes computes it (Moshier, "Methods and Programs for Mathematical
+# Functions", 1989), which is what scipy.special.ndtr runs.  With x = a / sqrt(2): |x| < 1 takes
+# 0.5 + 0.5·erf(x), erf(x) = x·T(x²)/U(x²); otherwise 0.5·erfc(|x|), reflected to 1 - that for
+# x > 0, with erfc(z) = exp(-z²)·P(z)/Q(z) for z < 8 and exp(-z²)·R(z)/S(z) from 8 on, and 0 once
+# -z² < -MAXLOG.  The published tables, highest power first; U, Q and S have a leading 1 left out.
+_CEPHES_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+             7.00332514112805075473E3, 5.55923013010394962768E4)
+_CEPHES_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+             2.26290000613890934246E4, 4.92673942608635921086E4)
+_CEPHES_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+             4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+             9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_CEPHES_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+             9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+             1.65666309194161350182E3, 5.57535340817727675546E2)
+_CEPHES_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+             6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_CEPHES_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+             1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_CEPHES_MAXLOG = 7.09782712893383996843E2
+_SQRT1_2 = 0.70710678118654752440
+# (term, numerator | denominator, branch): each branch's pair of polynomials padded with leading zeros to
+# nine terms, so that one Horner pass takes every branch; 0·v + 0 and 1·v + c are exact, so a padded
+# term gives the bits of Cephes' shorter `polevl`, and a leading 1 those of `p1evl` (which starts at x + c)
+_NDTR_TERMS = np.array([[(0.0,) * (9 - len(c)) + c for c in (num, (1.0,) + den)]
+                        for num, den in ((_CEPHES_T, _CEPHES_U), (_CEPHES_P, _CEPHES_Q), (_CEPHES_R, _CEPHES_S))]
+                       ).transpose(2, 1, 0).copy()
+_NDTR_BRANCHES = np.array([1.0, 8.0])  # the |x| at which each branch after the first starts
+
+
+def _ndtr(a) -> np.ndarray:
+    """The standard normal CDF of each value of ``a``, with the bits of ``scipy.special.ndtr``.
+
+    The Cephes rational forms in the C code's operation order, and libm's
+    ``exp`` (`math.exp`, which scipy's C calls too; numpy's own ``exp``
+    differs in the last bit for some inputs).  NaN gives NaN; a value past
+    Cephes' underflow point gives 0 or 1 before any square can overflow.
+    """
+    a = np.asarray(a, dtype=float)
+    nan = np.isnan(a)
+    x = np.where(nan, 0.0, a) * _SQRT1_2  # no arithmetic on a NaN: a signalling one would warn
+    w = np.minimum(np.abs(x), 27.0)  # 27² is past MAXLOG, so the clip changes no verdict and squares stay finite
+    square = w * w
+    branch = np.searchsorted(_NDTR_BRANCHES, w, side="right")  # erf, erfc below 8, erfc from 8 on
+    erf = branch == 0
+    v = np.where(erf, square, w)  # erf's polynomials take x², erfc's |x|
+    terms = np.take(_NDTR_TERMS, branch, axis=2)
+    v = np.stack([v, v])
+    ratio = terms[0].copy()  # Horner's rule, numerator and denominator at once
+    for term in terms[1:]:
+        ratio *= v
+        ratio += term
+    scale = np.where(erf, x, 0.0)  # erfc's exp(-x²), 0 where it underflows
+    tail = np.flatnonzero(~erf & (square <= _CEPHES_MAXLOG))
+    scale.flat[tail] = list(map(math.exp, (-square.flat[tail]).tolist()))
+    half = 0.5 * (scale * ratio[0] / ratio[1])
+    return np.where(nan, np.nan, np.where(erf, 0.5 + half, np.where(x > 0, 1.0 - half, half)))
+
+
 # numpy's SeedSequence hash (NEP 19), in uint32 arithmetic: the entropy words enter a pool of four
 # words by `hashmix`, every pool word is mixed into every other, and `generate_state` hashes the
 # pool's words out again.  Each hash steps its own running constant by its multiplier.
@@ -247,7 +306,7 @@ def _draw_loads(seed: int, draws, chol) -> np.ndarray:
     z = np.array([chol @ np.random.Generator(PCG64(_StreamSeed(words))).standard_normal(len(chol))
                   for words in _stream_words(seed, draws)]).reshape(-1, len(chol))
     low, high = LOAD_RANGE
-    return low + (high - low) * kumaraswamy_ppf(ndtr(z))
+    return low + (high - low) * kumaraswamy_ppf(_ndtr(z))
 
 
 def bus_loads(grid: grid_mod.GridModel, loads) -> np.ndarray:

@@ -609,7 +609,7 @@ def _walk(node: _Node, idx, rhs, iterations: int, out: list, optimal, alone) -> 
         if (leave == leave[0]).all():
             branches = [(int(leave[0]), slice(None))]
         else:
-            branches = [(r, leave == r) for r in np.unique(leave).tolist()]
+            branches = [(r, leave == r) for r in sorted(set(leave.tolist()))]  # np.unique would import numpy.ma
         for r, sel in branches:
             child, members, columns = node.children.get(r), idx[sel], rhs[:, sel]
             while child is None and members.size:  # its path is the group's, so its solve records the child

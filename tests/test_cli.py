@@ -460,6 +460,8 @@ def bad_inputs(tmp_path_factory):
         "huge_reactance": ("lines", 0, "reactance", 1e308),
         "tiny_reactance": ("lines", 0, "reactance", 1e-308),
         "huge_limit": ("lines", 0, "limit", 1e308),
+        "huge_cost": ("generators", 0, "cost", 1e308),
+        "negative_huge_cost": ("generators", 1, "cost", -1e308),
     }.items():
         network = grid_to_dict(six_bus())
         network[kind][k][field] = value
@@ -611,13 +613,17 @@ def not_utf8(dataset, trained, tmp_path_factory):
         ("string_slack", "buses[0].slack must be true or false, got 'false'"),
         ("huge_reactance", "line 1: reactance must lie in [0.0001, 10000] p.u., got 1e+308"),
         ("tiny_reactance", "line 1: reactance must lie in [0.0001, 10000] p.u., got 1e-308"),
+        ("huge_limit", "line 1: flow limit must lie in [0.001, 1e+06] MW, got 1e+308"),
+        ("huge_cost", "generator 1: cost must lie in [-1e+06, 1e+06] $/MWh, got 1e+308"),
+        ("negative_huge_cost", "generator 2: cost must lie in [-1e+06, 1e+06] $/MWh, got -1e+308"),
     ]],
     *[(["triage", "--data", "{data}", "--models", "{models}", "--contingencies-file", "{contingencies}",
         "--budget", "12", "--network", "{%s}" % name], code, message) for name, code, message in [
         ("huge_reactance", 2, "huge_reactance.json: bad network description: line 1: reactance must lie in"),
         ("tiny_reactance", 2, "tiny_reactance.json: bad network description: line 1: reactance must lie in"),
-        # the security LP's right-hand side overflows as it is posed: no numpy warning, the oracle's error
-        ("huge_limit", 3, "simplex tableau overflowed: the LP's coefficients are too large"),
+        ("huge_limit", 2, "huge_limit.json: bad network description: line 1: flow limit must lie in"),
+        ("huge_cost", 2, "huge_cost.json: bad network description: generator 1: cost must lie in"),
+        ("negative_huge_cost", 2, "negative_huge_cost.json: bad network description: generator 2: cost must lie in"),
     ]],
     *[(argv, 2, "invalid JSON in {deep}: nested too deeply") for argv in [
         ["evaluate", "--data", "{data}", "--model", "{deep}", "--probability", "0.0001", "--cost-ratio", "0.9"],
@@ -662,7 +668,9 @@ def not_utf8(dataset, trained, tmp_path_factory):
         "not-utf8-config", "not-utf8-condition-probs", "float-network-line-id", "float-generator-bus",
         "string-reactance", "inf-p-max",
         "bool-limit", "nan-cost", "nan-reactance", "inf-limit", "string-slack", "generate-huge-reactance",
-        "generate-tiny-reactance", "triage-huge-reactance", "triage-tiny-reactance", "triage-huge-limit",
+        "generate-tiny-reactance", "generate-huge-limit", "generate-huge-cost", "generate-negative-huge-cost",
+        "triage-huge-reactance", "triage-tiny-reactance", "triage-huge-limit", "triage-huge-cost",
+        "triage-negative-huge-cost",
         "deep-json-model", "deep-json-config", "deep-json-contingencies", "deep-json-network",
         "calibrate-reliability-empty-test-split", "threshold-single-class-training-split",
         "experiment-out-under-a-file", "calibrate-unwritable-out", "calibrate-unwritable-reliability",

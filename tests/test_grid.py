@@ -1,6 +1,7 @@
 """Grid engine tests: DC power flow, DC-OPF, and the security oracle."""
 
 import dataclasses
+import functools
 import json
 import re
 from types import SimpleNamespace
@@ -107,6 +108,32 @@ def test_bad_line_parameters_rejected(reactance, limit):
             lines=(Line(1, 1, 2, reactance, limit),),
             generators=(),
         )
+
+
+@pytest.mark.parametrize("limit, cost, message", [
+    (1e-3, -1e6, None),
+    (1e6, 1e6, None),
+    (np.nextafter(1e-3, 0.0), 1.0, "line 1: flow limit must lie in [0.001, 1e+06] MW, got 0.0009999999999999998"),
+    (np.nextafter(1e6, np.inf), 1.0, "line 1: flow limit must lie in [0.001, 1e+06] MW, got 1000000.0000000001"),
+    (100.0, np.nextafter(1e6, np.inf), "generator 1: cost must lie in [-1e+06, 1e+06] $/MWh, got 1000000.0000000001"),
+    (100.0, -1e308, "generator 1: cost must lie in [-1e+06, 1e+06] $/MWh, got -1e+308"),
+    (100.0, float("nan"), "generator 1: cost must lie in [-1e+06, 1e+06] $/MWh, got nan"),
+])
+def test_line_limits_and_generator_costs_have_a_range(limit, cost, message):
+    make = lambda: GridModel(buses=(Bus(1, True), Bus(2)), lines=(Line(1, 1, 2, 0.1, float(limit)),),  # noqa: E731
+                             generators=(Generator(1, 1, 0.0, 100.0, float(cost)),))
+    if message is None:
+        make()
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+
+def test_a_negative_cost_unit_is_dispatched_first():
+    g = GridModel(buses=(Bus(1, True),), lines=(),
+                  generators=(Generator(1, 1, 0.0, 60.0, 1.0), Generator(2, 1, 0.0, 60.0, -5.0)))
+    [res] = solve_dcopf(g, [[50.0]])
+    assert res.x.tolist() == [0.0, 50.0] and res.objective == -250.0
 
 
 def test_unknown_outage_rejected():
@@ -462,10 +489,10 @@ def test_dcopf_checks_every_row_before_any_lp(monkeypatch, loads, message):
 
 def test_dcopf_of_a_batch_gives_each_failing_rows_error_in_its_place():
     """A row whose cost overflows fails as it would alone, and the rows around it solve."""
-    g = GridModel(buses=(Bus(1, True),), lines=(), generators=(Generator(1, 1, 0.0, 1e6, 1e307),))
-    assert solve_dcopf(g, [[1.0]])[0].objective == 1e307
-    first, failed, last = solve_dcopf(g, [[1.0], [500.0], [2.0]])
-    assert first.objective == 1e307 and last.objective == 2e307
+    g = GridModel(buses=(Bus(1, True),), lines=(), generators=(Generator(1, 1, 0.0, 1e306, 1e6),))
+    assert solve_dcopf(g, [[1.0]])[0].objective == 1e6
+    first, failed, last = solve_dcopf(g, [[1.0], [5e302], [2.0]])
+    assert first.objective == 1e6 and last.objective == 2e6
     assert type(failed) is ValueError and str(failed).startswith("simplex tableau overflowed")
 
 
@@ -799,7 +826,7 @@ def reference_best_vertex_violation(grid, top, loads, lo, hi) -> np.ndarray:
     i, j, det = i[keep], j[keep], det[keep]
     inverse = np.array([[plane[j, 1], -plane[i, 1]], [-plane[j, 0], plane[i, 0]]]) / det  # (2, 2, pairs)
 
-    base_flow = loads @ -top.ptdf.T
+    base_flow = grid_mod._fixed_order_product(loads, -top.ptdf)  # the certificate's own per-row product
     limits = grid.line_limits
     rhs = np.hstack([limits - base_flow, limits + base_flow, hi, -lo]) - loads.sum(axis=1)[:, None] * rows[:, 2]
     best = np.empty(len(loads))
@@ -853,8 +880,9 @@ def test_certificate_matches_scoring_every_vertex(case, chunk_floats, data):
         assert_certificate_matches_reference(grid, loads, dispatch, c, corrective)
 
 
+@functools.cache
 def six_bus_pool():
-    """The packaged network and at least 200 dispatched conditions from 240 load draws."""
+    """The packaged network and at least 200 dispatched conditions from 240 load draws, read-only."""
     from test_scenario_gen import sample_loads
 
     g = six_bus()
@@ -864,7 +892,7 @@ def six_bus_pool():
     feasible = [k for k, d in enumerate(dispatch) if d.optimal]
     loads, dispatch = loads[feasible], np.array([dispatch[k].x for k in feasible])
     assert len(loads) >= 200
-    return g, loads, dispatch
+    return g, grid_mod._read_only(loads), grid_mod._read_only(dispatch)
 
 
 @pytest.mark.reference
@@ -874,6 +902,50 @@ def test_certificate_matches_scoring_every_vertex_on_a_six_bus_pool():
     decided = [assert_certificate_matches_reference(g, loads, dispatch, ln.id, corrective)
                for ln in g.lines for corrective in (5.0, 20.0)]
     assert 0 < sum(decided) < len(decided) * len(loads)  # both sides of the tolerance are compared
+
+
+@st.composite
+def certificate_cases(draw):
+    """A three-generator network, conditions on it, an outage (or none) and a corrective range.
+
+    Either a random network's conditions (`condition_batches`) or 2-40
+    conditions of the packaged network's pool, whose decided certificates
+    sit near the boundary often enough to tell a product's bits apart.
+    """
+    if draw(st.booleans()):
+        grid, loads, dispatch, corrective = draw(condition_batches(generator_counts=(3,)))
+    else:
+        grid, loads, dispatch = six_bus_pool()
+        rows = draw(st.lists(st.integers(0, len(loads) - 1), min_size=2, max_size=40, unique=True))
+        loads, dispatch, corrective = loads[rows], dispatch[rows], draw(st.sampled_from([5.0, 20.0, 60.0]))
+    outages = [None] + [ln.id for ln in grid.lines if not grid.topology(ln.id).islanded]
+    return grid, loads, dispatch, draw(st.sampled_from(outages)), corrective
+
+
+@pytest.mark.reference
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(certificate_cases(), st.data())
+def test_a_conditions_certificate_and_label_do_not_depend_on_its_batch(case, data):
+    """Alone (a one-row batch), in its full batch and in a random sub-batch, bit for bit."""
+    grid, loads, dispatch, c, corrective = case
+    top = grid.topology(c)
+    lo = np.maximum(grid.p_min, dispatch - corrective)
+    hi = np.minimum(grid.p_max, dispatch + corrective)
+    order = np.array(data.draw(st.permutations(range(len(loads)))))
+    batches = [np.arange(len(loads)), order[:data.draw(st.integers(1, len(loads)))]]
+    batches += [[k] for k in range(len(loads))]
+
+    labels, certified = {}, {}
+    for batch in map(np.asarray, batches):
+        for k, label in zip(batch, assess_security(grid, loads[batch], dispatch[batch], c, corrective)):
+            labels.setdefault(k, set()).add(int(label))
+        box = batch[np.all(lo[batch] <= hi[batch], axis=1)]  # the certificate takes non-empty boxes only
+        if box.size:
+            best = _best_vertex_violation(grid, top, loads[box], lo[box], hi[box])
+            for k, value in zip(box, best):
+                certified.setdefault(k, set()).add(value.tobytes())
+    assert {k: found for k, found in labels.items() if len(found) > 1} == {}
+    assert {k: found for k, found in certified.items() if len(found) > 1} == {}
 
 
 def scored_pairs(calls):

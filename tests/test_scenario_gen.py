@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
 
 from riskgate import grid, grid as grid_mod, scenario_gen, simplex
@@ -26,6 +27,7 @@ from riskgate.scenario_gen import (
     LabeledDatabase,
     _copula_cholesky,
     _draw_loads,
+    _ndtr,
     build_database,
     bus_loads,
     kumaraswamy_ppf,
@@ -67,6 +69,42 @@ def test_quantile_inverts_cdf():
         x = kumaraswamy_ppf(u)
         cdf = 1.0 - (1.0 - x ** 1.6) ** 2.8
         assert cdf == pytest.approx(u, abs=1e-12)
+
+
+# -- normal CDF ---------------------------------------------------------------
+
+def same_bits(a, b) -> bool:
+    """Equal as float64 bit patterns: tells -0.0 from 0.0 and one NaN from another."""
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64), np.asarray(b, dtype=float).view(np.uint64))
+
+
+@pytest.mark.reference
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)),
+       st.integers(0, 2**32 - 1), st.integers(0, 700))
+def test_ndtr_matches_scipy_bit_for_bit(wide, seed, n_normal):
+    """Any float64, NaN and the infinities included, and standard-normal draws such as the loads take."""
+    normal = np.random.default_rng(seed).standard_normal(n_normal)
+    for a in (wide, normal, np.concatenate([wide, normal]).reshape(-1, 1)):
+        assert same_bits(_ndtr(a), ndtr(a))
+
+
+SQRT2 = math.sqrt(2.0)
+
+
+# the branch points (|a| = sqrt(2) between erf and erfc, 8·sqrt(2) between erfc's two tables), the signed
+# zeros and subnormals, the infinities, NaN, the largest floats and the span where erfc underflows to 0
+@pytest.mark.parametrize("a", [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, SQRT2, -SQRT2, np.nextafter(SQRT2, 0.0),
+                               np.nextafter(-SQRT2, 0.0), 8 * SQRT2, -8 * SQRT2, np.nextafter(8 * SQRT2, 0.0),
+                               1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan, 37.5, -37.5, -37.7, -38.5])
+def test_ndtr_matches_scipy_at_fixed_values(a):
+    assert same_bits(_ndtr(np.array([a])), ndtr(np.array([a])))
+
+
+def test_ndtr_matches_scipy_across_the_underflow_point():
+    a = np.linspace(-38.5, -37.5, 10001)
+    assert same_bits(_ndtr(a), ndtr(a))
+    assert _ndtr(a)[0] == 0.0 and _ndtr(a)[-1] > 0.0 and same_bits(_ndtr(-a), ndtr(-a))
 
 
 # -- load sampling -----------------------------------------------------------

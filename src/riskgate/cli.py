@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import brier_score, calibrated_probability, fit_platt, reliability_text
-from .errors import ConfigError, DataError, read_text, write_texts
+from .errors import ConfigError, DataError, MalformedFile, read_text, write_texts
 from .experiments import RUNNERS, ExperimentConfig, Study, run_study
 from .grid import assess_security, load_grid, six_bus
 from .learner import MODES, load_model, model_text, save_model, train_adaboost
@@ -124,8 +124,15 @@ def _int_list(text, flag):
 
 
 def _load_database(path, split: str, purpose: str):
-    """The dataset at ``path``; a DataError, naming the file, if its ``split`` split has no conditions."""
-    db = load_database(path)
+    """The dataset at ``path``; a MalformedFile, or a DataError if its ``split`` split is empty, names the file."""
+    try:
+        db = load_database(path)
+    except MalformedFile as exc:
+        if str(path) in str(exc):  # read_text's UTF-8 refusal names the file already
+            raise
+        named = MalformedFile(f"{path}: {exc}")
+        named.line = exc.line
+        raise named from exc
     if not len(db.split_indices(split)):
         raise DataError(f"{path} has no {split} conditions to {purpose}")
     return db

@@ -46,6 +46,7 @@ CORRECTIVE_RANGE_MW = 20.0  # MW; corrective redispatch moves each output by at 
 REACTANCE_RANGE = (1e-4, 1e4)  # p.u.; wider ratios of reactances overflow the network arrays
 LIMIT_RANGE = (1e-3, 1e6)  # MW; near the LP tolerances (1e-6 MW) a limit means nothing, past 1e6 MW it is no limit
 COST_RANGE = (-1e6, 1e6)  # $/MWh; a negative cost (a unit paid to run) is allowed, every output being bounded
+OUTPUT_RANGE = (-1e6, 1e6)  # MW, for p_min and p_max; a negative output (a unit that draws power) is allowed
 _PARALLEL_TOL = 1e-12  # |sin| of the angle below which two polygon rows are parallel
 _ALWAYS_SCORED_SIN = 1e-6  # |sin| at or below which a row pair is scored whatever its rows reach
 _REACH_SLACK = 1e-6  # the reach test widens a box by this share of its largest |coordinate| + 1 MW
@@ -174,6 +175,10 @@ class GridModel:
             if not COST_RANGE[0] <= g.cost <= COST_RANGE[1]:
                 raise ValueError(f"generator {g.id}: cost must lie in [{COST_RANGE[0]:g}, {COST_RANGE[1]:g}] $/MWh,"
                                  f" got {g.cost!r}")
+            for name, value in (("p_min", g.p_min), ("p_max", g.p_max)):
+                if not OUTPUT_RANGE[0] <= value <= OUTPUT_RANGE[1]:
+                    raise ValueError(f"generator {g.id}: {name} must lie in [{OUTPUT_RANGE[0]:g}, {OUTPUT_RANGE[1]:g}]"
+                                     f" MW, got {value!r}")
             if g.p_min > g.p_max:
                 raise ValueError(f"generator {g.id}: p_min > p_max")
             if g.bus not in known:
@@ -260,31 +265,46 @@ class GridModel:
         return top
 
 
+def _row_products(a, rows) -> np.ndarray:
+    """``a @ row`` for each row of ``rows``, ``(..., n)`` for ``a`` of ``(L, n)``, stacked as ``(..., L)``.
+
+    Each row gets the bits ``a @ row`` gives it alone, whatever its batch:
+    numpy's matmul loop makes one BLAS gemv call per row (a ``dot`` where
+    ``a`` has one row), as ``a @ row`` does.  The rows are made contiguous
+    first, as a row alone is: a strided row takes BLAS's strided kernel,
+    whose bits can differ.
+    """
+    return np.matmul(a, np.ascontiguousarray(rows, dtype=float)[..., None])[..., 0]
+
+
 def solve_dc_power_flow(grid: GridModel, injection):
     """Bus angles (rad, slack = 0) and line flows (MW, from->to) of the intact network for net injections (MW).
+
+    One condition ``(n_buses,)`` or one per row ``(m, n_buses)``; a row gets the same bits either way.
 
     Raises
     ------
     ValueError
-        If the injection vector is the wrong length or does not balance
-        to zero within ``BALANCE_TOL``.
+        If the injections are not ``n_buses`` wide, or a row (the first
+        such is reported) does not balance to zero within ``BALANCE_TOL``.
     """
     inj = np.asarray(injection, dtype=float)
-    if inj.shape != (grid.n_buses,):
+    if inj.shape[-1:] != (grid.n_buses,):
         raise ValueError(f"injection must have length {grid.n_buses}")
-    if abs(inj.sum()) > BALANCE_TOL:
-        raise ValueError(f"injections do not balance (residual {inj.sum():.3e} MW)")
+    residual = inj.sum(axis=-1)
+    unbalanced = np.abs(residual) > BALANCE_TOL
+    if unbalanced.any():
+        raise ValueError(f"injections do not balance (residual {residual[unbalanced][0]:.3e} MW)")
 
     keep = grid._keep
-    angles = np.zeros(grid.n_buses)
-    angles[keep] = grid.topology().b_inv @ (inj[keep] / grid.base_mva)
-    return angles, grid.base_mva * (angles[grid._from] - angles[grid._to]) / grid._x
+    angles = np.zeros(inj.shape)
+    angles[..., keep] = _row_products(grid.topology().b_inv, inj[..., keep] / grid.base_mva)
+    return angles, grid.base_mva * (angles[..., grid._from] - angles[..., grid._to]) / grid._x
 
 
 def _dispatch_rhs(grid, top, loads):
     """The dispatch LP's ``b_eq`` and ``b_ub`` for ``(m, n_buses)`` loads, a row each."""
-    # one product per row: a matrix product's bits could differ
-    base_flow = np.array([top.ptdf @ -row for row in loads]).reshape(len(loads), len(grid.lines))
+    base_flow = _row_products(top.ptdf, -loads)
     limits = grid.line_limits
     return loads.sum(axis=1)[:, None], np.concatenate([limits - base_flow, limits + base_flow], axis=1)
 

@@ -273,7 +273,7 @@ def residual_error_curves(contingencies, predicted, truth, params_by_contingency
 
     is_missed, is_false = (mask.astype(float) for mask in alarm_masks(predicted, truth))
     weight = np.empty(n)
-    for c in np.unique(c_ids):
+    for c in sorted(set(c_ids.tolist())):  # np.unique would import numpy.ma
         p = params_by_contingency[int(c)]
         mask = c_ids == c
         weight[mask] = np.where(

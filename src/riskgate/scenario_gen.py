@@ -301,10 +301,11 @@ def _draw_loads(seed: int, draws, chol) -> np.ndarray:
     `SeedSequence` hash run for all draws at once, and ``index`` and
     ``attempt`` must each be below 2**32.  The property
     ``test_draw_loads_matches_numpy_default_rng`` pins the rows to numpy's.
-    The Gaussian draw is one product per row; the marginal map takes all rows at once, with the same bits.
+    The copula's product is `grid._row_products`, so each row has the bits it would have alone.
     """
-    z = np.array([chol @ np.random.Generator(PCG64(_StreamSeed(words))).standard_normal(len(chol))
+    z = np.array([np.random.Generator(PCG64(_StreamSeed(words))).standard_normal(len(chol))
                   for words in _stream_words(seed, draws)]).reshape(-1, len(chol))
+    z = grid_mod._row_products(chol, z)
     low, high = LOAD_RANGE
     return low + (high - low) * kumaraswamy_ppf(_ndtr(z))
 
@@ -346,9 +347,9 @@ def build_database(
     the attempts counted are rejects; so the errors, and the attempts
     counted before them, are those of a build that dispatched one
     condition at a time, and a network that stalls costs one full round
-    and then one DC-OPF per attempt.  Once every condition is dispatched,
-    each contingency labels all of them in one `grid.assess_security`
-    call.
+    and then one DC-OPF per attempt.  Then one `grid.solve_dc_power_flow`
+    call gives every pre-fault power flow, and each contingency labels
+    every condition in one `grid.assess_security` call.
 
     ``n`` must be below 2**32, checked before anything is allocated: a
     condition's index is then one uint32 word of its stream's entropy
@@ -378,10 +379,9 @@ def build_database(
         raise ValueError("no contingencies to label")
     chol = _copula_cholesky(LOAD_CORRELATION, len(LOAD_BUSES))
 
-    triples, outputs, angles, flows = (np.empty((n, width)) for width in (
-        len(LOAD_BUSES), len(grid.generators), grid.n_buses, len(grid.lines)))
+    triples, outputs = np.empty((n, len(LOAD_BUSES))), np.empty((n, len(grid.generators)))
     tries = dict.fromkeys(range(n), 0)  # open condition -> its attempts drawn
-    outcomes = {}  # (condition, attempt) -> its load triple, bus loads and DC-OPF outcome, until taken
+    outcomes = {}  # (condition, attempt) -> its load triple and DC-OPF outcome, until taken
     attempts = rejects = 0
     for i in range(n):
         for attempt in range(1000):
@@ -391,13 +391,13 @@ def build_database(
                 draws = list(tries.items()) if 2 * rejects <= attempts else [(i, attempt)]
                 drawn = _draw_loads(seed, draws, chol)
                 loads = bus_loads(grid, drawn)
-                for (k, a), triple, row, result in zip(draws, drawn, loads, grid_mod.solve_dcopf(grid, loads)):
-                    outcomes[k, a] = triple, row, result
+                for (k, a), triple, result in zip(draws, drawn, grid_mod.solve_dcopf(grid, loads)):
+                    outcomes[k, a] = triple, result
                     if isinstance(result, Exception) or result.optimal or a == 999:
                         del tries[k]
                     else:
                         tries[k] = a + 1
-            triple, row, result = outcomes.pop((i, attempt))
+            triple, result = outcomes.pop((i, attempt))
             attempts += 1
             if isinstance(result, Exception):
                 raise result
@@ -409,10 +409,10 @@ def build_database(
         else:
             raise DataError(f"condition {i}: no feasible dispatch in 1000 attempts")
         triples[i], outputs[i] = triple, result.x
-        angles[i], flows[i] = grid_mod.solve_dc_power_flow(grid, grid.incidence @ result.x - row)
 
-    # Label one contingency at a time, for every condition at once.
+    # The pre-fault power flows, then the labels one contingency at a time, for every condition at once.
     loads = bus_loads(grid, triples)
+    angles, flows = grid_mod.solve_dc_power_flow(grid, grid_mod._row_products(grid.incidence, outputs) - loads)
     labels = {c: grid_mod.assess_security(grid, loads, outputs, c) for c in contingencies}
     tags = [SPLIT_NAMES[0]] * splits[0] + [SPLIT_NAMES[1]] * splits[1] + [SPLIT_NAMES[2]] * splits[2]
     return LabeledDatabase(Conditions(np.arange(n), triples, outputs, angles, flows), labels, tags, seed)

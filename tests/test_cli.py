@@ -462,6 +462,8 @@ def bad_inputs(tmp_path_factory):
         "huge_limit": ("lines", 0, "limit", 1e308),
         "huge_cost": ("generators", 0, "cost", 1e308),
         "negative_huge_cost": ("generators", 1, "cost", -1e308),
+        "huge_p_min": ("generators", 0, "p_min", -1e308),
+        "huge_p_max": ("generators", 2, "p_max", 1e308),
     }.items():
         network = grid_to_dict(six_bus())
         network[kind][k][field] = value
@@ -649,6 +651,22 @@ def not_utf8(dataset, trained, tmp_path_factory):
     # --k-folds 1, checked after the rounds, keeps a build without the bound from boosting 10001 rounds
     (["train", "--data", "{data}", "--contingency", "6", "--rounds", "10001", "--k-folds", "1"],
      2, "rounds must be <= 10000, got 10001"),
+    *[(argv + ["--network", "{%s}" % name], 2, f"{name}.json: bad network description: generator {message}")
+      for argv in [["generate", "--n", "7", "--splits", "5,1,1", "--contingencies", "3"],
+                   ["triage", "--data", "{data}", "--models", "{models}", "--contingencies-file", "{contingencies}",
+                    "--budget", "12"]]
+      for name, message in [("huge_p_min", "1: p_min must lie in [-1e+06, 1e+06] MW, got -1e+308"),
+                            ("huge_p_max", "3: p_max must lie in [-1e+06, 1e+06] MW, got 1e+308")]],
+    # a refused dataset is named first, once, whichever command reads it
+    *[(argv, 2, "configuration error: {bad_header}: line 1: unexpected header columns") for argv in [
+        ["train", "--data", "{bad_header}", "--contingency", "6"],
+        ["calibrate", "--data", "{bad_header}", "--model", "{model6}"],
+        ["triage", "--data", "{bad_header}", "--models", "{models}", "--contingencies-file", "{contingencies}",
+         "--budget", "12"],
+        ["evaluate", "--data", "{bad_header}", "--model", "{model6}", "--probability", "0.0001", "--cost-ratio", "0.9"],
+    ]],
+    (["calibrate", "--data", "{data_csv}", "--model", "{model6}"],
+     2, "configuration error: line 3: {data_csv}: byte 0xe9 is not UTF-8"),
 ], ids=["unknown-line", "splits-sum", "no-conditions", "negative-split", "negative-n", "zero-rounds", "one-fold",
         "unlabelled-line", "probability-above-one", "empty-test-split", "evaluate-empty-test-split",
         "train-empty-train-split", "calibrate-empty-calib-split", "generate-negative-seed", "feature-past-width",
@@ -674,7 +692,10 @@ def not_utf8(dataset, trained, tmp_path_factory):
         "deep-json-model", "deep-json-config", "deep-json-contingencies", "deep-json-network",
         "calibrate-reliability-empty-test-split", "threshold-single-class-training-split",
         "experiment-out-under-a-file", "calibrate-unwritable-out", "calibrate-unwritable-reliability",
-        "generate-huge-n", "experiment-huge-n", "train-rounds-past-bound"])
+        "generate-huge-n", "experiment-huge-n", "train-rounds-past-bound",
+        "generate-huge-p-min", "generate-huge-p-max", "triage-huge-p-min", "triage-huge-p-max",
+        "train-bad-header", "calibrate-bad-header", "triage-bad-header", "evaluate-bad-header",
+        "calibrate-not-utf8-dataset-named-once"])
 def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_train_or_calib_split, unbalanced,
                                            bad_fields, bad_models, bad_inputs, repeated_label, not_utf8, tmp_path,
                                            capsys, argv, code, message):
@@ -703,7 +724,9 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_t
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(network, generators=listed)))
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
-    fields = {"out": out, "data": dataset, "no_test_split": no_test_split, **no_train_or_calib_split,
+    bad_header = tmp_path / "bad_header.csv"
+    bad_header.write_text("a,b\n1,2\n")
+    fields = {"out": out, "data": dataset, "bad_header": bad_header, "no_test_split": no_test_split, **no_train_or_calib_split,
               "unbalanced": unbalanced, "string_rounds": string_rounds,
               "negative_alpha": negative_alpha, "single_class": single_class, "huge_n": huge_n,
               "lines_6_12": lines_6_12, "lines_6_6": lines_6_6, "two_lines_3": two_lines_3, "a_dir": a_dir,
@@ -713,6 +736,15 @@ def test_bad_input_exits_without_traceback(dataset, trained, no_test_split, no_t
     assert main(argv if "--out" in argv else argv + ["--out", str(out)]) == code
     assert message.format(**fields) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_refused_dataset_is_named_and_keeps_its_line(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# seed=1\na,b\n")
+    with pytest.raises(MalformedFile) as err:
+        cli._load_database(bad, "train", "train on")
+    assert str(err.value) == f"{bad}: line 2: unexpected header columns (missing feature or split column?)"
+    assert err.value.line == 2
 
 
 @pytest.mark.parametrize("flag", ["--network", "--model", "--contingencies-file", "--config"])

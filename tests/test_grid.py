@@ -337,6 +337,61 @@ def test_derived_arrays_match_reference(case):
     check_against_reference(*case)
 
 
+@st.composite
+def row_product_cases(draw):
+    """``a`` of ``(L, n)`` and ``(m, n)`` rows, as a contiguous array, a column slice or a transpose.
+
+    The values span ±0, subnormals and magnitudes up to 1e150, so no product or sum overflows.
+    """
+    L, n, m = draw(st.integers(1, 39)), draw(st.integers(1, 39)), draw(st.integers(0, 29))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([1e-300, 1e-5, 1.0, 1e4, 1e150]))
+
+    def values(*size):
+        v = rng.choice([-1.0, 1.0], size) * top * 10.0 ** rng.uniform(-330.0, 0.0, size)  # 10**-324 and below: 0
+        v[rng.random(size) < 0.1] *= 0.0  # signed zeros
+        return v
+
+    layout = draw(st.sampled_from(["contiguous", "column slice", "transpose"]))
+    rows = {"contiguous": lambda: values(m, n), "column slice": lambda: values(m, 2 * n)[:, 1::2],
+            "transpose": lambda: values(n, m).T}[layout]()
+    return values(L, n), rows
+
+
+@pytest.mark.reference
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(row_product_cases())
+def test_row_products_give_each_row_its_own_product_bits(case):
+    a, rows = case
+    # each row alone, as a new array: `a @ view` of a strided row takes BLAS's strided kernel, whose bits can differ
+    expected = np.array([a @ np.array(row) for row in rows]).reshape(len(rows), len(a))
+    assert same_bits(grid_mod._row_products(a, rows), expected)
+
+
+@pytest.mark.reference
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(st.one_of(connected_grids().map(lambda case: case[0]), st.just(six_bus())),
+       st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_power_flow_of_a_batch_matches_its_one_row_calls_bit_for_bit(grid, seed, m):
+    rng = np.random.default_rng(seed)
+    inj = rng.uniform(-200.0, 200.0, (m, grid.n_buses))
+    inj[:, grid.slack_index] -= inj.sum(axis=1)
+    angles, flows = solve_dc_power_flow(grid, inj)
+    assert angles.shape == (m, grid.n_buses) and flows.shape == (m, len(grid.lines))
+    for k, row in enumerate(inj):
+        alone = solve_dc_power_flow(grid, row)
+        assert same_bits(angles[k], alone[0]) and same_bits(flows[k], alone[1])
+
+
+def test_power_flow_of_a_batch_refuses_an_unbalanced_row_and_a_wrong_width():
+    inj = np.zeros((3, 2))
+    inj[1] = [50.0, -49.0]
+    with pytest.raises(ValueError, match=r"^injections do not balance \(residual 1\.000e\+00 MW\)$"):
+        solve_dc_power_flow(two_bus(), inj)
+    with pytest.raises(ValueError, match="^injection must have length 2$"):
+        solve_dc_power_flow(two_bus(), np.zeros((3, 3)))
+
+
 # -- DC power flow ------------------------------------------------------------
 
 def test_single_line_carries_all_power():
@@ -488,10 +543,11 @@ def test_dcopf_checks_every_row_before_any_lp(monkeypatch, loads, message):
 
 
 def test_dcopf_of_a_batch_gives_each_failing_rows_error_in_its_place():
-    """A row whose cost overflows fails as it would alone, and the rows around it solve."""
-    g = GridModel(buses=(Bus(1, True),), lines=(), generators=(Generator(1, 1, 0.0, 1e306, 1e6),))
-    assert solve_dcopf(g, [[1.0]])[0].objective == 1e6
-    first, failed, last = solve_dcopf(g, [[1.0], [5e302], [2.0]])
+    """A row whose tableau overflows fails as it would alone, and the rows around it solve."""
+    g = GridModel(buses=(Bus(1, True), Bus(2)), lines=(Line(1, 1, 2, 1.0, 1e6),),
+                  generators=(Generator(1, 1, 0.0, 1e6, 1e6),))
+    assert solve_dcopf(g, [[0.0, 1.0]])[0].objective == 1e6
+    first, failed, last = solve_dcopf(g, [[0.0, 1.0], [0.0, 1e308], [0.0, 2.0]])
     assert first.objective == 1e6 and last.objective == 2e6
     assert type(failed) is ValueError and str(failed).startswith("simplex tableau overflowed")
 

@@ -1,4 +1,4 @@
-"""What the package imports: every name a module imports is used in it, and nothing imports scipy."""
+"""What the package imports: every imported name is used, nothing imports scipy, and no command loads numpy.ma."""
 
 import ast
 import json
@@ -95,3 +95,36 @@ def test_commands_run_without_scipy_and_write_the_same_bytes(argv, tmp_path, mon
         out = tmp_path / name / "out"
         runs[name] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
     assert runs["without_scipy"] == runs["in_process"] and runs["in_process"]
+
+
+# -- numpy.ma -----------------------------------------------------------------
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """``numpy.ma`` costs about 10 ms to import; `np.unique` without ``return_inverse`` loads it.
+
+    Each command runs in a fresh interpreter on small inputs, the pipeline in order, and reports whether
+    ``numpy.ma`` itself (not ``numpy.matrixlib``) was loaded.
+    """
+    from test_experiments import SMALL
+
+    (tmp_path / "small.json").write_text(json.dumps(SMALL))
+    (tmp_path / "contingencies.json").write_text(json.dumps(
+        [{"line_id": c, "p_c": 0.0001, "cost_ratio": 0.999} for c in (5, 6)]))
+    train = [["train", "--data", "data.csv", "--contingency", str(c), "--rounds", "5", "--out", f"model{c}.json"]
+             for c in (5, 6)]
+    calibrate = [["calibrate", "--data", "data.csv", "--model", f"model{c}.json"] for c in (5, 6)]
+    commands = [
+        ["generate", "--n", "120", "--splits", "60,30,30", "--contingencies", "5,6", "--out", "data.csv"],
+        *train, *calibrate,
+        ["evaluate", "--data", "data.csv", "--model", "model6.json", "--probability", "0.0001", "--cost-ratio", "0.9"],
+        ["triage", "--data", "data.csv", "--models", "model5.json,model6.json", "--contingencies-file",
+         "contingencies.json", "--budget", "6", "--out", "triage.csv"],
+        ["experiment", "triage", "--config", "small.json", "--out", "study"],
+    ]
+    loaded = {}
+    for argv in commands:
+        run = python("import sys\nfrom riskgate.cli import main\ncode = main(sys.argv[1:])\n"
+                     "print('numpy.ma' in sys.modules)\nsys.exit(code)\n", *argv, cwd=tmp_path)
+        assert run.returncode == 0, run.stderr
+        loaded[" ".join(argv)] = run.stdout.splitlines()[-1]
+    assert set(loaded.values()) == {"False"}, loaded
